@@ -32,7 +32,8 @@ class GraphMesh:
 
     ``intervals[edge_id]`` cells on each edge; ``edge_nodes[edge_id]`` lists
     the global node index of each grid point along the edge, endpoints being
-    the vertex nodes.
+    the vertex nodes.  ``edge_nodes`` and ``edge_x`` hold read-only views of
+    one flat array each.
     """
 
     def __init__(self, graph: MetricGraph, mesh_h: float | None = None,
@@ -50,24 +51,48 @@ class GraphMesh:
             if n < 2:
                 raise MeshTooCoarse(f"edge {e.id!r} has {n} cells; need at least 2")
 
-        self.vertex_node = {v: k for k, v in enumerate(graph.vertices)}
-        nxt = len(self.vertex_node)
-        self.edge_nodes: dict[str, np.ndarray] = {}
-        self.edge_x: dict[str, np.ndarray] = {}
-        self.edge_h: dict[str, float] = {}
-        for e in graph.edges:
-            n = self.intervals[e.id]
-            idx = np.empty(n + 1, dtype=np.int64)
-            idx[0] = self.vertex_node[e.tail]
-            idx[-1] = self.vertex_node[e.head]
-            idx[1:-1] = np.arange(nxt, nxt + n - 1)
-            nxt += n - 1
-            self.edge_nodes[e.id] = idx
-            self.edge_x[e.id] = np.linspace(0.0, e.length, n + 1)
-            self.edge_h[e.id] = e.length / n
-        self.n_nodes = nxt
+        verts = graph.vertices
+        self.vertex_node = {v: k for k, v in enumerate(verts)}
+        edges = graph.edges
+        ids = [e.id for e in edges]
+        n = np.array([self.intervals[i] for i in ids], dtype=np.int64)
+        length = np.array([e.length for e in edges])
+        h = length / n
+        # Flat layout of the grid points, edge by edge from tail to head:
+        # edge k owns points ptr[k] .. ptr[k + 1] - 1.  Interior nodes are
+        # numbered after the vertex nodes in that same order.
+        ptr = np.zeros(len(edges) + 1, dtype=np.int64)
+        np.cumsum(n + 1, out=ptr[1:])
+        first, last = ptr[:-1], ptr[1:] - 1
+        self.n_nodes = len(verts) + int(n.sum()) - len(edges)
+        inner = np.ones(ptr[-1], dtype=bool)
+        inner[first] = inner[last] = False
+        point_node = np.empty(ptr[-1], dtype=np.int64)
+        point_node[inner] = np.arange(len(verts), self.n_nodes)
+        point_node[first] = [self.vertex_node[e.tail] for e in edges]
+        point_node[last] = [self.vertex_node[e.head] for e in edges]
+        # j * h with the end pinned to the length: what np.linspace computes
+        x = (np.arange(ptr[-1]) - np.repeat(first, n + 1)) * np.repeat(h, n + 1)
+        x[last] = length
+        point_node.flags.writeable = x.flags.writeable = False
+        self._point_node = point_node
+        self._ptr = ptr.tolist()
+        spans = list(zip(ids, self._ptr, self._ptr[1:]))
+        self.edge_nodes: dict[str, np.ndarray] = {
+            i: point_node[lo:hi] for i, lo, hi in spans}
+        self.edge_x: dict[str, np.ndarray] = {i: x[lo:hi] for i, lo, hi in spans}
+        self.edge_h: dict[str, float] = dict(zip(ids, h.tolist()))
+
+        # one entry per cell (start node, end node, width): a cell joins each
+        # point to the next one on the same edge
+        joins = np.ones(ptr[-1] - 1, dtype=bool)
+        joins[last[:-1]] = False
+        self._cell_start = point_node[:-1][joins]
+        self._cell_end = point_node[1:][joins]
+        self._cell_h = np.repeat(h, n)
+
         self.dirichlet_nodes = np.array(
-            sorted(self.vertex_node[v] for v in graph.vertices
+            sorted(self.vertex_node[v] for v in verts
                    if graph.condition(v) == DIRICHLET), dtype=np.int64)
         mask = np.ones(self.n_nodes, dtype=bool)
         mask[self.dirichlet_nodes] = False
@@ -79,33 +104,23 @@ class GraphMesh:
     def stiffness(self) -> sp.csr_matrix:
         """Full P1 stiffness matrix (Dirichlet rows not yet eliminated)."""
         if self._stiffness is None:
-            rows, cols, vals = [], [], []
-            for e in self.graph.edges:
-                idx = self.edge_nodes[e.id]
-                w = 1.0 / self.edge_h[e.id]
-                a, b = idx[:-1], idx[1:]
-                rows += [a, b, a, b]
-                cols += [a, b, b, a]
-                vals += [np.full(a.size, w), np.full(a.size, w),
-                         np.full(a.size, -w), np.full(a.size, -w)]
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            vals = np.concatenate(vals)
+            a, b = self._cell_start, self._cell_end
+            w = 1.0 / self._cell_h
             self._stiffness = sp.coo_matrix(
-                (vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes)).tocsr()
+                (np.concatenate([w, w, -w, -w]),
+                 (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                shape=(self.n_nodes, self.n_nodes)).tocsr()
         return self._stiffness
 
     @property
     def lumped_mass(self) -> np.ndarray:
         """Diagonal of the lumped mass matrix (trapezoid weights per edge)."""
         if self._lumped_mass is None:
-            m = np.zeros(self.n_nodes)
-            for e in self.graph.edges:
-                idx = self.edge_nodes[e.id]
-                half = 0.5 * self.edge_h[e.id]
-                np.add.at(m, idx[:-1], half)
-                np.add.at(m, idx[1:], half)
-            self._lumped_mass = m
+            # each cell adds half its width to its two ends in turn, so every
+            # node sums its weights in edge order
+            ends = np.column_stack((self._cell_start, self._cell_end)).ravel()
+            self._lumped_mass = np.bincount(
+                ends, weights=np.repeat(0.5 * self._cell_h, 2), minlength=self.n_nodes)
         return self._lumped_mass
 
     def reduced_operators(self) -> tuple[sp.csc_matrix, np.ndarray]:
@@ -159,13 +174,11 @@ def field_from_function(mesh: GraphMesh, fn) -> Field:
 
     Vertex nodes receive the average of the incident edge-end samples.
     """
-    acc = np.zeros(mesh.n_nodes)
-    cnt = np.zeros(mesh.n_nodes)
-    for e in mesh.graph.edges:
-        idx = mesh.edge_nodes[e.id]
-        u = np.asarray(fn(e.id, mesh.edge_x[e.id]), dtype=float)
-        np.add.at(acc, idx, u)
-        np.add.at(cnt, idx, 1.0)
+    u = np.empty(mesh._point_node.size)
+    for e, lo, hi in zip(mesh.graph.edges, mesh._ptr, mesh._ptr[1:]):
+        u[lo:hi] = fn(e.id, mesh.edge_x[e.id])
+    acc = np.bincount(mesh._point_node, weights=u, minlength=mesh.n_nodes)
+    cnt = np.bincount(mesh._point_node, minlength=mesh.n_nodes)
     f = Field(mesh, acc / np.maximum(cnt, 1.0))
     f.pin_dirichlet()
     return f

@@ -1,9 +1,11 @@
 """Graph construction, validation and flower recognition."""
 
 import math
+import time
 
 import pytest
 
+import fkpp_graphs.graph as graph_module
 from fkpp_graphs.errors import (
     DisconnectedGraph,
     InvalidDomain,
@@ -197,3 +199,28 @@ def test_graph_from_json():
         graph_from_json("{not json")
     with pytest.raises(InvalidDomain):
         graph_from_json('"just a string"')
+
+
+def test_as_flower_does_not_hide_internal_errors(monkeypatch):
+    def broken(graph):
+        raise KeyError("v")
+
+    monkeypatch.setattr(graph_module, "validate", broken)
+    with pytest.raises(KeyError):
+        as_flower(interval_graph(1.0))
+
+
+def test_as_flower_still_rejects_invalid_graphs():
+    assert as_flower(MetricGraph((Edge("e", "a", "b", 1.0),))) is None
+
+
+def test_validate_is_linear_in_graph_size():
+    # a path of 2e4 edges: the degree table used to cost O(V*E), about 20 s
+    n = 20_000
+    g = MetricGraph(tuple(Edge(f"e{k}", f"v{k}", f"v{k + 1}", 1.0) for k in range(n)),
+                    {"v0": "dirichlet"})
+    start = time.perf_counter()
+    report = validate(g)
+    assert time.perf_counter() - start < 5.0
+    assert report.degrees["v0"] == report.degrees[f"v{n}"] == 1
+    assert report.degrees["v1"] == 2

@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkpp_graphs.errors import MeshTooCoarse
-from fkpp_graphs.graph import FlowerSpec, flower_graph, interval_graph
+from fkpp_graphs.graph import (
+    Edge,
+    FlowerSpec,
+    MetricGraph,
+    flower_graph,
+    interval_graph,
+    validate,
+)
 from fkpp_graphs.mesh import (
     Field,
     GraphMesh,
@@ -135,3 +145,87 @@ def test_free_energy_second_order_against_closed_form():
     e1, e2 = sample(0.02), sample(0.01)
     assert e1 <= 1e-3
     assert 3.4 <= e1 / e2 <= 4.6
+
+
+def per_edge_reference(graph, mesh_h):
+    """The edge-by-edge assembly GraphMesh replaced, kept as an oracle.
+
+    Returns (edge_nodes, edge_x, edge_h, stiffness, lumped mass, and the
+    node values field_from_function gives cos(x + length)), built one edge
+    at a time with np.add.at.
+    """
+    vertex_node = {v: k for k, v in enumerate(graph.vertices)}
+    nxt = len(vertex_node)
+    edge_nodes, edge_x, edge_h = {}, {}, {}
+    for e in graph.edges:
+        n = max(2, int(np.ceil(e.length / mesh_h)))
+        idx = np.empty(n + 1, dtype=np.int64)
+        idx[0] = vertex_node[e.tail]
+        idx[-1] = vertex_node[e.head]
+        idx[1:-1] = np.arange(nxt, nxt + n - 1)
+        nxt += n - 1
+        edge_nodes[e.id] = idx
+        edge_x[e.id] = np.linspace(0.0, e.length, n + 1)
+        edge_h[e.id] = e.length / n
+    rows, cols, vals = [], [], []
+    m = np.zeros(nxt)
+    acc = np.zeros(nxt)
+    cnt = np.zeros(nxt)
+    for e in graph.edges:
+        idx = edge_nodes[e.id]
+        w = 1.0 / edge_h[e.id]
+        a, b = idx[:-1], idx[1:]
+        rows += [a, b, a, b]
+        cols += [a, b, b, a]
+        vals += [np.full(a.size, w), np.full(a.size, w),
+                 np.full(a.size, -w), np.full(a.size, -w)]
+        half = 0.5 * edge_h[e.id]
+        np.add.at(m, a, half)
+        np.add.at(m, b, half)
+        np.add.at(acc, idx, np.cos(edge_x[e.id] + e.length))
+        np.add.at(cnt, idx, 1.0)
+    stiffness = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nxt, nxt)).tocsr()
+    return edge_nodes, edge_x, edge_h, stiffness, m, acc / cnt
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected multigraphs with self-loops, parallel edges and a pendant."""
+    n = draw(st.integers(1, 7))
+    length = st.one_of(st.floats(0.05, 0.3), st.floats(0.3, 4.0))
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=8))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    edges = []
+    for k, (i, j) in enumerate(pairs):
+        if draw(st.booleans()):
+            i, j = j, i
+        edges.append(Edge(f"e{k}", f"v{i}", f"v{j}", draw(length)))
+    pinned = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    for k, i in enumerate(pinned):
+        edges.append(Edge(f"p{k}", f"d{k}", f"v{i}", draw(length)))
+    conditions = {f"d{k}": "dirichlet" for k in range(len(pinned))}
+    return MetricGraph(tuple(draw(st.permutations(edges))), conditions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]))
+def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
+    assert validate(graph).degrees == {v: graph.degree(v) for v in graph.vertices}
+    mesh = GraphMesh(graph, mesh_h=mesh_h)
+    nodes, xs, hs, stiffness, mass, avg = per_edge_reference(graph, mesh_h)
+    assert mesh.n_nodes == mass.size
+    for e in graph.edges:
+        assert np.array_equal(mesh.edge_nodes[e.id], nodes[e.id])
+        assert np.array_equal(mesh.edge_x[e.id], xs[e.id])
+        assert mesh.edge_h[e.id] == hs[e.id]
+    assert abs(mesh.stiffness - stiffness).max() <= 1e-14 * abs(stiffness).max()
+    assert np.max(np.abs(mesh.lumped_mass - mass)) <= 1e-14 * np.max(mass)
+    lengths = {e.id: e.length for e in graph.edges}
+    f = field_from_function(mesh, lambda eid, x: np.cos(x + lengths[eid]))
+    avg[mesh.dirichlet_nodes] = 0.0
+    assert np.max(np.abs(f.values - avg)) <= 1e-14

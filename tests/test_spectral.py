@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fkpp_graphs.errors import InvalidDomain, LoopTooLong, MeshTooCoarse
 from fkpp_graphs.graph import (
@@ -158,6 +160,28 @@ def test_discretized_theta_graph_converges():
     lam2 = lambda0_discretized(g, 0.01).lambda0
     assert lam1 > 0.0
     assert abs(lam1 - lam2) <= 1e-3 * lam2
+
+
+def long_tree(n_edges: int, seed: int) -> MetricGraph:
+    """Random recursive tree, lengths U(0.5, 1.5), its newest leaf Dirichlet."""
+    rng = np.random.default_rng(seed)
+    parents = rng.integers(0, np.arange(1, n_edges + 1))
+    lengths = rng.uniform(0.5, 1.5, n_edges)
+    edges = tuple(Edge(f"e{k}", f"v{parents[k - 1]}", f"v{k}", float(lengths[k - 1]))
+                  for k in range(1, n_edges + 1))
+    return MetricGraph(edges, {f"v{n_edges}": "dirichlet"})
+
+
+def test_discretized_long_tree_stops_at_the_rounding_floor():
+    # lambda0 ~ 8.6e-5 on about 2e4 nodes: the relative residual stalls near
+    # 2e-10, twice a fixed 1e-10 target, although rho has long converged
+    g = long_tree(1000, 0)
+    res = lambda0_discretized(g, 0.05)
+    a, m = res.eigenfunction.mesh.reduced_operators()
+    lam = spla.eigsh(a, k=1, M=sp.diags(m), sigma=0, which="LM")[0][0]
+    assert res.lambda0 < 1e-4
+    assert abs(res.lambda0 - lam) <= 1e-8 * lam
+    assert res.iterations < 50
 
 
 def test_discretized_needs_resolved_edges():
