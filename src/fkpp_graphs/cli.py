@@ -67,6 +67,13 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------- plumbing
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidDomain(f"{what} must be a number, got {text!r}") from None
+
+
 def _parse_flower(tokens: list[str]) -> FlowerSpec:
     """stem=0.8 loops=1.5,0.6 -> FlowerSpec; loop entries are total lengths."""
     stem = None
@@ -76,9 +83,9 @@ def _parse_flower(tokens: list[str]) -> FlowerSpec:
         if not sep:
             raise InvalidDomain(f"expected KEY=VALUE, got {tok!r}")
         if key == "stem":
-            stem = float(val)
+            stem = _number(val, "stem")
         elif key == "loops":
-            totals = [float(v) for v in val.split(",") if v]
+            totals = [_number(v, "loop length") for v in val.split(",") if v]
             halves = tuple(t / 2.0 for t in totals)
         else:
             raise InvalidDomain(f"unknown flower key {key!r} (stem, loops)")
@@ -156,9 +163,9 @@ def _read_profile_csv(path: str) -> dict:
 def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field:
     kind, _, arg = text.partition(":")
     if kind == "const":
-        return constant_field(mesh, float(arg))
+        return constant_field(mesh, _number(arg, "const value"))
     if kind == "hat":
-        amp = float(arg)
+        amp = _number(arg, "hat amplitude")
 
         def tent(edge_id, x):
             ell = x[-1]

@@ -99,8 +99,10 @@ class ValidationReport:
 def validate(graph: MetricGraph) -> ValidationReport:
     """Check the structural invariants, raising on the first violation.
 
-    Raises NonpositiveLength, DisconnectedGraph or NoPendant; returns a
-    report with connectivity, the Dirichlet vertex list and the degree table.
+    Raises NonpositiveLength, InvalidDomain (a duplicate edge id or an
+    unknown condition), DisconnectedGraph or NoPendant; returns a report with
+    connectivity, the Dirichlet vertex list and the degree table.  Edge ids
+    must be unique because meshes, fields and profile CSVs are keyed by them.
     Runs in O(V + E): degrees and adjacency come from one pass over the edges.
     """
     if not graph.edges:
@@ -110,6 +112,11 @@ def validate(graph: MetricGraph) -> ValidationReport:
             raise NonpositiveLength(
                 f"edge {e.id!r} has length {e.length!r}; lengths must be "
                 "positive and finite")
+    ids: set[str] = set()
+    for e in graph.edges:
+        if e.id in ids:
+            raise InvalidDomain(f"duplicate edge id {e.id!r}; edge ids must be unique")
+        ids.add(e.id)
     for v, c in graph.conditions.items():
         if c not in (DIRICHLET, KIRCHHOFF):
             raise InvalidDomain(f"unknown condition {c!r} at vertex {v!r}")

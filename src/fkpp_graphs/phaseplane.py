@@ -96,20 +96,26 @@ def _center_side_root(target: float) -> float:
     A is strictly increasing on (0, 1) so the root is unique.  Newton from a
     stabilized fixed-point seed; relative accuracy follows the relative
     accuracy of ``target`` even for tiny targets since b ~ sqrt(target).
+
+    A is convex on (0, 1/2], where every root for target <= 1/6 lies, so
+    the exact Newton steps shrink monotonically.  A step that does not
+    shrink is rounding noise, and the polish stops there.
     """
     b = math.sqrt(target)
     for _ in range(6):
         b = math.sqrt(target / (1.0 - 2.0 * b / 3.0))
     # Newton polish on A(b) - target
+    last = math.inf
     for _ in range(40):
         f = well(b) - target
         df = 2.0 * b * (1.0 - b)
         if df == 0.0:
             break
         step = f / df
-        b -= step
-        if abs(step) <= 1e-17 * b:
+        if not abs(step) < last:
             break
+        b -= step
+        last = abs(step)
     return b
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     MeshTooCoarse,
 )
 from .graph import Edge, FlowerSpec, MetricGraph, flower_graph
-from .mesh import Field, GraphMesh, field_from_function
+from .mesh import Field, GraphMesh, factor_spd, field_from_function
 
 __all__ = [
     "SpectralResult",
@@ -139,10 +138,7 @@ def _inverse_iteration(mesh: GraphMesh) -> tuple[float, np.ndarray, float, int]:
     plateaus measured sit at about a quarter of eps times the same norm.
     """
     a, m = mesh.reduced_operators()
-    try:
-        lu = spla.splu(a.tocsc())
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"stiffness factorization failed: {exc}") from exc
+    lu = factor_spd(a, "stiffness")
     abs_a = abs(a)
     x = np.ones(a.shape[0])
     x /= math.sqrt(float(m @ (x * x)))

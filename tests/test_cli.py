@@ -77,6 +77,28 @@ def test_spectrum_bad_inputs(tmp_path):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--flower", "stem=abc"],
+    ["spectrum", "--flower", "stem=0.8,loops=1.5"],
+    ["spectrum", "--flower", "stem=0.8", "loops=1.5,x"],
+    ["evolve", "--flower", "stem=1", "--mesh", "0.1", "--initial", "const:abc"],
+    ["evolve", "--flower", "stem=1", "--mesh", "0.1", "--initial", "hat:"],
+])
+def test_non_numeric_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
+def test_duplicate_edge_ids_exit_2(tmp_path):
+    g = tmp_path / "dup.json"
+    g.write_text(json.dumps({
+        "edges": [{"id": "e", "from": "a", "to": "v", "length": 0.5},
+                  {"id": "e", "from": "v", "to": "w", "length": 1.0}],
+        "conditions": {"a": "dirichlet"},
+    }))
+    assert main(["spectrum", "--graph", str(g), "--mesh", "0.05"]) == 2
+
+
 def test_groundstate_summary_and_profile(tmp_path):
     out = tmp_path / "gs.json"
     prof = tmp_path / "prof.csv"

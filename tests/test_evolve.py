@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fkpp_graphs.evolve as evolve
 from fkpp_graphs.errors import (
     ComparisonViolated,
     InvalidDomain,
@@ -18,13 +19,20 @@ from fkpp_graphs.evolve import (
     stable_dt,
     step,
 )
-from fkpp_graphs.graph import FlowerSpec, flower_graph, interval_graph
+from fkpp_graphs.graph import (
+    Edge,
+    FlowerSpec,
+    MetricGraph,
+    flower_graph,
+    interval_graph,
+)
 from fkpp_graphs.groundstate import reconstruct_profile, solve_interval
 from fkpp_graphs.mesh import (
     GraphMesh,
     constant_field,
     field_from_function,
     field_from_profiles,
+    free_energy,
 )
 
 TADPOLE_GRAPH = flower_graph(FlowerSpec(stem=0.8, loop_halves=(0.75,)))
@@ -194,3 +202,90 @@ def test_comparison_monitor_flags_bad_traces():
     )
     with pytest.raises(ComparisonViolated):
         comparison_monitor(bad2)
+
+
+def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
+    """run_to_attractor on whole Fields: one Field copy and one
+    full-stiffness free_energy per trial step."""
+    mesh = field0.mesh
+    field = field0.copy()
+    field.pin_dirichlet()
+    free = mesh.free_nodes
+    sup0 = field.sup_norm
+    dt = evolve.stable_dt(sup0, dt)
+    lu, _, m = evolve._factor(mesh, dt)
+    t, c, h = 0.0, sup0, free_energy(field)
+    times, energies, sups, mins, dts = [0.0], [h], [sup0], [field.min_value()], []
+    terminal = Terminal.MAX_STEPS_REACHED
+    while t < max_t:
+        u_free = field.values[free]
+        u_new = evolve._advance(lu, m, u_free, dt)
+        c_new = c + dt * c * (1.0 - c)
+        slack = 1e-9 * max(1.0, c)
+        ok = u_new.min() >= -slack and u_new.max() <= c_new + slack
+        if ok:
+            trial = field.copy()
+            trial.values[free] = u_new
+            h_new = free_energy(trial)
+            ok = h_new <= h + evolve.ENERGY_SLACK
+        if not ok:
+            dt *= 0.5
+            lu, _, m = evolve._factor(mesh, dt)
+            continue
+        diff = float(np.max(np.abs(u_new - u_free)))
+        field, t, c, h = trial, t + dt, c_new, h_new
+        times.append(t)
+        energies.append(h)
+        sups.append(field.sup_norm)
+        mins.append(field.min_value())
+        dts.append(dt)
+        if diff / dt <= tol:
+            terminal = (Terminal.CONVERGED_TRIVIAL if field.sup_norm <= 10.0 * tol
+                        else Terminal.CONVERGED_NONTRIVIAL)
+            break
+    return times, energies, sups, mins, dts, terminal, field
+
+
+def seeded_tree(n_edges, seed):
+    rng = np.random.default_rng(seed)
+    parents = rng.integers(0, np.arange(1, n_edges + 1))
+    lengths = rng.uniform(0.25, 0.75, n_edges)
+    edges = tuple(Edge(f"e{k}", f"v{parents[k - 1]}", f"v{k}", float(lengths[k - 1]))
+                  for k in range(1, n_edges + 1))
+    return MetricGraph(edges, {f"v{n_edges}": "dirichlet"})
+
+
+def assert_matches_reference(trace, ref):
+    times, energies, sups, mins, dts, terminal, final = ref
+    assert trace.terminal is terminal
+    assert trace.steps == len(dts)
+    assert np.array_equal(trace.dt_history, dts)
+    assert np.array_equal(trace.times, times)
+    for got, want in ((trace.energy, energies), (trace.sup_norm, sups),
+                      (trace.min_value, mins)):
+        want = np.asarray(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(trace.final.values, final.values)
+
+
+@pytest.mark.parametrize("graph,mesh_h,value", [
+    (TADPOLE_GRAPH, 0.02, 0.5),
+    (seeded_tree(200, 7), 0.05, 0.5),
+])
+def test_free_node_loop_matches_the_field_loop(graph, mesh_h, value):
+    f = constant_field(GraphMesh(graph, mesh_h=mesh_h), value)
+    trace = run_to_attractor(f, dt=0.1, tol=1e-9)
+    assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
+    assert_matches_reference(trace, reference_run(f, dt=0.1, tol=1e-9))
+
+
+def test_free_node_loop_matches_the_field_loop_when_dt_halves(monkeypatch):
+    # stable_dt keeps every step order preserving, so no trial step is ever
+    # rejected; without it dt = 8 runs for a while, then breaks a bound and
+    # is halved down to 0.5 mid-run
+    monkeypatch.setattr(evolve, "stable_dt", lambda sup_u0, dt: dt)
+    f = constant_field(GraphMesh(TADPOLE_GRAPH, mesh_h=0.05), 0.5)
+    trace = run_to_attractor(f, dt=8.0, tol=1e-9)
+    assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
+    assert trace.dt_history[0] == 8.0 and trace.dt_history[-1] == 0.5
+    assert_matches_reference(trace, reference_run(f, dt=8.0, tol=1e-9))

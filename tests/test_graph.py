@@ -138,6 +138,21 @@ def test_validate_rejects_unknown_condition():
         validate(g)
 
 
+def test_validate_rejects_duplicate_edge_ids():
+    g = MetricGraph(edges=(Edge("e", "a", "v", 1.0), Edge("e", "v", "w", 1.0)),
+                    conditions={"a": "dirichlet"})
+    with pytest.raises(InvalidDomain, match="duplicate edge id 'e'"):
+        validate(g)
+    # a default id e{k} can collide with an explicit one
+    g = graph_from_dict({
+        "edges": [{"from": "a", "to": "v", "length": 1.0},
+                  {"id": "e0", "from": "v", "to": "w", "length": 1.0}],
+        "conditions": {"a": "dirichlet"},
+    })
+    with pytest.raises(InvalidDomain, match="duplicate edge id 'e0'"):
+        validate(g)
+
+
 def test_validate_rejects_disconnected_graph():
     g = MetricGraph(
         edges=(Edge("e0", "a", "v", 1.0), Edge("e1", "x", "y", 1.0)),

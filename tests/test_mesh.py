@@ -22,6 +22,7 @@ from fkpp_graphs.mesh import (
     GraphMesh,
     constant_field,
     field_from_function,
+    factor_spd,
     field_from_profiles,
     free_energy,
 )
@@ -229,3 +230,21 @@ def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
     f = field_from_function(mesh, lambda eid, x: np.cos(x + lengths[eid]))
     avg[mesh.dirichlet_nodes] = 0.0
     assert np.max(np.abs(f.values - avg)) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]),
+       dt=st.sampled_from([1e-3, 0.1, 0.99]), seed=st.integers(0, 2**32 - 1))
+def test_spd_factor_solves_the_reduced_operators(graph, mesh_h, dt, seed):
+    mesh = GraphMesh(graph, mesh_h=mesh_h)
+    a, m = mesh.reduced_operators()
+    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, m.size)
+    for op in (a, sp.diags(m) + dt * a):
+        lu = factor_spd(op, "test")
+        # symmetric ordering with diagonal pivots
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        x = lu.solve(rhs)
+        # normwise relative residual (backward error) in the inf-norm
+        norm = abs(op).sum(axis=1).max()
+        res = np.max(np.abs(op @ x - rhs))
+        assert res <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))

@@ -1,11 +1,14 @@
 """Level sets, turning points, and the section value of the stationary orbit."""
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fkpp_graphs.phaseplane as phaseplane
 from fkpp_graphs.errors import InvalidDomain, OrbitNotClosed
 from fkpp_graphs.phaseplane import (
     PhasePoint,
@@ -95,3 +98,28 @@ def test_section_value_squares_to_shifted_energy(p, q):
     qt = q_tilde(pt)
     assert qt <= 0.0
     assert abs(qt * qt - (pt.energy + 1.0 / 3.0)) <= 1e-13
+
+
+def test_center_side_root_stops_at_rounding(monkeypatch):
+    # targets log-uniform over the range turning_point_pair passes in
+    rng = random.Random(2024)
+    targets = [10.0 ** rng.uniform(-14.0, math.log10(1.0 / 6.0)) for _ in range(300)]
+    targets += [1e-14, 1.0 / 6.0]
+    calls = 0
+
+    def counting_well(u):
+        nonlocal calls
+        calls += 1
+        return well(u)
+
+    monkeypatch.setattr(phaseplane, "well", counting_well)
+    with mpmath.workdps(40):
+        for target in targets:
+            calls = 0
+            b = phaseplane._center_side_root(target)
+            assert calls <= 10
+            # b = sqrt(target) * y keeps findroot's absolute tolerance relative
+            s = mpmath.sqrt(mpmath.mpf(target))
+            y = mpmath.findroot(lambda y: y * y * (1 - 2 * s * y / 3) - 1, 1)
+            exact = float(s * y)
+            assert abs(b - exact) <= 2.0 * math.ulp(exact)
