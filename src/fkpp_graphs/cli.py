@@ -21,7 +21,6 @@ import logging
 import math
 import os
 import sys
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -39,8 +38,10 @@ from .graph import (
     FlowerSpec,
     MetricGraph,
     as_flower,
+    flower_from_totals,
     flower_graph,
     graph_from_json,
+    parse_number,
     validate,
 )
 from .groundstate import (
@@ -67,31 +68,23 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------- plumbing
 
-def _number(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InvalidDomain(f"{what} must be a number, got {text!r}") from None
-
-
 def _parse_flower(tokens: list[str]) -> FlowerSpec:
     """stem=0.8 loops=1.5,0.6 -> FlowerSpec; loop entries are total lengths."""
     stem = None
-    halves: tuple[float, ...] = ()
+    totals: list[str] = []
     for tok in tokens:
         key, sep, val = tok.partition("=")
         if not sep:
             raise InvalidDomain(f"expected KEY=VALUE, got {tok!r}")
         if key == "stem":
-            stem = _number(val, "stem")
+            stem = val
         elif key == "loops":
-            totals = [_number(v, "loop length") for v in val.split(",") if v]
-            halves = tuple(t / 2.0 for t in totals)
+            totals = [v for v in val.split(",") if v]
         else:
             raise InvalidDomain(f"unknown flower key {key!r} (stem, loops)")
     if stem is None:
         raise InvalidDomain("flower shorthand needs stem=LENGTH")
-    return FlowerSpec(stem, halves)
+    return flower_from_totals(stem, totals)
 
 
 def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
@@ -131,11 +124,11 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
             fh.close()
 
 
-def _profile_rows(field: Field):
-    for e in field.mesh.graph.edges:
-        x, u = field.on_edge(e.id)
-        for xi, ui in zip(x, u):
-            yield (e.id, repr(float(xi)), repr(float(ui)))
+def _write_profile(path: str, profiles: dict) -> None:
+    """Profile CSV `edge_id,x,u` from an edge_id -> (x, u) mapping."""
+    _write_csv(path, ["edge_id", "x", "u"],
+               ((eid, repr(float(xi)), repr(float(ui)))
+                for eid, (x, u) in profiles.items() for xi, ui in zip(x, u)))
 
 
 def _read_profile_csv(path: str) -> dict:
@@ -150,9 +143,12 @@ def _read_profile_csv(path: str) -> dict:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 3:
+                    raise InvalidDomain(
+                        f"{path}: line {reader.line_num} needs edge_id,x,u, got {row}")
                 xs, us = profiles.setdefault(row[0], ([], []))
-                xs.append(float(row[1]))
-                us.append(float(row[2]))
+                xs.append(parse_number(row[1], f"{path}: line {reader.line_num}: x"))
+                us.append(parse_number(row[2], f"{path}: line {reader.line_num}: u"))
     except OSError as exc:
         raise InvalidDomain(f"cannot read profile CSV {path}: {exc}") from exc
     if not profiles:
@@ -163,9 +159,9 @@ def _read_profile_csv(path: str) -> dict:
 def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field:
     kind, _, arg = text.partition(":")
     if kind == "const":
-        return constant_field(mesh, _number(arg, "const value"))
+        return constant_field(mesh, parse_number(arg, "const value"))
     if kind == "hat":
-        amp = _number(arg, "hat amplitude")
+        amp = parse_number(arg, "hat amplitude")
 
         def tent(edge_id, x):
             ell = x[-1]
@@ -249,10 +245,7 @@ def cmd_groundstate(args) -> int:
         out["jacobian_determinant"] = rep.determinant
         out["jacobian_sign_ok"] = bool(rep.sign_ok)
     if args.profile:
-        _write_csv(args.profile, ["edge_id", "x", "u"],
-                   ((eid, repr(float(xi)), repr(float(ui)))
-                    for eid, (x, u) in sol.profiles.items()
-                    for xi, ui in zip(x, u)))
+        _write_profile(args.profile, sol.profiles)
         logger.info("profile written to %s", args.profile)
     _emit_json(out, args.out)
     return 0
@@ -271,7 +264,8 @@ def cmd_evolve(args) -> int:
                        map(repr, trace.energy.tolist()),
                        map(repr, trace.sup_norm.tolist())))
     if args.profile:
-        _write_csv(args.profile, ["edge_id", "x", "u"], _profile_rows(trace.final))
+        _write_profile(args.profile,
+                       {e.id: trace.final.on_edge(e.id) for e in graph.edges})
     out = {
         "schema": 1,
         "terminal": trace.terminal.value,
@@ -284,8 +278,7 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _boundary_row(case: tuple) -> tuple:
-    halves = case
+def _boundary_row(halves: tuple) -> tuple:
     limit = math.pi / 2.0
     if any(h >= limit for h in halves):
         # continuous extension: tan blows up, the critical stem closes to 0
@@ -317,11 +310,7 @@ def cmd_region(args) -> int:
         ls = np.linspace(0.0, limit, args.samples, endpoint=False)
         cases = [(float(l),) * n for l in ls]
         header = [f"loop_half_{j + 1}" for j in range(n)] + ["critical_stem"]
-    if args.jobs > 1:
-        with get_context("fork").Pool(args.jobs) as pool:
-            rows = pool.map(_boundary_row, cases)
-    else:
-        rows = [_boundary_row(c) for c in cases]
+    rows = map(_boundary_row, cases)
     _write_csv(args.out, header, (tuple(repr(v) for v in row) for row in rows))
     return 0
 
@@ -448,8 +437,7 @@ def _suite_jacobian(args) -> list[dict]:
     return checks
 
 
-def _dichotomy_case(case: tuple) -> dict:
-    stem, halves = case
+def _dichotomy_case(stem: float, halves: tuple) -> dict:
     spec = FlowerSpec(stem, halves)
     expected = region_membership(spec).region.value
     mesh = GraphMesh(flower_graph(spec), mesh_h=0.02)
@@ -472,10 +460,7 @@ def _suite_dichotomy(args) -> list[dict]:
         crit = lower_boundary(halves)
         cases.append((max(0.05, 0.6 * crit), halves))
         cases.append((crit + 0.4, halves))
-    if args.jobs > 1:
-        with get_context("fork").Pool(args.jobs) as pool:
-            return pool.map(_dichotomy_case, cases)
-    return [_dichotomy_case(c) for c in cases]
+    return [_dichotomy_case(stem, halves) for stem, halves in cases]
 
 
 _SUITES = {
@@ -555,7 +540,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--grid", action="store_true",
                     help="sample the two-loop boundary surface")
     rg.add_argument("--samples", type=int, default=50, help="points per axis")
-    rg.add_argument("--jobs", type=int, default=1, help="worker processes")
+    rg.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; ignored (runs serially)")
     rg.add_argument("--out", metavar="FILE", help="write the CSV/JSON here")
     rg.set_defaults(func=cmd_region)
 
@@ -565,7 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--seed", type=int, default=0, help="RNG seed")
     va.add_argument("--samples", type=int, default=None,
                     help="override the per-check sample count")
-    va.add_argument("--jobs", type=int, default=1, help="worker processes")
+    va.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; ignored (runs serially)")
     va.add_argument("--out", metavar="FILE", help="write the JSON report here")
     va.set_defaults(func=cmd_validate)
 

@@ -32,6 +32,8 @@ __all__ = [
     "MetricGraph",
     "FlowerSpec",
     "ValidationReport",
+    "parse_number",
+    "flower_from_totals",
     "validate",
     "as_flower",
     "flower_graph",
@@ -178,6 +180,20 @@ class FlowerSpec:
         return len(self.loop_halves)
 
 
+def parse_number(value, what: str) -> float:
+    """float(value), raising InvalidDomain when value is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidDomain(f"{what} must be a number, got {value!r}") from None
+
+
+def flower_from_totals(stem, loop_totals=()) -> FlowerSpec:
+    """FlowerSpec from the shorthand's stem length and total loop lengths."""
+    return FlowerSpec(parse_number(stem, "stem"),
+                      tuple(parse_number(t, "loop length") / 2.0 for t in loop_totals))
+
+
 def flower_graph(spec: FlowerSpec) -> MetricGraph:
     """Expand a FlowerSpec into an explicit MetricGraph.
 
@@ -246,9 +262,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
         loops = fl.get("loops", [])
         if not isinstance(loops, (list, tuple)):
             raise InvalidDomain('"loops" must be a list of total loop lengths')
-        spec = FlowerSpec(stem=float(fl["stem"]),
-                          loop_halves=tuple(float(t) / 2.0 for t in loops))
-        return flower_graph(spec)
+        return flower_graph(flower_from_totals(fl["stem"], loops))
     if "edges" not in data:
         raise InvalidDomain('graph JSON needs "edges" or "flower"')
     edges = []

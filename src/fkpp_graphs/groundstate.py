@@ -420,6 +420,13 @@ def _edge_steps(length: float, dx: float, tol: float, max_steps: int) -> int:
     return max(2, int(math.ceil(length / h)))
 
 
+def _check_end_state(mismatch: float, tol: float) -> None:
+    if mismatch > 10.0 * tol:
+        raise StepTooLarge(
+            f"profile end-state mismatch {mismatch:.3e} exceeds 10*tol = "
+            f"{10.0 * tol:.3e}; reduce dx or raise max_steps_per_edge")
+
+
 def reconstruct_profile(solution: GroundStateSolution, dx: float,
                         tol: float = 1e-8,
                         max_steps_per_edge: int = 500_000) -> dict:
@@ -439,35 +446,28 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float,
     qs = q_tilde(PhasePoint(p, solution.q_stem))
     n = _edge_steps(spec.stem, dx, tol, max_steps_per_edge)
     w, v = _rk4_path(1.0, qs, spec.stem, n)
-    x = np.linspace(0.0, spec.stem, n + 1)
-    profiles["stem"] = (x, 1.0 - w)
+    cont = abs(w[-1] - p)
+    mismatch = max(cont, abs(v[-1] - solution.q_stem))
+    # the loops cannot lower the mismatch, so a bad stem fails before any
+    # further profile array is built
+    _check_end_state(mismatch, tol)
+    profiles["stem"] = (np.linspace(0.0, spec.stem, n + 1), 1.0 - w)
     slopes["stem"] = -v
-    stem_w_err = abs(w[-1] - p)
-    stem_v_err = abs(v[-1] - solution.q_stem)
     flux = v[-1]
-    cont = stem_w_err
-    mismatch = max(stem_w_err, stem_v_err)
 
     for j, (q, half) in enumerate(zip(solution.q_loops, spec.loop_halves), start=1):
         p0 = turning_point_pair(PhasePoint(p, q))[0]
         nh = _edge_steps(half, dx, tol, max_steps_per_edge)
         wh, vh = _rk4_path(p0, 0.0, half, nh)
-        k = np.arange(2 * nh + 1)
-        fold = np.abs(nh - k)
         xf = np.linspace(0.0, 2.0 * half, 2 * nh + 1)
-        wf = wh[fold]
         # first half runs from the vertex down to the turning point
-        vf = np.where(k <= nh, -vh[fold], vh[fold])
-        profiles[f"loop{j}"] = (xf, 1.0 - wf)
-        slopes[f"loop{j}"] = -vf
+        profiles[f"loop{j}"] = (xf, 1.0 - np.concatenate((wh[::-1], wh[1:])))
+        slopes[f"loop{j}"] = np.concatenate((vh[::-1], -vh[1:]))
         cont = max(cont, abs(wh[-1] - p))
         mismatch = max(mismatch, abs(wh[-1] - p), abs(vh[-1] + q))
         flux += 2.0 * vh[-1]
 
-    if mismatch > 10.0 * tol:
-        raise StepTooLarge(
-            f"profile end-state mismatch {mismatch:.3e} exceeds 10*tol = "
-            f"{10.0 * tol:.3e}; reduce dx or raise max_steps_per_edge")
+    _check_end_state(mismatch, tol)
 
     solution.profiles = profiles
     solution.slopes = slopes

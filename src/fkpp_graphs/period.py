@@ -9,17 +9,19 @@ measured along orbits of w'' = w - w^2 with v = w' and v^2 = E + A(w):
               up to (p, q):                            int_{p0}^p du / v
 
 T is the length a stem of boundary data (p, q) must have; T0 is the loop
-half-length.  Both integrals have inverse-square-root endpoint behavior at
-turning points, removed by the substitutions
+half-length.  Both, and the gradient integrals below, are one integral
 
-    u = p  + (1 - p)  s^2        for T,
-    u = p0 + (p - p0) s^2        for T0,
+    int_lo^{lo+d} w(u) du / sqrt(c + A(u) - A(lo)),
 
-after which the integrands are analytic on [0, 1]; the remaining quadrature
-is plain adaptive Gauss-Kronrod.  All well differences are evaluated in
-factored form (see phaseplane), so the integrands keep full precision when p
-approaches 1 (orbits shrinking onto the center) and when E approaches 0 from
-below (loops hugging the homoclinic).
+(lo, d, c) = (p, 1 - p, q^2) for T and (p0, p - p0, 0) for T0, evaluated
+by the one kernel ``_arc``.  In u = lo + d s^2 the turning-point endpoint
+singularity is gone and A(u) - A(lo) = d s^2 g(u, lo) with
+g(u, lo) = (u + lo) - (2/3)(u^2 + u lo + lo^2).  Since A(1 - a) = 1/3 - A(a),
+g(u, lo) = g(1 - u, 1 - lo), so the kernel evaluates g on whichever side of
+the well is small and nothing cancels: neither as p -> 1 (orbits shrinking
+onto the center) nor when p or p0 is far below machine epsilon (deep in the
+existence region, where 1 - p rounds to 1).  The quadrature is plain
+adaptive Gauss-Kronrod on the analytic s-integrand.
 
 Gradients use the renormalized closed forms
 
@@ -28,10 +30,10 @@ Gradients use the renormalized closed forms
     (E + 1/3) dT0/dp = -p (1-p) I2 - q
     (E + 1/3) dT0/dq =  q I2 - (1-p)(1+2p) / (3p)
 
-with I1 = int_p^1 (1-u^2)/(3 u^2 v) du and I2 the same integrand over
-[p0, p].  These follow from differentiating under the integral sign and
-integrating the boundary-singular parts exactly; unlike the raw derivative
-integrals they stay finite and numerically benign up to the homoclinic.
+with I1 and I2 the kernel's integrals over the T and T0 ranges with weight
+w(u) = (1-u^2)/(3 u^2).  These follow from differentiating under the
+integral sign and integrating the boundary-singular parts exactly; they stay
+finite and numerically benign up to the homoclinic.
 
 Useful sanity identities, exercised by the test suite:
 
@@ -106,8 +108,42 @@ def _quad(f, tol: float) -> tuple[float, float]:
 
 
 def _bracket(a: float, b: float) -> float:
-    """(u+p) - (2/3)(u^2+up+p^2) written through a = 1-u, b = 1-p."""
+    """g(a, b) = (a+b) - (2/3)(a^2+ab+b^2) = (A(a) - A(b)) / (a - b)."""
     return a + b - _TWO_THIRDS * (a * a + a * b + b * b)
+
+
+def _arc(lo: float, blo: float, d: float, c: float, tol: float,
+         weighted: bool = False) -> tuple[float, float]:
+    """int_lo^{lo+d} w(u) du / sqrt(c + A(u) - A(lo)) and its error; blo = 1 - lo.
+
+    w = 1, or (1 - u^2) / (3 u^2) if ``weighted``.  g is taken in (u, lo)
+    when lo <= 1/2, else in (1 - u, 1 - lo); side and integrand are chosen
+    once per call, never per node.
+    """
+    if d <= 0.0:
+        return 0.0, 0.0
+    x0, dx = (lo, d) if lo <= 0.5 else (blo, -d)
+    k = 2.0 * math.sqrt(d) if c == 0.0 else 2.0 * d
+    if c == 0.0 and not weighted:
+        def f(s):
+            return k / math.sqrt(_bracket(x0 + dx * s * s, x0))
+    elif c == 0.0:
+        def f(s):
+            s2 = s * s
+            u = lo + d * s2
+            return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
+                * k / math.sqrt(_bracket(x0 + dx * s2, x0))
+    elif not weighted:
+        def f(s):
+            s2 = s * s
+            return k * s / math.sqrt(c + d * s2 * _bracket(x0 + dx * s2, x0))
+    else:
+        def f(s):
+            s2 = s * s
+            u = lo + d * s2
+            return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
+                * k * s / math.sqrt(c + d * s2 * _bracket(x0 + dx * s2, x0))
+    return _quad(f, tol)
 
 
 def _check_not_center(pt: PhasePoint) -> None:
@@ -128,16 +164,15 @@ def period_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
         # circular-orbit form is accurate to O(1-p)
         hyp = math.hypot(bp, q)
         return PeriodValue(math.asin(bp / hyp), 4.0 * bp)
-    q2 = q * q
+    return PeriodValue(*_arc(p, bp, bp, q * q, tol))
 
-    def f(s):
-        s2 = s * s
-        a = bp * (1.0 - s2)  # 1 - u
-        v2 = q2 + bp * s2 * _bracket(a, bp)
-        return 2.0 * bp * s / math.sqrt(v2)
 
-    val, err = _quad(f, tol)
-    return PeriodValue(val, err)
+def _loop_span(pt: PhasePoint) -> tuple[float, float, float]:
+    """(p0, 1 - p0, p - p0) of the closed orbit through pt."""
+    p0, b0 = turning_point_pair(pt)
+    # p - p0 through whichever side is exact: 1-p is exact for p >= 1/2
+    d = (pt.p - p0) if p0 <= 0.5 else (b0 - (1.0 - pt.p))
+    return p0, b0, d
 
 
 def period_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
@@ -146,24 +181,13 @@ def period_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
     Raises OrbitNotClosed when the orbit energy is >= 0 (no turning point).
     """
     _check_not_center(pt)
-    p0, b0 = turning_point_pair(pt)
+    p0, b0, d = _loop_span(pt)
     bp = 1.0 - pt.p
     if bp < 1e-6:
         # circular-orbit limit, complement of the period_T delegation
         hyp = math.hypot(bp, pt.q)
         return PeriodValue(math.asin(-pt.q / hyp), 4.0 * bp)
-    # p - p0 through whichever side is exact: 1-p is exact for p >= 1/2
-    d = (pt.p - p0) if p0 <= 0.5 else (b0 - (1.0 - pt.p))
-    if d <= 0.0:
-        return PeriodValue(0.0, 0.0)
-    sqrt_d = math.sqrt(d)
-
-    def f(s):
-        a = b0 - d * s * s  # 1 - u
-        return 2.0 * sqrt_d / math.sqrt(_bracket(a, b0))
-
-    val, err = _quad(f, tol)
-    return PeriodValue(val, err)
+    return PeriodValue(*_arc(p0, b0, d, 0.0, tol))
 
 
 def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:
@@ -175,16 +199,7 @@ def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:
     """
     if not 0.0 < p0 <= p <= 1.0:
         raise InvalidDomain(f"need 0 < p0 <= p <= 1, got p0={p0}, p={p}")
-    b0 = 1.0 - p0
-    d = p - p0
-    if d == 0.0:
-        return 0.0
-    sqrt_d = math.sqrt(d)
-
-    def f(s):
-        return 2.0 * sqrt_d / math.sqrt(_bracket(b0 - d * s * s, b0))
-
-    return _quad(f, tol)[0]
+    return _arc(p0, 1.0 - p0, p - p0, 0.0, tol)[0]
 
 
 def _require_interior(pt: PhasePoint) -> None:
@@ -208,16 +223,7 @@ def grad_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     _require_interior(pt)
     p, q = pt.p, pt.q
     bp = 1.0 - p
-    q2 = q * q
-
-    def f(s):
-        s2 = s * s
-        a = bp * (1.0 - s2)  # 1 - u
-        u = 1.0 - a
-        v = math.sqrt(q2 + bp * s2 * _bracket(a, bp))
-        return (a * (2.0 - a)) / (3.0 * u * u * v) * 2.0 * bp * s
-
-    i1, _ = _quad(f, tol)
+    i1, _ = _arc(p, bp, bp, q * q, tol, weighted=True)
     qt2 = _qt2(pt)
     dp = (-p * bp * i1 + q) / qt2
     dq = (q * i1 + bp * (1.0 + 2.0 * p) / (3.0 * p)) / qt2
@@ -234,14 +240,7 @@ def interval_period_slope(p: float, tol: float = 1e-10) -> float:
     if not 0.0 < p < 1.0:
         raise InvalidDomain(f"interval slope needs 0 < p < 1, got {p}")
     bp = 1.0 - p
-
-    def f(s):
-        a = bp * (1.0 - s * s)  # 1 - u
-        u = 1.0 - a
-        return (a * (2.0 - a)) / (3.0 * u * u) \
-            * 2.0 * bp / math.sqrt(bp * _bracket(a, bp))
-
-    i1 = _quad(f, tol)[0]
+    i1 = _arc(p, bp, bp, 0.0, tol, weighted=True)[0]
     qt2 = bp * bp * (1.0 + 2.0 * p) / 3.0
     return -p * bp * i1 / qt2
 
@@ -250,17 +249,7 @@ def grad_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     """Analytic gradient of period_T0; requires q < 0 and a closed orbit."""
     _require_interior(pt)
     p, q = pt.p, pt.q
-    p0, b0 = turning_point_pair(pt)
-    d = (p - p0) if p0 <= 0.5 else (b0 - (1.0 - p))
-    sqrt_d = math.sqrt(max(d, 0.0))
-
-    def f(s):
-        a = b0 - d * s * s  # 1 - u
-        u = 1.0 - a
-        return (a * (2.0 - a)) / (3.0 * u * u) * 2.0 * sqrt_d \
-            / math.sqrt(_bracket(a, b0))
-
-    i2, _ = _quad(f, tol)
+    i2, _ = _arc(*_loop_span(pt), 0.0, tol, weighted=True)
     qt2 = _qt2(pt)
     bp = 1.0 - p
     dp = (-p * bp * i2 - q) / qt2

@@ -89,6 +89,29 @@ def test_non_numeric_values_exit_2(argv, capsys):
     assert "must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flower", [
+    {"stem": "abc"},
+    {"stem": 0.8, "loops": ["x"]},
+    {"stem": 0.8, "loops": [None]},
+])
+def test_non_numeric_flower_json_exit_2(tmp_path, capsys, flower):
+    g = tmp_path / "flower.json"
+    g.write_text(json.dumps({"flower": flower}))
+    assert main(["spectrum", "--graph", str(g)]) == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "stem,0.0,abc\n",      # non-numeric u
+    "stem,0.0\n",          # too few fields
+], ids=["non-numeric", "short-row"])
+def test_bad_profile_csv_exit_2(tmp_path, body):
+    prof = tmp_path / "prof.csv"
+    prof.write_text("edge_id,x,u\n" + body)
+    assert main(["evolve", "--flower", "stem=1", "--mesh", "0.1",
+                 "--initial", f"csv:{prof}"]) == 2
+
+
 def test_duplicate_edge_ids_exit_2(tmp_path):
     g = tmp_path / "dup.json"
     g.write_text(json.dumps({

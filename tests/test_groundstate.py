@@ -1,12 +1,15 @@
 """Ground-state solver: anchors, uniqueness, Jacobian, profiles, energy."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+import arclength_reference as ref
 from fkpp_graphs.errors import (
     BelowThreshold,
+    FisherKppError,
     InvalidDomain,
     NewtonStalled,
     OutsideRegion,
@@ -252,3 +255,28 @@ def test_energy_negative_and_converges_under_refinement():
     d1, d2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
     assert d1 <= 1e-12  # already tiny at the coarse step
     assert d1 / d2 >= 3.4  # at least second order step to step
+
+
+# ------------------------------------------------------------ deep flowers
+
+@pytest.mark.parametrize("spec", [
+    FlowerSpec(16.0, (16.0,)),
+    FlowerSpec(12.0, tuple(np.linspace(0.1, 1.2, 80))),
+], ids=["16-16", "12-80loops"])
+def test_deep_flowers_solve_to_their_floor(spec):
+    sol = solve_flower(spec)
+    allowed = 2.0 * sol.convergence_floor
+    assert abs(ref.stem_length(sol.p, sol.q_stem) - spec.stem) <= allowed
+    for q, half in zip(sol.q_loops, spec.loop_halves):
+        assert abs(ref.loop_half_length(sol.p, q) - half) <= allowed
+
+
+@pytest.mark.parametrize("spec", [
+    FlowerSpec(20.0, (20.0,)),
+    FlowerSpec(30.0, (5.0,)),
+], ids=["20-20", "30-5"])
+def test_deepest_flowers_fail_typed_and_fast(spec):
+    start = time.perf_counter()
+    with pytest.raises(FisherKppError):
+        solve_flower(spec)
+    assert time.perf_counter() - start < 20.0

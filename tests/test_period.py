@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from fkpp_graphs.errors import InvalidDomain, OrbitNotClosed
+import arclength_reference as ref
+from fkpp_graphs.errors import FisherKppError, InvalidDomain, OrbitNotClosed
 from fkpp_graphs.period import (
     HOMOCLINIC_OFFSET,
     arclength_from_turning,
@@ -25,7 +26,8 @@ from fkpp_graphs.period import (
     period_T,
     period_T0,
 )
-from fkpp_graphs.phaseplane import PhasePoint, turning_point_p0, well
+from fkpp_graphs.phaseplane import PhasePoint, turning_point_p0, well, \
+    well_difference
 
 X0 = 1.316957896924816708625046
 
@@ -275,3 +277,55 @@ def test_periods_are_positive_and_finite(p, frac):
     t0 = period_T0(PhasePoint(p, q)).value
     assert 0.0 < t < 30.0
     assert 0.0 <= t0 < 30.0
+
+
+# ------------------------------------------------------------- deep region
+# p and p0 log-uniform down to 1e-100, far below where 1 - p rounds to 1.
+
+deep = st.floats(-100.0, math.log10(0.5)).map(lambda e: 10.0 ** e)
+
+
+def _loop_point(p0: float) -> PhasePoint:
+    """A closed orbit with turning point p0, at p = 1.9 p0 (well conditioned)."""
+    p = 1.9 * p0
+    return PhasePoint(p, -math.sqrt(well_difference(p, p0)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(p=deep)
+def test_period_T_deep_matches_mpmath(p):
+    for q in (0.0, -p):
+        want = ref.stem_length(p, q)
+        assert abs(period_T(PhasePoint(p, q)).value - want) <= 1e-14 * want
+
+
+@settings(max_examples=8, deadline=None)
+@given(p0=deep, frac=st.floats(1e-3, 1.0))
+def test_loop_arclength_deep_matches_mpmath(p0, frac):
+    p = min(p0 + frac * (1.0 - p0), 1.0)
+    want = ref.arc(p0, p)
+    assert abs(arclength_from_turning(p, p0) - want) <= 1e-14 * want
+    pt = _loop_point(p0)
+    want = ref.loop_half_length(pt.p, pt.q)
+    assert abs(period_T0(pt).value - want) <= 1e-14 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=deep)
+def test_deep_region_values_are_finite_or_typed(p):
+    pt = _loop_point(p)
+    calls = [
+        lambda: [period_T(PhasePoint(p, 0.0)).value],
+        lambda: [period_T(PhasePoint(p, -p)).value],
+        lambda: [period_T0(pt).value],
+        lambda: [arclength_from_turning(0.3, min(p, 0.3))],
+        lambda: [interval_period_slope(p)],
+        lambda: list(vars(grad_T(PhasePoint(p, -p))).values()),
+        lambda: list(vars(grad_T0(pt)).values()),
+    ]
+    for call in calls:
+        try:
+            values = call()
+        except FisherKppError:
+            continue
+        assert all(math.isfinite(v) for v in values)
