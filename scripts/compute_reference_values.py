@@ -14,6 +14,7 @@ Usage: python3 scripts/compute_reference_values.py [--dps 30] [--section all]
 
 import argparse
 
+import numpy as np
 from mpmath import mp
 
 
@@ -176,6 +177,9 @@ def section_spectral():
     print("# eigenvalues and the critical stem")
     show("lambda0(0.8, [0.75])", lambda0(0.8, [0.75]))
     show("lambda0(0.51, [0.8, 0.5])", lambda0(0.51, [0.8, 0.5]))
+    # the test's loop halves are the binary doubles of numpy.linspace
+    show("lambda0(12, linspace(0.1, 1.2, 80))",
+         lambda0(12, [float(h) for h in np.linspace(0.1, 1.2, 80)]))
     show("critical stem for [0.8]", mp.pi / 2 - mp.atan(2 * mp.tan(mp.mpf("0.8"))))
 
 

@@ -186,13 +186,11 @@ def cmd_spectrum(args) -> int:
     spec, graph = _load_graph(args)
     if spec is not None:
         res = lambda0_flower(spec)
-        membership = region_membership(spec)
         out = {
             "schema": 1,
             "lambda0": res.lambda0,
             "method": res.method,
             "residual": res.residual,
-            "region": membership.region.value,
         }
         mesh_h = args.mesh if args.mesh else 2e-3
         disc = lambda0_discretized(graph, mesh_h=mesh_h)
@@ -211,8 +209,8 @@ def cmd_spectrum(args) -> int:
             "method": disc.method,
             "residual": disc.residual,
             "mesh_h": mesh_h,
-            "region": "Nontrivial" if disc.lambda0 < 1.0 else "Trivial",
         }
+    out["region"] = "Nontrivial" if out["lambda0"] < 1.0 else "Trivial"
     logger.info("lambda0 = %.12g", out["lambda0"])
     _emit_json(out, args.out)
     return 0

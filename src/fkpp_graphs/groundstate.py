@@ -9,15 +9,17 @@ an orbit of w'' = w - w^2; matching arc lengths to edge lengths gives
     T0(p, q_j)      = L_j      (loop j, half-length from the turning point)
 
 with the stem slope tied to the loop slopes by the Kirchhoff flux balance.
-The system is solved by a damped Newton method with the analytic period
+The system is solved by one damped Newton run with the analytic period
 gradients; the Jacobian is nonsingular on the admissible set (its
-determinant has sign (-1)^(N+1)), so damping alone is enough.
+determinant has sign (-1)^(N+1)), so damping alone is enough and a run
+that stalls from the seed below is reported, not retried.
 
 Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
-q_j.  Two mitigations: initial guesses come from one-dimensional presolves
-parameterized by the turning point (log-space bisection, uniformly well
-conditioned), and convergence is declared against per-row floors
+q_j.  Two mitigations: the seed takes p from the trace asymptotics and each
+q_j from a one-dimensional presolve parameterized by the turning point
+(log-space bisection, uniformly well conditioned), and convergence is
+declared against per-row floors
 
     floor_i = 8 eps (|target_i| + sum_k |z_k J_ik|)
 
@@ -27,7 +29,7 @@ which measure the best residual representable at the working precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -66,6 +68,7 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 THRESHOLD_LENGTH = math.pi / 2.0
+MAX_NEWTON_ITER = 60
 
 
 @dataclass
@@ -169,14 +172,13 @@ def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12) -> float:
     return -math.sqrt(max(ap - well(p0), 0.0))
 
 
-def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, max_iter: int,
-            quad_tol: float):
+def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
     """Damped Newton; returns (z, F, floors, iterations, converged)."""
     targets = np.array([spec.stem, *spec.loop_halves])
     z = np.asarray(z0, dtype=float).copy()
     F = _system(spec, z, quad_tol)
     floors = np.full_like(F, 8.0 * EPS)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_ITER + 1):
         J = _jacobian(z[0], z[1:], quad_tol)
         floors = _floors(J, z, targets)
         if np.all(np.abs(F) <= np.maximum(tol, floors)):
@@ -203,21 +205,21 @@ def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, max_iter: int,
             return z, F, floors, it, False
     J = _jacobian(z[0], z[1:], quad_tol)
     floors = _floors(J, z, targets)
-    return z, F, floors, max_iter, bool(np.all(np.abs(F) <= np.maximum(tol, floors)))
+    return z, F, floors, MAX_NEWTON_ITER, bool(np.all(np.abs(F) <= np.maximum(tol, floors)))
 
 
-def _initial_candidates(spec: FlowerSpec, quad_tol: float):
-    n = spec.n_loops
-    base = 12.0 / (1.0 + 2.0 * n) * math.exp(-(spec.stem + HOMOCLINIC_OFFSET))
-    base = min(max(base, 1e-8), 0.9)
-    for scale in (1.0, 0.5, 2.0, 0.25, 4.0, 0.0625):
-        p = min(max(base * scale, 1e-9), 0.97)
-        try:
-            qs = [_loop_q_presolve(p, half, quad_tol) for half in spec.loop_halves]
-        except (OrbitNotClosed, ValueError):
-            continue
-        if _admissible(p, qs):
-            yield np.array([p, *qs])
+def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
+    """Trace-asymptotics p with per-loop presolved q_j; NewtonStalled if none."""
+    p = 12.0 / (1.0 + 2.0 * spec.n_loops) * \
+        math.exp(-(spec.stem + HOMOCLINIC_OFFSET))
+    p = min(max(p, 1e-8), 0.9)
+    try:
+        qs = [_loop_q_presolve(p, half, quad_tol) for half in spec.loop_halves]
+    except (OrbitNotClosed, ValueError):
+        qs = None
+    if qs is None or not _admissible(p, qs):
+        raise NewtonStalled(f"no admissible Newton seed at p = {p:.6g}")
+    return np.array([p, *qs])
 
 
 def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray,
@@ -289,14 +291,15 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
     return sol
 
 
-def solve_flower(spec: FlowerSpec, tol: float = 1e-10, max_iter: int = 60,
+def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
                  init=None) -> GroundStateSolution:
-    """Positive ground state on a flower graph by damped Newton.
+    """Positive ground state on a flower graph by one damped Newton run.
 
-    ``init`` optionally supplies a starting point (p, (q_1, ..., q_N)); by
-    default the trace asymptotics seed p and per-loop presolves seed q_j,
-    with rescaled retries and geometric continuation from an inflated
-    (easier) geometry as fallbacks.
+    ``init`` optionally supplies a starting point (p, (q_1, ..., q_N)); when
+    it is absent or inadmissible, the trace asymptotics seed p and per-loop
+    presolves seed q_j.  There is no retry: the ground state is unique and
+    the Jacobian never vanishes, so a run that stalls from the seed raises
+    NewtonStalled.
     """
     if spec.n_loops == 0:
         return solve_interval(spec.stem, tol)
@@ -307,29 +310,12 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10, max_iter: int = 60,
             f"{tuple(2 * h for h in spec.loop_halves)}: only u = 0 exists")
     quad_tol = min(1e-11, 0.01 * tol)
 
-    best = None
-    candidates = []
-    if init is not None:
-        p0, qs0 = init
-        candidates.append(np.array([p0, *qs0], dtype=float))
-    if init is None or not _admissible(candidates[0][0], candidates[0][1:]):
-        candidates = []
-    attempts = candidates or _initial_candidates(spec, quad_tol)
-    for z0 in attempts:
-        z, F, floors, its, ok = _newton(spec, z0, tol, max_iter, quad_tol)
-        if ok:
-            return _package(spec, z, F, floors, its)
-        if best is None or np.max(np.abs(F)) < np.max(np.abs(best[1])):
-            best = (z, F, floors, its)
-
-    if init is None:
-        sol = _continuation(spec, tol, max_iter, quad_tol)
-        if sol is not None:
-            return sol
-
-    z, F, floors, its = best if best is not None else \
-        (np.zeros(spec.n_loops + 1), np.full(spec.n_loops + 1, np.inf),
-         np.zeros(spec.n_loops + 1), 0)
+    z0 = None if init is None else np.array([init[0], *init[1]], dtype=float)
+    if z0 is None or not _admissible(z0[0], z0[1:]):
+        z0 = _asymptotic_seed(spec, quad_tol)
+    z, F, floors, its, ok = _newton(spec, z0, tol, quad_tol)
+    if ok:
+        return _package(spec, z, F, floors, its)
     raise NewtonStalled(
         f"Newton did not reach tol {tol} (best residual {np.max(np.abs(F)):.3e})",
         best=(float(z[0]), tuple(float(q) for q in z[1:])),
@@ -338,32 +324,6 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10, max_iter: int = 60,
             "floors": floors.tolist(),
             "iterations": its,
         })
-
-
-def _continuation(spec: FlowerSpec, tol: float, max_iter: int,
-                  quad_tol: float) -> GroundStateSolution | None:
-    """Walk in from an inflated geometry where the asymptotic seed is safe."""
-    inflate = 2.0
-    easy = FlowerSpec(stem=spec.stem + inflate,
-                      loop_halves=tuple(h + inflate for h in spec.loop_halves))
-    z = None
-    for z0 in _initial_candidates(easy, quad_tol):
-        zt, F, floors, _, ok = _newton(easy, z0, tol, max_iter, quad_tol)
-        if ok:
-            z = zt
-            break
-    if z is None:
-        return None
-    # geometric approach: fraction of the inflation left after step k
-    for k in list(range(1, 9)) + [None]:
-        frac = 0.5 ** k if k is not None else 0.0
-        stage = FlowerSpec(
-            stem=spec.stem + inflate * frac,
-            loop_halves=tuple(h + inflate * frac for h in spec.loop_halves))
-        z, F, floors, its, ok = _newton(stage, z, tol, max_iter, quad_tol)
-        if not ok:
-            return None
-    return _package(spec, z, F, floors, its)
 
 
 @dataclass

@@ -20,8 +20,10 @@ eigenvalue_length_slope exploits (midpoint evaluation, second order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -54,11 +56,17 @@ EPS = np.finfo(float).eps
 
 @dataclass
 class SpectralResult:
+    """lambda0 and how it was found; the eigenfunction is sampled on first read."""
+
     lambda0: float
-    eigenfunction: Field
     method: str              # "transcendental" | "discretized"
     residual: float
-    iterations: int = 0
+    iterations: int
+    sample: Callable[[], Field] = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenfunction(self) -> Field:
+        return self.sample()
 
 
 def secular_mismatch(spec: FlowerSpec, s: float) -> float:
@@ -67,8 +75,7 @@ def secular_mismatch(spec: FlowerSpec, s: float) -> float:
     return t - 1.0 / math.tan(s * spec.stem)
 
 
-def _flower_eigenfunction(spec: FlowerSpec, s: float,
-                          mesh_h: float | None) -> Field:
+def _flower_eigenfunction(spec: FlowerSpec, s: float) -> Field:
     """Sample the sin/cos eigenfunction branches, L2-normalized."""
     L = spec.stem
     # stem: sin(s x); loop j: (sin(sL)/cos(s l_j)) * cos(s (x - l_j))
@@ -82,8 +89,7 @@ def _flower_eigenfunction(spec: FlowerSpec, s: float,
     c = 1.0 / math.sqrt(total)
 
     graph = flower_graph(spec)
-    if mesh_h is None:
-        mesh_h = max(min(0.02, min(e.length for e in graph.edges) / 8.0), 1e-4)
+    mesh_h = max(min(0.02, min(e.length for e in graph.edges) / 8.0), 1e-4)
     mesh = GraphMesh(graph, mesh_h)
 
     def fn(edge_id, x):
@@ -95,20 +101,19 @@ def _flower_eigenfunction(spec: FlowerSpec, s: float,
     return field_from_function(mesh, fn)
 
 
-def lambda0_flower(spec: FlowerSpec, tol: float = 1e-12,
-                   mesh_h: float | None = None) -> SpectralResult:
+def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
     """Smallest eigenvalue of a flower graph from the secular equation."""
     L = spec.stem
     if spec.n_loops == 0:
         s = math.pi / (2.0 * L)
-        f = _flower_eigenfunction(spec, s, mesh_h)
-        return SpectralResult(s * s, f, "transcendental", 0.0, 0)
+        return SpectralResult(s * s, "transcendental", 0.0, 0,
+                              partial(_flower_eigenfunction, spec, s))
     s_max = min([math.pi / (2.0 * L)] +
                 [math.pi / (2.0 * h) for h in spec.loop_halves])
     lo = s_max * 1e-12
     hi = s_max * (1.0 - 1e-13)
     s, info = brentq(lambda s: secular_mismatch(spec, s), lo, hi,
-                     xtol=max(tol * s_max, 1e-15), rtol=4.0 * np.finfo(float).eps,
+                     xtol=max(1e-12 * s_max, 1e-15), rtol=4.0 * np.finfo(float).eps,
                      maxiter=200, full_output=True)
     # polish to machine precision; the mismatch is strictly increasing so the
     # Newton step with its analytic derivative cannot leave the bracket
@@ -124,8 +129,8 @@ def lambda0_flower(spec: FlowerSpec, tol: float = 1e-12,
             break
         s = s_new
     res = abs(secular_mismatch(spec, s))
-    f = _flower_eigenfunction(spec, s, mesh_h)
-    return SpectralResult(s * s, f, "transcendental", res, info.iterations)
+    return SpectralResult(s * s, "transcendental", res, info.iterations,
+                          partial(_flower_eigenfunction, spec, s))
 
 
 def _inverse_iteration(mesh: GraphMesh) -> tuple[float, np.ndarray, float, int]:
@@ -171,7 +176,7 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
     rho, x, rel, k = _inverse_iteration(mesh)
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.free_nodes] = x if x.sum() >= 0 else -x
-    return SpectralResult(rho, Field(mesh, vals), "discretized", rel, k)
+    return SpectralResult(rho, "discretized", rel, k, partial(Field, mesh, vals))
 
 
 def eigenvalue_length_slope(graph: MetricGraph, edge_id: str,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import arclength_reference as ref
+from fkpp_graphs import groundstate
 from fkpp_graphs.errors import (
     BelowThreshold,
     FisherKppError,
@@ -280,3 +281,35 @@ def test_deepest_flowers_fail_typed_and_fast(spec):
     with pytest.raises(FisherKppError):
         solve_flower(spec)
     assert time.perf_counter() - start < 20.0
+
+
+def _count_newton_runs(monkeypatch) -> list:
+    runs = []
+    newton = groundstate._newton
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(groundstate, "_newton", counted)
+    return runs
+
+
+@pytest.mark.parametrize("spec", [
+    TADPOLE,
+    TWO_LOOP,
+    FlowerSpec(lower_boundary([0.8]) + 1e-4, (0.8,)),
+    FlowerSpec(16.0, (16.0,)),
+    FlowerSpec(12.0, tuple(np.linspace(0.1, 1.2, 80))),
+], ids=["tadpole", "two-loop", "near-boundary", "16-16", "12-80loops"])
+def test_one_newton_run_from_the_seed(monkeypatch, spec):
+    runs = _count_newton_runs(monkeypatch)
+    solve_flower(spec)
+    assert len(runs) == 1
+
+
+def test_stalled_newton_is_not_retried(monkeypatch):
+    runs = _count_newton_runs(monkeypatch)
+    with pytest.raises(NewtonStalled):
+        solve_flower(FlowerSpec(20.0, (20.0,)))
+    assert len(runs) == 1

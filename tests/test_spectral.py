@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fkpp_graphs import spectral
 from fkpp_graphs.errors import InvalidDomain, LoopTooLong, MeshTooCoarse
 from fkpp_graphs.graph import (
     Edge,
@@ -29,6 +30,7 @@ from fkpp_graphs.spectral import (
 LAM_TADPOLE = 0.6309875424906724841546      # stem 0.8, loop half 0.75
 LAM_TWO_LOOP = 0.6350955139216552582931     # stem 0.51, halves (0.8, 0.5)
 CRIT_STEM_08 = 0.4520672951709804575872     # lower_boundary([0.8])
+LAM_80_LOOPS = 0.0007712512512929942116173  # stem 12, halves linspace(0.1, 1.2, 80)
 
 
 def test_interval_eigenvalue_closed_form():
@@ -69,6 +71,19 @@ def test_eigenfunction_positive_and_normalized():
     assert f.values[f.mesh.dirichlet_nodes[0]] == 0.0
     mass = float(f.mesh.lumped_mass @ (f.values ** 2))
     assert abs(mass - 1.0) <= 1e-2  # exact integral is 1; quadrature is O(h^2)
+
+
+@pytest.mark.parametrize("spec, want", [
+    (FlowerSpec(stem=0.8, loop_halves=(0.75,)), LAM_TADPOLE),
+    (FlowerSpec(12.0, tuple(np.linspace(0.1, 1.2, 80))), LAM_80_LOOPS),
+], ids=["tadpole", "12-80loops"])
+def test_secular_root_builds_no_mesh(monkeypatch, spec, want):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("lambda0_flower built a GraphMesh")
+
+    monkeypatch.setattr(spectral, "GraphMesh", no_mesh)
+    res = lambda0_flower(spec)
+    assert math.isclose(res.lambda0, want, rel_tol=1e-13)
 
 
 def test_lower_boundary_values():
