@@ -37,9 +37,9 @@ from .evolve import comparison_monitor, run_to_attractor
 from .graph import (
     FlowerSpec,
     MetricGraph,
-    as_flower,
     flower_from_totals,
     flower_graph,
+    flower_shape,
     graph_from_json,
     parse_number,
     validate,
@@ -98,10 +98,10 @@ def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
     except OSError as exc:
         raise InvalidDomain(f"cannot read graph file {path}: {exc}") from exc
     graph = graph_from_json(text)
-    validate(graph)
+    report = validate(graph)
     logger.info("loaded graph with %d edges, total length %.6g",
                 len(graph.edges), graph.total_length())
-    return as_flower(graph), graph
+    return flower_shape(graph, report), graph
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
@@ -224,13 +224,12 @@ def cmd_groundstate(args) -> int:
               file=sys.stderr)
         return 4
     sol = solve_flower(spec, tol=args.tol)
-    lam = lambda0_flower(spec).lambda0
     out = {
         "schema": 1,
         "p": sol.p,
         "q": list(sol.q_loops),
         "q_stem": sol.q_stem,
-        "lambda0": lam,
+        "lambda0": sol.lambda0,
         "H": energy_of(sol),
         "sup_u": sol.sup_u,
         "residuals": {k: (dict(v) if isinstance(v, dict) else v)

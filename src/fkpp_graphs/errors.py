@@ -60,7 +60,7 @@ class StepTooLarge(FisherKppError):
 
 
 class LinearSolveFailure(FisherKppError):
-    """Sparse factorization or solve failed in the discretized operator."""
+    """Sparse factorization, solve or eigen-solve failed on a discretized operator."""
 
 
 class NegativeInitialData(FisherKppError):

@@ -81,6 +81,7 @@ class GroundStateSolution:
     newton_iterations: int
     residuals: dict
     convergence_floor: float
+    lambda0: float                 # lowest Laplacian eigenvalue of spec
     profiles: dict | None = None   # edge_id -> (x, u) sample arrays
     slopes: dict | None = None     # edge_id -> du/dx sample array
 
@@ -223,7 +224,7 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
 
 
 def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray,
-             floors: np.ndarray, iterations: int) -> GroundStateSolution:
+             floors: np.ndarray, iterations: int, lam: float) -> GroundStateSolution:
     names = ["stem"] + [f"loop{j}" for j in range(1, spec.n_loops + 1)]
     residuals = {"period_residuals": dict(zip(names, np.abs(F).tolist()))}
     sol = GroundStateSolution(
@@ -233,6 +234,7 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray,
         newton_iterations=iterations,
         residuals=residuals,
         convergence_floor=float(np.max(floors)),
+        lambda0=lam,
     )
     reconstruct_profile(sol, dx=_default_dx(spec))
     return sol
@@ -286,6 +288,7 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
         newton_iterations=iterations,
         residuals={"period_residuals": {"stem": abs(F)}},
         convergence_floor=floor,
+        lambda0=lambda0_flower(spec).lambda0,
     )
     reconstruct_profile(sol, dx=_default_dx(spec))
     return sol
@@ -315,7 +318,7 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
         z0 = _asymptotic_seed(spec, quad_tol)
     z, F, floors, its, ok = _newton(spec, z0, tol, quad_tol)
     if ok:
-        return _package(spec, z, F, floors, its)
+        return _package(spec, z, F, floors, its, lam)
     raise NewtonStalled(
         f"Newton did not reach tol {tol} (best residual {np.max(np.abs(F)):.3e})",
         best=(float(z[0]), tuple(float(q) for q in z[1:])),

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fkpp_graphs import cli, graph, groundstate, mesh, spectral
 from fkpp_graphs.cli import main
 
 LAM_TADPOLE = 0.6309875424906724841546
@@ -31,6 +32,21 @@ def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every package module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (cli, graph, groundstate, mesh, spectral):
+        if vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def test_spectrum_flower_emits_both_methods(tmp_path):
@@ -144,6 +160,28 @@ def test_groundstate_summary_and_profile(tmp_path):
     assert edges == {"stem", "loop1"}
     us = np.array([float(r[2]) for r in rows])
     assert us.min() >= 0.0 and us.max() < 1.0
+
+
+@pytest.mark.parametrize("flower", [
+    ["stem=0.8", "loops=1.5"],
+    ["stem=0.51", "loops=1.6,1.0"],
+    ["stem=2"],
+], ids=["tadpole", "two-loop", "stem-2"])
+def test_groundstate_solves_the_secular_equation_once(monkeypatch, tmp_path, flower):
+    calls = count_calls(monkeypatch, spectral, "lambda0_flower")
+    out = tmp_path / "gs.json"
+    assert main(["groundstate", "--flower", *flower, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert read_json(out)["lambda0"] < 1.0
+
+
+def test_spectrum_graph_validates_at_load_and_mesh_only(monkeypatch, tmp_path):
+    g = tmp_path / "theta.json"
+    g.write_text(THETA_JSON)
+    calls = count_calls(monkeypatch, graph, "validate")
+    assert main(["spectrum", "--graph", str(g), "--mesh", "0.05",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_groundstate_below_threshold_exit(tmp_path):

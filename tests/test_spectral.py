@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fkpp_graphs import spectral
-from fkpp_graphs.errors import InvalidDomain, LoopTooLong, MeshTooCoarse
+from fkpp_graphs.errors import (
+    InvalidDomain,
+    LinearSolveFailure,
+    LoopTooLong,
+    MeshTooCoarse,
+)
 from fkpp_graphs.graph import (
     Edge,
     FlowerSpec,
@@ -197,6 +203,52 @@ def test_discretized_long_tree_stops_at_the_rounding_floor():
     assert res.lambda0 < 1e-4
     assert abs(res.lambda0 - lam) <= 1e-8 * lam
     assert res.iterations < 50
+
+
+def leaf_tree(n_edges: int, seed: int) -> MetricGraph:
+    """Random recursive tree, lengths U(0.25, 0.45), every leaf Dirichlet."""
+    rng = np.random.default_rng(seed)
+    parents = rng.integers(0, np.arange(1, n_edges + 1))
+    lengths = rng.uniform(0.25, 0.45, n_edges)
+    edges = tuple(Edge(f"e{k}", f"v{parents[k - 1]}", f"v{k}", float(lengths[k - 1]))
+                  for k in range(1, n_edges + 1))
+    degree = np.bincount(parents, minlength=n_edges + 1)
+    degree[1:] += 1
+    return MetricGraph(edges, {f"v{v}": "dirichlet" for v in np.flatnonzero(degree == 1)})
+
+
+@pytest.mark.parametrize("seed", [101, 109, 112])
+def test_discretized_small_gap_trees(seed):
+    # with every leaf Dirichlet, lambda0/lambda1 is close to 1: a solver whose
+    # rate is that ratio needs hundreds of steps here
+    res = lambda0_discretized(leaf_tree(150, seed), 0.05)
+    a, m = res.eigenfunction.mesh.reduced_operators()
+    lam = sla.eigh(a.toarray(), np.diag(m), eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert abs(res.lambda0 - lam) <= 1e-10 * lam
+
+
+def test_discretized_smallest_mesh():
+    # 5 cells, 5 free nodes: fewer than the Lanczos basis size
+    res = lambda0_discretized(interval_graph(1.0), 0.2)
+    want = (4.0 / 0.2 ** 2) * math.sin(math.pi / 20.0) ** 2
+    assert math.isclose(res.lambda0, want, rel_tol=1e-13)
+    assert math.isclose(want, 2.4471741852423, rel_tol=1e-13)
+
+
+def no_convergence(*args, **kwargs):
+    raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+
+def shifted_pair(*args, **kwargs):
+    vals, vecs = spla.eigsh(*args, **kwargs)
+    return 1.001 * vals, vecs
+
+
+@pytest.mark.parametrize("fake", [no_convergence, shifted_pair])
+def test_discretized_failures_are_typed(monkeypatch, fake):
+    monkeypatch.setattr(spectral, "eigsh", fake)
+    with pytest.raises(LinearSolveFailure):
+        lambda0_discretized(interval_graph(1.0), 0.05)
 
 
 def test_discretized_needs_resolved_edges():
