@@ -10,17 +10,24 @@ files always start with a header row.  Profile CSVs are `edge_id,x,u`,
 evolution traces `t,H,sup_norm`, boundary curves `loop_half,critical_stem`
 (one extra loop_half column per loop for grids).  Set FKPP_LOG=INFO or
 DEBUG for progress output on stderr.
+
+Each subcommand and validate suite imports its layer (period functions,
+spectral, mesh, groundstate, evolve) on first use, so a call pays only for
+the scipy modules it needs: `fkpp --help` and `import fkpp_graphs.cli`
+load no scipy at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,7 +40,6 @@ from .errors import (
     NegativeInitialData,
     OutsideRegion,
 )
-from .evolve import comparison_monitor, run_to_attractor
 from .graph import (
     FlowerSpec,
     MetricGraph,
@@ -44,22 +50,9 @@ from .graph import (
     parse_number,
     validate,
 )
-from .groundstate import (
-    energy_of,
-    jacobian_report,
-    solve_flower,
-)
-from .mesh import Field, GraphMesh, constant_field, field_from_function, \
-    field_from_profiles
-from .period import asymptotic_T, center_limits, grad_T, grad_T0, period_T, \
-    period_T0
-from .phaseplane import PhasePoint, well
-from .spectral import (
-    lambda0_discretized,
-    lambda0_flower,
-    lower_boundary,
-    region_membership,
-)
+
+if TYPE_CHECKING:
+    from .mesh import Field, GraphMesh
 
 logger = logging.getLogger("fkpp")
 
@@ -157,6 +150,8 @@ def _read_profile_csv(path: str) -> dict:
 
 
 def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field:
+    from .mesh import constant_field, field_from_function, field_from_profiles
+
     kind, _, arg = text.partition(":")
     if kind == "const":
         return constant_field(mesh, parse_number(arg, "const value"))
@@ -174,6 +169,8 @@ def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field
         if spec is None:
             raise InvalidDomain(
                 "initial groundstate needs a flower-representable graph")
+        from .groundstate import solve_flower
+
         sol = solve_flower(spec)
         return field_from_profiles(mesh, sol.profiles)
     raise InvalidDomain(
@@ -183,6 +180,8 @@ def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field
 # ------------------------------------------------------------- subcommands
 
 def cmd_spectrum(args) -> int:
+    from .spectral import lambda0_discretized, lambda0_flower
+
     spec, graph = _load_graph(args)
     if spec is not None:
         res = lambda0_flower(spec)
@@ -217,6 +216,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
+    from .groundstate import energy_of, jacobian_report, solve_flower
+
     spec, _ = _load_graph(args)
     if spec is None:
         print("error: graph is not flower-representable; the period method "
@@ -249,6 +250,9 @@ def cmd_groundstate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .evolve import comparison_monitor, run_to_attractor
+    from .mesh import GraphMesh
+
     spec, graph = _load_graph(args)
     mesh = GraphMesh(graph, mesh_h=args.mesh)
     u0 = _initial_field(mesh, args.initial, spec)
@@ -276,6 +280,8 @@ def cmd_evolve(args) -> int:
 
 
 def _boundary_row(halves: tuple) -> tuple:
+    from .spectral import lower_boundary
+
     limit = math.pi / 2.0
     if any(h >= limit for h in halves):
         # continuous extension: tan blows up, the critical stem closes to 0
@@ -288,6 +294,8 @@ def cmd_region(args) -> int:
         spec, _ = _load_graph(args)
         if spec is None:
             raise InvalidDomain("region membership needs a flower graph")
+        from .spectral import region_membership
+
         rep = region_membership(spec)
         _emit_json({
             "schema": 1,
@@ -315,12 +323,17 @@ def cmd_region(args) -> int:
 # --------------------------------------------------------- validate suites
 
 def _admissible_loop_sample(rng) -> tuple[float, float]:
+    from .phaseplane import well
+
     p = rng.uniform(0.05, 0.95)
     q = -math.sqrt(well(p)) * rng.uniform(0.05, 0.95)
     return p, q
 
 
 def _suite_asymptotics(args) -> list[dict]:
+    from .period import asymptotic_T, center_limits, period_T, period_T0
+    from .phaseplane import PhasePoint, well
+
     checks = []
     resid = []
     for p in (1e-2, 1e-3, 1e-4):
@@ -358,6 +371,9 @@ def _suite_asymptotics(args) -> list[dict]:
 
 
 def _suite_monotonicity(args) -> list[dict]:
+    from .period import grad_T, grad_T0, period_T
+    from .phaseplane import PhasePoint
+
     checks = []
     ps = np.geomspace(0.02, 0.98, 20)
     qs = -np.geomspace(0.005, 3.0, 20)
@@ -415,6 +431,9 @@ def _suite_monotonicity(args) -> list[dict]:
 
 
 def _suite_jacobian(args) -> list[dict]:
+    from .groundstate import jacobian_report
+    from .phaseplane import well
+
     rng = np.random.default_rng(args.seed)
     checks = []
     samples = args.samples or 100
@@ -435,6 +454,10 @@ def _suite_jacobian(args) -> list[dict]:
 
 
 def _dichotomy_case(stem: float, halves: tuple) -> dict:
+    from .evolve import run_to_attractor
+    from .mesh import GraphMesh, constant_field
+    from .spectral import region_membership
+
     spec = FlowerSpec(stem, halves)
     expected = region_membership(spec).region.value
     mesh = GraphMesh(flower_graph(spec), mesh_h=0.02)
@@ -451,6 +474,8 @@ def _dichotomy_case(stem: float, halves: tuple) -> dict:
 
 
 def _suite_dichotomy(args) -> list[dict]:
+    from .spectral import lower_boundary
+
     cases = []
     for halves in [(0.75,), (0.5,), (1.2,), (0.8, 0.5), (0.6, 0.6),
                    (0.5, 0.4, 0.3)]:
@@ -492,7 +517,14 @@ def _add_graph_source(sub, required=True):
     return group
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Subcommands dispatch by name through the module globals in main(), not
+    through stored function references, so rebinding a cmd_* function
+    (as a test or tracer may) takes effect on the next call.
+    """
     parser = argparse.ArgumentParser(
         prog="fkpp",
         description="Ground states and dynamics of u_t = u'' + u(1-u) "
@@ -504,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mesh", type=float, default=None,
                     help="mesh width for the discretized eigenvalue")
     sp.add_argument("--out", metavar="FILE", help="write the JSON summary here")
-    sp.set_defaults(func=cmd_spectrum)
 
     gs = subs.add_parser("groundstate", help="positive steady state on a flower")
     _add_graph_source(gs)
@@ -513,7 +544,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--out", metavar="FILE", help="write the JSON summary here")
     gs.add_argument("--profile", metavar="FILE",
                     help="write the reconstructed profile CSV here")
-    gs.set_defaults(func=cmd_groundstate)
 
     ev = subs.add_parser("evolve", help="time integration to the attractor")
     _add_graph_source(ev)
@@ -528,7 +558,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--profile", metavar="FILE",
                     help="write the terminal profile CSV here")
     ev.add_argument("--out", metavar="FILE", help="write the JSON summary here")
-    ev.set_defaults(func=cmd_evolve)
 
     rg = subs.add_parser("region", help="existence region and its lower boundary")
     _add_graph_source(rg, required=False)
@@ -540,7 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; ignored (runs serially)")
     rg.add_argument("--out", metavar="FILE", help="write the CSV/JSON here")
-    rg.set_defaults(func=cmd_region)
 
     va = subs.add_parser("validate", help="property suites")
     va.add_argument("--suite", required=True, choices=sorted(_SUITES),
@@ -551,7 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; ignored (runs serially)")
     va.add_argument("--out", metavar="FILE", help="write the JSON report here")
-    va.set_defaults(func=cmd_validate)
 
     return parser
 
@@ -572,7 +599,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (BelowThreshold, OutsideRegion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

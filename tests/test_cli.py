@@ -234,6 +234,41 @@ def test_evolve_bad_initial_data(tmp_path):
                  "--initial", "blob:1"]) == 2
 
 
+def test_evolve_from_the_groundstate_stays_nontrivial(tmp_path):
+    out = tmp_path / "run.json"
+    rc = main(["evolve", "--flower", "stem=0.8", "loops=1.5", "--mesh", "0.05",
+               "--initial", "groundstate", "--tol", "1e-7", "--out", str(out)])
+    assert rc == 0
+    assert read_json(out)["terminal"] == "ConvergedNontrivial"
+
+
+def test_evolve_from_the_groundstate_needs_a_flower(tmp_path, capsys):
+    g = tmp_path / "theta.json"
+    g.write_text(THETA_JSON)
+    assert main(["evolve", "--graph", str(g), "--mesh", "0.05",
+                 "--initial", "groundstate"]) == 2
+    assert "flower-representable" in capsys.readouterr().err
+
+
+def test_evolve_default_initial_data(tmp_path):
+    out = tmp_path / "run.json"
+    rc = main(["evolve", "--flower", "stem=2", "--mesh", "0.05", "--tol", "1e-7",
+               "--out", str(out)])
+    assert rc == 0
+    data = read_json(out)
+    assert data["terminal"] == "ConvergedNontrivial"
+    assert 0.0 < data["sup_end"] < 1.0
+
+
+def test_the_cached_parser_dispatches_rebound_subcommands(monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_region",
+                        lambda args: seen.append(args.curve) or 0)
+    assert main(["region", "--curve", "3"]) == 0
+    assert seen == [3]
+
+
 def test_profile_round_trips_as_near_stationary_data(tmp_path):
     prof = tmp_path / "prof.csv"
     assert main(["groundstate", "--flower", "stem=0.8", "loops=1.5",

@@ -1,0 +1,72 @@
+"""Lazy loading: the package and the CLI import each layer on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import fkpp_graphs
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+TREE_JSON = json.dumps({
+    "edges": [
+        {"id": "e0", "from": "a", "to": "v", "length": 0.6},
+        {"id": "e1", "from": "v", "to": "b", "length": 0.9},
+        {"id": "e2", "from": "v", "to": "c", "length": 0.4},
+    ],
+    "conditions": {"a": "dirichlet"},
+})
+
+
+def fresh_modules(code: str) -> list[str]:
+    """Run `code` in a fresh interpreter; the loaded module names it prints."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_package_and_cli_import_no_scipy():
+    loaded = fresh_modules("import fkpp_graphs, fkpp_graphs.cli")
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert "fkpp_graphs.mesh" not in loaded
+
+
+def test_evolve_on_a_graph_loads_no_period_layer(tmp_path):
+    g = tmp_path / "tree.json"
+    g.write_text(TREE_JSON)
+    loaded = fresh_modules(
+        "from fkpp_graphs.cli import main\n"
+        f"assert main(['evolve', '--graph', {str(g)!r}, '--mesh', '0.1', "
+        "'--initial', 'const:0.5', '--max-t', '1.0', "
+        f"'--out', {str(tmp_path / 'run.json')!r}]) == 0")
+    assert "fkpp_graphs.evolve" in loaded
+    assert "fkpp_graphs.period" not in loaded
+    assert "fkpp_graphs.groundstate" not in loaded
+
+
+def test_every_exported_name_is_its_submodule_object():
+    for name in fkpp_graphs.__all__:
+        submodule = importlib.import_module(
+            f"fkpp_graphs.{fkpp_graphs._SUBMODULE[name]}")
+        assert getattr(fkpp_graphs, name) is getattr(submodule, name), name
+    assert set(fkpp_graphs.__all__) <= set(dir(fkpp_graphs))
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from fkpp_graphs import *", namespace)
+    assert namespace["solve_flower"] is fkpp_graphs.solve_flower
+    assert namespace["GraphMesh"] is fkpp_graphs.GraphMesh
+    assert fkpp_graphs.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fkpp_graphs.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fkpp_graphs import no_such_name", {})
