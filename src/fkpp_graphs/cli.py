@@ -1,15 +1,19 @@
 """Command line front end: spectrum, groundstate, evolve, region, validate.
 
-Exit codes: 0 success, 2 bad input (arguments, files, JSON, domains),
-3 below threshold / outside the existence region, 4 groundstate on a
-graph that is not flower-representable, 1 any other failure including
-failed validation suites.
+Exit codes: 0 success; 2 bad input: arguments, files, JSON, domains,
+graphs that fail validation (disconnected, no Dirichlet pendant, a
+nonpositive length) and meshes too coarse for an edge; 3 below threshold /
+outside the existence region; 4 groundstate on a graph that is not
+flower-representable; 1 any other failure, including a solve that stalls
+and failed validation suites.  Errors print one `error:` line on stderr.
 
 File formats are stable: JSON summaries carry a "schema": 1 field; CSV
 files always start with a header row.  Profile CSVs are `edge_id,x,u`,
 evolution traces `t,H,sup_norm`, boundary curves `loop_half,critical_stem`
-(one extra loop_half column per loop for grids).  Set FKPP_LOG=INFO or
-DEBUG for progress output on stderr.
+(one extra loop_half column per loop for grids).  Profile x runs from each
+edge's tail; on a flower-shaped --graph file groundstate keeps the file's
+edge ids and orientation, so its profile reads back into evolve --graph.
+Set FKPP_LOG=INFO or DEBUG for progress output on stderr.
 
 Each subcommand and validate suite imports its layer (period functions,
 spectral, mesh, groundstate, evolve) on first use, so a call pays only for
@@ -33,14 +37,18 @@ import numpy as np
 
 from .errors import (
     BelowThreshold,
-    ComparisonViolated,
+    DisconnectedGraph,
     FisherKppError,
     InvalidDomain,
     LoopTooLong,
+    MeshTooCoarse,
     NegativeInitialData,
+    NonpositiveLength,
+    NoPendant,
     OutsideRegion,
 )
 from .graph import (
+    DIRICHLET,
     FlowerSpec,
     MetricGraph,
     flower_from_totals,
@@ -124,6 +132,25 @@ def _write_profile(path: str, profiles: dict) -> None:
                 for eid, (x, u) in profiles.items() for xi, ui in zip(x, u)))
 
 
+def _graph_profiles(graph: MetricGraph, profiles: dict) -> dict:
+    """A flower solution's stem and loop profiles under the graph's own edge ids.
+
+    Loops match in edge order, as flower_shape reads them; the stem's samples
+    are mirrored when its edge runs from the center to the Dirichlet vertex.
+    """
+    loops = (xu for eid, xu in profiles.items() if eid != "stem")
+    x, u = profiles["stem"]
+    out = {}
+    for e in graph.edges:
+        if e.tail == e.head:
+            out[e.id] = next(loops)
+        elif graph.condition(e.tail) == DIRICHLET:
+            out[e.id] = (x, u)
+        else:
+            out[e.id] = (e.length - x[::-1], u[::-1])
+    return out
+
+
 def _read_profile_csv(path: str) -> dict:
     profiles: dict[str, tuple[list, list]] = {}
     try:
@@ -172,7 +199,7 @@ def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field
         from .groundstate import solve_flower
 
         sol = solve_flower(spec)
-        return field_from_profiles(mesh, sol.profiles)
+        return field_from_profiles(mesh, _graph_profiles(mesh.graph, sol.profiles))
     raise InvalidDomain(
         f"unknown initial data {text!r} (const:V, hat:V, csv:FILE, groundstate)")
 
@@ -218,7 +245,7 @@ def cmd_spectrum(args) -> int:
 def cmd_groundstate(args) -> int:
     from .groundstate import energy_of, jacobian_report, solve_flower
 
-    spec, _ = _load_graph(args)
+    spec, graph = _load_graph(args)
     if spec is None:
         print("error: graph is not flower-representable; the period method "
               "does not apply. Use the evolve subcommand instead.",
@@ -243,7 +270,7 @@ def cmd_groundstate(args) -> int:
         out["jacobian_determinant"] = rep.determinant
         out["jacobian_sign_ok"] = bool(rep.sign_ok)
     if args.profile:
-        _write_profile(args.profile, sol.profiles)
+        _write_profile(args.profile, _graph_profiles(graph, sol.profiles))
         logger.info("profile written to %s", args.profile)
     _emit_json(out, args.out)
     return 0
@@ -583,6 +610,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code per error class; every other FisherKppError exits 1
+_EXIT_CODES = {
+    BelowThreshold: 3, OutsideRegion: 3,
+    InvalidDomain: 2, NegativeInitialData: 2, LoopTooLong: 2, DisconnectedGraph: 2,
+    NoPendant: 2, NonpositiveLength: 2, MeshTooCoarse: 2,
+}
+
+
 def main(argv=None) -> int:
     level = os.environ.get("FKPP_LOG", "WARNING").upper()
     logging.basicConfig(stream=sys.stderr,
@@ -600,18 +635,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (BelowThreshold, OutsideRegion) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidDomain, NegativeInitialData, LoopTooLong) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ComparisonViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FisherKppError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES.get(type(exc), 1)
 
 
 if __name__ == "__main__":

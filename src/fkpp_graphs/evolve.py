@@ -57,6 +57,10 @@ __all__ = [
 
 # slack for the per-step energy monotonicity test
 ENERGY_SLACK = 1e-10
+# relative slack of the positivity and comparison bounds, in each step and in
+# comparison_monitor
+COMPARISON_SLACK = 1e-9
+MAX_STEPS = 200_000
 # smallest admissible time step before the run is declared stuck
 DT_FLOOR = 1e-12
 
@@ -131,7 +135,7 @@ def step(field: Field, dt: float) -> Field:
 
 
 def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
-                     tol: float = 1e-9, max_steps: int = 200_000) -> EvolutionTrace:
+                     tol: float = 1e-9) -> EvolutionTrace:
     """Integrate until the discrete time derivative stalls below tol.
 
     Convergence means ||u+ - u||_inf / dt <= tol; the terminal state is
@@ -169,10 +173,10 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     dts: list[float] = []
     terminal = Terminal.MAX_STEPS_REACHED
 
-    while len(dts) < max_steps and t < max_t:
+    while len(dts) < MAX_STEPS and t < max_t:
         u_new = _advance(lu, m, u, dt)
         c_new = c + dt * c * (1.0 - c)
-        slack = 1e-9 * max(1.0, c)
+        slack = COMPARISON_SLACK * max(1.0, c)
         lo, hi = float(u_new.min()), float(u_new.max())
         ok = (lo >= -slack and hi <= c_new + slack)
         if ok:
@@ -220,13 +224,13 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     )
 
 
-def comparison_monitor(trace: EvolutionTrace, slack: float = 1e-9) -> None:
+def comparison_monitor(trace: EvolutionTrace) -> None:
     """Raise unless 0 <= u <= logistic supersolution throughout the run.
 
     The upper bound implies u <= max(1, sup u0) at all times since the
     logistic iterates stay on their initial side of 1.
     """
-    tol = slack * max(1.0, float(trace.supersolution.max(initial=1.0)))
+    tol = COMPARISON_SLACK * max(1.0, float(trace.supersolution.max(initial=1.0)))
     excess = trace.sup_norm - trace.supersolution
     worst = int(np.argmax(excess))
     if excess[worst] > tol:

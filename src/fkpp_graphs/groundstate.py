@@ -12,7 +12,8 @@ with the stem slope tied to the loop slopes by the Kirchhoff flux balance.
 The system is solved by one damped Newton run with the analytic period
 gradients; the Jacobian is nonsingular on the admissible set (its
 determinant has sign (-1)^(N+1)), so damping alone is enough and a run
-that stalls from the seed below is reported, not retried.
+that stalls from the seed below is reported, not retried.  The interval is
+the loop-free case N = 0, solved by brentq with the same residual and floors.
 
 Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
@@ -53,7 +54,7 @@ from .period import (
     period_T0,
 )
 from .phaseplane import PhasePoint, energy, q_tilde, turning_point_pair, well
-from .spectral import lambda0_flower
+from .spectral import ROOT_XTOL, lambda0_flower
 
 __all__ = [
     "GroundStateSolution",
@@ -69,6 +70,8 @@ __all__ = [
 EPS = float(np.finfo(float).eps)
 THRESHOLD_LENGTH = math.pi / 2.0
 MAX_NEWTON_ITER = 60
+PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
+JACOBIAN_QUAD_TOL = 1e-10
 
 
 @dataclass
@@ -173,40 +176,37 @@ def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12) -> float:
     return -math.sqrt(max(ap - well(p0), 0.0))
 
 
+def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
+    return bool(np.all(np.abs(F) <= np.maximum(tol, floors)))
+
+
 def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
-    """Damped Newton; returns (z, F, floors, iterations, converged)."""
+    """Damped Newton; returns (z, F, floors, iterations)."""
     targets = np.array([spec.stem, *spec.loop_halves])
     z = np.asarray(z0, dtype=float).copy()
     F = _system(spec, z, quad_tol)
-    floors = np.full_like(F, 8.0 * EPS)
-    for it in range(1, MAX_NEWTON_ITER + 1):
+    for it in range(MAX_NEWTON_ITER + 1):
         J = _jacobian(z[0], z[1:], quad_tol)
         floors = _floors(J, z, targets)
-        if np.all(np.abs(F) <= np.maximum(tol, floors)):
-            return z, F, floors, it - 1, True
+        if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
+            return z, F, floors, it
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            return z, F, floors, it, False
+            return z, F, floors, it + 1
         scale = 1.0
-        accepted = False
         best = np.max(np.abs(F))
         while scale >= 2.0 ** -30:
             zt = z + scale * step
             if _admissible(zt[0], zt[1:]):
                 Ft = _system(spec, zt, quad_tol)
-                worst = np.max(np.abs(Ft))
-                if worst <= (1.0 - 1e-4 * scale) * best or \
-                        np.all(np.abs(Ft) <= np.maximum(tol, floors)):
-                    z, F = zt, Ft
-                    accepted = True
+                if np.max(np.abs(Ft)) <= (1.0 - 1e-4 * scale) * best or \
+                        _converged(Ft, tol, floors):
                     break
             scale *= 0.5
-        if not accepted:
-            return z, F, floors, it, False
-    J = _jacobian(z[0], z[1:], quad_tol)
-    floors = _floors(J, z, targets)
-    return z, F, floors, MAX_NEWTON_ITER, bool(np.all(np.abs(F) <= np.maximum(tol, floors)))
+        else:
+            return z, F, floors, it + 1
+        z, F = zt, Ft
 
 
 def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
@@ -223,8 +223,19 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
     return np.array([p, *qs])
 
 
-def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray,
-             floors: np.ndarray, iterations: int, lam: float) -> GroundStateSolution:
+def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, floors: np.ndarray,
+             iterations: int, tol: float, lam: float) -> GroundStateSolution:
+    """The solution at z, or NewtonStalled when |F| exceeds max(tol, floors)."""
+    if not _converged(F, tol, floors):
+        raise NewtonStalled(
+            f"period residual {np.max(np.abs(F)):.3e} is above tol {tol} and "
+            f"its rounding floor after {iterations} iterations",
+            best=(float(z[0]), tuple(float(q) for q in z[1:])),
+            diagnostics={
+                "residuals": np.abs(F).tolist(),
+                "floors": floors.tolist(),
+                "iterations": iterations,
+            })
     names = ["stem"] + [f"loop{j}" for j in range(1, spec.n_loops + 1)]
     residuals = {"period_residuals": dict(zip(names, np.abs(F).tolist()))}
     sol = GroundStateSolution(
@@ -240,9 +251,9 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray,
     return sol
 
 
-def _default_dx(spec: FlowerSpec, tol: float = 1e-8) -> float:
+def _default_dx(spec: FlowerSpec) -> float:
     longest = max([spec.stem] + [h for h in spec.loop_halves])
-    return min(1e-2, (tol * math.exp(-longest)) ** 0.25)
+    return min(1e-2, (PROFILE_TOL * math.exp(-longest)) ** 0.25)
 
 
 def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
@@ -250,48 +261,32 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
 
     The Neumann end is the orbit's turning point, so the single unknown p
     solves T(p, 0) = L; T(., 0) decreases strictly from infinity to pi/2,
-    hence existence and uniqueness exactly for L > pi/2.
+    hence existence and uniqueness exactly for L > pi/2.  As the loop-free
+    flower, p is brentq's root to rtol = 4 eps, unpolished; its residual must
+    meet max(tol, floor), the floor from the 1x1 Jacobian [[dT/dp]], or
+    NewtonStalled is raised.
     """
     if not L > THRESHOLD_LENGTH:
         raise BelowThreshold(
             f"interval length {L} <= pi/2; the only nonnegative steady "
             "state is u = 0")
     quad_tol = min(1e-11, 0.1 * tol)
+    spec = FlowerSpec(stem=L)
 
     def mismatch(p):
-        return period_T(PhasePoint(p, 0.0), quad_tol).value - L
+        return _system(spec, np.array([p]), quad_tol)[0]
 
     lo = min(0.5, 6.0 * math.exp(-(L + HOMOCLINIC_OFFSET)))
     for _ in range(60):
         if mismatch(lo) > 0.0:
             break
         lo *= 0.5
-    hi = 1.0 - 1e-15
-    p, info = brentq(mismatch, lo, hi, xtol=1e-15, rtol=4.0 * EPS,
+    p, info = brentq(mismatch, lo, 1.0 - 1e-15, xtol=ROOT_XTOL, rtol=4.0 * EPS,
                      maxiter=200, full_output=True)
-    iterations = info.iterations
-    F = mismatch(p)
-    for _ in range(3):
-        if abs(F) <= tol:
-            break
-        slope = interval_period_slope(p, quad_tol)
-        p = min(max(p - F / slope, 1e-300), 1.0 - 1e-16)
-        F = mismatch(p)
-        iterations += 1
-    slope = interval_period_slope(p, quad_tol)
-    floor = 8.0 * EPS * (L + abs(p * slope))
-    spec = FlowerSpec(stem=L)
-    sol = GroundStateSolution(
-        spec=spec,
-        p=float(p),
-        q_loops=(),
-        newton_iterations=iterations,
-        residuals={"period_residuals": {"stem": abs(F)}},
-        convergence_floor=floor,
-        lambda0=lambda0_flower(spec).lambda0,
-    )
-    reconstruct_profile(sol, dx=_default_dx(spec))
-    return sol
+    z = np.array([p])
+    J = np.array([[interval_period_slope(p, quad_tol)]])
+    return _package(spec, z, _system(spec, z, quad_tol), _floors(J, z, np.array([L])),
+                    info.iterations, tol, lambda0_flower(spec).lambda0)
 
 
 def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
@@ -316,17 +311,7 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
     z0 = None if init is None else np.array([init[0], *init[1]], dtype=float)
     if z0 is None or not _admissible(z0[0], z0[1:]):
         z0 = _asymptotic_seed(spec, quad_tol)
-    z, F, floors, its, ok = _newton(spec, z0, tol, quad_tol)
-    if ok:
-        return _package(spec, z, F, floors, its, lam)
-    raise NewtonStalled(
-        f"Newton did not reach tol {tol} (best residual {np.max(np.abs(F)):.3e})",
-        best=(float(z[0]), tuple(float(q) for q in z[1:])),
-        diagnostics={
-            "residuals": np.abs(F).tolist(),
-            "floors": floors.tolist(),
-            "iterations": its,
-        })
+    return _package(spec, *_newton(spec, z0, tol, quad_tol), tol, lam)
 
 
 @dataclass
@@ -337,13 +322,13 @@ class JacobianReport:
     sign_ok: bool
 
 
-def jacobian_report(p: float, q_list, quad_tol: float = 1e-10) -> JacobianReport:
+def jacobian_report(p: float, q_list) -> JacobianReport:
     """Period-system Jacobian at (p, q_1..q_N) with its sign check."""
     qs = list(q_list)
     if not _admissible(p, qs):
         raise InvalidDomain(
             f"(p, q) = ({p}, {qs}) is not an admissible flower state")
-    J = _jacobian(p, qs, quad_tol)
+    J = _jacobian(p, qs, JACOBIAN_QUAD_TOL)
     det = float(np.linalg.det(J))
     expected = -1 if len(qs) % 2 == 0 else 1   # sign (-1)^(N+1)
     return JacobianReport(J, det, expected, math.copysign(1.0, det) == expected)
@@ -391,7 +376,7 @@ def _check_end_state(mismatch: float, tol: float) -> None:
 
 
 def reconstruct_profile(solution: GroundStateSolution, dx: float,
-                        tol: float = 1e-8,
+                        tol: float = PROFILE_TOL,
                         max_steps_per_edge: int = 500_000) -> dict:
     """Sample u on every edge by integrating the orbit ODE.
 
@@ -440,10 +425,9 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float,
     return profiles
 
 
-def proximity_check(solution: GroundStateSolution,
-                    spec: FlowerSpec | None = None) -> float:
+def proximity_check(solution: GroundStateSolution) -> float:
     """max |u - 1| over the loop subgraph (the stem pendant is excluded)."""
-    spec = spec or solution.spec
+    spec = solution.spec
     if spec.n_loops == 0:
         raise InvalidDomain("proximity is defined over loops; none present")
     if solution.profiles is None:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import LinearSolveFailure, MeshTooCoarse
+from .errors import InvalidDomain, LinearSolveFailure, MeshTooCoarse
 from .graph import DIRICHLET, MetricGraph, validate
 
 __all__ = ["GraphMesh", "Field", "field_from_function", "field_from_profiles",
@@ -211,6 +211,8 @@ def field_from_function(mesh: GraphMesh, fn) -> Field:
 def field_from_profiles(mesh: GraphMesh, profiles: dict) -> Field:
     """Interpolate per-edge (x, u) sample arrays onto the mesh nodes."""
     def fn(edge_id, x):
+        if edge_id not in profiles:
+            raise InvalidDomain(f"the profile has no samples for edge {edge_id!r}")
         xp, up = profiles[edge_id]
         return np.interp(x, xp, up)
     return field_from_function(mesh, fn)

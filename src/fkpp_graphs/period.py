@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from .errors import InvalidDomain
-from .phaseplane import PhasePoint, turning_point_pair
+from .phaseplane import PhasePoint, energy_above_center, turning_point_pair, well_chord
 
 __all__ = [
     "HOMOCLINIC_OFFSET",
@@ -74,8 +74,6 @@ __all__ = [
 # offset x0 = 2 arccosh(sqrt(3/2)): the homoclinic profile crosses w = 1
 # at distance x0 before its peak
 HOMOCLINIC_OFFSET = 2.0 * math.acosh(math.sqrt(1.5))
-
-_TWO_THIRDS = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,6 @@ def _quad(f, tol: float) -> tuple[float, float]:
     return val, err
 
 
-def _bracket(a: float, b: float) -> float:
-    """g(a, b) = (a+b) - (2/3)(a^2+ab+b^2) = (A(a) - A(b)) / (a - b)."""
-    return a + b - _TWO_THIRDS * (a * a + a * b + b * b)
-
-
 def _arc(lo: float, blo: float, d: float, c: float, tol: float,
          weighted: bool = False) -> tuple[float, float]:
     """int_lo^{lo+d} w(u) du / sqrt(c + A(u) - A(lo)) and its error; blo = 1 - lo.
@@ -126,23 +119,23 @@ def _arc(lo: float, blo: float, d: float, c: float, tol: float,
     k = 2.0 * math.sqrt(d) if c == 0.0 else 2.0 * d
     if c == 0.0 and not weighted:
         def f(s):
-            return k / math.sqrt(_bracket(x0 + dx * s * s, x0))
+            return k / math.sqrt(well_chord(x0 + dx * s * s, x0))
     elif c == 0.0:
         def f(s):
             s2 = s * s
             u = lo + d * s2
             return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
-                * k / math.sqrt(_bracket(x0 + dx * s2, x0))
+                * k / math.sqrt(well_chord(x0 + dx * s2, x0))
     elif not weighted:
         def f(s):
             s2 = s * s
-            return k * s / math.sqrt(c + d * s2 * _bracket(x0 + dx * s2, x0))
+            return k * s / math.sqrt(c + d * s2 * well_chord(x0 + dx * s2, x0))
     else:
         def f(s):
             s2 = s * s
             u = lo + d * s2
             return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
-                * k * s / math.sqrt(c + d * s2 * _bracket(x0 + dx * s2, x0))
+                * k * s / math.sqrt(c + d * s2 * well_chord(x0 + dx * s2, x0))
     return _quad(f, tol)
 
 
@@ -209,40 +202,30 @@ def _require_interior(pt: PhasePoint) -> None:
         raise InvalidDomain("gradients need p < 1 strictly")
 
 
-def _qt2(pt: PhasePoint) -> float:
-    """E + 1/3 = q^2 + (1-p)^2 (1+2p)/3, positive to rounding."""
-    return pt.q * pt.q + (1.0 - pt.p) ** 2 * (1.0 + 2.0 * pt.p) / 3.0
-
-
-def grad_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
-    """Analytic gradient of period_T; requires q < 0 and p < 1.
-
-    The q = 0 section is served by interval_period_slope instead, which
-    integrates the renormalized form that stays regular there.
-    """
-    _require_interior(pt)
-    p, q = pt.p, pt.q
+def _gradient(p: float, q: float, tol: float) -> PeriodGradient:
+    """Renormalized gradient of T for 0 < p < 1, q <= 0; smooth at q = 0 too."""
     bp = 1.0 - p
     i1, _ = _arc(p, bp, bp, q * q, tol, weighted=True)
-    qt2 = _qt2(pt)
+    qt2 = energy_above_center(p, q)
     dp = (-p * bp * i1 + q) / qt2
     dq = (q * i1 + bp * (1.0 + 2.0 * p) / (3.0 * p)) / qt2
     return PeriodGradient(dp, dq)
 
 
-def interval_period_slope(p: float, tol: float = 1e-10) -> float:
-    """d/dp of T(p, 0), the slope driving the interval dichotomy.
+def grad_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
+    """Analytic gradient of period_T; requires q < 0 and p < 1.
 
-    On the q = 0 section v vanishes at the lower endpoint, but dividing the
-    I1 integrand by v's sqrt(s) factor leaves a smooth integrand, so the
-    slope is available right where grad_T's domain ends.
+    The q = 0 section is served by interval_period_slope instead.
     """
+    _require_interior(pt)
+    return _gradient(pt.p, pt.q, tol)
+
+
+def interval_period_slope(p: float, tol: float = 1e-10) -> float:
+    """d/dp of T(p, 0), the slope driving the interval dichotomy."""
     if not 0.0 < p < 1.0:
         raise InvalidDomain(f"interval slope needs 0 < p < 1, got {p}")
-    bp = 1.0 - p
-    i1 = _arc(p, bp, bp, 0.0, tol, weighted=True)[0]
-    qt2 = bp * bp * (1.0 + 2.0 * p) / 3.0
-    return -p * bp * i1 / qt2
+    return _gradient(p, 0.0, tol).dT_dp
 
 
 def grad_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
@@ -250,7 +233,7 @@ def grad_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     _require_interior(pt)
     p, q = pt.p, pt.q
     i2, _ = _arc(*_loop_span(pt), 0.0, tol, weighted=True)
-    qt2 = _qt2(pt)
+    qt2 = energy_above_center(p, q)
     bp = 1.0 - p
     dp = (-p * bp * i2 - q) / qt2
     dq = (q * i2 - bp * (1.0 + 2.0 * p) / (3.0 * p)) / qt2

@@ -39,7 +39,9 @@ __all__ = [
     "turning_point_p0",
     "turning_point_pair",
     "well",
+    "well_chord",
     "well_difference",
+    "energy_above_center",
 ]
 
 
@@ -48,9 +50,14 @@ def well(u: float) -> float:
     return u * u * (1.0 - 2.0 * u / 3.0)
 
 
+def well_chord(a: float, b: float) -> float:
+    """g(a, b) = (a+b) - (2/3)(a^2+ab+b^2) = (A(a) - A(b)) / (a - b)."""
+    return a + b - (2.0 / 3.0) * (a * a + a * b + b * b)
+
+
 def well_difference(u: float, p: float) -> float:
     """A(u) - A(p) in factored form; exact to rounding for u near p or near 1."""
-    return (u - p) * ((u + p) - (2.0 / 3.0) * (u * u + u * p + p * p))
+    return (u - p) * well_chord(u, p)
 
 
 def energy(u: float, v: float) -> float:
@@ -60,6 +67,11 @@ def energy(u: float, v: float) -> float:
     cancellation between v^2 and u^2 happens in one exact subtraction.
     """
     return (v - u) * (v + u) + (2.0 / 3.0) * u**3
+
+
+def energy_above_center(p: float, q: float) -> float:
+    """E + 1/3 = q^2 + (1-p)^2 (1+2p)/3, positive to rounding."""
+    return q * q + (1.0 - p) ** 2 * (1.0 + 2.0 * p) / 3.0
 
 
 @dataclass(frozen=True)
@@ -83,11 +95,9 @@ class PhasePoint:
 def q_tilde(pt: PhasePoint) -> float:
     """Negative w' at the section w = 1 of the orbit through pt.
 
-    The invariant gives q_tilde^2 = E + A(1) = E + 1/3, computed in the
-    additive form q^2 + (1-p)^2 (1+2p)/3 which stays positive to rounding.
+    The invariant gives q_tilde^2 = E + A(1) = energy_above_center.
     """
-    s = pt.q * pt.q + (1.0 - pt.p) ** 2 * (1.0 + 2.0 * pt.p) / 3.0
-    return -math.sqrt(s)
+    return -math.sqrt(energy_above_center(pt.p, pt.q))
 
 
 def _center_side_root(target: float) -> float:
@@ -141,7 +151,7 @@ def turning_point_pair(pt: PhasePoint) -> tuple[float, float]:
     if e <= -1.0 / 3.0:
         # only the center point itself reaches -1/3
         return 1.0, 0.0
-    qt2 = pt.q * pt.q + (1.0 - pt.p) ** 2 * (1.0 + 2.0 * pt.p) / 3.0  # E + 1/3
+    qt2 = energy_above_center(pt.p, pt.q)
     if qt2 < 1.0 / 6.0:
         b0 = _center_side_root(qt2)
         return 1.0 - b0, b0

@@ -54,6 +54,9 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-10
 EPS = np.finfo(float).eps
+# brentq's xtol, the smallest normal double: far below every root on the exact
+# path, so rtol = 4 eps, brentq's floor, alone decides when a root is done
+ROOT_XTOL = 2.0 ** -1022
 # Lanczos basis size (eigsh caps it at the number of free nodes).  Trees and
 # grids of 1e3-4e3 edges converge in one pass of NCV + 1 solves (20 would
 # double that); below 10, trees with all leaves Dirichlet (lambda0/lambda1
@@ -110,7 +113,10 @@ def _flower_eigenfunction(spec: FlowerSpec, s: float) -> Field:
 
 
 def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
-    """Smallest eigenvalue of a flower graph from the secular equation."""
+    """Smallest eigenvalue of a flower graph from the secular equation.
+
+    s is brentq's root to its own relative precision, rtol = 4 eps, unpolished.
+    """
     L = spec.stem
     if spec.n_loops == 0:
         s = math.pi / (2.0 * L)
@@ -118,27 +124,11 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
                               partial(_flower_eigenfunction, spec, s))
     s_max = min([math.pi / (2.0 * L)] +
                 [math.pi / (2.0 * h) for h in spec.loop_halves])
-    lo = s_max * 1e-12
-    hi = s_max * (1.0 - 1e-13)
-    s, info = brentq(lambda s: secular_mismatch(spec, s), lo, hi,
-                     xtol=max(1e-12 * s_max, 1e-15), rtol=4.0 * np.finfo(float).eps,
+    s, info = brentq(partial(secular_mismatch, spec), s_max * 1e-12,
+                     s_max * (1.0 - 1e-13), xtol=ROOT_XTOL, rtol=4.0 * EPS,
                      maxiter=200, full_output=True)
-    # polish to machine precision; the mismatch is strictly increasing so the
-    # Newton step with its analytic derivative cannot leave the bracket
-    for _ in range(3):
-        f_val = secular_mismatch(spec, s)
-        f_der = L / math.sin(s * L) ** 2
-        f_der += 2.0 * sum(h / math.cos(s * h) ** 2 for h in spec.loop_halves)
-        step = f_val / f_der
-        if not math.isfinite(step):
-            break
-        s_new = min(max(s - step, lo), hi)
-        if s_new == s:
-            break
-        s = s_new
-    res = abs(secular_mismatch(spec, s))
-    return SpectralResult(s * s, "transcendental", res, info.iterations,
-                          partial(_flower_eigenfunction, spec, s))
+    return SpectralResult(s * s, "transcendental", abs(secular_mismatch(spec, s)),
+                          info.iterations, partial(_flower_eigenfunction, spec, s))
 
 
 def lambda0_discretized(graph: MetricGraph, mesh_h: float,

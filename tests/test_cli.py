@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,22 @@ THETA_JSON = json.dumps({
     ],
     "conditions": {"a": "dirichlet"},
 })
+
+# the tadpole (stem 0.8, loop 1.5) with its own ids and the stem drawn from
+# the center to the Dirichlet vertex
+TADPOLE_REVERSED_JSON = json.dumps({
+    "edges": [
+        {"id": "e0", "from": "c", "to": "b", "length": 0.8},
+        {"id": "e1", "from": "c", "to": "c", "length": 1.5},
+    ],
+    "conditions": {"b": "dirichlet"},
+})
+
+
+def edge_graph(*edges, conditions=(("a", "dirichlet"),)):
+    return {"edges": [{"id": f"e{k}", "from": a, "to": b, "length": ell}
+                      for k, (a, b, ell) in enumerate(edges)],
+            "conditions": dict(conditions)}
 
 
 def read_json(path):
@@ -136,6 +155,43 @@ def test_duplicate_edge_ids_exit_2(tmp_path):
         "conditions": {"a": "dirichlet"},
     }))
     assert main(["spectrum", "--graph", str(g), "--mesh", "0.05"]) == 2
+
+
+@pytest.mark.parametrize("graph,argv", [
+    (edge_graph(("a", "v", 0.5), ("w", "x", 0.5)), ["spectrum"]),
+    (edge_graph(("a", "v", 0.5), ("v", "w", 1.0), conditions=()), ["spectrum"]),
+    (edge_graph(("a", "v", -1.0)), ["spectrum"]),
+    (None, ["spectrum", "--flower", "stem=-1"]),
+    (edge_graph(("a", "v", 0.5), ("v", "w", 0.003)), ["spectrum"]),
+    (edge_graph(("a", "v", 0.5)), ["evolve", "--mesh", "0"]),
+], ids=["disconnected", "no-pendant", "nonpositive-length", "nonpositive-stem",
+        "mesh-too-coarse", "nonpositive-mesh"])
+def test_invalid_graphs_and_meshes_exit_2(tmp_path, capsys, graph, argv):
+    if graph is not None:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        argv = argv + ["--graph", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_profile_missing_an_edge_exit_2(tmp_path, capsys):
+    prof = tmp_path / "prof.csv"
+    prof.write_text("edge_id,x,u\nstem,0.0,0.0\nstem,0.8,0.5\n")
+    assert main(["evolve", "--flower", "stem=0.8", "loops=1.5", "--mesh", "0.1",
+                 "--initial", f"csv:{prof}"]) == 2
+    assert "'loop1'" in capsys.readouterr().err
+
+
+def test_long_interval_fails_with_an_error_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "fkpp_graphs.cli", "groundstate", "--flower", "stem=30"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_groundstate_summary_and_profile(tmp_path):
@@ -283,6 +339,38 @@ def test_profile_round_trips_as_near_stationary_data(tmp_path):
     header, rows = read_csv(trace)
     sups = np.array([float(r[2]) for r in rows])
     assert np.max(np.abs(sups - sups[0])) <= 1e-3
+
+
+def test_flower_graph_file_keeps_its_edge_ids(tmp_path):
+    g = tmp_path / "tadpole.json"
+    g.write_text(TADPOLE_REVERSED_JSON)
+    prof = tmp_path / "prof.csv"
+    ref = tmp_path / "ref.csv"
+    assert main(["groundstate", "--graph", str(g), "--out", str(tmp_path / "gs.json"),
+                 "--profile", str(prof)]) == 0
+    assert main(["groundstate", "--flower", "stem=0.8", "loops=1.5",
+                 "--out", str(tmp_path / "ref.json"), "--profile", str(ref)]) == 0
+
+    def samples(path, edge_id):
+        _, rows = read_csv(path)
+        return np.array([[float(r[1]), float(r[2])] for r in rows if r[0] == edge_id])
+
+    assert {r[0] for r in read_csv(prof)[1]} == {"e0", "e1"}
+    stem, e0 = samples(ref, "stem"), samples(prof, "e0")
+    assert np.array_equal(e0[:, 1], stem[::-1, 1])   # u = 0 at the Dirichlet end
+    assert np.allclose(e0[:, 0], 0.8 - stem[::-1, 0], rtol=0.0, atol=1e-15)
+    assert np.array_equal(samples(prof, "e1"), samples(ref, "loop1"))
+
+    trace = tmp_path / "trace.csv"
+    assert main(["evolve", "--graph", str(g), "--mesh", "0.01",
+                 "--initial", f"csv:{prof}", "--max-t", "1.0", "--trace", str(trace),
+                 "--out", str(tmp_path / "run.json")]) == 0
+    sups = np.array([float(r[2]) for r in read_csv(trace)[1]])
+    assert np.max(np.abs(sups - sups[0])) <= 1e-3
+    out = tmp_path / "gs_run.json"
+    assert main(["evolve", "--graph", str(g), "--mesh", "0.05", "--initial",
+                 "groundstate", "--tol", "1e-7", "--out", str(out)]) == 0
+    assert read_json(out)["terminal"] == "ConvergedNontrivial"
 
 
 def test_region_membership_json(tmp_path):

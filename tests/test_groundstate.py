@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arclength_reference as ref
 from fkpp_graphs import groundstate
@@ -66,6 +68,22 @@ def test_interval_anchor_long_and_near_threshold():
     sol = solve_interval(math.pi / 2.0 + 1e-6)
     assert math.isclose(sol.p, P_STAR_NEAR, rel_tol=1e-12)
     assert math.isclose(1.0 - sol.p, 1.4999985410689e-06, rel_tol=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.floats(min_value=math.pi / 2.0, max_value=60.0, exclude_min=True))
+def test_interval_meets_its_floor_or_fails_typed(L):
+    try:
+        sol = solve_interval(L)
+    except FisherKppError:
+        return
+    assert sol.residuals["period_residuals"]["stem"] <= max(1e-10, sol.convergence_floor)
+
+
+@pytest.mark.parametrize("L", [30.0, 40.0])
+def test_long_intervals_fail_typed(L):
+    with pytest.raises(FisherKppError):
+        solve_interval(L)
 
 
 def test_interval_energy_anchor():
