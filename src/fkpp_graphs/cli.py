@@ -267,7 +267,8 @@ def cmd_groundstate(args) -> int:
     }
     if spec.n_loops:
         rep = jacobian_report(sol.p, list(sol.q_loops))
-        out["jacobian_determinant"] = rep.determinant
+        det = rep.determinant    # null, not +-Infinity, when it overflows
+        out["jacobian_determinant"] = det if math.isfinite(det) else None
         out["jacobian_sign_ok"] = bool(rep.sign_ok)
     if args.profile:
         _write_profile(args.profile, _graph_profiles(graph, sol.profiles))

@@ -29,6 +29,7 @@ which measure the best residual representable at the working precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,18 +120,20 @@ def _admissible(p: float, qs) -> bool:
 
 
 def _system(spec: FlowerSpec, z: np.ndarray, quad_tol: float) -> np.ndarray:
-    p, qs = z[0], z[1:]
+    # Python floats for the period kernels (numpy scalars double their cost);
+    # numpy's pairwise sum for the stem slope, as Python's rounds differently
+    p, *qs = z.tolist()
     out = np.empty(z.size)
-    out[0] = period_T(PhasePoint(p, 2.0 * qs.sum()), quad_tol).value - spec.stem
+    out[0] = period_T(PhasePoint(p, 2.0 * float(z[1:].sum())), quad_tol).value - spec.stem
     for j, (q, half) in enumerate(zip(qs, spec.loop_halves), start=1):
         out[j] = period_T0(PhasePoint(p, q), quad_tol).value - half
     return out
 
 
-def _jacobian(p: float, qs, quad_tol: float) -> np.ndarray:
-    n = len(qs)
-    J = np.zeros((n + 1, n + 1))
-    g = grad_T(PhasePoint(p, 2.0 * float(np.sum(qs))), quad_tol)
+def _jacobian(z: np.ndarray, quad_tol: float) -> np.ndarray:
+    p, *qs = z.tolist()    # Python floats and numpy's sum, as in _system
+    J = np.zeros((z.size, z.size))
+    g = grad_T(PhasePoint(p, 2.0 * float(z[1:].sum())), quad_tol)
     J[0, 0] = g.dT_dp
     J[0, 1:] = 2.0 * g.dT_dq
     for j, q in enumerate(qs, start=1):
@@ -154,6 +157,7 @@ def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12) -> float:
     """
     ap = well(p)
 
+    @functools.cache    # brentq re-evaluates the bracket ends found below
     def mismatch(y):
         return arclength_from_turning(p, math.exp(y), quad_tol) - half
 
@@ -186,7 +190,7 @@ def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
     z = np.asarray(z0, dtype=float).copy()
     F = _system(spec, z, quad_tol)
     for it in range(MAX_NEWTON_ITER + 1):
-        J = _jacobian(z[0], z[1:], quad_tol)
+        J = _jacobian(z, quad_tol)
         floors = _floors(J, z, targets)
         if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
             return z, F, floors, it
@@ -273,6 +277,7 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
     quad_tol = min(1e-11, 0.1 * tol)
     spec = FlowerSpec(stem=L)
 
+    @functools.cache    # brentq re-evaluates lo and returns an evaluated point
     def mismatch(p):
         return _system(spec, np.array([p]), quad_tol)[0]
 
@@ -285,7 +290,7 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
                      maxiter=200, full_output=True)
     z = np.array([p])
     J = np.array([[interval_period_slope(p, quad_tol)]])
-    return _package(spec, z, _system(spec, z, quad_tol), _floors(J, z, np.array([L])),
+    return _package(spec, z, np.array([mismatch(p)]), _floors(J, z, np.array([L])),
                     info.iterations, tol, lambda0_flower(spec).lambda0)
 
 
@@ -328,8 +333,9 @@ def jacobian_report(p: float, q_list) -> JacobianReport:
     if not _admissible(p, qs):
         raise InvalidDomain(
             f"(p, q) = ({p}, {qs}) is not an admissible flower state")
-    J = _jacobian(p, qs, JACOBIAN_QUAD_TOL)
-    det = float(np.linalg.det(J))
+    J = _jacobian(np.array([p, *qs], dtype=float), JACOBIAN_QUAD_TOL)
+    with np.errstate(over="ignore"):    # many loops: +-inf, with exact sign
+        det = float(np.linalg.det(J))
     expected = -1 if len(qs) % 2 == 0 else 1   # sign (-1)^(N+1)
     return JacobianReport(J, det, expected, math.copysign(1.0, det) == expected)
 

@@ -23,6 +23,9 @@ onto the center) nor when p or p0 is far below machine epsilon (deep in the
 existence region, where 1 - p rounds to 1).  The quadrature is plain
 adaptive Gauss-Kronrod on the analytic s-integrand.
 
+The integrand runs at every QUADPACK node, so callers pass Python floats:
+numpy.float64 scalars give the same bits at about twice the cost.
+
 Gradients use the renormalized closed forms
 
     (E + 1/3) dT/dp  = -p (1-p) I1 + q
@@ -49,7 +52,6 @@ where x0 = 2 arccosh(sqrt(3/2)) marks where the homoclinic profile
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from scipy import integrate
@@ -89,20 +91,20 @@ class PeriodGradient:
 
 
 def _quad(f, tol: float) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod on [0, 1] with an honest error estimate."""
+    """Adaptive Gauss-Kronrod on [0, 1] with an honest error estimate.
+
+    QUADPACK's ier > 0, the cases in which scipy warns, makes quad with
+    full_output return a message as a fourth item; they get one retry with a
+    deeper subdivision budget, whose result is kept.  Reading ier is free; a
+    warnings filter around each call costs a third of a 21-node quad.
+    """
     epsrel = 1.5e-14  # QUADPACK floor is ~50 eps
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol,
-                                      epsrel=epsrel, limit=200)
-        except integrate.IntegrationWarning:
-            # retry with a deeper subdivision budget, keep whatever it reports
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                val, err = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol,
-                                          epsrel=epsrel, limit=1000)
-    return val, err
+    out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=epsrel,
+                         limit=200, full_output=1)
+    if len(out) > 3:
+        out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=epsrel,
+                             limit=1000, full_output=1)
+    return out[0], out[1]
 
 
 def _arc(lo: float, blo: float, d: float, c: float, tol: float,

@@ -194,6 +194,26 @@ def test_long_interval_fails_with_an_error_line():
     assert "Traceback" not in done.stderr
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_overflowing_determinant_is_strict_json_null():
+    # 80 loops: the Jacobian determinant overflows a double
+    loops = ",".join(repr(2.0 * float(h)) for h in np.linspace(0.1, 1.2, 80))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "fkpp_graphs.cli", "groundstate", "--flower",
+         "stem=12", f"loops={loops}"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    data = json.loads(done.stdout, parse_constant=_reject_constant)
+    assert data["jacobian_determinant"] is None
+    assert data["jacobian_sign_ok"] is True
+
+
 def test_groundstate_summary_and_profile(tmp_path):
     out = tmp_path / "gs.json"
     prof = tmp_path / "prof.csv"

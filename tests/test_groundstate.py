@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arclength_reference as ref
-from fkpp_graphs import groundstate
+from fkpp_graphs import groundstate, period
 from fkpp_graphs.errors import (
     BelowThreshold,
     FisherKppError,
@@ -331,3 +332,67 @@ def test_stalled_newton_is_not_retried(monkeypatch):
     with pytest.raises(NewtonStalled):
         solve_flower(FlowerSpec(20.0, (20.0,)))
     assert len(runs) == 1
+
+
+# ------------------------------------------------------ work on the exact path
+
+def _record_quads(monkeypatch) -> list:
+    """Record (type of f(0.5), limit) for every period quadrature."""
+    calls = []
+    quad = period.integrate.quad
+
+    def recorded(f, *args, **kwargs):
+        calls.append((type(f(0.5)), kwargs.get("limit")))
+        return quad(f, *args, **kwargs)
+
+    monkeypatch.setattr(period.integrate, "quad", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_flower(TWO_LOOP),
+    lambda: solve_interval(2.0),
+], ids=["two-loop", "interval-2"])
+def test_period_integrands_run_on_python_floats(monkeypatch, solve):
+    calls = _record_quads(monkeypatch)
+    solve()
+    assert calls
+    assert {kind for kind, _ in calls} == {float}
+
+
+def test_loop_presolve_evaluates_no_turning_point_twice(monkeypatch):
+    p0s = []
+    arclength = groundstate.arclength_from_turning
+
+    def counted(p, p0, tol):
+        p0s.append(p0)
+        return arclength(p, p0, tol)
+
+    monkeypatch.setattr(groundstate, "arclength_from_turning", counted)
+    q = groundstate._loop_q_presolve(TWO_P, TWO_LOOP.loop_halves[0])
+    assert math.isclose(q, TWO_Q1, rel_tol=1e-6)
+    assert len(p0s) > 3
+    assert len(set(p0s)) == len(p0s)
+
+
+def test_interval_evaluates_no_residual_twice(monkeypatch):
+    ps = []
+    system = groundstate._system
+
+    def counted(spec, z, quad_tol):
+        ps.append(float(z[0]))
+        return system(spec, z, quad_tol)
+
+    monkeypatch.setattr(groundstate, "_system", counted)
+    sol = solve_interval(2.0)
+    assert math.isclose(sol.p, P_STAR_L2, rel_tol=1e-14)
+    assert len(set(ps)) == len(ps)
+
+
+def test_quadrature_retries_need_no_warnings_filter(monkeypatch):
+    calls = _record_quads(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonStalled):
+            solve_flower(FlowerSpec(20.0, (20.0,)))
+    assert sum(limit == 1000 for _, limit in calls) == 2
