@@ -283,11 +283,14 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
 
     lo = min(0.5, 6.0 * math.exp(-(L + HOMOCLINIC_OFFSET)))
     for _ in range(60):
+        if lo == 0.0:
+            raise NewtonStalled(f"the bracket for interval length {L} needs "
+                                "p below the smallest double: p underflows to 0")
         if mismatch(lo) > 0.0:
             break
         lo *= 0.5
-    p, info = brentq(mismatch, lo, 1.0 - 1e-15, xtol=ROOT_XTOL, rtol=4.0 * EPS,
-                     maxiter=200, full_output=True)
+    p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), xtol=ROOT_XTOL,
+                     rtol=4.0 * EPS, maxiter=200, full_output=True)
     z = np.array([p])
     J = np.array([[interval_period_slope(p, quad_tol)]])
     return _package(spec, z, np.array([mismatch(p)]), _floors(J, z, np.array([L])),

@@ -148,18 +148,13 @@ def _check_not_center(pt: PhasePoint) -> None:
 
 
 def period_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
-    """Arc length from the section w = 1 down to (p, q)."""
+    """Arc length from the section w = 1 down to (p, q); 0 at p = 1.
+
+    estimated_quadrature_error is QUADPACK's at every point.
+    """
     _check_not_center(pt)
-    p, q = pt.p, pt.q
-    if p == 1.0:
-        return PeriodValue(0.0, 0.0)
-    bp = 1.0 - p
-    if bp < 1e-6:
-        # quadrature endpoints collide this close to the center; the leading
-        # circular-orbit form is accurate to O(1-p)
-        hyp = math.hypot(bp, q)
-        return PeriodValue(math.asin(bp / hyp), 4.0 * bp)
-    return PeriodValue(*_arc(p, bp, bp, q * q, tol))
+    bp = 1.0 - pt.p
+    return PeriodValue(*_arc(pt.p, bp, bp, pt.q * pt.q, tol))
 
 
 def _loop_span(pt: PhasePoint) -> tuple[float, float, float]:
@@ -174,15 +169,10 @@ def period_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
     """Arc length from the inner turning point up to (p, q).
 
     Raises OrbitNotClosed when the orbit energy is >= 0 (no turning point).
+    estimated_quadrature_error is QUADPACK's at every point.
     """
     _check_not_center(pt)
-    p0, b0, d = _loop_span(pt)
-    bp = 1.0 - pt.p
-    if bp < 1e-6:
-        # circular-orbit limit, complement of the period_T delegation
-        hyp = math.hypot(bp, pt.q)
-        return PeriodValue(math.asin(-pt.q / hyp), 4.0 * bp)
-    return PeriodValue(*_arc(p0, b0, d, 0.0, tol))
+    return PeriodValue(*_arc(*_loop_span(pt), 0.0, tol))
 
 
 def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:

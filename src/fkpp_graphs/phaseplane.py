@@ -133,14 +133,16 @@ def turning_point_pair(pt: PhasePoint) -> tuple[float, float]:
     """Inner turning point of the closed orbit through pt, as (p0, 1 - p0).
 
     p0 in (0, p] solves A(p0) = -E, equivalently E + A(p0) = 0, and exists
-    exactly when E in (-1/3, 0).  For E >= 0 the orbit is not closed around
-    the center and OrbitNotClosed is raised; E <= -1/3 cannot occur for an
-    admissible PhasePoint other than the center itself.
+    exactly when E in (-1/3, 0).  Closure is decided from E: for E >= 0 the
+    orbit is not closed around the center and OrbitNotClosed is raised.
 
-    Both components are returned because downstream integrands need whichever
-    of p0, 1 - p0 is small to full relative precision.  The root is solved on
-    the side where it is below 1/2: directly from A(p0) = -E, or mirrored
-    through u -> 1 - u where the same well reappears as A(1 - p0) = E + 1/3.
+    The turning point is solved from E + 1/3 (``energy_above_center``), not
+    from E, which cancels next to the center.  Both components are returned
+    because downstream integrands need whichever of p0, 1 - p0 is small to
+    full relative precision.  The root is solved on the side where it is
+    below 1/2: mirrored through u -> 1 - u, where the well reappears as
+    A(1 - p0) = E + 1/3, or directly from A(p0) = -E.  The center itself
+    gives (1, 0).
     """
     e = pt.energy
     if e >= 0.0:
@@ -148,9 +150,6 @@ def turning_point_pair(pt: PhasePoint) -> tuple[float, float]:
             f"orbit through (p={pt.p}, q={pt.q}) has energy {e:.3e} >= 0; "
             "it does not close around the positive equilibrium"
         )
-    if e <= -1.0 / 3.0:
-        # only the center point itself reaches -1/3
-        return 1.0, 0.0
     qt2 = energy_above_center(pt.p, pt.q)
     if qt2 < 1.0 / 6.0:
         b0 = _center_side_root(qt2)

@@ -194,6 +194,11 @@ def test_long_interval_fails_with_an_error_line():
     assert "Traceback" not in done.stderr
 
 
+def test_underflowing_interval_exits_1(capsys):
+    assert main(["groundstate", "--flower", "stem=800"]) == 1
+    assert "underflows" in capsys.readouterr().err
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 

@@ -87,6 +87,19 @@ def test_long_intervals_fail_typed(L):
         solve_interval(L)
 
 
+@pytest.mark.parametrize("L", [math.nextafter(math.pi / 2.0, 2.0)]
+                         + [math.pi / 2.0 + 10.0 ** -k for k in range(1, 16)])
+def test_interval_next_to_the_threshold_matches_reference(L):
+    sol = solve_interval(L)
+    assert abs(ref.stem_length(sol.p, 0.0) - L) <= 4.5e-16
+
+
+@pytest.mark.parametrize("L", [800.0, 1e4])
+def test_underflowing_interval_bracket_stalls(L):
+    with pytest.raises(NewtonStalled, match="underflows"):
+        solve_interval(L)
+
+
 def test_interval_energy_anchor():
     sol = solve_interval(2.0)
     assert abs(energy_of(sol) - H_STAR_L2) <= 1e-10
@@ -275,6 +288,18 @@ def test_energy_negative_and_converges_under_refinement():
     d1, d2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
     assert d1 <= 1e-12  # already tiny at the coarse step
     assert d1 / d2 >= 3.4  # at least second order step to step
+
+
+@pytest.mark.parametrize("spec", [TADPOLE, TWO_LOOP], ids=["tadpole", "two-loop"])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_flowers_next_to_their_threshold_match_reference(spec, k):
+    near = FlowerSpec(lower_boundary(spec.loop_halves) + 10.0 ** -k,
+                      spec.loop_halves)
+    sol = solve_flower(near)
+    allowed = max(1e-10, sol.convergence_floor)
+    assert abs(ref.stem_length(sol.p, sol.q_stem) - near.stem) <= allowed
+    for q, half in zip(sol.q_loops, near.loop_halves):
+        assert abs(ref.loop_half_length(sol.p, q) - half) <= allowed
 
 
 # ------------------------------------------------------------ deep flowers

@@ -26,8 +26,8 @@ from fkpp_graphs.period import (
     period_T,
     period_T0,
 )
-from fkpp_graphs.phaseplane import PhasePoint, turning_point_p0, well, \
-    well_difference
+from fkpp_graphs.phaseplane import PhasePoint, turning_point_p0, \
+    turning_point_pair, well, well_difference
 
 X0 = 1.316957896924816708625046
 
@@ -233,12 +233,26 @@ def test_periods_approach_center_limits(Q):
     assert abs(period_T(pt).value + period_T0(pt).value - math.pi / 2.0) <= 5e-3
 
 
-def test_very_near_center_uses_closed_form():
+def test_very_near_center_matches_reference():
+    # T + T0 = pi/2 holds only in the limit: here it is off by 1.49e-7
     pt = PhasePoint(1.0 - 1e-7, -2e-7)
     assert math.isclose(period_T(pt).value, math.asin(1.0 / math.sqrt(5.0)),
                         rel_tol=1e-6)
-    total = period_T(pt).value + period_T0(pt).value
-    assert math.isclose(total, math.pi / 2.0, rel_tol=1e-12)
+    assert math.isclose(period_T(pt).value, ref.stem_length(pt.p, pt.q),
+                        rel_tol=1e-14)
+    assert math.isclose(period_T0(pt).value, ref.loop_half_length(pt.p, pt.q),
+                        rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("p,q", [(1.0 - 10.0 ** -k, -Q * 10.0 ** -k)
+                                 for k in range(7, 16) for Q in (0.5, 2.0)]
+                         + [(1.0 - 1e-7, -0.5)])
+def test_turning_points_and_loops_next_to_the_center(p, q):
+    # E cancels next to the center; E + 1/3 does not
+    pt = PhasePoint(p, q)
+    assert turning_point_pair(pt)[0] <= pt.p
+    assert math.isclose(period_T0(pt).value, ref.loop_half_length(pt.p, pt.q),
+                        rel_tol=1e-14)
 
 
 def test_interval_boundary_period():
