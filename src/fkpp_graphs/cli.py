@@ -260,8 +260,7 @@ def cmd_groundstate(args) -> int:
         "lambda0": sol.lambda0,
         "H": energy_of(sol),
         "sup_u": sol.sup_u,
-        "residuals": {k: (dict(v) if isinstance(v, dict) else v)
-                      for k, v in sol.residuals.items()},
+        "residuals": sol.residuals,
         "newton_iterations": sol.newton_iterations,
         "convergence_floor": sol.convergence_floor,
     }

@@ -47,6 +47,8 @@ from .errors import (
 from .graph import FlowerSpec
 from .period import (
     HOMOCLINIC_OFFSET,
+    action_T,
+    action_T0,
     arclength_from_turning,
     grad_T,
     grad_T0,
@@ -54,7 +56,8 @@ from .period import (
     period_T,
     period_T0,
 )
-from .phaseplane import PhasePoint, energy, q_tilde, turning_point_pair, well
+from .phaseplane import (PhasePoint, energy, energy_above_center, q_tilde,
+                         turning_point_pair, well)
 from .spectral import ROOT_XTOL, lambda0_flower
 
 __all__ = [
@@ -75,6 +78,11 @@ PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
 JACOBIAN_QUAD_TOL = 1e-10
 
 
+def _stem_slope(q_loops) -> float:
+    # numpy's pairwise sum, in the Newton system and in q_stem alike
+    return 2.0 * float(np.sum(q_loops))
+
+
 @dataclass
 class GroundStateSolution:
     """Solved period-system parameters plus sampled profiles."""
@@ -87,11 +95,10 @@ class GroundStateSolution:
     convergence_floor: float
     lambda0: float                 # lowest Laplacian eigenvalue of spec
     profiles: dict | None = None   # edge_id -> (x, u) sample arrays
-    slopes: dict | None = None     # edge_id -> du/dx sample array
 
     @property
     def q_stem(self) -> float:
-        return 2.0 * sum(self.q_loops)
+        return _stem_slope(self.q_loops)
 
     @property
     def stem_energy(self) -> float:
@@ -106,34 +113,27 @@ class GroundStateSolution:
 
     @property
     def sup_u(self) -> float:
-        tp = self.loop_turning_points()
-        return 1.0 - (min(tp) if tp else self.p)
+        return 1.0 - min(self.loop_turning_points(), default=self.p)
 
 
 def _admissible(p: float, qs) -> bool:
-    if not 0.0 < p < 1.0:
-        return False
-    for q in qs:
-        if not q < 0.0 or not energy(p, q) < 0.0:
-            return False
-    return True
+    return 0.0 < p < 1.0 and all(q < 0.0 and energy(p, q) < 0.0 for q in qs)
 
 
 def _system(spec: FlowerSpec, z: np.ndarray, quad_tol: float) -> np.ndarray:
-    # Python floats for the period kernels (numpy scalars double their cost);
-    # numpy's pairwise sum for the stem slope, as Python's rounds differently
+    # Python floats for the period kernels (numpy scalars double their cost)
     p, *qs = z.tolist()
     out = np.empty(z.size)
-    out[0] = period_T(PhasePoint(p, 2.0 * float(z[1:].sum())), quad_tol).value - spec.stem
+    out[0] = period_T(PhasePoint(p, _stem_slope(z[1:])), quad_tol).value - spec.stem
     for j, (q, half) in enumerate(zip(qs, spec.loop_halves), start=1):
         out[j] = period_T0(PhasePoint(p, q), quad_tol).value - half
     return out
 
 
 def _jacobian(z: np.ndarray, quad_tol: float) -> np.ndarray:
-    p, *qs = z.tolist()    # Python floats and numpy's sum, as in _system
+    p, *qs = z.tolist()    # Python floats, as in _system
     J = np.zeros((z.size, z.size))
-    g = grad_T(PhasePoint(p, 2.0 * float(z[1:].sum())), quad_tol)
+    g = grad_T(PhasePoint(p, _stem_slope(z[1:])), quad_tol)
     J[0, 0] = g.dT_dp
     J[0, 1:] = 2.0 * g.dT_dq
     for j, q in enumerate(qs, start=1):
@@ -155,8 +155,6 @@ def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12) -> float:
     conditioning is uniform even when the final q is pinned against
     -sqrt(A(p)) to the last ulp.
     """
-    ap = well(p)
-
     @functools.cache    # brentq re-evaluates the bracket ends found below
     def mismatch(y):
         return arclength_from_turning(p, math.exp(y), quad_tol) - half
@@ -176,8 +174,7 @@ def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12) -> float:
             raise OrbitNotClosed(
                 f"no loop orbit of half-length {half} through p = {p}")
         y = brentq(mismatch, y_lo, y_hi, xtol=1e-13, rtol=4.0 * EPS, maxiter=300)
-    p0 = math.exp(y)
-    return -math.sqrt(max(ap - well(p0), 0.0))
+    return -math.sqrt(max(well(p) - well(math.exp(y)), 0.0))
 
 
 def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
@@ -235,11 +232,8 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, floors: np.ndarray,
             f"period residual {np.max(np.abs(F)):.3e} is above tol {tol} and "
             f"its rounding floor after {iterations} iterations",
             best=(float(z[0]), tuple(float(q) for q in z[1:])),
-            diagnostics={
-                "residuals": np.abs(F).tolist(),
-                "floors": floors.tolist(),
-                "iterations": iterations,
-            })
+            diagnostics={"residuals": np.abs(F).tolist(), "floors": floors.tolist(),
+                         "iterations": iterations})
     names = ["stem"] + [f"loop{j}" for j in range(1, spec.n_loops + 1)]
     residuals = {"period_residuals": dict(zip(names, np.abs(F).tolist()))}
     sol = GroundStateSolution(
@@ -251,13 +245,8 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, floors: np.ndarray,
         convergence_floor=float(np.max(floors)),
         lambda0=lam,
     )
-    reconstruct_profile(sol, dx=_default_dx(spec))
+    reconstruct_profile(sol)
     return sol
-
-
-def _default_dx(spec: FlowerSpec) -> float:
-    longest = max([spec.stem] + [h for h in spec.loop_halves])
-    return min(1e-2, (PROFILE_TOL * math.exp(-longest)) ** 0.25)
 
 
 def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
@@ -344,12 +333,11 @@ def jacobian_report(p: float, q_list) -> JacobianReport:
 
 
 def _rk4_path(w0: float, v0: float, length: float, n: int):
-    """Integrate w'' = w - w^2 over [0, length] with n fixed RK4 steps."""
+    """w at n + 1 points and the end slope: w'' = w - w^2 by n fixed RK4 steps."""
     h = length / n
     w = np.empty(n + 1)
-    v = np.empty(n + 1)
-    w[0], v[0] = w0, v0
-    cw, cv = w0, v0
+    w[0] = cw = w0
+    cv = v0
     half = 0.5 * h
     sixth = h / 6.0
     for k in range(n):
@@ -366,12 +354,12 @@ def _rk4_path(w0: float, v0: float, length: float, n: int):
         a4v = w4 * (1.0 - w4)
         cw += sixth * (a1w + 2.0 * a2w + 2.0 * a3w + a4w)
         cv += sixth * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-        w[k + 1], v[k + 1] = cw, cv
-    return w, v
+        w[k + 1] = cw
+    return w, cv
 
 
 def _edge_steps(length: float, dx: float, tol: float, max_steps: int) -> int:
-    # near-saddle transits amplify local error by ~e^length
+    # near-saddle transits along this edge amplify local error by ~e^length
     cap = (tol * math.exp(-length)) ** 0.25
     h = max(min(dx, cap), length / max_steps)
     return max(2, int(math.ceil(length / h)))
@@ -384,77 +372,66 @@ def _check_end_state(mismatch: float, tol: float) -> None:
             f"{10.0 * tol:.3e}; reduce dx or raise max_steps_per_edge")
 
 
-def reconstruct_profile(solution: GroundStateSolution, dx: float,
+def reconstruct_profile(solution: GroundStateSolution, dx: float = 1e-2,
                         tol: float = PROFILE_TOL,
                         max_steps_per_edge: int = 500_000) -> dict:
     """Sample u on every edge by integrating the orbit ODE.
 
     Stem: from the Dirichlet end (w, w') = (1, q_tilde).  Loops: from the
     midpoint turning point (p0_j, 0) toward the vertex, mirrored to the
-    full loop, so evenness about the midpoint is exact.  End-state
-    mismatches go into solution.residuals; a mismatch beyond 10*tol raises
-    StepTooLarge (the fixed step dx was too coarse for these lengths).
+    full loop, so evenness about the midpoint is exact.  Each edge's fixed
+    step, at most dx, is set by that edge's own length.  End-state mismatches
+    go into solution.residuals; one beyond 10*tol raises StepTooLarge.
     """
-    p = solution.p
-    spec = solution.spec
-    profiles: dict = {}
-    slopes: dict = {}
-
+    p, spec = solution.p, solution.spec
     qs = q_tilde(PhasePoint(p, solution.q_stem))
     n = _edge_steps(spec.stem, dx, tol, max_steps_per_edge)
-    w, v = _rk4_path(1.0, qs, spec.stem, n)
+    w, flux = _rk4_path(1.0, qs, spec.stem, n)
     cont = abs(w[-1] - p)
-    mismatch = max(cont, abs(v[-1] - solution.q_stem))
-    # the loops cannot lower the mismatch, so a bad stem fails before any
-    # further profile array is built
+    mismatch = max(cont, abs(flux - solution.q_stem))
+    # the loops cannot lower the mismatch: a bad stem fails before they run
     _check_end_state(mismatch, tol)
-    profiles["stem"] = (np.linspace(0.0, spec.stem, n + 1), 1.0 - w)
-    slopes["stem"] = -v
-    flux = v[-1]
+    profiles = {"stem": (np.linspace(0.0, spec.stem, n + 1), 1.0 - w)}
 
     for j, (q, half) in enumerate(zip(solution.q_loops, spec.loop_halves), start=1):
         p0 = turning_point_pair(PhasePoint(p, q))[0]
         nh = _edge_steps(half, dx, tol, max_steps_per_edge)
-        wh, vh = _rk4_path(p0, 0.0, half, nh)
+        wh, vh_end = _rk4_path(p0, 0.0, half, nh)
         xf = np.linspace(0.0, 2.0 * half, 2 * nh + 1)
         # first half runs from the vertex down to the turning point
         profiles[f"loop{j}"] = (xf, 1.0 - np.concatenate((wh[::-1], wh[1:])))
-        slopes[f"loop{j}"] = np.concatenate((vh[::-1], -vh[1:]))
         cont = max(cont, abs(wh[-1] - p))
-        mismatch = max(mismatch, abs(wh[-1] - p), abs(vh[-1] + q))
-        flux += 2.0 * vh[-1]
+        mismatch = max(mismatch, abs(wh[-1] - p), abs(vh_end + q))
+        flux += 2.0 * vh_end
 
     _check_end_state(mismatch, tol)
 
     solution.profiles = profiles
-    solution.slopes = slopes
-    solution.residuals["continuity"] = cont
-    solution.residuals["kirchhoff_flux"] = abs(flux)
-    solution.residuals["dirichlet"] = abs(profiles["stem"][1][0])
+    solution.residuals.update(continuity=cont, kirchhoff_flux=abs(flux),
+                              dirichlet=abs(profiles["stem"][1][0]))
     return profiles
 
 
 def proximity_check(solution: GroundStateSolution) -> float:
-    """max |u - 1| over the loop subgraph (the stem pendant is excluded)."""
-    spec = solution.spec
-    if spec.n_loops == 0:
+    """max |u - 1| over the loop subgraph (the stem pendant is excluded).
+
+    That is p: each loop half runs monotonically in w = 1 - u from its
+    turning point p0_j up to the vertex value p.
+    """
+    if solution.spec.n_loops == 0:
         raise InvalidDomain("proximity is defined over loops; none present")
-    if solution.profiles is None:
-        reconstruct_profile(solution, dx=_default_dx(spec))
-    worst = 0.0
-    for j in range(1, spec.n_loops + 1):
-        _, u = solution.profiles[f"loop{j}"]
-        worst = max(worst, float(np.max(np.abs(u - 1.0))))
-    return worst
+    return solution.p
 
 
 def energy_of(solution: GroundStateSolution) -> float:
-    """Free energy H(u) by composite trapezoid over the sampled profiles."""
-    if solution.profiles is None or solution.slopes is None:
-        reconstruct_profile(solution, dx=_default_dx(solution.spec))
-    total = 0.0
-    for edge_id, (x, u) in solution.profiles.items():
-        du = solution.slopes[edge_id]
-        integrand = 0.5 * (du * du - u * u) + u ** 3 / 3.0
-        total += float(np.trapezoid(integrand, x))
+    """Free energy H(u) = int (u'^2 - u^2)/2 + u^3/3 dx, from the orbit invariant.
+
+    On an edge with v^2 = E + A(w) the density equals v^2 - (E + 1/3)/2, so
+    the edge adds its action int v^2 dx less (E + 1/3)/2 times its length.
+    No profile sample is read, so H does not depend on the profile grid.
+    """
+    p, spec, q = solution.p, solution.spec, solution.q_stem
+    total = action_T(PhasePoint(p, q)) - 0.5 * energy_above_center(p, q) * spec.stem
+    for qj, half in zip(solution.q_loops, spec.loop_halves):
+        total += 2.0 * action_T0(PhasePoint(p, qj)) - energy_above_center(p, qj) * half
     return total

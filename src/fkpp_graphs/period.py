@@ -36,7 +36,9 @@ Gradients use the renormalized closed forms
 with I1 and I2 the kernel's integrals over the T and T0 ranges with weight
 w(u) = (1-u^2)/(3 u^2).  These follow from differentiating under the
 integral sign and integrating the boundary-singular parts exactly; they stay
-finite and numerically benign up to the homoclinic.
+finite and numerically benign up to the homoclinic.  The same kernel gives
+the actions int v^2 dx = int sqrt(c + A(u) - A(lo)) du over both ranges,
+which make up the ground state's free energy.
 
 Useful sanity identities, exercised by the test suite:
 
@@ -69,6 +71,8 @@ __all__ = [
     "grad_T0",
     "interval_period_slope",
     "arclength_from_turning",
+    "action_T",
+    "action_T0",
     "asymptotic_T",
     "center_limits",
 ]
@@ -108,18 +112,23 @@ def _quad(f, tol: float) -> tuple[float, float]:
 
 
 def _arc(lo: float, blo: float, d: float, c: float, tol: float,
-         weighted: bool = False) -> tuple[float, float]:
+         kind: str = "length") -> tuple[float, float]:
     """int_lo^{lo+d} w(u) du / sqrt(c + A(u) - A(lo)) and its error; blo = 1 - lo.
 
-    w = 1, or (1 - u^2) / (3 u^2) if ``weighted``.  g is taken in (u, lo)
-    when lo <= 1/2, else in (1 - u, 1 - lo); side and integrand are chosen
-    once per call, never per node.
+    ``kind`` "length" takes w = 1 and "weighted" w = (1 - u^2) / (3 u^2);
+    "action" is int_lo^{lo+d} sqrt(c + A(u) - A(lo)) du instead.  g is taken
+    in (u, lo) when lo <= 1/2, else in (1 - u, 1 - lo); side and integrand
+    are chosen once per call, never per node.
     """
     if d <= 0.0:
         return 0.0, 0.0
     x0, dx = (lo, d) if lo <= 0.5 else (blo, -d)
-    k = 2.0 * math.sqrt(d) if c == 0.0 else 2.0 * d
-    if c == 0.0 and not weighted:
+    k = 2.0 * math.sqrt(d) if c == 0.0 and kind != "action" else 2.0 * d
+    if kind == "action":
+        def f(s):
+            s2 = s * s
+            return k * s * math.sqrt(c + d * s2 * well_chord(x0 + dx * s2, x0))
+    elif c == 0.0 and kind == "length":
         def f(s):
             return k / math.sqrt(well_chord(x0 + dx * s * s, x0))
     elif c == 0.0:
@@ -128,7 +137,7 @@ def _arc(lo: float, blo: float, d: float, c: float, tol: float,
             u = lo + d * s2
             return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
                 * k / math.sqrt(well_chord(x0 + dx * s2, x0))
-    elif not weighted:
+    elif kind == "length":
         def f(s):
             s2 = s * s
             return k * s / math.sqrt(c + d * s2 * well_chord(x0 + dx * s2, x0))
@@ -187,6 +196,21 @@ def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:
     return _arc(p0, 1.0 - p0, p - p0, 0.0, tol)[0]
 
 
+def action_T(pt: PhasePoint) -> float:
+    """int v^2 dx over period_T's arc.
+
+    Absolute tolerance 0: next to the center the action is O((1-p)^2), and
+    only QUADPACK's relative tolerance scales with it.
+    """
+    bp = 1.0 - pt.p
+    return _arc(pt.p, bp, bp, pt.q * pt.q, 0.0, "action")[0]
+
+
+def action_T0(pt: PhasePoint) -> float:
+    """int v^2 dx over period_T0's arc, with absolute tolerance 0 as in action_T."""
+    return _arc(*_loop_span(pt), 0.0, 0.0, "action")[0]
+
+
 def _require_interior(pt: PhasePoint) -> None:
     if pt.q == 0.0:
         raise InvalidDomain("gradients need q < 0 strictly")
@@ -197,7 +221,7 @@ def _require_interior(pt: PhasePoint) -> None:
 def _gradient(p: float, q: float, tol: float) -> PeriodGradient:
     """Renormalized gradient of T for 0 < p < 1, q <= 0; smooth at q = 0 too."""
     bp = 1.0 - p
-    i1, _ = _arc(p, bp, bp, q * q, tol, weighted=True)
+    i1, _ = _arc(p, bp, bp, q * q, tol, "weighted")
     qt2 = energy_above_center(p, q)
     dp = (-p * bp * i1 + q) / qt2
     dq = (q * i1 + bp * (1.0 + 2.0 * p) / (3.0 * p)) / qt2
@@ -224,7 +248,7 @@ def grad_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     """Analytic gradient of period_T0; requires q < 0 and a closed orbit."""
     _require_interior(pt)
     p, q = pt.p, pt.q
-    i2, _ = _arc(*_loop_span(pt), 0.0, tol, weighted=True)
+    i2, _ = _arc(*_loop_span(pt), 0.0, tol, "weighted")
     qt2 = energy_above_center(p, q)
     bp = 1.0 - p
     dp = (-p * bp * i2 - q) / qt2

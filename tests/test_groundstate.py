@@ -110,7 +110,8 @@ def test_interval_profile_contracts():
     sol = solve_interval(2.0)
     x, u = sol.profiles["stem"]
     assert u[0] == 0.0
-    assert abs(sol.slopes["stem"][-1]) <= 1e-8
+    # for the interval this is |u'| at the Neumann end
+    assert sol.residuals["kirchhoff_flux"] <= 1e-8
     assert np.max(u) < 1.0
     assert np.min(u) >= 0.0
     assert np.all(np.diff(u) > 0.0)  # monotone up to the Neumann end
@@ -278,16 +279,78 @@ def test_proximity_near_boundary_is_large():
 
 
 def test_energy_negative_and_converges_under_refinement():
+    # H comes from the orbit invariant, not from the samples: no grid moves it
     sol = solve_flower(TADPOLE)
-    assert energy_of(sol) < 0.0
     vals = []
-    # steps dividing both edge lengths, so every edge gets h = dx exactly
     for dx in (0.005, 0.0025, 0.00125):
         reconstruct_profile(sol, dx=dx)
         vals.append(energy_of(sol))
-    d1, d2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
-    assert d1 <= 1e-12  # already tiny at the coarse step
-    assert d1 / d2 >= 3.4  # at least second order step to step
+    assert vals[0] < 0.0
+    assert vals[0] == vals[1] == vals[2]
+    assert abs(vals[0] - _reference_energy(sol)) <= 1e-13
+
+
+def _reference_energy(sol) -> float:
+    return ref.free_energy(sol.p, sol.q_stem, sol.q_loops, sol.spec.stem,
+                           sol.spec.loop_halves)
+
+
+def _random_flowers(n: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    flowers = []
+    for _ in range(n):
+        halves = tuple(rng.uniform(0.2, 1.4, size=rng.integers(1, 5)).tolist())
+        flowers.append(FlowerSpec(lower_boundary(halves) + rng.uniform(0.05, 3.0),
+                                  halves))
+    return flowers
+
+
+EIGHTY_LOOPS = FlowerSpec(12.0, tuple(np.linspace(0.1, 1.2, 80)))
+
+
+@pytest.mark.parametrize("spec", [
+    FlowerSpec(2.0), TADPOLE, TWO_LOOP, EIGHTY_LOOPS, FlowerSpec(16.0, (16.0,)),
+    *_random_flowers(20, seed=11),
+], ids=["interval-2", "tadpole", "two-loop", "12-80loops", "16-16",
+        *(f"random-{i}" for i in range(20))])
+def test_energy_matches_reference(spec):
+    sol = solve_flower(spec)
+    h_ref = _reference_energy(sol)
+    assert abs(energy_of(sol) - h_ref) <= 1e-13 * max(1.0, abs(h_ref))
+
+
+@pytest.mark.parametrize("halves", [(), TADPOLE.loop_halves, TWO_LOOP.loop_halves],
+                         ids=["interval", "tadpole", "two-loop"])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_energy_next_to_the_threshold(halves, k):
+    # H is a difference of two O((1 - p)^2) terms here; its sign must survive
+    sol = solve_flower(FlowerSpec(lower_boundary(halves) + 10.0 ** -k, halves))
+    h = energy_of(sol)
+    h_ref = _reference_energy(sol)
+    assert h < 0.0
+    assert abs(h - h_ref) <= 1e-6 * abs(h_ref)
+
+
+def test_each_edge_profile_takes_its_own_step():
+    sol = solve_flower(EIGHTY_LOOPS)
+    for j, half in enumerate(EIGHTY_LOOPS.loop_halves, start=1):
+        n = groundstate._edge_steps(half, 1e-2, groundstate.PROFILE_TOL, 500_000)
+        x, u = sol.profiles[f"loop{j}"]
+        assert len(x) == len(u) == 2 * n + 1
+
+
+def test_reported_stem_slope_is_the_one_newton_solved(monkeypatch):
+    slopes = []
+    grad = groundstate.grad_T
+
+    def recorded(pt, tol):
+        slopes.append(pt.q)
+        return grad(pt, tol)
+
+    monkeypatch.setattr(groundstate, "grad_T", recorded)
+    sol = solve_flower(EIGHTY_LOOPS)
+    assert sol.q_stem == 2.0 * float(np.sum(sol.q_loops))
+    assert sol.q_stem == slopes[-1]    # the Jacobian at the accepted iterate
 
 
 @pytest.mark.parametrize("spec", [TADPOLE, TWO_LOOP], ids=["tadpole", "two-loop"])

@@ -17,6 +17,8 @@ import arclength_reference as ref
 from fkpp_graphs.errors import FisherKppError, InvalidDomain, OrbitNotClosed
 from fkpp_graphs.period import (
     HOMOCLINIC_OFFSET,
+    action_T,
+    action_T0,
     arclength_from_turning,
     asymptotic_T,
     center_limits,
@@ -343,3 +345,25 @@ def test_deep_region_values_are_finite_or_typed(p):
         except FisherKppError:
             continue
         assert all(math.isfinite(v) for v in values)
+
+
+# ------------------------------------------------------------------ actions
+# int v^2 dx, the free energy's quadratures: O((1-p)^2) next to the center
+# and O(p^2) on deep loops, so only a relative tolerance resolves them.
+
+@pytest.mark.parametrize("p,q", [(0.5, 0.0), (0.3, -0.1), (0.9, -1.0),
+                                 (1e-30, -1e-30), (1e-300, 0.0),
+                                 (1.0 - 1e-7, -2e-7), (1.0 - 1e-12, -2e-12)])
+def test_stem_action_matches_reference(p, q):
+    assert math.isclose(action_T(PhasePoint(p, q)), ref.action(p, 1.0, q),
+                        rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("pt", [
+    PhasePoint(0.3, -0.1), PhasePoint(0.9, -0.05), PhasePoint(1.0 - 1e-7, -0.5),
+    PhasePoint(1.0 - 1e-12, -2e-12), _loop_point(0.2), _loop_point(1e-30),
+    _loop_point(1e-100),
+], ids=str)
+def test_loop_action_matches_reference(pt):
+    want = ref.action(ref.turning_point(pt.p, pt.q), pt.p)
+    assert math.isclose(action_T0(pt), want, rel_tol=1e-14)
