@@ -56,7 +56,6 @@ from .graph import (
     flower_shape,
     graph_from_json,
     parse_number,
-    validate,
 )
 
 if TYPE_CHECKING:
@@ -99,7 +98,7 @@ def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
     except OSError as exc:
         raise InvalidDomain(f"cannot read graph file {path}: {exc}") from exc
     graph = graph_from_json(text)
-    report = validate(graph)
+    report = graph.validation
     logger.info("loaded graph with %d edges, total length %.6g",
                 len(graph.edges), graph.total_length())
     return flower_shape(graph, report), graph

@@ -138,8 +138,11 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
                      tol: float = 1e-9) -> EvolutionTrace:
     """Integrate until the discrete time derivative stalls below tol.
 
-    Convergence means ||u+ - u||_inf / dt <= tol; the terminal state is
-    classified trivial when its sup norm is below 10 tol.  The step size
+    Convergence means ||u+ - u||_inf / dt <= tol.  The terminal state is
+    trivial when its sup norm is below 10 tol; above that it is nontrivial
+    only once it is also stationary relative to its size, rate <= sqrt(tol)
+    sup, since a trivial state decaying at rate lambda0 - 1 < 0.1 meets the
+    first test while its sup norm is still above 10 tol.  The step size
     only shrinks: it is halved whenever a trial step breaks positivity,
     the logistic comparison bound, or energy monotonicity, and the step
     is retried from the same state.
@@ -204,12 +207,15 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
         mins.append(min(lo, 0.0))
         supers.append(c)
         dts.append(dt)
-        if diff / dt <= tol:
+        rate = diff / dt
+        if rate <= tol:
             if sup <= 10.0 * tol:
                 terminal = Terminal.CONVERGED_TRIVIAL
-            else:
+                break
+            # a slow decay stalls below tol too, at sup ~ tol / (lambda0 - 1)
+            if rate <= math.sqrt(tol) * sup:
                 terminal = Terminal.CONVERGED_NONTRIVIAL
-            break
+                break
 
     field.values[free] = u
     return EvolutionTrace(

@@ -15,6 +15,7 @@ halves them on ingestion.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,6 +65,11 @@ class MetricGraph:
 
     edges: tuple[Edge, ...]
     conditions: dict[str, str] = field(default_factory=dict)
+
+    @functools.cached_property
+    def validation(self) -> ValidationReport:
+        """validate(self), run once per graph: the loader and the mesh share it."""
+        return validate(self)
 
     @property
     def vertices(self) -> list[str]:
@@ -219,7 +225,7 @@ def as_flower(graph: MetricGraph) -> FlowerSpec | None:
     vertex, and all remaining edges to be self-loops at that neighbor.
     """
     try:
-        report = validate(graph)
+        report = graph.validation
     except FisherKppError:
         return None
     return flower_shape(graph, report)

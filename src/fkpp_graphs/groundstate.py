@@ -76,6 +76,14 @@ THRESHOLD_LENGTH = math.pi / 2.0
 MAX_NEWTON_ITER = 60
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
 JACOBIAN_QUAD_TOL = 1e-10
+# K in the RK4 end error K h^4 e^L of an edge of length L, which sets the
+# profile step.  Measured as |end(h) - end(h/2)| 16/15 / (h^4 e^L) at the step
+# this K gives, on every edge of the first 150 perfbench sweep flowers of
+# seeds 1 and 2, the tadpole and two-loop anchors, intervals 1.6, 2, 5 and
+# 10, (16, (16,)) and the 80-loop stem-12 flower: about 2.2e-4 on stems
+# longer than 5, up to 4.8e-3 on stems of 0.4, where the step dx binds
+# instead.  The largest, rounded up:
+RK4_END_ERROR_K = 5e-3
 
 
 def _stem_slope(q_loops) -> float:
@@ -147,17 +155,33 @@ def _floors(J: np.ndarray, z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return 8.0 * EPS * (np.abs(targets) + np.abs(J) @ np.abs(z))
 
 
-def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12) -> float:
+def _turning_arclength(p: float, quad_tol: float):
+    """y -> T0 from the turning point e^y up to p, memoized.
+
+    brentq re-evaluates its bracket ends, and every loop of one seed inverts
+    this same map, so one cache serves all of a seed's presolves.
+    """
+    @functools.cache
+    def t0(y):
+        return arclength_from_turning(p, math.exp(y), quad_tol)
+    return t0
+
+
+def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12,
+                     t0=None) -> float:
     """q < 0 with T0(p, q) = half, via log-space bisection on the turning point.
 
     T0 is strictly decreasing in p0 at fixed p (from 'infinity' on the
     homoclinic side to 0 at p0 = p), so the bracket is trivial and the
     conditioning is uniform even when the final q is pinned against
-    -sqrt(A(p)) to the last ulp.
+    -sqrt(A(p)) to the last ulp.  ``t0`` is a shared _turning_arclength(p,
+    quad_tol); a fresh one is made when it is absent.
     """
-    @functools.cache    # brentq re-evaluates the bracket ends found below
+    if t0 is None:
+        t0 = _turning_arclength(p, quad_tol)
+
     def mismatch(y):
-        return arclength_from_turning(p, math.exp(y), quad_tol) - half
+        return t0(y) - half
 
     y_hi = math.log(p) - 1e-12
     if mismatch(y_hi) > 0.0:
@@ -215,8 +239,9 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
     p = 12.0 / (1.0 + 2.0 * spec.n_loops) * \
         math.exp(-(spec.stem + HOMOCLINIC_OFFSET))
     p = min(max(p, 1e-8), 0.9)
+    t0 = _turning_arclength(p, quad_tol)
     try:
-        qs = [_loop_q_presolve(p, half, quad_tol) for half in spec.loop_halves]
+        qs = [_loop_q_presolve(p, half, quad_tol, t0) for half in spec.loop_halves]
     except (OrbitNotClosed, ValueError):
         qs = None
     if qs is None or not _admissible(p, qs):
@@ -359,8 +384,9 @@ def _rk4_path(w0: float, v0: float, length: float, n: int):
 
 
 def _edge_steps(length: float, dx: float, tol: float, max_steps: int) -> int:
-    # near-saddle transits along this edge amplify local error by ~e^length
-    cap = (tol * math.exp(-length)) ** 0.25
+    # near-saddle transits along this edge amplify local error by ~e^length:
+    # the end error is RK4_END_ERROR_K h^4 e^length
+    cap = (tol * math.exp(-length) / RK4_END_ERROR_K) ** 0.25
     h = max(min(dx, cap), length / max_steps)
     return max(2, int(math.ceil(length / h)))
 

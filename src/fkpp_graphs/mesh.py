@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidDomain, LinearSolveFailure, MeshTooCoarse
-from .graph import DIRICHLET, MetricGraph, validate
+from .graph import DIRICHLET, MetricGraph
 
 __all__ = ["GraphMesh", "Field", "field_from_function", "field_from_profiles",
            "constant_field", "free_energy", "factor_spd"]
@@ -39,7 +39,7 @@ class GraphMesh:
 
     def __init__(self, graph: MetricGraph, mesh_h: float | None = None,
                  intervals: dict[str, int] | None = None):
-        validate(graph)
+        graph.validation    # raises on an invalid graph
         self.graph = graph
         if intervals is None:
             if mesh_h is None or not mesh_h > 0:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from .errors import InvalidDomain
-from .phaseplane import PhasePoint, energy_above_center, turning_point_pair, well_chord
+from .phaseplane import PhasePoint, energy_above_center, turning_point_pair
 
 __all__ = [
     "HOMOCLINIC_OFFSET",
@@ -97,15 +97,16 @@ class PeriodGradient:
 def _quad(f, tol: float) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod on [0, 1] with an honest error estimate.
 
-    QUADPACK's ier > 0, the cases in which scipy warns, makes quad with
-    full_output return a message as a fourth item; they get one retry with a
-    deeper subdivision budget, whose result is kept.  Reading ier is free; a
-    warnings filter around each call costs a third of a 21-node quad.
+    A call that used up its 200 subintervals gets one retry with a deeper
+    budget, whose result is kept.  Other QUADPACK warnings (roundoff,
+    divergence) stop short of the limit, and a retry would repeat the same
+    subdivisions to the same bits.  Reading the count is free; a warnings
+    filter around each call costs a third of a 21-node quad.
     """
     epsrel = 1.5e-14  # QUADPACK floor is ~50 eps
     out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=epsrel,
                          limit=200, full_output=1)
-    if len(out) > 3:
+    if out[2]["last"] == 200:
         out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=epsrel,
                              limit=1000, full_output=1)
     return out[0], out[1]
@@ -119,34 +120,46 @@ def _arc(lo: float, blo: float, d: float, c: float, tol: float,
     "action" is int_lo^{lo+d} sqrt(c + A(u) - A(lo)) du instead.  g is taken
     in (u, lo) when lo <= 1/2, else in (1 - u, 1 - lo); side and integrand
     are chosen once per call, never per node.
+
+    On that side g(x0 + dx t, x0) = g0 + t (g1 + g2 t) in t = s^2, with
+    x0 <= 1/2, g0 = 2 x0 (1 - x0), g1 = dx (1 - 2 x0) and g2 = -(2/3) dx^2,
+    so each node costs one quadratic.  No term cancels: where dx > 0 (the
+    node runs from x0 up to at most 1), dx t <= 1 - x0 bounds the negative
+    term by 2/3 of g0 + g1 t; where dx < 0 (down to at most 0), |dx t| <= x0
+    bounds the two negative terms by 1/2 of g0.  g keeps at least a third of
+    its positive part, so rounding grows by at most 3x: under two bits.
     """
     if d <= 0.0:
         return 0.0, 0.0
     x0, dx = (lo, d) if lo <= 0.5 else (blo, -d)
+    g0 = 2.0 * x0 * (1.0 - x0)
+    g1 = dx * (1.0 - 2.0 * x0)
+    g2 = -(2.0 / 3.0) * dx * dx
     k = 2.0 * math.sqrt(d) if c == 0.0 and kind != "action" else 2.0 * d
     if kind == "action":
         def f(s):
             s2 = s * s
-            return k * s * math.sqrt(c + d * s2 * well_chord(x0 + dx * s2, x0))
+            return k * s * math.sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
     elif c == 0.0 and kind == "length":
         def f(s):
-            return k / math.sqrt(well_chord(x0 + dx * s * s, x0))
+            s2 = s * s
+            return k / math.sqrt(g0 + s2 * (g1 + g2 * s2))
     elif c == 0.0:
         def f(s):
             s2 = s * s
             u = lo + d * s2
             return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
-                * k / math.sqrt(well_chord(x0 + dx * s2, x0))
+                * k / math.sqrt(g0 + s2 * (g1 + g2 * s2))
     elif kind == "length":
         def f(s):
             s2 = s * s
-            return k * s / math.sqrt(c + d * s2 * well_chord(x0 + dx * s2, x0))
+            return k * s / math.sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
     else:
         def f(s):
             s2 = s * s
             u = lo + d * s2
             return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
-                * k * s / math.sqrt(c + d * s2 * well_chord(x0 + dx * s2, x0))
+                * k * s / math.sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
     return _quad(f, tol)
 
 

@@ -256,13 +256,16 @@ def test_groundstate_solves_the_secular_equation_once(monkeypatch, tmp_path, flo
     assert read_json(out)["lambda0"] < 1.0
 
 
-def test_spectrum_graph_validates_at_load_and_mesh_only(monkeypatch, tmp_path):
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+def test_graph_op_validates_once(monkeypatch, tmp_path, command):
+    # the loader and the mesh share the graph's one validation
     g = tmp_path / "theta.json"
     g.write_text(THETA_JSON)
     calls = count_calls(monkeypatch, graph, "validate")
-    assert main(["spectrum", "--graph", str(g), "--mesh", "0.05",
+    extra = ["--initial", "const:0.5", "--max-t", "1"] if command == "evolve" else []
+    assert main([command, "--graph", str(g), "--mesh", "0.05", *extra,
                  "--out", str(tmp_path / "s.json")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_groundstate_below_threshold_exit(tmp_path):

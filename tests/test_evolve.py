@@ -34,6 +34,7 @@ from fkpp_graphs.mesh import (
     field_from_profiles,
     free_energy,
 )
+from fkpp_graphs.spectral import lambda0_flower
 
 TADPOLE_GRAPH = flower_graph(FlowerSpec(stem=0.8, loop_halves=(0.75,)))
 
@@ -162,6 +163,17 @@ def test_attractor_is_independent_of_initial_data():
     assert b.terminal is Terminal.CONVERGED_NONTRIVIAL
     gap = float(np.max(np.abs(a.final.values - b.final.values)))
     assert gap <= 2e-9
+
+
+@pytest.mark.parametrize("stem", [1.50, 1.52, 1.54])
+def test_slow_decay_ends_on_the_spectral_side(stem):
+    # lambda0 in (1, 1.1): the decay stalls below tol while sup u > 10 tol
+    spec = FlowerSpec(stem)
+    assert lambda0_flower(spec).lambda0 >= 1.0    # spectrum's region: Trivial
+    mesh = GraphMesh(flower_graph(spec), mesh_h=0.05)
+    trace = run_to_attractor(constant_field(mesh, 0.5))
+    assert trace.terminal == Terminal.CONVERGED_TRIVIAL
+    assert trace.sup_norm[-1] <= 10.0 * 1e-9
 
 
 def test_time_budget_exhaustion():

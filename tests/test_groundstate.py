@@ -1,6 +1,9 @@
 """Ground-state solver: anchors, uniqueness, Jacobian, profiles, energy."""
 
+import importlib.util
+import itertools
 import math
+import pathlib
 import time
 import warnings
 
@@ -478,9 +481,80 @@ def test_interval_evaluates_no_residual_twice(monkeypatch):
 
 
 def test_quadrature_retries_need_no_warnings_filter(monkeypatch):
+    # two of these quads end with QUADPACK's ier = 5 after 13 of their 200
+    # subintervals; a retry would repeat them, so none is made
     calls = _record_quads(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NewtonStalled):
             solve_flower(FlowerSpec(20.0, (20.0,)))
-    assert sum(limit == 1000 for _, limit in calls) == 2
+    assert sum(limit == 1000 for _, limit in calls) == 0
+
+
+def test_loop_presolves_of_one_seed_evaluate_no_turning_point_twice(monkeypatch):
+    p0s = []
+    arclength = groundstate.arclength_from_turning
+
+    def counted(p, p0, tol):
+        p0s.append(p0)
+        return arclength(p, p0, tol)
+
+    monkeypatch.setattr(groundstate, "arclength_from_turning", counted)
+    # equal loops invert the same map to the same root: all but the first
+    # presolve run from the shared cache
+    spec = FlowerSpec(8.0, (0.5, 0.9, 0.5, 1.1, 0.9))
+    z = groundstate._asymptotic_seed(spec, 1e-12)
+    assert z[1] == z[3] and z[2] == z[5]
+    assert len(p0s) > 3
+    assert len(set(p0s)) == len(p0s)
+
+
+# ------------------------------------------------ the profile's step law
+
+def _sweep_flowers(seed: int, n: int) -> list:
+    """The first n flowers of perfbench's flower_exact sweep for seed."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [FlowerSpec(stem, halves) for stem, halves
+            in itertools.islice(workloads.flower_cases(seed), n)]
+
+
+def test_step_law_keeps_every_measured_flower_inside_the_profile_tol(monkeypatch):
+    # the set RK4_END_ERROR_K was measured on
+    cases = [*_sweep_flowers(1, 150), *_sweep_flowers(2, 150), TADPOLE, TWO_LOOP,
+             *(FlowerSpec(L) for L in (1.6, 2.0, 5.0, 10.0)),
+             FlowerSpec(16.0, (16.0,)), EIGHTY_LOOPS]
+    mismatches = []
+    check = groundstate._check_end_state
+
+    def recorded(mismatch, tol):
+        mismatches.append(mismatch)
+        check(mismatch, tol)
+
+    monkeypatch.setattr(groundstate, "_check_end_state", recorded)
+    for spec in cases:
+        solve_flower(spec)
+    assert len(mismatches) == 2 * len(cases)
+    assert max(mismatches) <= groundstate.PROFILE_TOL
+
+
+@pytest.mark.parametrize("spec", [FlowerSpec(20.0), FlowerSpec(19.0, (0.8, 0.5))],
+                         ids=["interval-20", "19-two-loop"])
+def test_long_stems_return_and_meet_the_reference(spec):
+    sol = solve_flower(spec)
+    allowed = max(1e-10, 2.0 * sol.convergence_floor)
+    assert abs(ref.stem_length(sol.p, sol.q_stem) - spec.stem) <= allowed
+    for q, half in zip(sol.q_loops, spec.loop_halves):
+        assert abs(ref.loop_half_length(sol.p, q) - half) <= allowed
+    assert sol.residuals["continuity"] <= 10.0 * groundstate.PROFILE_TOL
+    assert sol.residuals["kirchhoff_flux"] <= 10.0 * groundstate.PROFILE_TOL
+
+
+@pytest.mark.parametrize("spec", [
+    FlowerSpec(22.0), FlowerSpec(30.0), FlowerSpec(40.0), FlowerSpec(30.0, (5.0,)),
+], ids=["interval-22", "interval-30", "interval-40", "30-5"])
+def test_longer_stems_still_fail_their_end_check(spec):
+    with pytest.raises(StepTooLarge):
+        solve_flower(spec)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import arclength_reference as ref
+from fkpp_graphs import period
 from fkpp_graphs.errors import FisherKppError, InvalidDomain, OrbitNotClosed
 from fkpp_graphs.period import (
     HOMOCLINIC_OFFSET,
@@ -367,3 +368,22 @@ def test_stem_action_matches_reference(p, q):
 def test_loop_action_matches_reference(pt):
     want = ref.action(ref.turning_point(pt.p, pt.q), pt.p)
     assert math.isclose(action_T0(pt), want, rel_tol=1e-14)
+
+
+def test_quad_retries_only_a_call_that_used_up_its_subintervals(monkeypatch):
+    limits = []
+    quad = period.integrate.quad
+
+    def recorded(f, *args, **kwargs):
+        out = quad(f, *args, **kwargs)
+        limits.append((kwargs["limit"], out[2]["last"]))
+        return out
+
+    monkeypatch.setattr(period.integrate, "quad", recorded)
+    # about 480 periods on [0, 1]: 200 subintervals cannot resolve them
+    value, err = period._quad(lambda s: math.cos(3000.0 * s), 1e-12)
+    assert limits[0] == (200, 200)
+    assert [lim for lim, _ in limits] == [200, 1000]
+    assert limits[1][1] < 1000
+    assert abs(value - math.sin(3000.0) / 3000.0) <= 1e-14
+    assert err <= 1e-12
