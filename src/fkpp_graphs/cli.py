@@ -1,8 +1,8 @@
 """Command line front end: spectrum, groundstate, evolve, region, validate.
 
 Exit codes: 0 success; 2 bad input: arguments, files, JSON, domains,
-graphs that fail validation (disconnected, no Dirichlet pendant, a
-nonpositive length) and meshes too coarse for an edge; 3 below threshold /
+graphs that fail validation (disconnected, no Dirichlet pendant, a length
+outside (0, inf)) and meshes too coarse for an edge; 3 below threshold /
 outside the existence region; 4 groundstate on a graph that is not
 flower-representable; 1 any other failure, including a solve that stalls
 and failed validation suites.  Errors print one `error:` line on stderr.
@@ -242,7 +242,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    from .groundstate import energy_of, jacobian_report, solve_flower
+    from .groundstate import energy_of, solve_flower
 
     spec, graph = _load_graph(args)
     if spec is None:
@@ -264,10 +264,9 @@ def cmd_groundstate(args) -> int:
         "convergence_floor": sol.convergence_floor,
     }
     if spec.n_loops:
-        rep = jacobian_report(sol.p, list(sol.q_loops))
-        det = rep.determinant    # null, not +-Infinity, when it overflows
+        det = sol.jacobian.determinant    # null, not +-Infinity, when it overflows
         out["jacobian_determinant"] = det if math.isfinite(det) else None
-        out["jacobian_sign_ok"] = bool(rep.sign_ok)
+        out["jacobian_sign_ok"] = bool(sol.jacobian.sign_ok)
     if args.profile:
         _write_profile(args.profile, _graph_profiles(graph, sol.profiles))
         logger.info("profile written to %s", args.profile)
@@ -534,6 +533,21 @@ def cmd_validate(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an int >= 1 (a ValueError reads as invalid)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors start with one `error:` line, as every other error does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _add_graph_source(sub, required=True):
     group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--flower", nargs="+", metavar="KEY=VAL",
@@ -551,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     through stored function references, so rebinding a cmd_* function
     (as a test or tracer may) takes effect on the next call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fkpp",
         description="Ground states and dynamics of u_t = u'' + u(1-u) "
                     "on metric graphs.")
@@ -587,11 +601,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rg = subs.add_parser("region", help="existence region and its lower boundary")
     _add_graph_source(rg, required=False)
-    rg.add_argument("--curve", type=int, metavar="N",
+    rg.add_argument("--curve", type=_positive_int, metavar="N",
                     help="sample the symmetric N-loop boundary curve")
     rg.add_argument("--grid", action="store_true",
                     help="sample the two-loop boundary surface")
-    rg.add_argument("--samples", type=int, default=50, help="points per axis")
+    rg.add_argument("--samples", type=_positive_int, default=50,
+                    help="points per axis")
     rg.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; ignored (runs serially)")
     rg.add_argument("--out", metavar="FILE", help="write the CSV/JSON here")
@@ -600,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--suite", required=True, choices=sorted(_SUITES),
                     help="which suite to run")
     va.add_argument("--seed", type=int, default=0, help="RNG seed")
-    va.add_argument("--samples", type=int, default=None,
+    va.add_argument("--samples", type=_positive_int, default=None,
                     help="override the per-check sample count")
     va.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; ignored (runs serially)")

@@ -104,7 +104,9 @@ def stable_dt(sup_u0: float, dt: float) -> float:
 
 
 def _factor(mesh, dt: float):
-    """Factor M + dt A on the free nodes; returns (lu, A_ff, m_f)."""
+    """Factor M + dt A on the free nodes, for every step size; returns (lu, A_ff, m_f)."""
+    if not 0.0 < dt < math.inf:    # NaN fails both comparisons
+        raise InvalidDomain(f"time step must be positive and finite, got {dt}")
     a, m = mesh.reduced_operators()
     return factor_spd(sp.diags(m) + dt * a, "implicit step"), a, m
 
@@ -123,11 +125,8 @@ def _reduced_energy(a, m, u_free) -> float:
 
 def step(field: Field, dt: float) -> Field:
     """One semi-implicit step; standalone, factorizes the operator anew."""
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise InvalidDomain(f"time step must be positive and finite, got {dt}")
-    mesh = field.mesh
-    lu, _, m = _factor(mesh, dt)
-    free = mesh.free_nodes
+    lu, _, m = _factor(field.mesh, dt)
+    free = field.mesh.free_nodes
     out = field.copy()
     out.values[free] = _advance(lu, m, field.values[free], dt)
     out.pin_dirichlet()

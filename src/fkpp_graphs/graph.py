@@ -102,7 +102,13 @@ class ValidationReport:
     connected: bool
     dirichlet_vertices: tuple[str, ...]
     degrees: dict[str, int]
-    messages: tuple[str, ...] = ()
+
+
+def _check_length(length: float, what: str, *args) -> None:
+    """NonpositiveLength unless 0 < length < inf; ``what % args`` formats on failure."""
+    if not 0.0 < length < math.inf:    # NaN fails both comparisons
+        raise NonpositiveLength(f"{what % args} has length {length!r}; lengths "
+                                "must be positive and finite")
 
 
 def validate(graph: MetricGraph) -> ValidationReport:
@@ -117,10 +123,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
     if not graph.edges:
         raise DisconnectedGraph("graph has no edges")
     for e in graph.edges:
-        if not 0.0 < e.length < math.inf:    # NaN fails both comparisons
-            raise NonpositiveLength(
-                f"edge {e.id!r} has length {e.length!r}; lengths must be "
-                "positive and finite")
+        _check_length(e.length, "edge %r", e.id)
     ids: set[str] = set()
     for e in graph.edges:
         if e.id in ids:
@@ -175,11 +178,9 @@ class FlowerSpec:
     loop_halves: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (self.stem > 0.0):
-            raise NonpositiveLength(f"stem length must be positive, got {self.stem}")
-        for h in self.loop_halves:
-            if not (h > 0.0):
-                raise NonpositiveLength(f"loop half-length must be positive, got {h}")
+        _check_length(self.stem, "the stem")
+        for j, h in enumerate(self.loop_halves, start=1):
+            _check_length(h, "the half of loop %d", j)
         object.__setattr__(self, "loop_halves", tuple(float(h) for h in self.loop_halves))
 
     @property
@@ -277,8 +278,15 @@ def graph_from_dict(data: dict) -> MetricGraph:
         return flower_graph(flower_from_totals(fl["stem"], loops))
     if "edges" not in data:
         raise InvalidDomain('graph JSON needs "edges" or "flower"')
+    conditions = data.get("conditions", {})
+    if not isinstance(data["edges"], list):
+        raise InvalidDomain('"edges" must be a list of edge objects')
+    if not isinstance(conditions, dict):
+        raise InvalidDomain('"conditions" must map vertices to conditions')
     edges = []
     for k, ed in enumerate(data["edges"]):
+        if not isinstance(ed, dict):
+            raise InvalidDomain(f"bad edge entry {ed!r}: not an object")
         try:
             edges.append(Edge(
                 id=str(ed.get("id", f"e{k}")),
@@ -288,9 +296,8 @@ def graph_from_dict(data: dict) -> MetricGraph:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDomain(f"bad edge entry {ed!r}: {exc}") from exc
-    conditions = {str(v): str(c).lower()
-                  for v, c in data.get("conditions", {}).items()}
-    return MetricGraph(tuple(edges), conditions)
+    return MetricGraph(tuple(edges), {str(v): str(c).lower()
+                                      for v, c in conditions.items()})
 
 
 def graph_from_json(text: str) -> MetricGraph:

@@ -75,6 +75,7 @@ EPS = float(np.finfo(float).eps)
 THRESHOLD_LENGTH = math.pi / 2.0
 MAX_NEWTON_ITER = 60
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
+MAX_STEPS_PER_EDGE = 500_000  # caps an edge's RK4 time before StepTooLarge
 JACOBIAN_QUAD_TOL = 1e-10
 # K in the RK4 end error K h^4 e^L of an edge of length L, which sets the
 # profile step.  Measured as |end(h) - end(h/2)| 16/15 / (h^4 e^L) at the step
@@ -102,6 +103,7 @@ class GroundStateSolution:
     residuals: dict
     convergence_floor: float
     lambda0: float                 # lowest Laplacian eigenvalue of spec
+    jacobian: JacobianReport       # the period-system Jacobian at the solution
     profiles: dict | None = None   # edge_id -> (x, u) sample arrays
 
     @property
@@ -151,8 +153,8 @@ def _jacobian(z: np.ndarray, quad_tol: float) -> np.ndarray:
     return J
 
 
-def _floors(J: np.ndarray, z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return 8.0 * EPS * (np.abs(targets) + np.abs(J) @ np.abs(z))
+def _floors(spec: FlowerSpec, J: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return 8.0 * EPS * (np.abs([spec.stem, *spec.loop_halves]) + np.abs(J) @ np.abs(z))
 
 
 def _turning_arclength(p: float, quad_tol: float):
@@ -206,19 +208,18 @@ def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
 
 
 def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
-    """Damped Newton; returns (z, F, floors, iterations)."""
-    targets = np.array([spec.stem, *spec.loop_halves])
+    """Damped Newton; returns (z, F, J, iterations), J the Jacobian at z."""
     z = np.asarray(z0, dtype=float).copy()
     F = _system(spec, z, quad_tol)
     for it in range(MAX_NEWTON_ITER + 1):
         J = _jacobian(z, quad_tol)
-        floors = _floors(J, z, targets)
+        floors = _floors(spec, J, z)
         if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
-            return z, F, floors, it
+            return z, F, J, it
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            return z, F, floors, it + 1
+            return z, F, J, it + 1
         scale = 1.0
         best = np.max(np.abs(F))
         while scale >= 2.0 ** -30:
@@ -230,7 +231,7 @@ def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
                     break
             scale *= 0.5
         else:
-            return z, F, floors, it + 1
+            return z, F, J, it + 1
         z, F = zt, Ft
 
 
@@ -249,9 +250,10 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
     return np.array([p, *qs])
 
 
-def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, floors: np.ndarray,
+def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
              iterations: int, tol: float, lam: float) -> GroundStateSolution:
     """The solution at z, or NewtonStalled when |F| exceeds max(tol, floors)."""
+    floors = _floors(spec, J, z)
     if not _converged(F, tol, floors):
         raise NewtonStalled(
             f"period residual {np.max(np.abs(F)):.3e} is above tol {tol} and "
@@ -269,6 +271,7 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, floors: np.ndarray,
         residuals=residuals,
         convergence_floor=float(np.max(floors)),
         lambda0=lam,
+        jacobian=JacobianReport.of(J),
     )
     reconstruct_profile(sol)
     return sol
@@ -305,9 +308,8 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
         lo *= 0.5
     p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), xtol=ROOT_XTOL,
                      rtol=4.0 * EPS, maxiter=200, full_output=True)
-    z = np.array([p])
-    J = np.array([[interval_period_slope(p, quad_tol)]])
-    return _package(spec, z, np.array([mismatch(p)]), _floors(J, z, np.array([L])),
+    return _package(spec, np.array([p]), np.array([mismatch(p)]),
+                    np.array([[interval_period_slope(p, quad_tol)]]),
                     info.iterations, tol, lambda0_flower(spec).lambda0)
 
 
@@ -343,18 +345,21 @@ class JacobianReport:
     expected_sign: int
     sign_ok: bool
 
+    @classmethod
+    def of(cls, J: np.ndarray) -> JacobianReport:
+        with np.errstate(over="ignore"):    # many loops: +-inf, with exact sign
+            det = float(np.linalg.det(J))
+        expected = -1 if len(J) % 2 else 1    # (-1)^(N+1) for N loops
+        return cls(J, det, expected, math.copysign(1.0, det) == expected)
+
 
 def jacobian_report(p: float, q_list) -> JacobianReport:
-    """Period-system Jacobian at (p, q_1..q_N) with its sign check."""
+    """Period-system Jacobian at any admissible (p, q_1..q_N), with its sign check."""
     qs = list(q_list)
     if not _admissible(p, qs):
         raise InvalidDomain(
             f"(p, q) = ({p}, {qs}) is not an admissible flower state")
-    J = _jacobian(np.array([p, *qs], dtype=float), JACOBIAN_QUAD_TOL)
-    with np.errstate(over="ignore"):    # many loops: +-inf, with exact sign
-        det = float(np.linalg.det(J))
-    expected = -1 if len(qs) % 2 == 0 else 1   # sign (-1)^(N+1)
-    return JacobianReport(J, det, expected, math.copysign(1.0, det) == expected)
+    return JacobianReport.of(_jacobian(np.array([p, *qs], float), JACOBIAN_QUAD_TOL))
 
 
 def _rk4_path(w0: float, v0: float, length: float, n: int):
@@ -383,45 +388,43 @@ def _rk4_path(w0: float, v0: float, length: float, n: int):
     return w, cv
 
 
-def _edge_steps(length: float, dx: float, tol: float, max_steps: int) -> int:
+def _edge_steps(length: float, dx: float) -> int:
     # near-saddle transits along this edge amplify local error by ~e^length:
     # the end error is RK4_END_ERROR_K h^4 e^length
-    cap = (tol * math.exp(-length) / RK4_END_ERROR_K) ** 0.25
-    h = max(min(dx, cap), length / max_steps)
+    cap = (PROFILE_TOL * math.exp(-length) / RK4_END_ERROR_K) ** 0.25
+    h = max(min(dx, cap), length / MAX_STEPS_PER_EDGE)
     return max(2, int(math.ceil(length / h)))
 
 
-def _check_end_state(mismatch: float, tol: float) -> None:
-    if mismatch > 10.0 * tol:
+def _check_end_state(mismatch: float) -> None:
+    if mismatch > 10.0 * PROFILE_TOL:
         raise StepTooLarge(
             f"profile end-state mismatch {mismatch:.3e} exceeds 10*tol = "
-            f"{10.0 * tol:.3e}; reduce dx or raise max_steps_per_edge")
+            f"{10.0 * PROFILE_TOL:.3e}")
 
 
-def reconstruct_profile(solution: GroundStateSolution, dx: float = 1e-2,
-                        tol: float = PROFILE_TOL,
-                        max_steps_per_edge: int = 500_000) -> dict:
+def reconstruct_profile(solution: GroundStateSolution, dx: float = 1e-2) -> dict:
     """Sample u on every edge by integrating the orbit ODE.
 
     Stem: from the Dirichlet end (w, w') = (1, q_tilde).  Loops: from the
     midpoint turning point (p0_j, 0) toward the vertex, mirrored to the
     full loop, so evenness about the midpoint is exact.  Each edge's fixed
     step, at most dx, is set by that edge's own length.  End-state mismatches
-    go into solution.residuals; one beyond 10*tol raises StepTooLarge.
+    go into solution.residuals; one beyond 10 PROFILE_TOL raises StepTooLarge.
     """
     p, spec = solution.p, solution.spec
     qs = q_tilde(PhasePoint(p, solution.q_stem))
-    n = _edge_steps(spec.stem, dx, tol, max_steps_per_edge)
+    n = _edge_steps(spec.stem, dx)
     w, flux = _rk4_path(1.0, qs, spec.stem, n)
     cont = abs(w[-1] - p)
     mismatch = max(cont, abs(flux - solution.q_stem))
     # the loops cannot lower the mismatch: a bad stem fails before they run
-    _check_end_state(mismatch, tol)
+    _check_end_state(mismatch)
     profiles = {"stem": (np.linspace(0.0, spec.stem, n + 1), 1.0 - w)}
 
     for j, (q, half) in enumerate(zip(solution.q_loops, spec.loop_halves), start=1):
         p0 = turning_point_pair(PhasePoint(p, q))[0]
-        nh = _edge_steps(half, dx, tol, max_steps_per_edge)
+        nh = _edge_steps(half, dx)
         wh, vh_end = _rk4_path(p0, 0.0, half, nh)
         xf = np.linspace(0.0, 2.0 * half, 2 * nh + 1)
         # first half runs from the vertex down to the turning point
@@ -430,7 +433,7 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float = 1e-2,
         mismatch = max(mismatch, abs(wh[-1] - p), abs(vh_end + q))
         flux += 2.0 * vh_end
 
-    _check_end_state(mismatch, tol)
+    _check_end_state(mismatch)
 
     solution.profiles = profiles
     solution.residuals.update(continuity=cont, kirchhoff_flux=abs(flux),

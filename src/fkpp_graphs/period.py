@@ -175,16 +175,21 @@ def period_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
     estimated_quadrature_error is QUADPACK's at every point.
     """
     _check_not_center(pt)
-    bp = 1.0 - pt.p
-    return PeriodValue(*_arc(pt.p, bp, bp, pt.q * pt.q, tol))
+    return PeriodValue(*_arc(*_stem_span(pt.p, pt.q), tol))
 
 
-def _loop_span(pt: PhasePoint) -> tuple[float, float, float]:
-    """(p0, 1 - p0, p - p0) of the closed orbit through pt."""
+def _stem_span(p: float, q: float) -> tuple[float, float, float, float]:
+    """_arc's (lo, 1 - lo, d, c) for period_T's arc: (p, 1 - p, 1 - p, q^2)."""
+    bp = 1.0 - p
+    return p, bp, bp, q * q
+
+
+def _loop_span(pt: PhasePoint) -> tuple[float, float, float, float]:
+    """_arc's (p0, 1 - p0, p - p0, 0) for the closed orbit through pt."""
     p0, b0 = turning_point_pair(pt)
     # p - p0 through whichever side is exact: 1-p is exact for p >= 1/2
     d = (pt.p - p0) if p0 <= 0.5 else (b0 - (1.0 - pt.p))
-    return p0, b0, d
+    return p0, b0, d, 0.0
 
 
 def period_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
@@ -194,7 +199,7 @@ def period_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
     estimated_quadrature_error is QUADPACK's at every point.
     """
     _check_not_center(pt)
-    return PeriodValue(*_arc(*_loop_span(pt), 0.0, tol))
+    return PeriodValue(*_arc(*_loop_span(pt), tol))
 
 
 def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:
@@ -215,13 +220,12 @@ def action_T(pt: PhasePoint) -> float:
     Absolute tolerance 0: next to the center the action is O((1-p)^2), and
     only QUADPACK's relative tolerance scales with it.
     """
-    bp = 1.0 - pt.p
-    return _arc(pt.p, bp, bp, pt.q * pt.q, 0.0, "action")[0]
+    return _arc(*_stem_span(pt.p, pt.q), 0.0, "action")[0]
 
 
 def action_T0(pt: PhasePoint) -> float:
     """int v^2 dx over period_T0's arc, with absolute tolerance 0 as in action_T."""
-    return _arc(*_loop_span(pt), 0.0, 0.0, "action")[0]
+    return _arc(*_loop_span(pt), 0.0, "action")[0]
 
 
 def _require_interior(pt: PhasePoint) -> None:
@@ -231,13 +235,13 @@ def _require_interior(pt: PhasePoint) -> None:
         raise InvalidDomain("gradients need p < 1 strictly")
 
 
-def _gradient(p: float, q: float, tol: float) -> PeriodGradient:
-    """Renormalized gradient of T for 0 < p < 1, q <= 0; smooth at q = 0 too."""
-    bp = 1.0 - p
-    i1, _ = _arc(p, bp, bp, q * q, tol, "weighted")
+def _gradient(p: float, q: float, span, sign: float, tol: float) -> PeriodGradient:
+    """T's gradient (T's span, sign 1) or T0's (T0's span, sign -1); smooth at q = 0."""
+    i = _arc(*span, tol, "weighted")[0]
     qt2 = energy_above_center(p, q)
-    dp = (-p * bp * i1 + q) / qt2
-    dq = (q * i1 + bp * (1.0 + 2.0 * p) / (3.0 * p)) / qt2
+    bp = 1.0 - p
+    dp = (-p * bp * i + sign * q) / qt2    # sign flips the boundary terms, exactly
+    dq = (q * i + sign * (bp * (1.0 + 2.0 * p) / (3.0 * p))) / qt2
     return PeriodGradient(dp, dq)
 
 
@@ -247,26 +251,20 @@ def grad_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     The q = 0 section is served by interval_period_slope instead.
     """
     _require_interior(pt)
-    return _gradient(pt.p, pt.q, tol)
+    return _gradient(pt.p, pt.q, _stem_span(pt.p, pt.q), 1.0, tol)
 
 
 def interval_period_slope(p: float, tol: float = 1e-10) -> float:
     """d/dp of T(p, 0), the slope driving the interval dichotomy."""
     if not 0.0 < p < 1.0:
         raise InvalidDomain(f"interval slope needs 0 < p < 1, got {p}")
-    return _gradient(p, 0.0, tol).dT_dp
+    return _gradient(p, 0.0, _stem_span(p, 0.0), 1.0, tol).dT_dp
 
 
 def grad_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     """Analytic gradient of period_T0; requires q < 0 and a closed orbit."""
     _require_interior(pt)
-    p, q = pt.p, pt.q
-    i2, _ = _arc(*_loop_span(pt), 0.0, tol, "weighted")
-    qt2 = energy_above_center(p, q)
-    bp = 1.0 - p
-    dp = (-p * bp * i2 - q) / qt2
-    dq = (q * i2 - bp * (1.0 + 2.0 * p) / (3.0 * p)) / qt2
-    return PeriodGradient(dp, dq)
+    return _gradient(pt.p, pt.q, _loop_span(pt), -1.0, tol)
 
 
 def asymptotic_T(pt: PhasePoint) -> float:

@@ -116,6 +116,9 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
     """Smallest eigenvalue of a flower graph from the secular equation.
 
     s is brentq's root to its own relative precision, rtol = 4 eps, unpolished.
+    The bracket ends one ulp below the pole s_max, where the mismatch is
+    positive unless the root lies within that ulp (a loop tiny next to the
+    stem, or huge lengths); then s is that end.
     """
     L = spec.stem
     if spec.n_loops == 0:
@@ -124,11 +127,14 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
                               partial(_flower_eigenfunction, spec, s))
     s_max = min([math.pi / (2.0 * L)] +
                 [math.pi / (2.0 * h) for h in spec.loop_halves])
-    s, info = brentq(partial(secular_mismatch, spec), s_max * 1e-12,
-                     s_max * (1.0 - 1e-13), xtol=ROOT_XTOL, rtol=4.0 * EPS,
-                     maxiter=200, full_output=True)
-    return SpectralResult(s * s, "transcendental", abs(secular_mismatch(spec, s)),
-                          info.iterations, partial(_flower_eigenfunction, spec, s))
+    mismatch = partial(secular_mismatch, spec)
+    s, iterations = math.nextafter(s_max, 0.0), 0
+    if mismatch(s) > 0.0:
+        s, info = brentq(mismatch, s_max * 1e-12, s, xtol=ROOT_XTOL,
+                         rtol=4.0 * EPS, maxiter=200, full_output=True)
+        iterations = info.iterations
+    return SpectralResult(s * s, "transcendental", abs(mismatch(s)),
+                          iterations, partial(_flower_eigenfunction, spec, s))
 
 
 def lambda0_discretized(graph: MetricGraph, mesh_h: float,

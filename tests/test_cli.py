@@ -199,6 +199,62 @@ def test_underflowing_interval_exits_1(capsys):
     assert "underflows" in capsys.readouterr().err
 
 
+# loops tiny next to the stem, and huge lengths: the secular root lies above
+# the old bracket end s_max (1 - 1e-13)
+TINY_LOOPS = [["stem=2", "loops=1e-13"], ["stem=0.5", "loops=1e-14"]]
+HUGE_LENGTHS = [["stem=1e200", "loops=1"], ["stem=1", "loops=1e300"]]
+QUICK_EVOLVE = ["--mesh", "0.1", "--max-t", "1"]
+BAD_GRAPH_JSON = [
+    {"edges": [{"id": "e0", "from": "a", "to": "v", "length": 1.0}], "conditions": ["a"]},
+    {"edges": [5], "conditions": {"a": "dirichlet"}},
+    {"edges": 5, "conditions": {"a": "dirichlet"}},
+]
+BAD_INPUTS = [
+    *((2, [cmd, "--flower", *flower, *(QUICK_EVOLVE if cmd == "evolve" else [])])
+      for cmd in ("spectrum", "groundstate", "evolve", "region")
+      for flower in (["stem=inf"], ["stem=1", "loops=inf"])),
+    *((2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--dt", dt])
+      for dt in ("-1", "0", "nan")),
+    *((2, ["spectrum", "--flower", *flower]) for flower in TINY_LOOPS),   # MeshTooCoarse
+    (3, ["groundstate", "--flower", *TINY_LOOPS[1]]),                     # lambda0 >= 1
+    *((1, ["groundstate", "--flower", *flower]) for flower in HUGE_LENGTHS),  # stalls
+    *((2, ["spectrum", "--graph", body]) for body in BAD_GRAPH_JSON),
+    (2, ["region", "--curve", "2", "--samples", "-1"]),
+    (2, ["region", "--curve", "-1"]),
+    (2, ["validate", "--suite", "jacobian", "--samples", "0"]),
+]
+
+
+@pytest.mark.parametrize("code,argv", BAD_INPUTS,
+                         ids=[" ".join(a if isinstance(a, str) else json.dumps(a)
+                                       for a in argv) for _, argv in BAD_INPUTS])
+def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, code, argv):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flower", TINY_LOOPS + HUGE_LENGTHS)
+def test_region_classifies_flowers_next_to_the_secular_pole(tmp_path, flower):
+    out = tmp_path / "reg.json"
+    assert main(["region", "--flower", *flower, "--out", str(out)]) == 0
+    data = read_json(out)
+    assert data["lambda0"] == spectral.lambda0_flower(cli._parse_flower(flower)).lambda0
+    assert data["region"] == ("Trivial" if flower == TINY_LOOPS[1] else "Nontrivial")
+
+
+def test_groundstate_on_a_tiny_loop(tmp_path):
+    out = tmp_path / "gs.json"
+    assert main(["groundstate", "--flower", *TINY_LOOPS[0], "--out", str(out)]) == 0
+    assert read_json(out)["jacobian_sign_ok"] is True
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 
@@ -241,6 +297,27 @@ def test_groundstate_summary_and_profile(tmp_path):
     assert edges == {"stem", "loop1"}
     us = np.array([float(r[2]) for r in rows])
     assert us.min() >= 0.0 and us.max() < 1.0
+
+
+@pytest.mark.parametrize("flower", [
+    ["stem=0.8", "loops=1.5"],
+    ["stem=0.51", "loops=1.6,1.0"],
+    ["stem=12", "loops=" + ",".join(repr(2.0 * float(h))
+                                    for h in np.linspace(0.1, 1.2, 80))],
+], ids=["tadpole", "two-loop", "12-80loops"])
+def test_groundstate_reports_the_jacobian_newton_converged_on(monkeypatch, tmp_path,
+                                                              flower):
+    calls = count_calls(monkeypatch, groundstate, "_jacobian")
+    out = tmp_path / "gs.json"
+    assert main(["groundstate", "--flower", *flower, "--out", str(out)]) == 0
+    data = read_json(out)
+    # one Jacobian per Newton iterate, the last one included, and none after
+    assert len(calls) == data["newton_iterations"] + 1
+    monkeypatch.undo()
+    rep = groundstate.jacobian_report(data["p"], data["q"])
+    det = rep.determinant
+    assert data["jacobian_determinant"] == (det if math.isfinite(det) else None)
+    assert data["jacobian_sign_ok"] is rep.sign_ok is True
 
 
 @pytest.mark.parametrize("flower", [

@@ -68,6 +68,12 @@ def test_step_rejects_bad_dt():
     for dt in (0.0, -0.1, float("inf"), float("nan")):
         with pytest.raises(InvalidDomain):
             step(f, dt)
+    # run_to_attractor shares step's check; stable_dt clamps an infinite dt first
+    for dt in (0.0, -0.1, float("nan")):
+        with pytest.raises(InvalidDomain):
+            run_to_attractor(f, dt=dt, max_t=1.0)
+    trace = run_to_attractor(f, dt=float("inf"), max_t=1.0)
+    assert trace.dt_history[0] == stable_dt(0.5, float("inf")) == 0.99
 
 
 def test_negative_or_nonfinite_initial_data():

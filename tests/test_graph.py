@@ -17,6 +17,7 @@ from fkpp_graphs.graph import (
     FlowerSpec,
     MetricGraph,
     as_flower,
+    flower_from_totals,
     flower_graph,
     graph_from_dict,
     graph_from_json,
@@ -125,10 +126,15 @@ def test_validate_rejects_empty_graph():
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
 def test_validate_rejects_bad_lengths(bad):
+    # one rule for graph edges, FlowerSpec and the flower shorthand alike
     g = MetricGraph(edges=(Edge("e0", "a", "v", bad),),
                     conditions={"a": "dirichlet"})
-    with pytest.raises(NonpositiveLength):
+    with pytest.raises(NonpositiveLength, match="^edge 'e0' has length"):
         validate(g)
+    for make in (lambda: FlowerSpec(bad), lambda: FlowerSpec(1.0, (0.5, bad)),
+                 lambda: flower_from_totals(bad), lambda: flower_from_totals(1.0, [bad])):
+        with pytest.raises(NonpositiveLength, match="must be positive and finite"):
+            make()
 
 
 def test_validate_rejects_unknown_condition():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -19,6 +20,7 @@ from fkpp_graphs.graph import (
     Edge,
     FlowerSpec,
     MetricGraph,
+    flower_from_totals,
     flower_graph,
     interval_graph,
 )
@@ -90,6 +92,31 @@ def test_secular_root_builds_no_mesh(monkeypatch, spec, want):
     monkeypatch.setattr(spectral, "GraphMesh", no_mesh)
     res = lambda0_flower(spec)
     assert math.isclose(res.lambda0, want, rel_tol=1e-13)
+
+
+def _bisected_lambda0(spec: FlowerSpec) -> float:
+    """lambda0 by 60-digit bisection of the secular equation on (0, s_max)."""
+    with mpmath.workdps(60):
+        stem = mpmath.mpf(spec.stem)
+        halves = [mpmath.mpf(h) for h in spec.loop_halves]
+        lo, hi = mpmath.mpf(0), min(mpmath.pi / (2 * ell) for ell in [stem, *halves])
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if 2 * sum(mpmath.tan(mid * h) for h in halves) > mpmath.cot(mid * stem):
+                hi = mid
+            else:
+                lo = mid
+        return float(lo * lo)
+
+
+@pytest.mark.parametrize("stem,loop", [(2.0, 1e-13), (0.5, 1e-14), (1e200, 1.0),
+                                       (1.0, 1e300), (0.8, 1.5), (0.51, 1.6)])
+def test_secular_root_matches_bisection(stem, loop):
+    # a loop tiny next to the stem, or huge lengths, put the root above
+    # s_max (1 - 1e-13); for the huge ones lambda0 underflows to 0 < 1
+    spec = flower_from_totals(stem, [loop])
+    want = _bisected_lambda0(spec)
+    assert math.isclose(lambda0_flower(spec).lambda0, want, rel_tol=4 * spectral.EPS)
 
 
 def test_lower_boundary_values():
