@@ -217,7 +217,7 @@ def cmd_spectrum(args) -> int:
             "method": res.method,
             "residual": res.residual,
         }
-        mesh_h = args.mesh if args.mesh else 2e-3
+        mesh_h = args.mesh or 2e-3
         disc = lambda0_discretized(graph, mesh_h=mesh_h)
         out["discretized"] = {
             "lambda0": disc.lambda0,
@@ -226,7 +226,7 @@ def cmd_spectrum(args) -> int:
             "gap": abs(disc.lambda0 - res.lambda0),
         }
     else:
-        mesh_h = args.mesh if args.mesh else 1e-3
+        mesh_h = args.mesh or 1e-3
         disc = lambda0_discretized(graph, mesh_h=mesh_h)
         out = {
             "schema": 1,
@@ -541,6 +541,22 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for seeds: an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return n
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances, horizons and mesh widths: finite and > 0."""
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return x
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors start with one `error:` line, as every other error does."""
 
@@ -573,13 +589,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", help="lowest Laplacian eigenvalue")
     _add_graph_source(sp)
-    sp.add_argument("--mesh", type=float, default=None,
+    sp.add_argument("--mesh", type=_positive_float, default=None,
                     help="mesh width for the discretized eigenvalue")
     sp.add_argument("--out", metavar="FILE", help="write the JSON summary here")
 
     gs = subs.add_parser("groundstate", help="positive steady state on a flower")
     _add_graph_source(gs)
-    gs.add_argument("--tol", type=float, default=1e-10,
+    gs.add_argument("--tol", type=_positive_float, default=1e-10,
                     help="period residual tolerance")
     gs.add_argument("--out", metavar="FILE", help="write the JSON summary here")
     gs.add_argument("--profile", metavar="FILE",
@@ -587,10 +603,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = subs.add_parser("evolve", help="time integration to the attractor")
     _add_graph_source(ev)
-    ev.add_argument("--mesh", type=float, default=1e-2, help="mesh width")
+    ev.add_argument("--mesh", type=_positive_float, default=1e-2, help="mesh width")
     ev.add_argument("--dt", type=float, default=0.1, help="initial time step")
-    ev.add_argument("--max-t", type=float, default=500.0, help="time horizon")
-    ev.add_argument("--tol", type=float, default=1e-9,
+    ev.add_argument("--max-t", type=_positive_float, default=500.0, help="time horizon")
+    ev.add_argument("--tol", type=_positive_float, default=1e-9,
                     help="steady-state tolerance on |du/dt|")
     ev.add_argument("--initial", default="hat:0.1",
                     help="const:V | hat:V | csv:FILE | groundstate")
@@ -614,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
     va = subs.add_parser("validate", help="property suites")
     va.add_argument("--suite", required=True, choices=sorted(_SUITES),
                     help="which suite to run")
-    va.add_argument("--seed", type=int, default=0, help="RNG seed")
+    va.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed")
     va.add_argument("--samples", type=_positive_int, default=None,
                     help="override the per-check sample count")
     va.add_argument("--jobs", type=int, default=1,

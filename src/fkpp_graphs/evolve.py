@@ -146,6 +146,9 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     the logistic comparison bound, or energy monotonicity, and the step
     is retried from the same state.
     """
+    if not (max_t > 0.0 and tol > 0.0):    # NaN fails both comparisons
+        raise InvalidDomain(f"time horizon and tolerance must be positive, "
+                            f"got max_t={max_t}, tol={tol}")
     u0 = np.asarray(field0.values, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise InvalidDomain("initial data contains non-finite values")

@@ -51,10 +51,11 @@ from .period import (
     action_T0,
     arclength_from_turning,
     grad_T,
-    grad_T0,
     interval_period_slope,
+    loop_arcs,
+    loop_gradients,
+    loop_spans,
     period_T,
-    period_T0,
 )
 from .phaseplane import (PhasePoint, energy, energy_above_center, q_tilde,
                          turning_point_pair, well)
@@ -130,24 +131,27 @@ def _admissible(p: float, qs) -> bool:
     return 0.0 < p < 1.0 and all(q < 0.0 and energy(p, q) < 0.0 for q in qs)
 
 
-def _system(spec: FlowerSpec, z: np.ndarray, quad_tol: float) -> np.ndarray:
+def _system(spec: FlowerSpec, z: np.ndarray, quad_tol: float):
+    """Period residuals at z, and the loop spans they were taken over."""
     # Python floats for the period kernels (numpy scalars double their cost)
     p, *qs = z.tolist()
+    spans = loop_spans(p, qs)
     out = np.empty(z.size)
     out[0] = period_T(PhasePoint(p, _stem_slope(z[1:])), quad_tol).value - spec.stem
-    for j, (q, half) in enumerate(zip(qs, spec.loop_halves), start=1):
-        out[j] = period_T0(PhasePoint(p, q), quad_tol).value - half
-    return out
+    out[1:] = np.subtract(loop_arcs(spans, quad_tol), spec.loop_halves)
+    return out, spans
 
 
-def _jacobian(z: np.ndarray, quad_tol: float) -> np.ndarray:
+def _jacobian(z: np.ndarray, quad_tol: float, spans=None) -> np.ndarray:
+    """Period-system Jacobian at z; ``spans`` are _system's at z, if taken."""
     p, *qs = z.tolist()    # Python floats, as in _system
     J = np.zeros((z.size, z.size))
     g = grad_T(PhasePoint(p, _stem_slope(z[1:])), quad_tol)
     J[0, 0] = g.dT_dp
     J[0, 1:] = 2.0 * g.dT_dq
-    for j, q in enumerate(qs, start=1):
-        g0 = grad_T0(PhasePoint(p, q), quad_tol)
+    if spans is None:
+        spans = loop_spans(p, qs)
+    for j, g0 in enumerate(loop_gradients(p, qs, spans, quad_tol), start=1):
         J[j, 0] = g0.dT_dp
         J[j, j] = g0.dT_dq
     return J
@@ -210,9 +214,9 @@ def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
 def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
     """Damped Newton; returns (z, F, J, iterations), J the Jacobian at z."""
     z = np.asarray(z0, dtype=float).copy()
-    F = _system(spec, z, quad_tol)
+    F, spans = _system(spec, z, quad_tol)
     for it in range(MAX_NEWTON_ITER + 1):
-        J = _jacobian(z, quad_tol)
+        J = _jacobian(z, quad_tol, spans)
         floors = _floors(spec, J, z)
         if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
             return z, F, J, it
@@ -225,14 +229,14 @@ def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
         while scale >= 2.0 ** -30:
             zt = z + scale * step
             if _admissible(zt[0], zt[1:]):
-                Ft = _system(spec, zt, quad_tol)
+                Ft, spans_t = _system(spec, zt, quad_tol)
                 if np.max(np.abs(Ft)) <= (1.0 - 1e-4 * scale) * best or \
                         _converged(Ft, tol, floors):
                     break
             scale *= 0.5
         else:
             return z, F, J, it + 1
-        z, F = zt, Ft
+        z, F, spans = zt, Ft, spans_t
 
 
 def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
@@ -277,6 +281,11 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
     return sol
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:    # NaN fails both comparisons
+        raise InvalidDomain(f"period tolerance must be positive and finite, got {tol}")
+
+
 def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
     """Positive steady state on [0, L], Dirichlet at 0 and Neumann at L.
 
@@ -287,6 +296,7 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
     meet max(tol, floor), the floor from the 1x1 Jacobian [[dT/dp]], or
     NewtonStalled is raised.
     """
+    _check_tol(tol)
     if not L > THRESHOLD_LENGTH:
         raise BelowThreshold(
             f"interval length {L} <= pi/2; the only nonnegative steady "
@@ -296,7 +306,7 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
 
     @functools.cache    # brentq re-evaluates lo and returns an evaluated point
     def mismatch(p):
-        return _system(spec, np.array([p]), quad_tol)[0]
+        return _system(spec, np.array([p]), quad_tol)[0][0]
 
     lo = min(0.5, 6.0 * math.exp(-(L + HOMOCLINIC_OFFSET)))
     for _ in range(60):
@@ -325,6 +335,7 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
     """
     if spec.n_loops == 0:
         return solve_interval(spec.stem, tol)
+    _check_tol(tol)
     lam = lambda0_flower(spec).lambda0
     if lam >= 1.0:
         raise OutsideRegion(

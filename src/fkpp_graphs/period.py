@@ -26,6 +26,18 @@ adaptive Gauss-Kronrod on the analytic s-integrand.
 The integrand runs at every QUADPACK node, so callers pass Python floats:
 numpy.float64 scalars give the same bits at about twice the cost.
 
+A Newton iterate of an N-loop flower needs T0, or the I2 of its gradient,
+on all N loops at one point: loop_spans solves each loop's turning point
+once, and loop_arcs takes the N spans.  From PANEL_MIN_LOOPS = 10 loops on
+it runs one batched panel, _panel: QUADPACK's 21-node rule (qk21) for every
+integrand at once as one numpy array, in _arc's operation order and with
+qk21's weights summed in qk21's order, so each value is _arc's to the bit.
+A column is kept only where qagse would also stop after that first panel
+(abserr <= max(epsabs, epsrel |value|) and abserr != resasc, or abserr = 0),
+each test with a few ulp to spare; any other column gets its own _arc.  The
+panel's fixed numpy cost is about that of 7-10 scalar quadratures, hence
+the crossover, measured on whole solves (CHANGES.md).
+
 Gradients use the renormalized closed forms
 
     (E + 1/3) dT/dp  = -p (1-p) I1 + q
@@ -53,9 +65,12 @@ where x0 = 2 arccosh(sqrt(3/2)) marks where the homoclinic profile
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
 
 from .errors import InvalidDomain
@@ -71,6 +86,9 @@ __all__ = [
     "grad_T0",
     "interval_period_slope",
     "arclength_from_turning",
+    "loop_spans",
+    "loop_arcs",
+    "loop_gradients",
     "action_T",
     "action_T0",
     "asymptotic_T",
@@ -80,6 +98,47 @@ __all__ = [
 # offset x0 = 2 arccosh(sqrt(3/2)): the homoclinic profile crosses w = 1
 # at distance x0 before its peak
 HOMOCLINIC_OFFSET = 2.0 * math.acosh(math.sqrt(1.5))
+
+_EPSREL = 1.5e-14    # every period quadrature's; QUADPACK's floor is ~50 eps
+_EPS = sys.float_info.epsilon    # QUADPACK's epmach
+
+# QUADPACK's dqk21 on [-1, 1], as printed there: Kronrod abscissae XGK
+# (_XGK[1::2] are the 10-point Gauss nodes), Kronrod weights WGK (the last
+# one the center's) and Gauss weights WG.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208931783077, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# Panel nodes on [0, 1] as squares s^2, shaped (2, 11, 1): the center,
+# then 0.5 - 0.5 XGK in row 0 and 0.5 + 0.5 XGK in row 1, so row 0 plus
+# row 1 is each node pair's sum (and twice the center's value).
+_S2 = np.array([[s * s for s in [0.5] + [0.5 + sign * 0.5 * x for x in _XGK]]
+                for sign in (-1.0, 1.0)])[:, :, None]
+_WGK_ROWS = np.array(_WGK[10:] + _WGK[:10])[:, None]      # center, then XGK's order
+# dqk21 sums the center and the pairs in _KRONROD_ORDER (the Gauss pairs
+# first): Kronrod weights for the sums of f and |f|, Gauss weights for f's,
+# where adding a zero-weighted term leaves the sum's bits alone.
+_KRONROD_ORDER = [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9]
+_SUM_ROWS = (np.array([[0], [1], [0]]), np.array(_KRONROD_ORDER))
+_SUM_WEIGHTS = np.array([_WGK_ROWS[_KRONROD_ORDER], _WGK_ROWS[_KRONROD_ORDER],
+                         np.array([0.0, *_WG, 0.0, 0.0, 0.0, 0.0, 0.0])[:, None]])
+# A column is kept only with this much room on each of qagse's tests: the
+# error estimate goes through pow, which may round differently here
+_PANEL_MARGIN = 8.0 * _EPS
+# Loop count from which loop_arcs runs one _panel for all loops: below it,
+# numpy's fixed cost per panel outweighs the scalar quadratures it replaces
+# (whole solves break even at 9-10 loops; see CHANGES.md)
+PANEL_MIN_LOOPS = 10
 
 
 @dataclass(frozen=True)
@@ -103,11 +162,10 @@ def _quad(f, tol: float) -> tuple[float, float]:
     subdivisions to the same bits.  Reading the count is free; a warnings
     filter around each call costs a third of a 21-node quad.
     """
-    epsrel = 1.5e-14  # QUADPACK floor is ~50 eps
-    out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=epsrel,
+    out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=_EPSREL,
                          limit=200, full_output=1)
     if out[2]["last"] == 200:
-        out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=epsrel,
+        out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=_EPSREL,
                              limit=1000, full_output=1)
     return out[0], out[1]
 
@@ -163,6 +221,60 @@ def _arc(lo: float, blo: float, d: float, c: float, tol: float,
     return _quad(f, tol)
 
 
+def _panel(spans, tol: float, kind: str):
+    """dqk21 on [0, 1] for every loop span's _arc integrand at once.
+
+    ``spans`` are _arc's (lo, 1 - lo, d, 0); ``kind`` is "length" or
+    "weighted".  Returns (value, accepted) arrays, one column per span.
+    Each integrand runs at QUADPACK's 21 nodes in _arc's operation order,
+    and the sums run in dqk21's order, so a value is _arc's to the bit.  A
+    column is accepted only where qagse would stop after this first panel:
+    abserr <= max(epsabs, epsrel |value|) and abserr != resasc, or
+    abserr = 0, each test with _PANEL_MARGIN to spare.  A span with d = 0
+    gives _arc's 0; d < 0 and every non-finite column fail the test.
+    """
+    lo, blo, d, _ = np.fromiter(itertools.chain.from_iterable(spans), float,
+                                4 * len(spans)).reshape(-1, 4).T
+    left = lo <= 0.5
+    x0 = np.where(left, lo, blo)
+    dx = np.where(left, d, -d)
+    g0 = 2.0 * x0 * (1.0 - x0)
+    g1 = dx * (1.0 - 2.0 * x0)
+    g2 = -(2.0 / 3.0) * dx * dx
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = 2.0 * np.sqrt(d)
+        root = np.sqrt(g0 + _S2 * (g1 + g2 * _S2))
+        fa = np.empty((2,) + root.shape)    # f and |f|
+        f = fa[0]
+        if kind == "length":
+            np.divide(k, root, out=f)
+        else:
+            ds2 = d * _S2
+            u = lo + ds2
+            np.divide((blo - ds2) * (1.0 + u) / (3.0 * u * u) * k, root, out=f)
+        np.abs(f, out=fa[1])
+        pairs = fa[:, 0] + fa[:, 1]
+        pairs[:, 0] = fa[:, 0, 0]
+        resk, resabs, resg = np.add.accumulate(_SUM_WEIGHTS * pairs[_SUM_ROWS],
+                                               axis=1)[:, -1]
+        dev = np.abs(f - resk * 0.5)
+        dev_pairs = dev[0] + dev[1]
+        dev_pairs[0] = dev[0, 0]
+        resasc = np.add.accumulate(_WGK_ROWS * dev_pairs)[-1] * 0.5
+        # dqk21's result and error estimate, then qagse's first-panel exit
+        value = resk * 0.5
+        resabs = resabs * 0.5
+        abserr = np.abs((resk - resg) * 0.5)
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
+        abserr = np.where(resabs > sys.float_info.min / (50.0 * _EPS),
+                          np.maximum(50.0 * _EPS * resabs, abserr), abserr)
+        bound = np.maximum(0.5 * tol, _EPSREL * np.abs(value))
+        accepted = (abserr * (1.0 + _PANEL_MARGIN) <= bound) & \
+            (np.abs(abserr - resasc) > _PANEL_MARGIN * resasc) | (abserr == 0.0)
+    return value, accepted & np.isfinite(value)
+
+
 def _check_not_center(pt: PhasePoint) -> None:
     if pt.p == 1.0 and pt.q == 0.0:
         raise InvalidDomain("(p, q) = (1, 0) is the center; arc length is "
@@ -202,6 +314,29 @@ def period_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodValue:
     return PeriodValue(*_arc(*_loop_span(pt), tol))
 
 
+def loop_spans(p: float, qs) -> list[tuple[float, float, float, float]]:
+    """_arc's span of the closed orbit through (p, q_j), for every loop.
+
+    One turning-point solve per loop; loop_arcs and loop_gradients take the
+    spans, so T0 and its gradient at one point share them.
+    """
+    return [_loop_span(PhasePoint(p, q)) for q in qs]
+
+
+def loop_arcs(spans, tol: float = 1e-10, kind: str = "length") -> list[float]:
+    """_arc(*span, tol, kind)[0] for every loop span: T0 ("length") or I2 ("weighted").
+
+    From PANEL_MIN_LOOPS spans on, one _panel evaluates them all, and each
+    span it does not accept gets its own _arc; either way every value is
+    the scalar _arc's, bit for bit.
+    """
+    if len(spans) < PANEL_MIN_LOOPS:
+        return [_arc(*span, tol, kind)[0] for span in spans]
+    values, accepted = _panel(spans, tol, kind)
+    return [v if ok else _arc(*span, tol, kind)[0]
+            for v, ok, span in zip(values.tolist(), accepted.tolist(), spans)]
+
+
 def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:
     """T0 with the turning point given directly instead of through (p, q).
 
@@ -235,9 +370,8 @@ def _require_interior(pt: PhasePoint) -> None:
         raise InvalidDomain("gradients need p < 1 strictly")
 
 
-def _gradient(p: float, q: float, span, sign: float, tol: float) -> PeriodGradient:
-    """T's gradient (T's span, sign 1) or T0's (T0's span, sign -1); smooth at q = 0."""
-    i = _arc(*span, tol, "weighted")[0]
+def _gradient(p: float, q: float, i: float, sign: float) -> PeriodGradient:
+    """T's gradient (I1, sign 1) or T0's (I2, sign -1); smooth at q = 0."""
     qt2 = energy_above_center(p, q)
     bp = 1.0 - p
     dp = (-p * bp * i + sign * q) / qt2    # sign flips the boundary terms, exactly
@@ -251,20 +385,26 @@ def grad_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     The q = 0 section is served by interval_period_slope instead.
     """
     _require_interior(pt)
-    return _gradient(pt.p, pt.q, _stem_span(pt.p, pt.q), 1.0, tol)
+    return _gradient(pt.p, pt.q, _arc(*_stem_span(pt.p, pt.q), tol, "weighted")[0], 1.0)
 
 
 def interval_period_slope(p: float, tol: float = 1e-10) -> float:
     """d/dp of T(p, 0), the slope driving the interval dichotomy."""
     if not 0.0 < p < 1.0:
         raise InvalidDomain(f"interval slope needs 0 < p < 1, got {p}")
-    return _gradient(p, 0.0, _stem_span(p, 0.0), 1.0, tol).dT_dp
+    return _gradient(p, 0.0, _arc(*_stem_span(p, 0.0), tol, "weighted")[0], 1.0).dT_dp
 
 
 def grad_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     """Analytic gradient of period_T0; requires q < 0 and a closed orbit."""
     _require_interior(pt)
-    return _gradient(pt.p, pt.q, _loop_span(pt), -1.0, tol)
+    return _gradient(pt.p, pt.q, _arc(*_loop_span(pt), tol, "weighted")[0], -1.0)
+
+
+def loop_gradients(p: float, qs, spans, tol: float = 1e-10) -> list[PeriodGradient]:
+    """grad_T0 at every (p, q_j), given loop_spans(p, qs); q_j < 0 and p < 1."""
+    return [_gradient(p, q, i, -1.0)
+            for q, i in zip(qs, loop_arcs(spans, tol, "weighted"))]
 
 
 def asymptotic_T(pt: PhasePoint) -> float:

@@ -81,9 +81,13 @@ class SpectralResult:
 
 
 def secular_mismatch(spec: FlowerSpec, s: float) -> float:
-    """2*sum tan(s*l_j) - cot(s*L); increasing in s on the root bracket."""
+    """2*sum tan(s*l_j) - cot(s*L); increasing in s on the root bracket.
+
+    Where s*L underflows to 0 (a stem tiny next to a loop), cot is +inf.
+    """
     t = 2.0 * sum(math.tan(s * h) for h in spec.loop_halves)
-    return t - 1.0 / math.tan(s * spec.stem)
+    x = s * spec.stem
+    return t - (1.0 / math.tan(x) if x > 0.0 else math.inf)
 
 
 def _flower_eigenfunction(spec: FlowerSpec, s: float) -> Field:

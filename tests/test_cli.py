@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fkpp_graphs import cli, graph, groundstate, mesh, spectral
+from fkpp_graphs import cli, graph, groundstate, mesh, period, spectral
 from fkpp_graphs.cli import main
 
 LAM_TADPOLE = 0.6309875424906724841546
@@ -202,7 +202,8 @@ def test_underflowing_interval_exits_1(capsys):
 # loops tiny next to the stem, and huge lengths: the secular root lies above
 # the old bracket end s_max (1 - 1e-13)
 TINY_LOOPS = [["stem=2", "loops=1e-13"], ["stem=0.5", "loops=1e-14"]]
-HUGE_LENGTHS = [["stem=1e200", "loops=1"], ["stem=1", "loops=1e300"]]
+HUGE_LENGTHS = [["stem=1e200", "loops=1"], ["stem=1", "loops=1e300"],
+                ["stem=1e-300", "loops=1e300"]]    # s * stem underflows to 0
 QUICK_EVOLVE = ["--mesh", "0.1", "--max-t", "1"]
 BAD_GRAPH_JSON = [
     {"edges": [{"id": "e0", "from": "a", "to": "v", "length": 1.0}], "conditions": ["a"]},
@@ -222,6 +223,11 @@ BAD_INPUTS = [
     (2, ["region", "--curve", "2", "--samples", "-1"]),
     (2, ["region", "--curve", "-1"]),
     (2, ["validate", "--suite", "jacobian", "--samples", "0"]),
+    (2, ["validate", "--suite", "jacobian", "--seed", "-1"]),
+    *((2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, option, value])
+      for option in ("--max-t", "--tol") for value in ("-1", "nan")),
+    *((2, ["groundstate", "--flower", "stem=2", "--tol", tol]) for tol in ("nan", "inf")),
+    *((2, [cmd, "--flower", "stem=2", "--mesh", "inf"]) for cmd in ("spectrum", "evolve")),
 ]
 
 
@@ -273,6 +279,18 @@ def test_overflowing_determinant_is_strict_json_null():
     data = json.loads(done.stdout, parse_constant=_reject_constant)
     assert data["jacobian_determinant"] is None
     assert data["jacobian_sign_ok"] is True
+
+
+def test_80_loops_solve_to_the_same_bytes_on_the_scalar_path(monkeypatch, tmp_path):
+    loops = ",".join(repr(2.0 * float(h)) for h in np.linspace(0.1, 1.2, 80))
+    outputs = []
+    for panel_min_loops in (period.PANEL_MIN_LOOPS, 81):    # 81: every loop scalar
+        monkeypatch.setattr(period, "PANEL_MIN_LOOPS", panel_min_loops)
+        out, prof = tmp_path / "gs.json", tmp_path / "profile.csv"
+        assert main(["groundstate", "--flower", "stem=12", f"loops={loops}",
+                     "--out", str(out), "--profile", str(prof)]) == 0
+        outputs.append((out.read_bytes(), prof.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_groundstate_summary_and_profile(tmp_path):

@@ -307,3 +307,12 @@ def test_free_node_loop_matches_the_field_loop_when_dt_halves(monkeypatch):
     assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
     assert trace.dt_history[0] == 8.0 and trace.dt_history[-1] == 0.5
     assert_matches_reference(trace, reference_run(f, dt=8.0, tol=1e-9))
+
+
+@pytest.mark.parametrize("bad", [{"max_t": 0.0}, {"max_t": -1.0}, {"max_t": float("nan")},
+                                 {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}],
+                         ids=str)
+def test_run_rejects_a_bad_horizon_or_tolerance(bad):
+    f = constant_field(GraphMesh(interval_graph(1.0), mesh_h=0.1), 0.5)
+    with pytest.raises(InvalidDomain, match="must be positive"):
+        run_to_attractor(f, **{"max_t": 1.0, **bad})

@@ -60,6 +60,13 @@ def test_interval_below_threshold(L):
         solve_interval(L)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan], ids=str)
+def test_solvers_reject_a_bad_tolerance(tol):
+    for solve in (lambda: solve_interval(2.0, tol), lambda: solve_flower(TWO_LOOP, tol)):
+        with pytest.raises(InvalidDomain, match="tolerance must be positive and finite"):
+            solve()
+
+
 def test_interval_anchor_L2():
     sol = solve_interval(2.0)
     assert math.isclose(sol.p, P_STAR_L2, rel_tol=1e-14)

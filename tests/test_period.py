@@ -387,3 +387,89 @@ def test_quad_retries_only_a_call_that_used_up_its_subintervals(monkeypatch):
     assert limits[1][1] < 1000
     assert abs(value - math.sin(3000.0) / 3000.0) <= 1e-14
     assert err <= 1e-12
+
+
+# ------------------------------------------------- one qk21 panel for all loops
+
+def test_panel_rule_is_quadpacks_qk21():
+    x, w = np.polynomial.legendre.leggauss(10)
+    gauss = x > 0.0
+    assert np.allclose(np.sort(x[gauss])[::-1], period._XGK[1::2], rtol=0.0, atol=1e-15)
+    assert np.allclose(w[gauss][::-1], period._WG, rtol=0.0, atol=1e-15)
+    assert 2.0 * sum(period._WG) == 2.0
+    # the 21-point Kronrod rule integrates x^k exactly on [-1, 1] up to k = 31
+    for k in range(0, 32, 2):
+        rule = period._WGK[10] * (k == 0) + 2.0 * sum(
+            wk * xk ** k for wk, xk in zip(period._WGK, period._XGK))
+        assert math.isclose(rule, 2.0 / (k + 1), rel_tol=0.0, abs_tol=1e-15)
+
+
+def _first_panel_arcs(monkeypatch, spans, tol, kind):
+    """[(value, QUADPACK's subinterval count)] of the scalar _arc per span."""
+    lasts = []
+    quad = period.integrate.quad
+
+    def recorded(f, *args, **kwargs):
+        out = quad(f, *args, **kwargs)
+        lasts.append(out[2]["last"])
+        return out
+
+    monkeypatch.setattr(period.integrate, "quad", recorded)
+    out = []
+    for span in spans:
+        lasts.clear()
+        out.append((period._arc(*span, tol, kind)[0], lasts[0] if lasts else 0))
+    monkeypatch.undo()
+    return out
+
+
+def _seeded_loop_spans(seed: int) -> list:
+    """_loop_span's spans with turning points from 1e-15 up to next to the center."""
+    rng = np.random.default_rng(seed)
+    spans = []
+    for _ in range(int(rng.integers(1, 81))):
+        if seed % 2:    # turning point p0 <= 1/2, loop up to p
+            p0 = float(10.0 ** rng.uniform(-15.0, math.log10(0.5)))
+            p = min(0.99, p0 * float(10.0 ** rng.uniform(1e-3, 1.5)))
+            spans.append((p0, 1.0 - p0, p - p0, 0.0))
+        else:           # next to the center: b0 = 1 - p0 > 1 - p
+            bp = float(10.0 ** rng.uniform(-9.0, -0.5))
+            b0 = min(0.45, bp * float(10.0 ** rng.uniform(1e-3, 3.0)))
+            spans.append((1.0 - b0, b0, b0 - bp, 0.0))
+    return spans
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_panel_accepts_only_what_quadpack_ends_on_its_first_panel(monkeypatch, seed):
+    spans = _seeded_loop_spans(seed)
+    for kind in ("length", "weighted"):
+        for tol in (1e-12, 1e-10):
+            values, accepted = period._panel(spans, tol, kind)
+            scalar = _first_panel_arcs(monkeypatch, spans, tol, kind)
+            for v, ok, (want, last) in zip(values.tolist(), accepted.tolist(), scalar):
+                if ok:
+                    assert last == 1
+                    assert v == want
+            first_panel = sum(last == 1 for _, last in scalar)
+            assert 2 * int(accepted.sum()) >= first_panel > 0
+            assert period.loop_arcs(spans, tol, kind) == [w for w, _ in scalar]
+
+
+def test_deep_weighted_span_goes_to_the_scalar_quadrature():
+    p0 = 1e-20
+    spans = [(p0, 1.0 - p0, 0.3 - p0, 0.0)] * period.PANEL_MIN_LOOPS
+    values, accepted = period._panel(spans, 1e-12, "weighted")
+    assert not accepted.any()
+    want = period._arc(*spans[0], 1e-12, "weighted")[0]
+    assert period.loop_arcs(spans, 1e-12, "weighted") == [want] * len(spans)
+
+
+def test_loop_rows_equal_the_scalar_period_functions():
+    rng = np.random.default_rng(3)
+    p = 0.3
+    qs = [-math.sqrt(well(p)) * float(rng.uniform(0.05, 0.95)) for _ in range(40)]
+    spans = period.loop_spans(p, qs)
+    assert period.loop_arcs(spans, 1e-12) == \
+        [period_T0(PhasePoint(p, q), 1e-12).value for q in qs]
+    assert period.loop_gradients(p, qs, spans, 1e-12) == \
+        [grad_T0(PhasePoint(p, q), 1e-12) for q in qs]
