@@ -18,13 +18,21 @@ the loop-free case N = 0, solved by brentq with the same residual and floors.
 Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
 q_j.  Two mitigations: the seed takes p from the trace asymptotics and each
-q_j from a one-dimensional presolve parameterized by the turning point
-(log-space bisection, uniformly well conditioned), and convergence is
-declared against per-row floors
+q_j from a one-dimensional presolve parameterized by the log of the turning
+point (uniformly well conditioned), and convergence is declared against
+per-row floors
 
     floor_i = 8 eps (|target_i| + sum_k |z_k J_ik|)
 
 which measure the best residual representable at the working precision.
+
+The presolve is scipy's brentq, run for all loops of the seed in lockstep:
+one shared bracket ladder, then one brentq step per unconverged loop per
+round, with every new turning point of a round evaluated by one
+period.loop_arcs call (the batched panel from PANEL_MIN_LOOPS spans on).
+The roots are brentq's to the bit.  Newton hands its converged loop spans
+to the solution, so the profile, the turning points and the loop actions
+of the free energy need no further turning-point solve.
 """
 
 from __future__ import annotations
@@ -48,17 +56,15 @@ from .graph import FlowerSpec
 from .period import (
     HOMOCLINIC_OFFSET,
     action_T,
-    action_T0,
-    arclength_from_turning,
     grad_T,
     interval_period_slope,
     loop_arcs,
     loop_gradients,
     loop_spans,
     period_T,
+    turning_span,
 )
-from .phaseplane import (PhasePoint, energy, energy_above_center, q_tilde,
-                         turning_point_pair, well)
+from .phaseplane import PhasePoint, energy, energy_above_center, q_tilde, well
 from .spectral import ROOT_XTOL, lambda0_flower
 
 __all__ = [
@@ -105,6 +111,7 @@ class GroundStateSolution:
     convergence_floor: float
     lambda0: float                 # lowest Laplacian eigenvalue of spec
     jacobian: JacobianReport       # the period-system Jacobian at the solution
+    loop_spans: tuple              # period.loop_spans at the solution
     profiles: dict | None = None   # edge_id -> (x, u) sample arrays
 
     @property
@@ -119,8 +126,7 @@ class GroundStateSolution:
         return tuple(energy(self.p, q) for q in self.q_loops)
 
     def loop_turning_points(self) -> tuple[float, ...]:
-        return tuple(turning_point_pair(PhasePoint(self.p, q))[0]
-                     for q in self.q_loops)
+        return tuple(span[0] for span in self.loop_spans)
 
     @property
     def sup_u(self) -> float:
@@ -161,50 +167,116 @@ def _floors(spec: FlowerSpec, J: np.ndarray, z: np.ndarray) -> np.ndarray:
     return 8.0 * EPS * (np.abs([spec.stem, *spec.loop_halves]) + np.abs(J) @ np.abs(z))
 
 
-def _turning_arclength(p: float, quad_tol: float):
-    """y -> T0 from the turning point e^y up to p, memoized.
+def _turning_arclengths(p: float, ys, quad_tol: float) -> list[float]:
+    """T0 from the turning point e^y up to p, for every y, in one loop_arcs call."""
+    return loop_arcs([turning_span(p, math.exp(y)) for y in ys], quad_tol)
 
-    brentq re-evaluates its bracket ends, and every loop of one seed inverts
-    this same map, so one cache serves all of a seed's presolves.
+
+def _brentq_steps(xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int):
+    """scipy's brentq on [xpre, xcur] as a generator.
+
+    It yields each point where it needs f, starting with the two ends, is
+    sent f there, and returns the root.  The arithmetic and stopping rule
+    are those of scipy's brentq.c, so the root is brentq's to the bit: ends
+    of one sign raise ValueError, and maxiter steps RuntimeError.
     """
-    @functools.cache
-    def t0(y):
-        return arclength_from_turning(p, math.exp(y), quad_tol)
-    return t0
+    fpre = yield xpre
+    fcur = yield xcur
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / \
+                        (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf     # C's inf or NaN, which bisects
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _loop_q_presolve(p: float, half: float, quad_tol: float = 1e-12,
-                     t0=None) -> float:
-    """q < 0 with T0(p, q) = half, via log-space bisection on the turning point.
+def _loop_turning_points(p: float, halves, quad_tol: float) -> list[float]:
+    """log p0 with T0 = half from the turning point p0 up to p, for every half.
 
     T0 is strictly decreasing in p0 at fixed p (from 'infinity' on the
     homoclinic side to 0 at p0 = p), so the bracket is trivial and the
     conditioning is uniform even when the final q is pinned against
-    -sqrt(A(p)) to the last ulp.  ``t0`` is a shared _turning_arclength(p,
-    quad_tol); a fresh one is made when it is absent.
+    -sqrt(A(p)) to the last ulp.  All halves share the upper end y_hi and
+    the ladder y_lo = log p - 5k that brackets them; then brentq advances
+    every unconverged half by one step per round, and each round's new
+    iterates go through one loop_arcs call.  Equal halves are solved once,
+    and no turning point is evaluated twice.
     """
-    if t0 is None:
-        t0 = _turning_arclength(p, quad_tol)
+    t0 = {}    # y -> T0 from the turning point e^y up to p
 
-    def mismatch(y):
-        return t0(y) - half
+    def evaluate(ys):
+        new = [y for y in dict.fromkeys(ys) if y not in t0]
+        t0.update(zip(new, _turning_arclengths(p, new, quad_tol)))
 
     y_hi = math.log(p) - 1e-12
-    if mismatch(y_hi) > 0.0:
-        # even the shortest orbits are longer than the target: p is huge
-        # relative to half, the root sits essentially at p0 = p
-        y = y_hi
-    else:
-        y_lo = math.log(p) - 5.0
-        for _ in range(140):
-            if mismatch(y_lo) > 0.0:
-                break
-            y_lo -= 5.0
-        else:
-            raise OrbitNotClosed(
-                f"no loop orbit of half-length {half} through p = {p}")
-        y = brentq(mismatch, y_lo, y_hi, xtol=1e-13, rtol=4.0 * EPS, maxiter=300)
-    return -math.sqrt(max(well(p) - well(math.exp(y)), 0.0))
+    evaluate([y_hi])
+    # halves shorter than even the shortest orbits: p is huge relative to
+    # them, and the root sits essentially at p0 = p
+    roots = {half: y_hi for half in halves if t0[y_hi] - half > 0.0}
+    unbracketed = [half for half in dict.fromkeys(halves) if half not in roots]
+    lows = {}
+    y_lo = math.log(p) - 5.0
+    for _ in range(140):
+        if not unbracketed:
+            break
+        evaluate([y_lo])
+        lows.update((half, y_lo) for half in unbracketed if t0[y_lo] - half > 0.0)
+        unbracketed = [half for half in unbracketed if half not in lows]
+        y_lo -= 5.0
+    if unbracketed:
+        raise OrbitNotClosed(
+            f"no loop orbit of half-length {unbracketed[0]} through p = {p}")
+
+    steps = {half: _brentq_steps(y, y_hi, 1e-13, 4.0 * EPS, 300)
+             for half, y in lows.items()}
+    pending = {half: next(step) for half, step in steps.items()}
+    while pending:
+        evaluate(pending.values())
+        for half, y in list(pending.items()):
+            f = t0[y] - half
+            if math.isnan(f):    # as scipy's brentq wrapper does
+                raise ValueError(f"T0 at log p0 = {y} is NaN")
+            try:
+                pending[half] = steps[half].send(f)
+            except StopIteration as stop:
+                roots[half] = stop.value
+                del pending[half]
+    return [roots[half] for half in halves]
 
 
 def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
@@ -212,18 +284,19 @@ def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
 
 
 def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
-    """Damped Newton; returns (z, F, J, iterations), J the Jacobian at z."""
+    """Damped Newton; returns (z, F, J, iterations, spans), J the Jacobian
+    and spans the loop spans at z."""
     z = np.asarray(z0, dtype=float).copy()
     F, spans = _system(spec, z, quad_tol)
     for it in range(MAX_NEWTON_ITER + 1):
         J = _jacobian(z, quad_tol, spans)
         floors = _floors(spec, J, z)
         if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
-            return z, F, J, it
+            return z, F, J, it, spans
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            return z, F, J, it + 1
+            return z, F, J, it + 1, spans
         scale = 1.0
         best = np.max(np.abs(F))
         while scale >= 2.0 ** -30:
@@ -235,7 +308,7 @@ def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
                     break
             scale *= 0.5
         else:
-            return z, F, J, it + 1
+            return z, F, J, it + 1, spans
         z, F, spans = zt, Ft, spans_t
 
 
@@ -244,9 +317,9 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
     p = 12.0 / (1.0 + 2.0 * spec.n_loops) * \
         math.exp(-(spec.stem + HOMOCLINIC_OFFSET))
     p = min(max(p, 1e-8), 0.9)
-    t0 = _turning_arclength(p, quad_tol)
     try:
-        qs = [_loop_q_presolve(p, half, quad_tol, t0) for half in spec.loop_halves]
+        qs = [-math.sqrt(max(well(p) - well(math.exp(y)), 0.0))
+              for y in _loop_turning_points(p, spec.loop_halves, quad_tol)]
     except (OrbitNotClosed, ValueError):
         qs = None
     if qs is None or not _admissible(p, qs):
@@ -255,8 +328,9 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
 
 
 def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
-             iterations: int, tol: float, lam: float) -> GroundStateSolution:
-    """The solution at z, or NewtonStalled when |F| exceeds max(tol, floors)."""
+             iterations: int, spans, tol: float, lam: float) -> GroundStateSolution:
+    """The solution at z, with its loop spans, or NewtonStalled when |F|
+    exceeds max(tol, floors)."""
     floors = _floors(spec, J, z)
     if not _converged(F, tol, floors):
         raise NewtonStalled(
@@ -276,6 +350,7 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
         convergence_floor=float(np.max(floors)),
         lambda0=lam,
         jacobian=JacobianReport.of(J),
+        loop_spans=tuple(spans),
     )
     reconstruct_profile(sol)
     return sol
@@ -320,7 +395,7 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
                      rtol=4.0 * EPS, maxiter=200, full_output=True)
     return _package(spec, np.array([p]), np.array([mismatch(p)]),
                     np.array([[interval_period_slope(p, quad_tol)]]),
-                    info.iterations, tol, lambda0_flower(spec).lambda0)
+                    info.iterations, (), tol, lambda0_flower(spec).lambda0)
 
 
 def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
@@ -433,8 +508,8 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float = 1e-2) -> dict
     _check_end_state(mismatch)
     profiles = {"stem": (np.linspace(0.0, spec.stem, n + 1), 1.0 - w)}
 
-    for j, (q, half) in enumerate(zip(solution.q_loops, spec.loop_halves), start=1):
-        p0 = turning_point_pair(PhasePoint(p, q))[0]
+    for j, (q, half, p0) in enumerate(zip(solution.q_loops, spec.loop_halves,
+                                          solution.loop_turning_points()), start=1):
         nh = _edge_steps(half, dx)
         wh, vh_end = _rk4_path(p0, 0.0, half, nh)
         xf = np.linspace(0.0, 2.0 * half, 2 * nh + 1)
@@ -472,6 +547,7 @@ def energy_of(solution: GroundStateSolution) -> float:
     """
     p, spec, q = solution.p, solution.spec, solution.q_stem
     total = action_T(PhasePoint(p, q)) - 0.5 * energy_above_center(p, q) * spec.stem
-    for qj, half in zip(solution.q_loops, spec.loop_halves):
-        total += 2.0 * action_T0(PhasePoint(p, qj)) - energy_above_center(p, qj) * half
+    actions = loop_arcs(solution.loop_spans, 0.0, "action")
+    for qj, half, action in zip(solution.q_loops, spec.loop_halves, actions):
+        total += 2.0 * action - energy_above_center(p, qj) * half
     return total

@@ -15,6 +15,7 @@ and has at least one Dirichlet vertex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,8 @@ class GraphMesh:
         if intervals is None:
             if mesh_h is None or not mesh_h > 0:
                 raise MeshTooCoarse("need a positive mesh_h or explicit interval counts")
-            intervals = {e.id: max(2, int(np.ceil(e.length / mesh_h)))
+            # a ratio past 2**63 (or inf) cannot be counted by an int64 index
+            intervals = {e.id: max(2, math.ceil(min(e.length / mesh_h, 2.0 ** 63)))
                          for e in graph.edges}
         self.intervals = dict(intervals)
         for e in graph.edges:
@@ -56,7 +58,12 @@ class GraphMesh:
         self.vertex_node = {v: k for k, v in enumerate(verts)}
         edges = graph.edges
         ids = [e.id for e in edges]
-        n = np.array([self.intervals[i] for i in ids], dtype=np.int64)
+        counts = [self.intervals[i] for i in ids]
+        # grid points summed as Python ints, before any array is built
+        if sum(counts) + len(counts) > np.iinfo(np.int64).max:
+            raise InvalidDomain("the mesh has more grid points than an int64 index "
+                                "can count; the edges are too long for the mesh width")
+        n = np.array(counts, dtype=np.int64)
         length = np.array([e.length for e in edges])
         h = length / n
         # Flat layout of the grid points, edge by edge from tail to head:

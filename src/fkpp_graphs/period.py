@@ -28,15 +28,18 @@ numpy.float64 scalars give the same bits at about twice the cost.
 
 A Newton iterate of an N-loop flower needs T0, or the I2 of its gradient,
 on all N loops at one point: loop_spans solves each loop's turning point
-once, and loop_arcs takes the N spans.  From PANEL_MIN_LOOPS = 10 loops on
-it runs one batched panel, _panel: QUADPACK's 21-node rule (qk21) for every
-integrand at once as one numpy array, in _arc's operation order and with
-qk21's weights summed in qk21's order, so each value is _arc's to the bit.
-A column is kept only where qagse would also stop after that first panel
-(abserr <= max(epsabs, epsrel |value|) and abserr != resasc, or abserr = 0),
-each test with a few ulp to spare; any other column gets its own _arc.  The
-panel's fixed numpy cost is about that of 7-10 scalar quadratures, hence
-the crossover, measured on whole solves (CHANGES.md).
+once, and loop_arcs takes the N spans.  The same call serves each round of
+a seed's lockstep presolve (T0 at every loop's new turning-point iterate,
+spans from turning_span) and the loop actions of the free energy.  From
+PANEL_MIN_LOOPS = 10 spans on it runs one batched panel, _panel: QUADPACK's
+21-node rule (qk21) for every integrand at once as one numpy array, in
+_arc's operation order and with qk21's weights summed in qk21's order, so
+each value is _arc's to the bit.  A column is kept only where qagse would
+also stop after that first panel (abserr <= max(epsabs, epsrel |value|) and
+abserr != resasc, or abserr = 0), each test with a few ulp to spare; any
+other column gets its own _arc.  The panel's fixed numpy cost is about that
+of 7-10 scalar quadratures, hence the crossover, measured on whole solves
+(CHANGES.md).
 
 Gradients use the renormalized closed forms
 
@@ -86,6 +89,7 @@ __all__ = [
     "grad_T0",
     "interval_period_slope",
     "arclength_from_turning",
+    "turning_span",
     "loop_spans",
     "loop_arcs",
     "loop_gradients",
@@ -119,11 +123,12 @@ _WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390
 _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
-# Panel nodes on [0, 1] as squares s^2, shaped (2, 11, 1): the center,
-# then 0.5 - 0.5 XGK in row 0 and 0.5 + 0.5 XGK in row 1, so row 0 plus
-# row 1 is each node pair's sum (and twice the center's value).
-_S2 = np.array([[s * s for s in [0.5] + [0.5 + sign * 0.5 * x for x in _XGK]]
-                for sign in (-1.0, 1.0)])[:, :, None]
+# Panel nodes s on [0, 1] and their squares, shaped (2, 11, 1): the
+# center, then 0.5 - 0.5 XGK in row 0 and 0.5 + 0.5 XGK in row 1, so row 0
+# plus row 1 is each node pair's sum (and twice the center's value).
+_S = np.array([[0.5] + [0.5 + sign * 0.5 * x for x in _XGK]
+               for sign in (-1.0, 1.0)])[:, :, None]
+_S2 = _S * _S
 _WGK_ROWS = np.array(_WGK[10:] + _WGK[:10])[:, None]      # center, then XGK's order
 # dqk21 sums the center and the pairs in _KRONROD_ORDER (the Gauss pairs
 # first): Kronrod weights for the sums of f and |f|, Gauss weights for f's,
@@ -224,16 +229,17 @@ def _arc(lo: float, blo: float, d: float, c: float, tol: float,
 def _panel(spans, tol: float, kind: str):
     """dqk21 on [0, 1] for every loop span's _arc integrand at once.
 
-    ``spans`` are _arc's (lo, 1 - lo, d, 0); ``kind`` is "length" or
-    "weighted".  Returns (value, accepted) arrays, one column per span.
-    Each integrand runs at QUADPACK's 21 nodes in _arc's operation order,
-    and the sums run in dqk21's order, so a value is _arc's to the bit.  A
-    column is accepted only where qagse would stop after this first panel:
-    abserr <= max(epsabs, epsrel |value|) and abserr != resasc, or
-    abserr = 0, each test with _PANEL_MARGIN to spare.  A span with d = 0
-    gives _arc's 0; d < 0 and every non-finite column fail the test.
+    ``spans`` are _arc's (lo, 1 - lo, d, 0); ``kind`` is "length",
+    "weighted" or "action".  Returns (value, accepted) arrays, one column
+    per span.  Each integrand runs at QUADPACK's 21 nodes in _arc's
+    operation order, and the sums run in dqk21's order, so a value is
+    _arc's to the bit.  A column is accepted only where qagse would stop
+    after this first panel: abserr <= max(epsabs, epsrel |value|) and
+    abserr != resasc, or abserr = 0, each test with _PANEL_MARGIN to spare.
+    A span with d = 0 gives _arc's 0; d < 0 and every non-finite column
+    fail the test.
     """
-    lo, blo, d, _ = np.fromiter(itertools.chain.from_iterable(spans), float,
+    lo, blo, d, c = np.fromiter(itertools.chain.from_iterable(spans), float,
                                 4 * len(spans)).reshape(-1, 4).T
     left = lo <= 0.5
     x0 = np.where(left, lo, blo)
@@ -242,16 +248,18 @@ def _panel(spans, tol: float, kind: str):
     g1 = dx * (1.0 - 2.0 * x0)
     g2 = -(2.0 / 3.0) * dx * dx
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = 2.0 * np.sqrt(d)
-        root = np.sqrt(g0 + _S2 * (g1 + g2 * _S2))
-        fa = np.empty((2,) + root.shape)    # f and |f|
+        poly = g0 + _S2 * (g1 + g2 * _S2)
+        fa = np.empty((2,) + poly.shape)    # f and |f|
         f = fa[0]
-        if kind == "length":
-            np.divide(k, root, out=f)
+        if kind == "action":
+            np.multiply(2.0 * d * _S, np.sqrt(c + d * _S2 * poly), out=f)
+        elif kind == "length":
+            np.divide(2.0 * np.sqrt(d), np.sqrt(poly), out=f)
         else:
             ds2 = d * _S2
             u = lo + ds2
-            np.divide((blo - ds2) * (1.0 + u) / (3.0 * u * u) * k, root, out=f)
+            np.divide((blo - ds2) * (1.0 + u) / (3.0 * u * u) * (2.0 * np.sqrt(d)),
+                      np.sqrt(poly), out=f)
         np.abs(f, out=fa[1])
         pairs = fa[:, 0] + fa[:, 1]
         pairs[:, 0] = fa[:, 0, 0]
@@ -272,7 +280,7 @@ def _panel(spans, tol: float, kind: str):
         bound = np.maximum(0.5 * tol, _EPSREL * np.abs(value))
         accepted = (abserr * (1.0 + _PANEL_MARGIN) <= bound) & \
             (np.abs(abserr - resasc) > _PANEL_MARGIN * resasc) | (abserr == 0.0)
-    return value, accepted & np.isfinite(value)
+    return value, accepted & np.isfinite(value) & (d >= 0.0)
 
 
 def _check_not_center(pt: PhasePoint) -> None:
@@ -324,7 +332,8 @@ def loop_spans(p: float, qs) -> list[tuple[float, float, float, float]]:
 
 
 def loop_arcs(spans, tol: float = 1e-10, kind: str = "length") -> list[float]:
-    """_arc(*span, tol, kind)[0] for every loop span: T0 ("length") or I2 ("weighted").
+    """_arc(*span, tol, kind)[0] for every loop span: T0 ("length"), I2
+    ("weighted") or the action ("action").
 
     From PANEL_MIN_LOOPS spans on, one _panel evaluates them all, and each
     span it does not accept gets its own _arc; either way every value is
@@ -337,16 +346,21 @@ def loop_arcs(spans, tol: float = 1e-10, kind: str = "length") -> list[float]:
             for v, ok, span in zip(values.tolist(), accepted.tolist(), spans)]
 
 
-def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:
-    """T0 with the turning point given directly instead of through (p, q).
+def turning_span(p: float, p0: float) -> tuple[float, float, float, float]:
+    """_arc's (p0, 1 - p0, p - p0, 0) for the loop arc from the turning point p0 up to p.
 
-    Used by solvers that parameterize loop orbits by p0: it avoids the
-    lossy round trip p0 -> q -> energy -> p0 when the orbit hugs the
-    homoclinic loop and A(p) - A(p0) cancels catastrophically.
+    Solvers that parameterize loop orbits by p0 use it to avoid the lossy
+    round trip p0 -> q -> energy -> p0 when the orbit hugs the homoclinic
+    loop and A(p) - A(p0) cancels catastrophically.
     """
     if not 0.0 < p0 <= p <= 1.0:
         raise InvalidDomain(f"need 0 < p0 <= p <= 1, got p0={p0}, p={p}")
-    return _arc(p0, 1.0 - p0, p - p0, 0.0, tol)[0]
+    return p0, 1.0 - p0, p - p0, 0.0
+
+
+def arclength_from_turning(p: float, p0: float, tol: float = 1e-10) -> float:
+    """T0 with the turning point given directly instead of through (p, q)."""
+    return _arc(*turning_span(p, p0), tol)[0]
 
 
 def action_T(pt: PhasePoint) -> float:

@@ -228,6 +228,9 @@ BAD_INPUTS = [
       for option in ("--max-t", "--tol") for value in ("-1", "nan")),
     *((2, ["groundstate", "--flower", "stem=2", "--tol", tol]) for tol in ("nan", "inf")),
     *((2, [cmd, "--flower", "stem=2", "--mesh", "inf"]) for cmd in ("spectrum", "evolve")),
+    # the P1 mesh of a huge length has more nodes than an int64 index counts
+    *((2, ["spectrum", "--flower", *flower]) for flower in HUGE_LENGTHS[::2]),
+    (2, ["evolve", "--flower", *HUGE_LENGTHS[0], *QUICK_EVOLVE]),
 ]
 
 

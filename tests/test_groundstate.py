@@ -13,13 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import brentq
+
 import arclength_reference as ref
-from fkpp_graphs import groundstate, period
+
+from fkpp_graphs import groundstate, period, phaseplane
 from fkpp_graphs.errors import (
     BelowThreshold,
     FisherKppError,
     InvalidDomain,
     NewtonStalled,
+    OrbitNotClosed,
     OutsideRegion,
     StepTooLarge,
 )
@@ -462,19 +466,109 @@ def test_period_integrands_run_on_python_floats(monkeypatch, solve):
     assert {kind for kind, _ in calls} == {float}
 
 
+def _record_turning_points(monkeypatch) -> list:
+    """Record the log turning points of every presolve evaluation."""
+    ys = []
+    arclengths = groundstate._turning_arclengths
+
+    def counted(p, round_ys, quad_tol):
+        ys.extend(round_ys)
+        return arclengths(p, round_ys, quad_tol)
+
+    monkeypatch.setattr(groundstate, "_turning_arclengths", counted)
+    return ys
+
+
 def test_loop_presolve_evaluates_no_turning_point_twice(monkeypatch):
-    p0s = []
-    arclength = groundstate.arclength_from_turning
-
-    def counted(p, p0, tol):
-        p0s.append(p0)
-        return arclength(p, p0, tol)
-
-    monkeypatch.setattr(groundstate, "arclength_from_turning", counted)
-    q = groundstate._loop_q_presolve(TWO_P, TWO_LOOP.loop_halves[0])
+    ys = _record_turning_points(monkeypatch)
+    y, = groundstate._loop_turning_points(TWO_P, TWO_LOOP.loop_halves[:1], 1e-12)
+    q = -math.sqrt(well(TWO_P) - well(math.exp(y)))
     assert math.isclose(q, TWO_Q1, rel_tol=1e-6)
-    assert len(p0s) > 3
-    assert len(set(p0s)) == len(p0s)
+    assert len(ys) > 3
+    assert len(set(ys)) == len(ys)
+
+
+def test_brentq_steps_are_scipys_brentq():
+    rng = np.random.default_rng(5)
+    shapes = [
+        lambda c, k: (lambda x: k * (x - c)),
+        lambda c, k: (lambda x: k * math.tanh(x - c)),
+        lambda c, k: (lambda x: k * (x - c) ** 3),
+        lambda c, k: (lambda x: math.exp(x) - math.exp(c)),
+        # values whose products underflow, and plateaus with exact zeros
+        lambda c, k: (lambda x: 1e-200 * math.copysign(abs(x - c) ** 0.3, x - c)),
+        lambda c, k: (lambda x: k * math.floor(4.0 * (x - c)) / 4.0),
+    ]
+    for trial in range(600):
+        f = shapes[trial % len(shapes)](float(rng.uniform(-3.0, 3.0)),
+                                        float(10.0 ** rng.uniform(-300.0, 300.0)))
+        a, b = -3.5 - float(rng.uniform()), 3.5 + float(rng.uniform())
+        if trial % 7 == 0:
+            a, b = b, a
+        xtol = float(10.0 ** rng.uniform(-300.0, -1.0))
+        rtol = 4.0 * groundstate.EPS * float(rng.uniform(1.0, 100.0))
+        maxiter = int(rng.integers(1, 100))
+        outcome = []
+        for solve in (lambda: brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter),
+                      lambda: _drive(groundstate._brentq_steps(a, b, xtol, rtol, maxiter), f)):
+            try:
+                outcome.append(solve())
+            except (ValueError, RuntimeError) as exc:
+                outcome.append(type(exc))
+        assert outcome[0] == outcome[1]
+
+
+def _drive(steps, f):
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _reference_turning_point(p: float, half: float, quad_tol: float) -> float:
+    """One loop's presolve as a scalar scipy brentq on the same bracket."""
+    def mismatch(y):
+        return period.arclength_from_turning(p, math.exp(y), quad_tol) - half
+
+    y_hi = math.log(p) - 1e-12
+    if mismatch(y_hi) > 0.0:
+        return y_hi
+    y_lo = math.log(p) - 5.0
+    for _ in range(140):
+        if mismatch(y_lo) > 0.0:
+            break
+        y_lo -= 5.0
+    else:
+        raise OrbitNotClosed(f"no loop orbit of half-length {half} through p = {p}")
+    return brentq(mismatch, y_lo, y_hi, xtol=1e-13, rtol=4.0 * groundstate.EPS,
+                  maxiter=300)
+
+
+# n - 2 distinct halves step together from n = 3 on: 9, 10 and 11 of them
+# straddle PANEL_MIN_LOOPS
+@pytest.mark.parametrize("seed,n", [(1, 1), (2, 2), (3, 5), (4, 11), (5, 12),
+                                    (6, 13), (7, 20), (8, 80)])
+def test_lockstep_presolve_equals_scipy_brentq_per_loop(seed, n):
+    rng = np.random.default_rng(seed)
+    for p in (1e-8, float(10.0 ** rng.uniform(-8.0, -1.0)), 0.3, 0.9):
+        halves = [float(h) for h in rng.uniform(0.1, 1.2, n)]
+        # repeated halves, and one so short that its root is the upper end
+        halves[n // 2] = halves[0]
+        halves[-1] = 1e-8
+        ys = groundstate._loop_turning_points(p, halves, 1e-12)
+        assert ys == [_reference_turning_point(p, h, 1e-12) for h in halves]
+        assert ys[-1] == math.log(p) - 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-8, 0.3])
+def test_lockstep_presolve_fails_like_scipy_on_an_unreachable_half(p):
+    halves = [0.5, 1e4, 0.7]
+    with pytest.raises(OrbitNotClosed):
+        _reference_turning_point(p, 1e4, 1e-12)
+    with pytest.raises(OrbitNotClosed):
+        groundstate._loop_turning_points(p, halves, 1e-12)
 
 
 def test_interval_evaluates_no_residual_twice(monkeypatch):
@@ -503,21 +597,44 @@ def test_quadrature_retries_need_no_warnings_filter(monkeypatch):
 
 
 def test_loop_presolves_of_one_seed_evaluate_no_turning_point_twice(monkeypatch):
-    p0s = []
-    arclength = groundstate.arclength_from_turning
-
-    def counted(p, p0, tol):
-        p0s.append(p0)
-        return arclength(p, p0, tol)
-
-    monkeypatch.setattr(groundstate, "arclength_from_turning", counted)
-    # equal loops invert the same map to the same root: all but the first
-    # presolve run from the shared cache
+    ys = _record_turning_points(monkeypatch)
+    # equal loops solve to the same root, from evaluations they share
     spec = FlowerSpec(8.0, (0.5, 0.9, 0.5, 1.1, 0.9))
     z = groundstate._asymptotic_seed(spec, 1e-12)
     assert z[1] == z[3] and z[2] == z[5]
-    assert len(p0s) > 3
-    assert len(set(p0s)) == len(p0s)
+    assert len(ys) > 3
+    assert len(set(ys)) == len(ys)
+
+
+@pytest.mark.parametrize("spec", [TADPOLE, TWO_LOOP, EIGHTY_LOOPS],
+                         ids=["tadpole", "two-loop", "12-80loops"])
+def test_no_turning_point_is_solved_after_newton(monkeypatch, spec):
+    solves = []
+    newton_done = []
+    newton = groundstate._newton
+
+    def recorded_newton(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        newton_done.append(True)
+        return out
+
+    monkeypatch.setattr(groundstate, "_newton", recorded_newton)
+    pair = phaseplane.turning_point_pair
+
+    def recorded_pair(pt):
+        solves.append(bool(newton_done))
+        return pair(pt)
+
+    for module in (phaseplane, period, groundstate):
+        if hasattr(module, "turning_point_pair"):
+            monkeypatch.setattr(module, "turning_point_pair", recorded_pair)
+    sol = solve_flower(spec)
+    energy_of(sol)
+    reconstruct_profile(sol)
+    assert len(sol.loop_turning_points()) == spec.n_loops
+    assert 0.0 < sol.sup_u < 1.0
+    assert newton_done and solves
+    assert sum(solves) == 0
 
 
 # ------------------------------------------------ the profile's step law

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkpp_graphs.errors import MeshTooCoarse
+from fkpp_graphs.errors import InvalidDomain, MeshTooCoarse
 from fkpp_graphs.graph import (
     Edge,
     FlowerSpec,
@@ -58,6 +58,21 @@ def test_mesh_too_coarse():
         GraphMesh(interval_graph(1.0), mesh_h=-0.1)
     with pytest.raises(MeshTooCoarse):
         GraphMesh(interval_graph(1.0), intervals={"stem": 1})
+
+
+# Only counts past int64 here: a mesh that could be allocated might not fit
+# in memory.
+@pytest.mark.parametrize("graph,mesh_h,intervals", [
+    (flower_graph(FlowerSpec(1e200, (0.5,))), 0.1, None),
+    (flower_graph(FlowerSpec(1e-300, (5e299,))), 2e-3, None),
+    (flower_graph(FlowerSpec(1e306, (0.5,))), 1e-3, None),      # the ratio is inf
+    (flower_graph(FlowerSpec(1.0, (0.5,))), None, {"stem": 2 ** 63, "loop1": 4}),
+    (flower_graph(FlowerSpec(1.0, (0.5, 0.5))), None,           # only the sum overflows
+     {"stem": 2 ** 62, "loop1": 2 ** 62, "loop2": 4}),
+], ids=["stem-1e200", "loop-1e300", "ratio-inf", "count-2^63", "sum-past-2^63"])
+def test_mesh_counts_past_int64_are_invalid(graph, mesh_h, intervals):
+    with pytest.raises(InvalidDomain, match="int64"):
+        GraphMesh(graph, mesh_h, intervals=intervals)
 
 
 def test_stiffness_is_symmetric_with_zero_row_sums():

@@ -442,17 +442,18 @@ def _seeded_loop_spans(seed: int) -> list:
 @pytest.mark.parametrize("seed", range(6))
 def test_panel_accepts_only_what_quadpack_ends_on_its_first_panel(monkeypatch, seed):
     spans = _seeded_loop_spans(seed)
-    for kind in ("length", "weighted"):
-        for tol in (1e-12, 1e-10):
-            values, accepted = period._panel(spans, tol, kind)
-            scalar = _first_panel_arcs(monkeypatch, spans, tol, kind)
-            for v, ok, (want, last) in zip(values.tolist(), accepted.tolist(), scalar):
-                if ok:
-                    assert last == 1
-                    assert v == want
-            first_panel = sum(last == 1 for _, last in scalar)
-            assert 2 * int(accepted.sum()) >= first_panel > 0
-            assert period.loop_arcs(spans, tol, kind) == [w for w, _ in scalar]
+    # the actions of energy_of take absolute tolerance 0
+    for kind, tol in [("length", 1e-12), ("length", 1e-10), ("weighted", 1e-12),
+                      ("weighted", 1e-10), ("action", 0.0)]:
+        values, accepted = period._panel(spans, tol, kind)
+        scalar = _first_panel_arcs(monkeypatch, spans, tol, kind)
+        for v, ok, (want, last) in zip(values.tolist(), accepted.tolist(), scalar):
+            if ok:
+                assert last == 1
+                assert v == want
+        first_panel = sum(last == 1 for _, last in scalar)
+        assert 2 * int(accepted.sum()) >= first_panel > 0
+        assert period.loop_arcs(spans, tol, kind) == [w for w, _ in scalar]
 
 
 def test_deep_weighted_span_goes_to_the_scalar_quadrature():
