@@ -21,10 +21,11 @@ step; the step size is halved (and the step retried) whenever H fails
 to decrease within a small slack, so accepted trajectories are honest
 gradient-flow descents.
 
-M + dt A is symmetric positive definite (and an M-matrix), so it is
-factored once per step size by mesh.factor_spd: a symmetric minimum-degree
-ordering with diagonal pivots, which SPD matrices admit without loss of
-stability.  The step loop runs on the free-node vector alone; Dirichlet
+M + dt A is symmetric positive definite (and an M-matrix).  It is
+factored once per step size by mesh.CondensedLU: a LAPACK factor of the
+tridiagonal edge interiors plus a SuperLU factor of the small vertex
+complement, so each step is one tridiagonal sweep and one vertex-sized
+sparse solve.  The step loop runs on the free-node vector alone; Dirichlet
 values are 0, so H, sup u and min u follow from the free nodes and the
 reduced operators, and the Field is written once, at the end.
 """
@@ -43,7 +44,7 @@ from .errors import (
     InvalidDomain,
     NegativeInitialData,
 )
-from .mesh import Field, factor_spd, free_energy
+from .mesh import CondensedLU, Field, free_energy
 
 __all__ = [
     "Terminal",
@@ -108,7 +109,7 @@ def _factor(mesh, dt: float):
     if not 0.0 < dt < math.inf:    # NaN fails both comparisons
         raise InvalidDomain(f"time step must be positive and finite, got {dt}")
     a, m = mesh.reduced_operators()
-    return factor_spd(sp.diags(m) + dt * a, "implicit step"), a, m
+    return CondensedLU(mesh, sp.diags(m) + dt * a, "implicit step"), a, m
 
 
 def _advance(lu, m, u_free, dt: float) -> np.ndarray:

@@ -10,23 +10,28 @@ matrix M + dt*A is an M-matrix for any dt > 0.
 
 Dirichlet vertices are pinned by row/column elimination; the reduced
 stiffness is symmetric positive definite whenever the graph is connected
-and has at least one Dirichlet vertex.
+and has at least one Dirichlet vertex.  A reduced operator is solved with
+its edge interiors condensed out (CondensedLU): every edge's interior
+block is tridiagonal and touches the rest only through its two end
+vertices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidDomain, LinearSolveFailure, MeshTooCoarse
 from .graph import DIRICHLET, MetricGraph
 
 __all__ = ["GraphMesh", "Field", "field_from_function", "field_from_profiles",
-           "constant_field", "free_energy", "factor_spd"]
+           "constant_field", "free_energy", "factor_spd", "CondensedLU"]
 
 
 class GraphMesh:
@@ -105,6 +110,9 @@ class GraphMesh:
         mask = np.ones(self.n_nodes, dtype=bool)
         mask[self.dirichlet_nodes] = False
         self.free_nodes = np.nonzero(mask)[0]
+        # Dirichlet nodes are vertices, so the free-node vector lists the free
+        # vertices first, then every edge's interior nodes in edge order.
+        self.free_vertices = len(verts) - self.dirichlet_nodes.size
         self._stiffness = None
         self._lumped_mass = None
 
@@ -131,37 +139,110 @@ class GraphMesh:
                 ends, weights=np.repeat(0.5 * self._cell_h, 2), minlength=self.n_nodes)
         return self._lumped_mass
 
-    def reduced_operators(self) -> tuple[sp.csc_matrix, np.ndarray]:
+    def reduced_operators(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """(stiffness, lumped mass) restricted to non-Dirichlet nodes."""
         f = self.free_nodes
-        a = self.stiffness[f][:, f].tocsc()
-        return a, self.lumped_mass[f]
+        return self.stiffness[f][:, f], self.lumped_mass[f]
+
+    @cached_property
+    def _couplings(self):
+        """Where the interior block of a reduced operator meets the vertices.
+
+        Returns (rows, cols, slot, ends): each free edge end's coupling entry
+        sits at interior row ``rows`` (counted from the first interior node)
+        and free vertex ``cols``; ``slot`` is 0 at a tail and 1 at a head.
+        ``ends[i]`` holds the free tail and head of interior row i's edge,
+        ``free_vertices`` where the end is pinned.  A 2-cell self-loop's one
+        interior node couples to its vertex through a single entry, kept as
+        the tail's.
+        """
+        nv = self.free_vertices
+        free_vertex = np.full(len(self.vertex_node), nv)
+        free_vertex[self.free_nodes[:nv]] = np.arange(nv)
+        ptr = np.array(self._ptr)
+        ends = free_vertex[self._point_node[np.column_stack((ptr[:-1], ptr[1:] - 1))]]
+        tail, head = ends.T
+        n = np.diff(ptr) - 2    # interior nodes per edge
+        lo = np.cumsum(n) - n
+        hi = lo + n - 1
+        t = tail < nv
+        h = (head < nv) & ~((lo == hi) & (head == tail))
+        rows = np.concatenate((lo[t], hi[h]))
+        cols = np.concatenate((tail[t], head[h]))
+        slot = np.repeat([0, 1], [np.count_nonzero(t), np.count_nonzero(h)])
+        return rows, cols, slot, np.repeat(ends, n, axis=0)
 
     def min_intervals(self) -> int:
         return min(self.intervals.values())
 
 
 def factor_spd(b: sp.spmatrix, what: str):
-    """Sparse LU of a reduced operator: ``A_ff`` or ``M_ff + dt A_ff``.
+    """Sparse LU of a symmetric positive definite matrix, diagonal pivots only.
 
-    Both are symmetric positive definite on a validated graph (connected,
-    at least one Dirichlet vertex), and ``M + dt A`` is also a diagonally
-    dominant M-matrix.  Gaussian elimination on an SPD matrix in any
-    symmetric order needs no pivoting: every Schur complement is SPD again,
-    so each diagonal pivot is positive and no entry grows beyond the largest
-    of ``b`` (growth factor at most 1), which makes the elimination backward
-    stable.  So the ordering is a symmetric minimum degree on the pattern of
-    ``b``, with the column order applied to the rows as well and the
-    diagonal always taken as the pivot.
-    On the P1 operators of 1e3-4e3-edge trees and grids a solve then takes
-    0.3-0.65 of its time under SuperLU's default (COLAMD with partial
-    pivoting).
+    CondensedLU calls it on the vertex complement S of a reduced operator,
+    which is SPD (and an M-matrix) whenever the operator is.  Gaussian
+    elimination on an SPD matrix in any symmetric order needs no pivoting:
+    every Schur complement is SPD again, so each diagonal pivot is positive
+    and no entry grows beyond the largest of ``b`` (growth factor at most 1),
+    which makes the elimination backward stable.  So the ordering is a
+    symmetric minimum degree on the pattern of ``b``, with the column order
+    applied to the rows as well and the diagonal always taken as the pivot.
     """
     try:
         return spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise LinearSolveFailure(f"{what} factorization failed: {exc}") from exc
+
+
+class CondensedLU:
+    """Factor of a reduced operator B with the edge interiors condensed out.
+
+    B is ``A_ff``, ``M_ff + dt A_ff`` or any matrix of their pattern that is
+    symmetric positive definite; every entry is read from B.  In the free
+    numbering of GraphMesh, B = [[B_VV, C^T], [C, T]] with T the interior
+    block: tridiagonal, with no entry between consecutive edges, and C the
+    interior-vertex coupling, one entry per free edge end.  T is factored by
+    LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs with two
+    right-hand sides (every edge's tail coupling in one, its head coupling
+    in the other, since the edge blocks are independent), and the vertex
+    complement S = B_VV - C^T G, SPD and small, goes to factor_spd.  A
+    solve is one dpttrs and one SuperLU solve: y = T^-1 r_I, then
+    x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
+    """
+
+    def __init__(self, mesh: GraphMesh, b: sp.spmatrix, what: str):
+        b = b.tocsr()
+        nv = mesh.free_vertices
+        d = b.diagonal()[nv:]
+        # f2py asks for one superdiagonal entry even when T is 1 x 1
+        e = b.diagonal(1)[nv:] if d.size > 1 else np.zeros(1)
+        self._d, self._e, info = dpttrf(d, e)
+        if info != 0:
+            raise LinearSolveFailure(
+                f"{what} factorization failed: LAPACK dpttrf info {info}")
+        self._nv = nv
+        self.schur = None
+        if nv == 0:
+            return
+        rows, cols, slot, ends = mesh._couplings
+        c = np.asarray(b[rows + nv, cols]).ravel()
+        couple = np.zeros((d.size, 2))
+        couple[rows, slot] = c
+        g, _ = dpttrs(self._d, self._e, couple)
+        keep = ends < nv
+        self._g = sp.csr_matrix((g[keep], (np.nonzero(keep)[0], ends[keep])),
+                                shape=(d.size, nv))
+        self._ct = sp.csr_matrix((c, (cols, rows)), shape=(nv, d.size))
+        self.schur = factor_spd(b[:nv, :nv] - self._ct @ self._g, what)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        nv = self._nv
+        y, _ = dpttrs(self._d, self._e, r[nv:])
+        if self.schur is None:
+            return y
+        xv = self.schur.solve(r[:nv] - self._ct @ y)
+        return np.concatenate((xv, y - self._g @ xv))
 
 
 @dataclass

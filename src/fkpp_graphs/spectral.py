@@ -37,7 +37,7 @@ from .errors import (
     MeshTooCoarse,
 )
 from .graph import Edge, FlowerSpec, MetricGraph, flower_graph
-from .mesh import Field, GraphMesh, factor_spd, field_from_function
+from .mesh import CondensedLU, Field, GraphMesh, field_from_function
 
 __all__ = [
     "SpectralResult",
@@ -146,7 +146,9 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
     """Smallest eigenvalue of the P1-discretized Laplacian on any graph.
 
     One shift-invert Lanczos call at 0 on A x = rho M x applies the
-    factor_spd factor of A once per step; ``iterations`` counts those solves.
+    mesh.CondensedLU factor of A once per step (a tridiagonal sweep over
+    the edge interiors and one SuperLU solve on the vertex complement);
+    ``iterations`` counts those solves.
     The pair must meet a relative residual of 1e-10 or its own rounding
     floor, 2 eps |(|A| |y| + rho M |y|)| over the same scale, as
     groundstate._floors does; that floor grows like 1/lambda0, so large
@@ -158,7 +160,7 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
             f"coarsest edge has {mesh.min_intervals()} cells; need >= 5 "
             "(four interior nodes) for the eigenvalue stencil")
     a, m = mesh.reduced_operators()
-    lu = factor_spd(a, "stiffness")
+    lu = CondensedLU(mesh, a, "stiffness")
     n = a.shape[0]
     solves = 0
 

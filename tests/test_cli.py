@@ -409,6 +409,26 @@ def test_evolve_on_general_graph(tmp_path):
     assert read_json(out)["terminal"] == "MaxStepsReached"
 
 
+# One edge between two Dirichlet vertices has no free vertex: the factor is
+# its tridiagonal interior alone.  Values are those of the full-operator
+# SuperLU solve this factor replaced.
+@pytest.mark.parametrize("length,lam,steps,terminal", [
+    (2.0, 2.466133013497611, 162, "ConvergedTrivial"),
+    (4.0, 0.6167710074216547, 485, "ConvergedNontrivial"),
+])
+def test_edge_between_two_dirichlet_vertices(tmp_path, length, lam, steps, terminal):
+    g = tmp_path / "edge.json"
+    g.write_text(json.dumps(edge_graph(("a", "b", length),
+                                       conditions=(("a", "dirichlet"), ("b", "dirichlet")))))
+    spec, run = tmp_path / "spec.json", tmp_path / "run.json"
+    assert main(["spectrum", "--graph", str(g), "--mesh", "0.05", "--out", str(spec)]) == 0
+    assert math.isclose(read_json(spec)["lambda0"], lam, rel_tol=1e-12)
+    assert main(["evolve", "--graph", str(g), "--mesh", "0.05", "--initial", "const:0.5",
+                 "--out", str(run)]) == 0
+    data = read_json(run)
+    assert (data["steps"], data["terminal"]) == (steps, terminal)
+
+
 def test_evolve_bad_initial_data(tmp_path):
     assert main(["evolve", "--flower", "stem=1", "--mesh", "0.1",
                  "--initial", "const:-0.2"]) == 2

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkpp_graphs.errors import InvalidDomain, MeshTooCoarse
+from fkpp_graphs.errors import InvalidDomain, LinearSolveFailure, MeshTooCoarse
 from fkpp_graphs.graph import (
     Edge,
     FlowerSpec,
@@ -18,11 +18,11 @@ from fkpp_graphs.graph import (
     validate,
 )
 from fkpp_graphs.mesh import (
+    CondensedLU,
     Field,
     GraphMesh,
     constant_field,
     field_from_function,
-    factor_spd,
     field_from_profiles,
     free_energy,
 )
@@ -247,19 +247,51 @@ def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
     assert np.max(np.abs(f.values - avg)) <= 1e-14
 
 
-@settings(max_examples=100, deadline=None)
-@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]),
-       dt=st.sampled_from([1e-3, 0.1, 0.99]), seed=st.integers(0, 2**32 - 1))
-def test_spd_factor_solves_the_reduced_operators(graph, mesh_h, dt, seed):
-    mesh = GraphMesh(graph, mesh_h=mesh_h)
+def assert_condensed_solves(mesh, dt, seed):
+    """CondensedLU solves A_ff and M_ff + dt A_ff to a 1e-12 backward error."""
     a, m = mesh.reduced_operators()
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, m.size)
     for op in (a, sp.diags(m) + dt * a):
-        lu = factor_spd(op, "test")
-        # symmetric ordering with diagonal pivots
-        assert np.array_equal(lu.perm_r, lu.perm_c)
+        lu = CondensedLU(mesh, op, "test")
+        if mesh.free_vertices:
+            # the vertex complement: symmetric ordering with diagonal pivots
+            assert np.array_equal(lu.schur.perm_r, lu.schur.perm_c)
+        else:
+            assert lu.schur is None
         x = lu.solve(rhs)
         # normwise relative residual (backward error) in the inf-norm
         norm = abs(op).sum(axis=1).max()
         res = np.max(np.abs(op @ x - rhs))
         assert res <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]),
+       dt=st.sampled_from([1e-3, 0.1, 0.99]), seed=st.integers(0, 2**32 - 1))
+def test_spd_factor_solves_the_reduced_operators(graph, mesh_h, dt, seed):
+    assert_condensed_solves(GraphMesh(graph, mesh_h=mesh_h), dt, seed)
+
+
+# shapes multigraphs() never draws: no free vertex at all, and edges of two
+# cells (one interior node, a 1 x 1 tridiagonal block)
+@pytest.mark.parametrize("edges,conditions,intervals", [
+    ([("e0", "a", "b", 2.0)], ("a", "b"), {"e0": 40}),
+    ([("e0", "a", "b", 0.1)], ("a", "b"), {"e0": 2}),
+    ([("e0", "a", "v", 1.0), ("e1", "v", "w", 0.3)], ("a",), {"e0": 10, "e1": 2}),
+    ([("e0", "a", "v", 1.0), ("e1", "v", "v", 0.4)], ("a",), {"e0": 10, "e1": 2}),
+    ([("e0", "a", "v", 1.0), ("e1", "v", "w", 0.3), ("e2", "w", "w", 0.4),
+      ("e3", "w", "b", 0.2)], ("a", "b"), {"e0": 2, "e1": 2, "e2": 2, "e3": 2}),
+], ids=["two-dirichlet", "two-dirichlet-2-cells", "2-cell-pendant",
+        "2-cell-self-loop", "all-2-cells"])
+@pytest.mark.parametrize("dt", [1e-3, 0.99])
+def test_condensed_factor_on_edge_cases(edges, conditions, intervals, dt):
+    graph = MetricGraph(tuple(Edge(*e) for e in edges),
+                        {v: "dirichlet" for v in conditions})
+    assert_condensed_solves(GraphMesh(graph, intervals=intervals), dt, 3)
+
+
+def test_condensed_factor_rejects_an_indefinite_interior():
+    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.25)
+    a, _ = mesh.reduced_operators()
+    with pytest.raises(LinearSolveFailure, match="dpttrf"):
+        CondensedLU(mesh, -a, "test")
