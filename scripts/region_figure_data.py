@@ -7,7 +7,7 @@ and the two-loop surface grid has loop_half_1, loop_half_2, critical_stem.
 No plotting here; point any plotting tool at the CSVs.
 
 Usage: python3 scripts/region_figure_data.py [--outdir figure_data]
-       [--samples 200] [--grid-samples 60] [--jobs 1]
+       [--samples 200] [--grid-samples 60]
 """
 
 import argparse
@@ -29,19 +29,18 @@ def run():
                     help="points along each boundary curve")
     ap.add_argument("--grid-samples", type=int, default=60,
                     help="points per axis of the two-loop surface")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     for n in range(1, 6):
         out = args.outdir / f"boundary_curve_{n}_loops.csv"
         fkpp(["region", "--curve", str(n), "--samples", str(args.samples),
-              "--jobs", str(args.jobs), "--out", str(out)])
+              "--out", str(out)])
         print(f"wrote {out}")
 
     out = args.outdir / "boundary_surface_two_loops.csv"
     fkpp(["region", "--grid", "--samples", str(args.grid_samples),
-          "--jobs", str(args.jobs), "--out", str(out)])
+          "--out", str(out)])
     print(f"wrote {out}")
 
 

@@ -51,9 +51,9 @@ from .graph import (
     DIRICHLET,
     FlowerSpec,
     MetricGraph,
+    as_flower,
     flower_from_totals,
     flower_graph,
-    flower_shape,
     graph_from_json,
     parse_number,
 )
@@ -98,10 +98,10 @@ def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
     except OSError as exc:
         raise InvalidDomain(f"cannot read graph file {path}: {exc}") from exc
     graph = graph_from_json(text)
-    report = graph.validation
+    graph.validation    # invalid graphs exit 2 here; as_flower reads the cached report
     logger.info("loaded graph with %d edges, total length %.6g",
                 len(graph.edges), graph.total_length())
-    return flower_shape(graph, report), graph
+    return as_flower(graph), graph
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
@@ -134,7 +134,7 @@ def _write_profile(path: str, profiles: dict) -> None:
 def _graph_profiles(graph: MetricGraph, profiles: dict) -> dict:
     """A flower solution's stem and loop profiles under the graph's own edge ids.
 
-    Loops match in edge order, as flower_shape reads them; the stem's samples
+    Loops match in edge order, as as_flower reads them; the stem's samples
     are mirrored when its edge runs from the center to the Dirichlet vertex.
     """
     loops = (xu for eid, xu in profiles.items() if eid != "stem")
@@ -596,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gs = subs.add_parser("groundstate", help="positive steady state on a flower")
     _add_graph_source(gs)
     gs.add_argument("--tol", type=_positive_float, default=1e-10,
-                    help="period residual tolerance")
+                    help="period residual tolerance (1e-8 when looser)")
     gs.add_argument("--out", metavar="FILE", help="write the JSON summary here")
     gs.add_argument("--profile", metavar="FILE",
                     help="write the reconstructed profile CSV here")
@@ -623,8 +623,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="sample the two-loop boundary surface")
     rg.add_argument("--samples", type=_positive_int, default=50,
                     help="points per axis")
-    rg.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; ignored (runs serially)")
     rg.add_argument("--out", metavar="FILE", help="write the CSV/JSON here")
 
     va = subs.add_parser("validate", help="property suites")
@@ -633,8 +631,6 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed")
     va.add_argument("--samples", type=_positive_int, default=None,
                     help="override the per-check sample count")
-    va.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; ignored (runs serially)")
     va.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
     return parser

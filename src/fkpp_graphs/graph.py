@@ -37,7 +37,6 @@ __all__ = [
     "flower_from_totals",
     "validate",
     "as_flower",
-    "flower_shape",
     "flower_graph",
     "interval_graph",
     "graph_from_dict",
@@ -229,11 +228,6 @@ def as_flower(graph: MetricGraph) -> FlowerSpec | None:
         report = graph.validation
     except FisherKppError:
         return None
-    return flower_shape(graph, report)
-
-
-def flower_shape(graph: MetricGraph, report: ValidationReport) -> FlowerSpec | None:
-    """as_flower for a graph that validate has accepted with ``report``."""
     if len(report.dirichlet_vertices) != 1:
         return None
     b = report.dirichlet_vertices[0]

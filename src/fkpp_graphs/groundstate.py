@@ -18,21 +18,17 @@ the loop-free case N = 0, solved by brentq with the same residual and floors.
 Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
 q_j.  Two mitigations: the seed takes p from the trace asymptotics and each
-q_j from a one-dimensional presolve parameterized by the log of the turning
-point (uniformly well conditioned), and convergence is declared against
+q_j from a presolve in the log of the turning point (uniformly well
+conditioned; every loop steps in lockstep by Chandrupatla's method, with one
+period.loop_arcs call per round), and convergence is declared against
 per-row floors
 
     floor_i = 8 eps (|target_i| + sum_k |z_k J_ik|)
 
 which measure the best residual representable at the working precision.
-
-The presolve is scipy's brentq, run for all loops of the seed in lockstep:
-one shared bracket ladder, then one brentq step per unconverged loop per
-round, with every new turning point of a round evaluated by one
-period.loop_arcs call (the batched panel from PANEL_MIN_LOOPS spans on).
-The roots are brentq's to the bit.  Newton hands its converged loop spans
-to the solution, so the profile, the turning points and the loop actions
-of the free energy need no further turning-point solve.
+Newton hands its converged loop spans to the solution, so the profile, the
+turning points and the loop actions of the free energy need no further
+turning-point solve.
 """
 
 from __future__ import annotations
@@ -81,6 +77,7 @@ __all__ = [
 EPS = float(np.finfo(float).eps)
 THRESHOLD_LENGTH = math.pi / 2.0
 MAX_NEWTON_ITER = 60
+MAX_PRESOLVE_ROUNDS = 100   # Chandrupatla rounds after the bracket ladder
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
 MAX_STEPS_PER_EDGE = 500_000  # caps an edge's RK4 time before StepTooLarge
 JACOBIAN_QUAD_TOL = 1e-10
@@ -172,70 +169,16 @@ def _turning_arclengths(p: float, ys, quad_tol: float) -> list[float]:
     return loop_arcs([turning_span(p, math.exp(y)) for y in ys], quad_tol)
 
 
-def _brentq_steps(xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int):
-    """scipy's brentq on [xpre, xcur] as a generator.
-
-    It yields each point where it needs f, starting with the two ends, is
-    sent f there, and returns the root.  The arithmetic and stopping rule
-    are those of scipy's brentq.c, so the root is brentq's to the bit: ends
-    of one sign raise ValueError, and maxiter steps RuntimeError.
-    """
-    fpre = yield xpre
-    fcur = yield xcur
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:               # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / \
-                        (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf     # C's inf or NaN, which bisects
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry     # good short step
-            else:
-                spre = scur = sbis          # bisect
-        else:
-            spre = scur = sbis              # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = yield xcur
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
-
-
 def _loop_turning_points(p: float, halves, quad_tol: float) -> list[float]:
     """log p0 with T0 = half from the turning point p0 up to p, for every half.
 
-    T0 is strictly decreasing in p0 at fixed p (from 'infinity' on the
-    homoclinic side to 0 at p0 = p), so the bracket is trivial and the
-    conditioning is uniform even when the final q is pinned against
-    -sqrt(A(p)) to the last ulp.  All halves share the upper end y_hi and
-    the ladder y_lo = log p - 5k that brackets them; then brentq advances
-    every unconverged half by one step per round, and each round's new
-    iterates go through one loop_arcs call.  Equal halves are solved once,
-    and no turning point is evaluated twice.
+    T0 falls strictly in p0 at fixed p (from 'infinity' on the homoclinic
+    side to 0 at p0 = p), so log p0 is well conditioned even when q is pinned
+    against -sqrt(A(p)) to the last ulp.  The halves share the upper end y_hi
+    and the ladder y_lo = log p - 5k that brackets them; then each round takes
+    one Chandrupatla step per unconverged half and evaluates the round's new
+    points in one loop_arcs call.  Equal halves are solved once, and no
+    turning point is evaluated twice.
     """
     t0 = {}    # y -> T0 from the turning point e^y up to p
 
@@ -247,36 +190,55 @@ def _loop_turning_points(p: float, halves, quad_tol: float) -> list[float]:
     evaluate([y_hi])
     # halves shorter than even the shortest orbits: p is huge relative to
     # them, and the root sits essentially at p0 = p
-    roots = {half: y_hi for half in halves if t0[y_hi] - half > 0.0}
+    roots = {half: y_hi for half in halves if t0[y_hi] - half >= 0.0}
     unbracketed = [half for half in dict.fromkeys(halves) if half not in roots]
-    lows = {}
+    # per half, with f = T0 - half: the newest point (y1, f1), the bracket's
+    # other end (y2, f2), and the fraction t of the way to y2 of the next
+    # point, which starts as the bracket's secant
+    brackets = {}
     y_lo = math.log(p) - 5.0
     for _ in range(140):
         if not unbracketed:
             break
         evaluate([y_lo])
-        lows.update((half, y_lo) for half in unbracketed if t0[y_lo] - half > 0.0)
-        unbracketed = [half for half in unbracketed if half not in lows]
+        for half in unbracketed:
+            f1, f2 = t0[y_lo] - half, t0[y_hi] - half
+            if f1 > 0.0:
+                brackets[half] = (y_lo, f1, y_hi, f2, f1 / (f1 - f2))
+        unbracketed = [half for half in unbracketed if half not in brackets]
         y_lo -= 5.0
     if unbracketed:
         raise OrbitNotClosed(
             f"no loop orbit of half-length {unbracketed[0]} through p = {p}")
 
-    steps = {half: _brentq_steps(y, y_hi, 1e-13, 4.0 * EPS, 300)
-             for half, y in lows.items()}
-    pending = {half: next(step) for half, step in steps.items()}
-    while pending:
-        evaluate(pending.values())
-        for half, y in list(pending.items()):
-            f = t0[y] - half
-            if math.isnan(f):    # as scipy's brentq wrapper does
-                raise ValueError(f"T0 at log p0 = {y} is NaN")
-            try:
-                pending[half] = steps[half].send(f)
-            except StopIteration as stop:
-                roots[half] = stop.value
-                del pending[half]
-    return [roots[half] for half in halves]
+    for _ in range(MAX_PRESOLVE_ROUNDS):
+        steps = {}
+        for half, (y1, f1, y2, f2, t) in list(brackets.items()):
+            y_min = y1 if abs(f1) < abs(f2) else y2
+            tol = 1e-13 + 4.0 * EPS * abs(y_min)
+            if f1 == 0.0 or abs(y2 - y1) < tol:    # brentq's stopping rule
+                roots[half] = y_min
+                del brackets[half]
+            else:    # at least tol / 2 inside the bracket
+                margin = 0.5 * tol / abs(y2 - y1)
+                steps[half] = y1 + min(max(t, margin), 1.0 - margin) * (y2 - y1)
+        if not steps:
+            return [roots[half] for half in halves]
+        evaluate(steps.values())
+        for half, y1 in steps.items():
+            f1 = t0[y1] - half
+            if math.isnan(f1):
+                raise ValueError(f"T0 at log p0 = {y1} is NaN")
+            y3, f3, y2, f2, _ = brackets[half]    # (y3, f3) is dropped
+            if (f1 > 0.0) != (f3 > 0.0):
+                y3, f3, y2, f2 = y2, f2, y3, f3
+            # inverse quadratic interpolation where it is safe, else bisection
+            xi, phi = (y1 - y2) / (y3 - y2), (f1 - f2) / (f3 - f2)
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - (y3 - y1) / (y2 - y1) * \
+                f1 / (f3 - f1) * f2 / (f2 - f3) \
+                if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi else 0.5
+            brackets[half] = (y1, f1, y2, f2, t)
+    raise ValueError(f"the presolve needs more than {MAX_PRESOLVE_ROUNDS} rounds")
 
 
 def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
@@ -356,9 +318,10 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
     return sol
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float) -> float:
     if not 0.0 < tol < math.inf:    # NaN fails both comparisons
         raise InvalidDomain(f"period tolerance must be positive and finite, got {tol}")
+    return min(tol, PROFILE_TOL)    # a looser residual fails the profile's end check
 
 
 def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
@@ -371,7 +334,7 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
     meet max(tol, floor), the floor from the 1x1 Jacobian [[dT/dp]], or
     NewtonStalled is raised.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if not L > THRESHOLD_LENGTH:
         raise BelowThreshold(
             f"interval length {L} <= pi/2; the only nonnegative steady "
@@ -410,7 +373,7 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
     """
     if spec.n_loops == 0:
         return solve_interval(spec.stem, tol)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     lam = lambda0_flower(spec).lambda0
     if lam >= 1.0:
         raise OutsideRegion(

@@ -71,6 +71,13 @@ def test_solvers_reject_a_bad_tolerance(tol):
             solve()
 
 
+def test_a_loose_tolerance_still_solves_to_the_profile_tolerance():
+    spec = FlowerSpec(2.0, (0.5,))
+    sol = solve_flower(spec, tol=1e300)
+    assert abs(ref.stem_length(sol.p, sol.q_stem) - spec.stem) <= 1e-8
+    assert abs(ref.loop_half_length(sol.p, sol.q_loops[0]) - 0.5) <= 1e-8
+
+
 def test_interval_anchor_L2():
     sol = solve_interval(2.0)
     assert math.isclose(sol.p, P_STAR_L2, rel_tol=1e-14)
@@ -488,45 +495,6 @@ def test_loop_presolve_evaluates_no_turning_point_twice(monkeypatch):
     assert len(set(ys)) == len(ys)
 
 
-def test_brentq_steps_are_scipys_brentq():
-    rng = np.random.default_rng(5)
-    shapes = [
-        lambda c, k: (lambda x: k * (x - c)),
-        lambda c, k: (lambda x: k * math.tanh(x - c)),
-        lambda c, k: (lambda x: k * (x - c) ** 3),
-        lambda c, k: (lambda x: math.exp(x) - math.exp(c)),
-        # values whose products underflow, and plateaus with exact zeros
-        lambda c, k: (lambda x: 1e-200 * math.copysign(abs(x - c) ** 0.3, x - c)),
-        lambda c, k: (lambda x: k * math.floor(4.0 * (x - c)) / 4.0),
-    ]
-    for trial in range(600):
-        f = shapes[trial % len(shapes)](float(rng.uniform(-3.0, 3.0)),
-                                        float(10.0 ** rng.uniform(-300.0, 300.0)))
-        a, b = -3.5 - float(rng.uniform()), 3.5 + float(rng.uniform())
-        if trial % 7 == 0:
-            a, b = b, a
-        xtol = float(10.0 ** rng.uniform(-300.0, -1.0))
-        rtol = 4.0 * groundstate.EPS * float(rng.uniform(1.0, 100.0))
-        maxiter = int(rng.integers(1, 100))
-        outcome = []
-        for solve in (lambda: brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter),
-                      lambda: _drive(groundstate._brentq_steps(a, b, xtol, rtol, maxiter), f)):
-            try:
-                outcome.append(solve())
-            except (ValueError, RuntimeError) as exc:
-                outcome.append(type(exc))
-        assert outcome[0] == outcome[1]
-
-
-def _drive(steps, f):
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _reference_turning_point(p: float, half: float, quad_tol: float) -> float:
     """One loop's presolve as a scalar scipy brentq on the same bracket."""
     def mismatch(y):
@@ -551,6 +519,8 @@ def _reference_turning_point(p: float, half: float, quad_tol: float) -> float:
 @pytest.mark.parametrize("seed,n", [(1, 1), (2, 2), (3, 5), (4, 11), (5, 12),
                                     (6, 13), (7, 20), (8, 80)])
 def test_lockstep_presolve_equals_scipy_brentq_per_loop(seed, n):
+    """Each root is scalar brentq's on the same bracket, to brentq's own
+    tolerance 1e-13 + 4 eps |y|."""
     rng = np.random.default_rng(seed)
     for p in (1e-8, float(10.0 ** rng.uniform(-8.0, -1.0)), 0.3, 0.9):
         halves = [float(h) for h in rng.uniform(0.1, 1.2, n)]
@@ -558,7 +528,9 @@ def test_lockstep_presolve_equals_scipy_brentq_per_loop(seed, n):
         halves[n // 2] = halves[0]
         halves[-1] = 1e-8
         ys = groundstate._loop_turning_points(p, halves, 1e-12)
-        assert ys == [_reference_turning_point(p, h, 1e-12) for h in halves]
+        for y, half in zip(ys, halves):
+            y_ref = _reference_turning_point(p, half, 1e-12)
+            assert abs(y - y_ref) <= 1e-13 + 4.0 * groundstate.EPS * abs(y_ref)
         assert ys[-1] == math.log(p) - 1e-12
 
 
@@ -569,6 +541,29 @@ def test_lockstep_presolve_fails_like_scipy_on_an_unreachable_half(p):
         _reference_turning_point(p, 1e4, 1e-12)
     with pytest.raises(OrbitNotClosed):
         groundstate._loop_turning_points(p, halves, 1e-12)
+
+
+def test_a_nan_inside_the_presolve_is_a_stalled_solve(monkeypatch):
+    """T0 turns NaN after the first two rounds: y_hi and the first rung,
+    which brackets the tadpole's loop."""
+    arclengths = groundstate._turning_arclengths
+    rounds = []
+
+    def spoiled(p, ys, quad_tol):
+        rounds.append(ys)
+        values = arclengths(p, ys, quad_tol)
+        return values if len(rounds) <= 2 else [math.nan] * len(values)
+
+    monkeypatch.setattr(groundstate, "_turning_arclengths", spoiled)
+    with pytest.raises(NewtonStalled, match="no admissible Newton seed"):
+        solve_flower(TADPOLE)
+    assert len(rounds) == 3
+
+
+def test_the_presolve_round_cap_is_a_stalled_solve(monkeypatch):
+    monkeypatch.setattr(groundstate, "MAX_PRESOLVE_ROUNDS", 2)
+    with pytest.raises(NewtonStalled, match="no admissible Newton seed"):
+        solve_flower(TADPOLE)
 
 
 def test_interval_evaluates_no_residual_twice(monkeypatch):
