@@ -21,12 +21,14 @@ step; the step size is halved (and the step retried) whenever H fails
 to decrease within a small slack, so accepted trajectories are honest
 gradient-flow descents.
 
-M + dt A is symmetric positive definite (and an M-matrix).  It is
-factored once per step size by mesh.CondensedLU: a LAPACK factor of the
-tridiagonal edge interiors plus a SuperLU factor of the small vertex
-complement, so each step is one tridiagonal sweep and one vertex-sized
-sparse solve.  The step loop runs on the free-node vector alone; Dirichlet
-values are 0, so H, sup u and min u follow from the free nodes and the
+M + dt A is symmetric positive definite (and an M-matrix).  It is formed
+in the pattern of A_ff from the mesh's one assembly (dt A with m added at
+the diagonal slots; no full-node matrix is built) and factored once per
+step size by mesh.CondensedLU: a LAPACK factor of the tridiagonal edge
+interiors plus a SuperLU factor of the small vertex complement, so each
+step is one tridiagonal sweep and one vertex-sized sparse solve.  The step
+loop runs on the free-node vector alone; Dirichlet values are 0, so H
+(from t = 0 on), sup u and min u follow from the free nodes and the
 reduced operators, and the Field is written once, at the end.
 """
 
@@ -109,7 +111,14 @@ def _factor(mesh, dt: float):
     if not 0.0 < dt < math.inf:    # NaN fails both comparisons
         raise InvalidDomain(f"time step must be positive and finite, got {dt}")
     a, m = mesh.reduced_operators()
-    return CondensedLU(mesh, sp.diags(m) + dt * a, "implicit step"), a, m
+    return CondensedLU(mesh, _implicit_operator(mesh, a, m, dt), "implicit step"), a, m
+
+
+def _implicit_operator(mesh, a, m, dt: float) -> sp.csr_matrix:
+    """M + dt A in A's own pattern: dt A with m added at its diagonal slots."""
+    data = dt * a.data
+    data[mesh.diagonal_slots(a.indptr)] += m
+    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
 def _advance(lu, m, u_free, dt: float) -> np.ndarray:
@@ -170,7 +179,11 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     u = field.values[free]
     t = 0.0
     c = sup0
-    h = free_energy(field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _reduced_energy(a, m, u)
+    if not math.isfinite(h):
+        raise InvalidDomain(f"the free energy of initial data up to {sup0:.6g} "
+                            "overflows a double")
     times = [0.0]
     energies = [h]
     sups = [sup0]

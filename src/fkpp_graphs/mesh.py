@@ -10,14 +10,19 @@ matrix M + dt*A is an M-matrix for any dt > 0.
 
 Dirichlet vertices are pinned by row/column elimination; the reduced
 stiffness is symmetric positive definite whenever the graph is connected
-and has at least one Dirichlet vertex.  A reduced operator is solved with
-its edge interiors condensed out (CondensedLU): every edge's interior
-block is tridiagonal and touches the rest only through its two end
-vertices.
+and has at least one Dirichlet vertex.  The solvers use one assembly:
+GraphMesh.reduced_operators writes A_ff into its final CSR arrays in the
+free numbering (int32 indices) with no full-node matrix and no slicing,
+and M_ff + dt A_ff reuses that pattern.  The full-node ``stiffness`` and
+``lumped_mass`` are built only when read (free_energy, tests).  A reduced
+operator is solved with its edge interiors condensed out (CondensedLU):
+every edge's interior block is tridiagonal and touches the rest only
+through its two end vertices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,10 +42,12 @@ __all__ = ["GraphMesh", "Field", "field_from_function", "field_from_profiles",
 class GraphMesh:
     """Shared-vertex uniform grids on every edge of a metric graph.
 
-    ``intervals[edge_id]`` cells on each edge; ``edge_nodes[edge_id]`` lists
-    the global node index of each grid point along the edge, endpoints being
-    the vertex nodes.  ``edge_nodes`` and ``edge_x`` hold read-only views of
-    one flat array each.
+    ``intervals[edge_id]`` cells on each edge.  The constructor keeps only
+    per-edge numbers and the free-node index; every per-point array is built
+    on first use.  ``edge_nodes[edge_id]`` lists the global node index of
+    each grid point along the edge, endpoints being the vertex nodes;
+    ``edge_nodes`` and ``edge_x`` hold read-only views of one flat array
+    each.
     """
 
     def __init__(self, graph: MetricGraph, mesh_h: float | None = None,
@@ -62,66 +69,93 @@ class GraphMesh:
         verts = graph.vertices
         self.vertex_node = {v: k for k, v in enumerate(verts)}
         edges = graph.edges
-        ids = [e.id for e in edges]
-        counts = [self.intervals[i] for i in ids]
+        counts = [self.intervals[e.id] for e in edges]
         # grid points summed as Python ints, before any array is built
         if sum(counts) + len(counts) > np.iinfo(np.int64).max:
             raise InvalidDomain("the mesh has more grid points than an int64 index "
                                 "can count; the edges are too long for the mesh width")
-        n = np.array(counts, dtype=np.int64)
-        length = np.array([e.length for e in edges])
-        h = length / n
         # Flat layout of the grid points, edge by edge from tail to head:
-        # edge k owns points ptr[k] .. ptr[k + 1] - 1.  Interior nodes are
+        # edge k owns points _ptr[k] .. _ptr[k + 1] - 1.  Interior nodes are
         # numbered after the vertex nodes in that same order.
-        ptr = np.zeros(len(edges) + 1, dtype=np.int64)
-        np.cumsum(n + 1, out=ptr[1:])
-        first, last = ptr[:-1], ptr[1:] - 1
-        self.n_nodes = len(verts) + int(n.sum()) - len(edges)
-        inner = np.ones(ptr[-1], dtype=bool)
-        inner[first] = inner[last] = False
-        point_node = np.empty(ptr[-1], dtype=np.int64)
-        point_node[inner] = np.arange(len(verts), self.n_nodes)
-        point_node[first] = [self.vertex_node[e.tail] for e in edges]
-        point_node[last] = [self.vertex_node[e.head] for e in edges]
-        # j * h with the end pinned to the length: what np.linspace computes
-        x = (np.arange(ptr[-1]) - np.repeat(first, n + 1)) * np.repeat(h, n + 1)
-        x[last] = length
-        point_node.flags.writeable = x.flags.writeable = False
-        self._point_node = point_node
-        self._ptr = ptr.tolist()
-        spans = list(zip(ids, self._ptr, self._ptr[1:]))
-        self.edge_nodes: dict[str, np.ndarray] = {
-            i: point_node[lo:hi] for i, lo, hi in spans}
-        self.edge_x: dict[str, np.ndarray] = {i: x[lo:hi] for i, lo, hi in spans}
-        self.edge_h: dict[str, float] = dict(zip(ids, h.tolist()))
-
-        # one entry per cell (start node, end node, width): a cell joins each
-        # point to the next one on the same edge
-        joins = np.ones(ptr[-1] - 1, dtype=bool)
-        joins[last[:-1]] = False
-        self._cell_start = point_node[:-1][joins]
-        self._cell_end = point_node[1:][joins]
-        self._cell_h = np.repeat(h, n)
+        self._ptr = [0, *itertools.accumulate(n + 1 for n in counts)]
+        self.n_nodes = len(verts) + sum(counts) - len(edges)
+        self._cells = np.array(counts, dtype=np.int64)
+        self._h = np.array([e.length for e in edges]) / self._cells
 
         self.dirichlet_nodes = np.array(
             sorted(self.vertex_node[v] for v in verts
                    if graph.condition(v) == DIRICHLET), dtype=np.int64)
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.dirichlet_nodes] = False
-        self.free_nodes = np.nonzero(mask)[0]
         # Dirichlet nodes are vertices, so the free-node vector lists the free
         # vertices first, then every edge's interior nodes in edge order.
-        self.free_vertices = len(verts) - self.dirichlet_nodes.size
+        nv = self.free_vertices = len(verts) - self.dirichlet_nodes.size
+        try:
+            mask = np.ones(self.n_nodes, dtype=bool)
+            mask[self.dirichlet_nodes] = False
+            self.free_nodes = np.flatnonzero(mask)
+        except MemoryError as exc:
+            raise InvalidDomain(f"the mesh has {self.n_nodes} nodes, more than "
+                                "memory holds; the edges are too long for the mesh "
+                                "width") from exc
+        free_vertex = np.full(len(verts), nv)
+        free_vertex[self.free_nodes[:nv]] = np.arange(nv)
+        # each edge's tail and head in the free numbering, nv where pinned
+        self._ends = free_vertex[np.array(
+            [(self.vertex_node[e.tail], self.vertex_node[e.head]) for e in edges])]
         self._stiffness = None
         self._lumped_mass = None
+
+    @cached_property
+    def _point_node(self) -> np.ndarray:
+        """Global node of every grid point in the flat layout (read-only)."""
+        ptr = np.array(self._ptr)
+        first, last = ptr[:-1], ptr[1:] - 1
+        point_node = np.empty(ptr[-1], dtype=np.int64)
+        nverts = len(self.vertex_node)
+        inner = np.ones(ptr[-1], dtype=bool)
+        inner[first] = inner[last] = False
+        point_node[inner] = np.arange(nverts, self.n_nodes)
+        edges = self.graph.edges
+        point_node[first] = [self.vertex_node[e.tail] for e in edges]
+        point_node[last] = [self.vertex_node[e.head] for e in edges]
+        point_node.flags.writeable = False
+        return point_node
+
+    def _spans(self):
+        return zip((e.id for e in self.graph.edges), self._ptr, self._ptr[1:])
+
+    @cached_property
+    def edge_nodes(self) -> dict[str, np.ndarray]:
+        return {i: self._point_node[lo:hi] for i, lo, hi in self._spans()}
+
+    @cached_property
+    def edge_x(self) -> dict[str, np.ndarray]:
+        ptr = np.array(self._ptr)
+        n = self._cells
+        # j * h with the end pinned to the length: what np.linspace computes
+        x = (np.arange(ptr[-1]) - np.repeat(ptr[:-1], n + 1)) * np.repeat(self._h, n + 1)
+        x[ptr[1:] - 1] = [e.length for e in self.graph.edges]
+        x.flags.writeable = False
+        return {i: x[lo:hi] for i, lo, hi in self._spans()}
+
+    @cached_property
+    def edge_h(self) -> dict[str, float]:
+        return dict(zip((e.id for e in self.graph.edges), self._h.tolist()))
+
+    def _cell_list(self):
+        """(start node, end node, width) of every cell, edge by edge."""
+        point_node = self._point_node
+        # a cell joins each point to the next one on the same edge
+        joins = np.ones(point_node.size - 1, dtype=bool)
+        joins[np.array(self._ptr[1:-1], dtype=np.int64) - 1] = False
+        return (point_node[:-1][joins], point_node[1:][joins],
+                np.repeat(self._h, self._cells))
 
     @property
     def stiffness(self) -> sp.csr_matrix:
         """Full P1 stiffness matrix (Dirichlet rows not yet eliminated)."""
         if self._stiffness is None:
-            a, b = self._cell_start, self._cell_end
-            w = 1.0 / self._cell_h
+            a, b, h = self._cell_list()
+            w = 1.0 / h
             self._stiffness = sp.coo_matrix(
                 (np.concatenate([w, w, -w, -w]),
                  (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
@@ -132,37 +166,106 @@ class GraphMesh:
     def lumped_mass(self) -> np.ndarray:
         """Diagonal of the lumped mass matrix (trapezoid weights per edge)."""
         if self._lumped_mass is None:
+            a, b, h = self._cell_list()
             # each cell adds half its width to its two ends in turn, so every
             # node sums its weights in edge order
-            ends = np.column_stack((self._cell_start, self._cell_end)).ravel()
             self._lumped_mass = np.bincount(
-                ends, weights=np.repeat(0.5 * self._cell_h, 2), minlength=self.n_nodes)
+                np.column_stack((a, b)).ravel(), weights=np.repeat(0.5 * h, 2),
+                minlength=self.n_nodes)
         return self._lumped_mass
 
     def reduced_operators(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """(stiffness, lumped mass) restricted to non-Dirichlet nodes."""
-        f = self.free_nodes
-        return self.stiffness[f][:, f], self.lumped_mass[f]
+        """(A_ff, m_f): stiffness and lumped mass restricted to the free nodes.
+
+        A_ff is assembled straight into CSR in the free numbering, with no
+        full-node matrix: bit for bit ``stiffness[f][:, f]`` and
+        ``lumped_mass[f]``.  An interior row is [-w, 2w, -w] on its left
+        neighbour, itself and its right neighbour (w = 1/h, the edge's end
+        vertices sorting first).  A vertex row sums w over its incident
+        cells; those O(E) entries go through scipy's COO summation, as in
+        ``stiffness``, so each vertex adds its terms in the same order.
+        """
+        nv = self.free_vertices
+        tail, head = self._ends.T
+        c = self._cells - 1                  # interior nodes per edge
+        w = 1.0 / self._h
+        first = nv + np.cumsum(c) - c        # each edge's first interior row
+        last = first + c - 1
+        size = nv + int(c.sum())
+        idx = np.int32 if 8 * size <= np.iinfo(np.int32).max else np.int64
+        t, h = tail < nv, head < nv
+        top = sp.csr_matrix(
+            (np.concatenate((w[t], w[h], -w[t], -w[h])),
+             (np.concatenate((tail[t], head[h], tail[t], head[h])),
+              np.concatenate((tail[t], head[h], first[t], last[h])))),
+            shape=(nv, size))
+
+        cols = np.empty((size - nv, 3), dtype=idx)
+        cols[:, 1] = np.arange(nv, size, dtype=idx)
+        cols[:, 0] = cols[:, 1] - 1
+        cols[:, 2] = cols[:, 1] + 1
+        vals = np.empty((size - nv, 3))
+        vals[:, 0] = vals[:, 2] = -np.repeat(w, c)
+        vals[:, 1] = -2.0 * vals[:, 0]
+        keep = np.ones((size - nv, 3), dtype=bool)
+        # an edge's first row starts at its tail, its last row at its head
+        # (vertices sort first); a one-node edge has both ends in its row,
+        # merged on a self-loop
+        long = c > 1
+        r, v = first[long] - nv, tail[long]
+        cols[r, 0], keep[r, 0] = v, v < nv
+        r, v, wl = last[long] - nv, head[long], w[long]
+        cols[r] = np.column_stack((v, r + nv - 1, r + nv))
+        vals[r] = np.column_stack((-wl, -wl, 2.0 * wl))
+        keep[r, 0] = v < nv
+        r, lo, hi, ws = (first[~long] - nv, np.minimum(tail, head)[~long],
+                         np.maximum(tail, head)[~long], w[~long])
+        cols[r] = np.column_stack((lo, hi, r + nv))
+        vals[r] = np.column_stack((np.where(lo == hi, -ws + -ws, -ws), -ws, 2.0 * ws))
+        keep[r, 0], keep[r, 1] = lo < nv, (hi < nv) & (hi != lo)
+
+        indptr = np.empty(size + 1, dtype=idx)
+        indptr[:nv + 1] = top.indptr
+        np.cumsum(keep.sum(axis=1, dtype=idx), out=indptr[nv + 1:])
+        indptr[nv + 1:] += top.nnz
+        indices = np.empty(indptr[-1], dtype=idx)
+        data = np.empty(indptr[-1])
+        indices[:top.nnz], data[:top.nnz] = top.indices, top.data
+        np.compress(keep.ravel(), cols.ravel(), out=indices[top.nnz:])
+        np.compress(keep.ravel(), vals.ravel(), out=data[top.nnz:])
+        a = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+
+        half = 0.5 * self._h
+        m = np.empty(size)
+        # each edge adds half a cell to its tail, then to its head
+        m[:nv] = np.bincount(self._ends.ravel(), weights=np.repeat(half, 2),
+                             minlength=nv + 1)[:nv]
+        m[nv:] = np.repeat(half + half, c)
+        return a, m
+
+    def diagonal_slots(self, indptr: np.ndarray) -> np.ndarray:
+        """Where each row's diagonal sits in the data of a reduced_operators matrix."""
+        nv = self.free_vertices
+        slots = indptr[1:] - 2      # an interior row: (left, self, right)
+        slots[:nv] = indptr[:nv]    # a vertex row starts at its diagonal
+        c = self._cells - 1
+        slots[nv - 1 + np.cumsum(c)] += 1    # an edge's last row ends there
+        return slots
 
     @cached_property
     def _couplings(self):
         """Where the interior block of a reduced operator meets the vertices.
 
-        Returns (rows, cols, slot, ends): each free edge end's coupling entry
+        Returns (rows, cols, slot, ptr): each free edge end's coupling entry
         sits at interior row ``rows`` (counted from the first interior node)
         and free vertex ``cols``; ``slot`` is 0 at a tail and 1 at a head.
-        ``ends[i]`` holds the free tail and head of interior row i's edge,
-        ``free_vertices`` where the end is pinned.  A 2-cell self-loop's one
-        interior node couples to its vertex through a single entry, kept as
-        the tail's.
+        The entries are sorted by vertex, then row, so ``ptr`` is the row
+        pointer of C^T.  A 2-cell self-loop's one interior node couples to
+        its vertex through a single entry, kept as the tail's.
         """
         nv = self.free_vertices
-        free_vertex = np.full(len(self.vertex_node), nv)
-        free_vertex[self.free_nodes[:nv]] = np.arange(nv)
-        ptr = np.array(self._ptr)
-        ends = free_vertex[self._point_node[np.column_stack((ptr[:-1], ptr[1:] - 1))]]
-        tail, head = ends.T
-        n = np.diff(ptr) - 2    # interior nodes per edge
+        tail, head = self._ends.T
+        n = self._cells - 1     # interior nodes per edge
         lo = np.cumsum(n) - n
         hi = lo + n - 1
         t = tail < nv
@@ -170,7 +273,10 @@ class GraphMesh:
         rows = np.concatenate((lo[t], hi[h]))
         cols = np.concatenate((tail[t], head[h]))
         slot = np.repeat([0, 1], [np.count_nonzero(t), np.count_nonzero(h)])
-        return rows, cols, slot, np.repeat(ends, n, axis=0)
+        order = np.lexsort((rows, cols))
+        ptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=nv), out=ptr[1:])
+        return rows[order], cols[order], slot[order], ptr
 
     def min_intervals(self) -> int:
         return min(self.intervals.values())
@@ -205,8 +311,10 @@ class CondensedLU:
     interior-vertex coupling, one entry per free edge end.  T is factored by
     LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs with two
     right-hand sides (every edge's tail coupling in one, its head coupling
-    in the other, since the edge blocks are independent), and the vertex
-    complement S = B_VV - C^T G, SPD and small, goes to factor_spd.  A
+    in the other, since the edge blocks are independent); G and C^T are
+    written as CSR straight from the coupling positions GraphMesh knows.
+    The vertex complement S = B_VV - C^T G, SPD and small, goes to
+    factor_spd.  A
     solve is one dpttrs and one SuperLU solve: y = T^-1 r_I, then
     x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
     """
@@ -225,15 +333,27 @@ class CondensedLU:
         self.schur = None
         if nv == 0:
             return
-        rows, cols, slot, ends = mesh._couplings
+        rows, cols, slot, ptr = mesh._couplings
         c = np.asarray(b[rows + nv, cols]).ravel()
         couple = np.zeros((d.size, 2))
         couple[rows, slot] = c
         g, _ = dpttrs(self._d, self._e, couple)
-        keep = ends < nv
-        self._g = sp.csr_matrix((g[keep], (np.nonzero(keep)[0], ends[keep])),
-                                shape=(d.size, nv))
-        self._ct = sp.csr_matrix((c, (cols, rows)), shape=(nv, d.size))
+        self._ct = sp.csr_matrix((c, rows, ptr), shape=(nv, d.size))
+        # Every row of an edge couples to the same free ends: G keeps them in
+        # column order, one entry where both ends are one vertex.
+        tail, head = mesh._ends.T
+        n = mesh._cells - 1
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        swap = np.repeat(tail > head, n)
+        g[swap] = g[swap, ::-1]
+        same = np.repeat((lo == hi) & (lo < nv), n)
+        g[same, 0] += g[same, 1]
+        keep = np.repeat(np.column_stack((lo < nv, (hi < nv) & (hi != lo))), n, axis=0)
+        indptr = np.zeros(d.size + 1, dtype=b.indptr.dtype)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        self._g = sp.csr_matrix(
+            (g[keep], np.repeat(np.column_stack((lo, hi)), n, axis=0)[keep], indptr),
+            shape=(d.size, nv))
         self.schur = factor_spd(b[:nv, :nv] - self._ct @ self._g, what)
 
     def solve(self, r: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ increases and the right side decreases on s in (0, s_max) with
 s_max = min(pi/(2L), min_j pi/(2 l_j)), so the smallest eigenvalue is the
 unique root there.  General graphs go through the P1 discretization of
 mesh.GraphMesh and one shift-invert Lanczos solve (ARPACK) at 0 on the
-generalized problem A x = lambda M x.
+generalized problem A x = lambda M x, with A_ff from the mesh's one
+assembly (no full-node matrix), the lumped M applied as a diagonal
+operator, and A's own CSR arrays shared by the residual floor's |A|.
 
 The derivative of a simple eigenvalue with respect to one edge length is
 -(psi'^2 + lambda psi^2) evaluated on that edge; the quantity is constant
@@ -169,8 +171,9 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
         solves += 1
         return lu.solve(b)
 
+    mass = LinearOperator((n, n), matvec=m.__mul__, dtype=float)    # diagonal, not copied
     try:
-        vals, vecs = eigsh(a, k=1, M=sp.diags(m), sigma=0, which="LM",
+        vals, vecs = eigsh(a, k=1, M=mass, sigma=0, which="LM",
                            OPinv=LinearOperator((n, n), matvec=solve, dtype=float),
                            v0=np.ones(n), ncv=NCV)
     except ArpackNoConvergence as exc:
@@ -180,7 +183,8 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
     r = ay - rho * (m * y)
     scale = math.sqrt(float(ay @ ay)) + rho
     rel = math.sqrt(float(r @ r)) / scale
-    bound = abs(a) @ np.abs(y) + rho * (m * np.abs(y))
+    abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+    bound = abs_a @ np.abs(y) + rho * (m * np.abs(y))
     if rel > max(1e-10, 2.0 * EPS * math.sqrt(float(bound @ bound)) / scale):
         raise LinearSolveFailure(f"eigenpair residual {rel:.3e} is above its floor")
     vals = np.zeros(mesh.n_nodes)

@@ -1,14 +1,19 @@
 """Command line surface: exit codes, JSON and CSV contracts, round trips."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkpp_graphs import cli, graph, groundstate, mesh, period, spectral
 from fkpp_graphs.cli import main
@@ -233,6 +238,11 @@ BAD_INPUTS = [
     # the P1 mesh of a huge length has more nodes than an int64 index counts
     *((2, ["spectrum", "--flower", *flower]) for flower in HUGE_LENGTHS[::2]),
     (2, ["evolve", "--flower", *HUGE_LENGTHS[0], *QUICK_EVOLVE]),
+    # ... or than memory holds (888 PiB: the allocation is refused outright)
+    (2, ["spectrum", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3"]),
+    (2, ["evolve", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3", "--max-t", "1"]),
+    # an initial state whose free energy overflows a double
+    (2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e300"]),
 ]
 
 
@@ -249,6 +259,103 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, code, argv):
     assert err.startswith("error: ")
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# Every numeric option of a drawn argv takes one of these; None is the
+# option's valid value, and 1e15 is a length whose mesh cannot be allocated.
+NUMBERS = (None, "0", "-1", "inf", "-inf", "nan", "1e-300", "1e300", "abc", "1e15")
+# exit codes README documents for valid input, per subcommand (2: a mesh too
+# coarse or too large for the lengths)
+VALID_EXITS = {"spectrum": {0, 2}, "groundstate": {0, 1, 3}, "evolve": {0, 1, 2},
+               "region": {0, 3}, "validate": {0}}
+
+
+def _float_in(text, lo, hi):
+    try:
+        return lo < float(text) < hi
+    except ValueError:
+        return False
+
+
+def _int_at_least(text, least):
+    try:
+        return int(text) >= least
+    except ValueError:
+        return False
+
+
+def _positive(text):
+    return _float_in(text, 0.0, math.inf)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, valid): one subcommand with every numeric option drawn from NUMBERS."""
+    def number(valid):
+        value = draw(st.sampled_from(NUMBERS))
+        return valid if value is None else value
+
+    def option(name, valid):
+        """An optional positive option: (argv tail, whether it is valid)."""
+        if not draw(st.booleans()):
+            return [], True
+        value = number(valid)
+        return [name, value], _positive(value)
+
+    cmd = draw(st.sampled_from(sorted(VALID_EXITS)))
+    if cmd == "validate":
+        seed, samples = number("0"), number("1")
+        suite = draw(st.sampled_from(["asymptotics", "dichotomy", "jacobian", "monotonicity"]))
+        return (["validate", "--suite", suite, "--seed", seed, "--samples", samples],
+                _int_at_least(seed, 0) and _int_at_least(samples, 1))
+    if cmd == "region" and draw(st.booleans()):
+        samples = number("3")
+        if draw(st.booleans()):
+            return ["region", "--grid", "--samples", samples], _int_at_least(samples, 1)
+        curve = number("2")
+        return (["region", "--curve", curve, "--samples", samples],
+                _int_at_least(curve, 1) and _int_at_least(samples, 1))
+    stem, loops = number("2"), number("1")
+    argv = [cmd, "--flower", f"stem={stem}", f"loops={loops}"]
+    valid = _positive(stem) and _positive(loops)
+    if cmd == "spectrum":
+        extra, ok = option("--mesh", "0.1")
+        argv, valid = argv + extra, valid and ok
+    elif cmd == "groundstate":
+        extra, ok = option("--tol", "1e-8")
+        argv, valid = argv + extra, valid and ok
+    elif cmd == "evolve":
+        mesh_h, dt, max_t, tol = number("0.1"), number("0.1"), number("1"), number("1e-9")
+        value = number("0.5")
+        argv += ["--mesh", mesh_h, "--dt", dt, "--max-t", max_t, "--tol", tol,
+                 "--initial", f"const:{value}"]
+        # --dt inf is clamped to the monotone step; a state's energy must fit
+        # a double
+        valid = (valid and all(map(_positive, (mesh_h, max_t, tol)))
+                 and (_positive(dt) or dt == "inf") and _float_in(value, -1e-300, 1e100))
+    return argv, valid
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=cli_calls())
+def test_every_drawn_argv_ends_in_a_documented_exit(call):
+    argv, valid = call
+    err = io.StringIO()
+    # a tiny dt or a huge initial state runs to MAX_STEPS; a smaller cap ends
+    # those runs the same way sooner
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.setattr("fkpp_graphs.evolve.MAX_STEPS", 2000)
+        t0 = time.perf_counter()
+        code = main(argv)
+        wall = time.perf_counter() - t0
+    text = err.getvalue()
+    assert code in (VALID_EXITS[argv[0]] if valid else {2}), (argv, code, text)
+    assert "Traceback" not in text
+    if code:
+        assert text.startswith("error: "), (argv, text)
+        assert sum(line.startswith("error:") for line in text.splitlines()) == 1
+    assert wall < 10.0, (argv, wall)
 
 
 @pytest.mark.parametrize("flower", TINY_LOOPS + HUGE_LENGTHS)

@@ -1,12 +1,14 @@
 """Discretization: shared-node grids, operators, fields, discrete energy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from fkpp_graphs.errors import InvalidDomain, LinearSolveFailure, MeshTooCoarse
 from fkpp_graphs.graph import (
@@ -22,10 +24,12 @@ from fkpp_graphs.mesh import (
     Field,
     GraphMesh,
     constant_field,
+    factor_spd,
     field_from_function,
     field_from_profiles,
     free_energy,
 )
+from fkpp_graphs.evolve import _implicit_operator
 
 
 def test_interval_counts_follow_mesh_h():
@@ -270,6 +274,105 @@ def assert_condensed_solves(mesh, dt, seed):
        dt=st.sampled_from([1e-3, 0.1, 0.99]), seed=st.integers(0, 2**32 - 1))
 def test_spd_factor_solves_the_reduced_operators(graph, mesh_h, dt, seed):
     assert_condensed_solves(GraphMesh(graph, mesh_h=mesh_h), dt, seed)
+
+
+def coo_condensed_solve(mesh, b, r):
+    """CondensedLU as it was first written, kept as an oracle: G and C^T
+    built through COO from an n x 2 table of each interior row's free edge
+    ends, then the same tridiagonal and vertex-complement solves."""
+    b = b.tocsr()
+    nv = mesh.free_vertices
+    d, e, _ = dpttrf(b.diagonal()[nv:], b.diagonal(1)[nv:] if b.shape[0] > nv + 1
+                     else np.zeros(1))
+    y, _ = dpttrs(d, e, r[nv:])
+    if nv == 0:
+        return y
+    free_vertex = {n: k for k, n in enumerate(mesh.free_nodes[:nv].tolist())}
+    ends = np.concatenate([
+        np.tile([free_vertex.get(int(nodes[0]), nv), free_vertex.get(int(nodes[-1]), nv)],
+                (nodes.size - 2, 1))
+        for nodes in (mesh.edge_nodes[edge.id] for edge in mesh.graph.edges)])
+    rows, cols, slot, _ = mesh._couplings
+    c = np.asarray(b[rows + nv, cols]).ravel()
+    couple = np.zeros((d.size, 2))
+    couple[rows, slot] = c
+    g, _ = dpttrs(d, e, couple)
+    keep = ends < nv
+    gm = sp.csr_matrix((g[keep], (np.nonzero(keep)[0], ends[keep])), shape=(d.size, nv))
+    ct = sp.csr_matrix((c, (cols, rows)), shape=(nv, d.size))
+    xv = factor_spd(b[:nv, :nv] - ct @ gm, "reference").solve(r[:nv] - ct @ y)
+    return np.concatenate((xv, y - gm @ xv))
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_assembly_is_exact(mesh, dt, seed):
+    """The one assembly against the constructions it replaced, bit for bit."""
+    a, m = mesh.reduced_operators()
+    f = mesh.free_nodes
+    ref = mesh.stiffness[f][:, f]
+    for got, want in ((a.indptr, ref.indptr), (a.indices, ref.indices),
+                      (a.data, ref.data), (m, mesh.lumped_mass[f])):
+        assert same_bits(got, want)
+    b, ref = _implicit_operator(mesh, a, m, dt), sp.diags(m) + dt * a
+    for got, want in ((b.indptr, ref.indptr), (b.indices, ref.indices), (b.data, ref.data)):
+        assert same_bits(got, want)
+    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, m.size)
+    for op in (a, b):
+        assert same_bits(CondensedLU(mesh, op, "test").solve(rhs),
+                         coo_condensed_solve(mesh, op, rhs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]),
+       dt=st.sampled_from([1e-3, 0.1, 0.99]), seed=st.integers(0, 2**32 - 1))
+def test_reduced_assembly_is_the_sliced_full_assembly_bit_for_bit(graph, mesh_h, dt, seed):
+    assert_assembly_is_exact(GraphMesh(graph, mesh_h=mesh_h), dt, seed)
+
+
+def test_reduced_assembly_is_exact_at_a_vertex_of_high_degree():
+    # past 16 entries a vertex row is sorted by introsort, not insertion sort,
+    # so the order in which its diagonal sums its cells is scipy's own
+    rng = np.random.default_rng(0)
+    edges = [Edge(f"e{k}", "c", f"l{k}", float(rng.uniform(0.1, 2.0))) for k in range(40)]
+    edges += [Edge(f"s{k}", "c", "c", float(rng.uniform(0.1, 2.0))) for k in range(12)]
+    edges += [Edge(f"x{k}", f"l{k}", "c", float(rng.uniform(0.1, 2.0))) for k in range(20)]
+    edges += [Edge("p0", "d0", "c", 0.7), Edge("p1", "l3", "d1", 0.4)]
+    graph = MetricGraph(tuple(edges), {"d0": "dirichlet", "d1": "dirichlet"})
+    for mesh_h in (0.013, 0.3):
+        assert_assembly_is_exact(GraphMesh(graph, mesh_h=mesh_h), 0.1, 1)
+
+
+def seeded_tree(n_edges, seed):
+    rng = np.random.default_rng(seed)
+    parents = rng.integers(0, np.arange(1, n_edges + 1))
+    lengths = rng.uniform(0.25, 0.75, n_edges)
+    edges = tuple(Edge(f"e{k}", f"v{parents[k - 1]}", f"v{k}", float(lengths[k - 1]))
+                  for k in range(1, n_edges + 1))
+    return MetricGraph(edges, {f"v{n_edges}": "dirichlet"})
+
+
+# Peak bytes per free unknown of GraphMesh + reduced_operators + CondensedLU
+# on a 2000-edge tree (about 21,000 unknowns): about 385 when the full-node
+# stiffness was built, sliced and cached, and about 195 with the one assembly.
+PEAK_BYTES_PER_UNKNOWN = 280
+
+
+def test_mesh_and_factor_peak_memory_per_unknown():
+    graph = seeded_tree(2000, 5)
+    graph.validation
+    tracemalloc.start()
+    try:
+        mesh = GraphMesh(graph, mesh_h=0.05)
+        a, m = mesh.reduced_operators()
+        lu = CondensedLU(mesh, a, "test")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lu.schur is not None
+    assert peak / m.size <= PEAK_BYTES_PER_UNKNOWN
 
 
 # shapes multigraphs() never draws: no free vertex at all, and edges of two
