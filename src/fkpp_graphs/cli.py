@@ -607,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dt", type=float, default=0.1, help="initial time step")
     ev.add_argument("--max-t", type=_positive_float, default=500.0, help="time horizon")
     ev.add_argument("--tol", type=_positive_float, default=1e-9,
-                    help="steady-state tolerance on |du/dt|")
+                    help="steady-state tolerance on |du/dt| (1e-3 when looser)")
     ev.add_argument("--initial", default="hat:0.1",
                     help="const:V | hat:V | csv:FILE | groundstate")
     ev.add_argument("--trace", metavar="FILE", help="write t,H,sup_norm CSV here")

@@ -19,7 +19,9 @@ Consequences used here and checked at runtime:
 The free energy H(u) = int (u'^2 - u^2)/2 + u^3/3 is monitored every
 step; the step size is halved (and the step retried) whenever H fails
 to decrease within a small slack, so accepted trajectories are honest
-gradient-flow descents.
+gradient-flow descents.  Its gradient term is the exact Dirichlet energy
+of the P1 interpolant, the sum over cells of (du)^2 / h taken from node
+differences (GraphMesh.energy), so no step multiplies by the stiffness.
 
 M + dt A is symmetric positive definite (and an M-matrix).  It is formed
 in the pattern of A_ff from the mesh's one assembly (dt A with m added at
@@ -27,9 +29,11 @@ the diagonal slots; no full-node matrix is built) and factored once per
 step size by mesh.CondensedLU: a LAPACK factor of the tridiagonal edge
 interiors plus a SuperLU factor of the small vertex complement, so each
 step is one tridiagonal sweep and one vertex-sized sparse solve.  The step
-loop runs on the free-node vector alone; Dirichlet values are 0, so H
-(from t = 0 on), sup u and min u follow from the free nodes and the
-reduced operators, and the Field is written once, at the end.
+loop runs on the free-node vector alone, in three buffers that it swaps
+(state, trial state, scratch): the right-hand side is formed in the trial
+buffer and solved in place.  Dirichlet values are 0, so H (from t = 0 on),
+sup u and min u follow from the free nodes, and the Field is written
+once, at the end.
 """
 
 from __future__ import annotations
@@ -64,8 +68,16 @@ ENERGY_SLACK = 1e-10
 # comparison_monitor
 COMPARISON_SLACK = 1e-9
 MAX_STEPS = 200_000
-# smallest admissible time step before the run is declared stuck
+# smallest admissible time step: a run whose step starts below it is refused,
+# and one halved below it is declared stuck
 DT_FLOOR = 1e-12
+# loosest steady-state tolerance in force.  From const:0.5 and const:2 on 19
+# graphs (12 flowers, three two-vertex and two-cell graphs, four 1000-1200
+# edge trees), every terminal matched spectrum's side up to tol = 1e-2; at
+# 3e-2 the stem-1.6 interval (lambda0 0.964, sup of its ground state 0.043)
+# ended trivial, and at 0.1 every nontrivial case did, since sup <= 10 tol
+# then holds for every state in [0, 1].  The cap keeps a decade of margin.
+TOL_CAP = 1e-3
 
 
 class Terminal(Enum):
@@ -121,16 +133,20 @@ def _implicit_operator(mesh, a, m, dt: float) -> sp.csr_matrix:
     return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
-def _advance(lu, m, u_free, dt: float) -> np.ndarray:
-    rhs = m * (u_free + dt * u_free * (1.0 - u_free))
-    return lu.solve(rhs)
+def _advance(lu, m, u, dt: float, out=None, work=None) -> np.ndarray:
+    """u+ of one step from the free-node state u, in ``out`` when given.
 
-
-def _reduced_energy(a, m, u_free) -> float:
-    """free_energy of the field that is u_free on the free nodes, 0 elsewhere."""
-    u2 = u_free * u_free
-    return (0.5 * float(u_free @ (a @ u_free)) - 0.5 * float(m @ u2)
-            + float(m @ (u2 * u_free)) / 3.0)
+    The right-hand side m (u + dt u (1 - u)) is formed in out, rounded as
+    that expression reads (``work`` holds 1 - u), and solved in place.
+    """
+    if out is None:
+        out, work = np.empty(u.shape), np.empty(u.shape)
+    np.multiply(u, dt, out=out)
+    np.subtract(1.0, u, out=work)
+    out *= work
+    out += u
+    out *= m
+    return lu.solve(out, out=out)
 
 
 def step(field: Field, dt: float) -> Field:
@@ -147,18 +163,21 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
                      tol: float = 1e-9) -> EvolutionTrace:
     """Integrate until the discrete time derivative stalls below tol.
 
-    Convergence means ||u+ - u||_inf / dt <= tol.  The terminal state is
-    trivial when its sup norm is below 10 tol; above that it is nontrivial
-    only once it is also stationary relative to its size, rate <= sqrt(tol)
-    sup, since a trivial state decaying at rate lambda0 - 1 < 0.1 meets the
-    first test while its sup norm is still above 10 tol.  The step size
-    only shrinks: it is halved whenever a trial step breaks positivity,
-    the logistic comparison bound, or energy monotonicity, and the step
-    is retried from the same state.
+    Convergence means ||u+ - u||_inf / dt <= tol; a tol above TOL_CAP
+    runs at TOL_CAP.  The terminal state is trivial when its sup norm is
+    below 10 tol; above that it is nontrivial only once it is also
+    stationary relative to its size, rate <= sqrt(tol) sup, since a trivial
+    state decaying at rate lambda0 - 1 < 0.1 meets the first test while its
+    sup norm is still above 10 tol.  A step that stable_dt sets below
+    DT_FLOOR raises InvalidDomain before the first step: such steps barely
+    move t.  The step size only shrinks: it is halved whenever a trial step
+    breaks positivity, the logistic comparison bound, or energy
+    monotonicity, and the step is retried from the same state.
     """
     if not (max_t > 0.0 and tol > 0.0):    # NaN fails both comparisons
         raise InvalidDomain(f"time horizon and tolerance must be positive, "
                             f"got max_t={max_t}, tol={tol}")
+    tol = min(tol, TOL_CAP)
     u0 = np.asarray(field0.values, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise InvalidDomain("initial data contains non-finite values")
@@ -174,13 +193,20 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
 
     sup0 = field.sup_norm
     dt = stable_dt(sup0, dt)
-    lu, a, m = _factor(mesh, dt)
+    if 0.0 < dt < DT_FLOOR:
+        raise InvalidDomain(
+            f"time step {dt:.6g} is below the step floor {DT_FLOOR:g} (the step "
+            f"after the monotone bound for initial data up to {sup0:.6g})")
+    lu, _, m = _factor(mesh, dt)
 
+    # the state, the trial state and scratch: three free-node vectors
     u = field.values[free]
+    v = np.empty(u.shape)
+    work = np.empty(u.shape)
     t = 0.0
     c = sup0
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _reduced_energy(a, m, u)
+        h = mesh.energy(u, m, work)
     if not math.isfinite(h):
         raise InvalidDomain(f"the free energy of initial data up to {sup0:.6g} "
                             "overflows a double")
@@ -193,13 +219,13 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     terminal = Terminal.MAX_STEPS_REACHED
 
     while len(dts) < MAX_STEPS and t < max_t:
-        u_new = _advance(lu, m, u, dt)
+        _advance(lu, m, u, dt, v, work)
         c_new = c + dt * c * (1.0 - c)
         slack = COMPARISON_SLACK * max(1.0, c)
-        lo, hi = float(u_new.min()), float(u_new.max())
+        lo, hi = float(v.min()), float(v.max())
         ok = (lo >= -slack and hi <= c_new + slack)
         if ok:
-            h_new = _reduced_energy(a, m, u_new)
+            h_new = mesh.energy(v, m, work)
             ok = h_new <= h + ENERGY_SLACK
         if not ok:
             dt *= 0.5
@@ -207,11 +233,13 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
                 raise ComparisonViolated(
                     "time step collapsed below the floor while enforcing "
                     f"positivity/comparison/energy bounds at t={t:.6g}")
-            lu, a, m = _factor(mesh, dt)
+            lu, _, m = _factor(mesh, dt)
             continue
 
-        diff = float(np.max(np.abs(u_new - u)))
-        u = u_new
+        np.subtract(v, u, out=work)
+        np.abs(work, out=work)
+        diff = float(work.max())
+        u, v = v, u
         t += dt
         c = c_new
         h = h_new

@@ -19,6 +19,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     DisconnectedGraph,
@@ -47,8 +50,7 @@ DIRICHLET = "dirichlet"
 KIRCHHOFF = "kirchhoff"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     tail: str
     head: str
@@ -72,13 +74,7 @@ class MetricGraph:
 
     @property
     def vertices(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.edges:
-            seen.setdefault(e.tail)
-            seen.setdefault(e.head)
-        for v in self.conditions:
-            seen.setdefault(v)
-        return list(seen)
+        return list(_number_vertices(self)[0])
 
     def degree(self, v: str) -> int:
         d = 0
@@ -96,11 +92,23 @@ class MetricGraph:
         return sum(e.length for e in self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # arrays have no single truth value
 class ValidationReport:
+    """What validate found, in the arrays GraphMesh numbers its nodes by.
+
+    ``vertices`` is ``MetricGraph.vertices``; ``ends[k]`` holds edge k's
+    (tail, head) as indices into it, ``lengths[k]`` its length and
+    ``dirichlet`` the sorted indices of the Dirichlet vertices.  The arrays
+    are read-only.
+    """
+
     connected: bool
     dirichlet_vertices: tuple[str, ...]
     degrees: dict[str, int]
+    vertices: tuple[str, ...]
+    ends: np.ndarray
+    lengths: np.ndarray
+    dirichlet: np.ndarray
 
 
 def _check_length(length: float, what: str, *args) -> None:
@@ -110,62 +118,98 @@ def _check_length(length: float, what: str, *args) -> None:
                                 "must be positive and finite")
 
 
+def _number_vertices(graph: MetricGraph) -> tuple[dict[str, int], list[int]]:
+    """Each vertex's index, in order of first appearance as an edge's tail or
+    head, then as a key of conditions; and the index of every edge end."""
+    index: dict[str, int] = {}
+    number = index.setdefault
+    ends = [number(v, len(index)) for e in graph.edges for v in (e.tail, e.head)]
+    for v in graph.conditions:
+        number(v, len(index))
+    return index, ends
+
+
+def _component_roots(ends: np.ndarray, n: int) -> np.ndarray:
+    """The smallest vertex index in each vertex's component.
+
+    Union-find on whole arrays: every root hooks onto the smallest root it
+    shares an edge with, then pointer jumping flattens the forest.  A root
+    with a smaller neighbour hooks at once, and one without is hooked by its
+    neighbours or, a round later, hooks itself, so the number of trees in a
+    component at least halves every two rounds.
+    """
+    root = np.arange(n)
+    tail, head = ends.T
+    while True:
+        rt, rh = root[tail], root[head]
+        if np.array_equal(rt, rh):
+            return root
+        lo = np.minimum(rt, rh)
+        np.minimum.at(root, rt, lo)
+        np.minimum.at(root, rh, lo)
+        while not np.array_equal(jump := root[root], root):
+            root = jump
+
+
 def validate(graph: MetricGraph) -> ValidationReport:
     """Check the structural invariants, raising on the first violation.
 
     Raises NonpositiveLength, InvalidDomain (a duplicate edge id or an
     unknown condition), DisconnectedGraph or NoPendant; returns a report with
-    connectivity, the Dirichlet vertex list and the degree table.  Edge ids
-    must be unique because meshes, fields and profile CSVs are keyed by them.
-    Runs in O(V + E): degrees and adjacency come from one pass over the edges.
+    connectivity, the Dirichlet vertex list, the degree table and the
+    integer edge table (see ValidationReport).  Edge ids must be unique
+    because meshes, fields and profile CSVs are keyed by them.  Apart from
+    numbering the vertices, it works on numpy arrays; connectivity takes
+    O(log V) rounds of hooking and pointer jumping.
     """
-    if not graph.edges:
+    edges = graph.edges
+    if not edges:
         raise DisconnectedGraph("graph has no edges")
-    for e in graph.edges:
-        _check_length(e.length, "edge %r", e.id)
-    ids: set[str] = set()
-    for e in graph.edges:
-        if e.id in ids:
-            raise InvalidDomain(f"duplicate edge id {e.id!r}; edge ids must be unique")
-        ids.add(e.id)
+    ids, _, _, lengths = zip(*edges)
+    lengths = np.array(lengths, dtype=float)
+    if not np.all((lengths > 0.0) & (lengths < math.inf)):
+        for e in edges:
+            _check_length(e.length, "edge %r", e.id)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for i in ids:
+            if i in seen:
+                raise InvalidDomain(f"duplicate edge id {i!r}; edge ids must be unique")
+            seen.add(i)
     for v, c in graph.conditions.items():
         if c not in (DIRICHLET, KIRCHHOFF):
             raise InvalidDomain(f"unknown condition {c!r} at vertex {v!r}")
 
-    verts = graph.vertices
-    degrees = dict.fromkeys(verts, 0)
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for e in graph.edges:
-        degrees[e.tail] += 1
-        degrees[e.head] += 1
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
+    index, ends = _number_vertices(graph)
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    verts = tuple(index)
+    degree = np.bincount(ends.ravel(), minlength=len(verts))
 
-    # connectivity over the edge set
-    stack = [verts[0]]
-    reached = {verts[0]}
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != len(verts):
-        missing = sorted(set(verts) - reached)
+    roots = _component_roots(ends, len(verts))
+    if roots.any():
+        missing = sorted(verts[k] for k in np.flatnonzero(roots).tolist())
         raise DisconnectedGraph(f"vertices unreachable from {verts[0]!r}: {missing}")
 
-    dirichlet = tuple(v for v in verts if graph.condition(v) == DIRICHLET)
-    if not dirichlet:
+    dirichlet = np.array(sorted(index[v] for v, c in graph.conditions.items()
+                                if c == DIRICHLET), dtype=np.int64)
+    if not dirichlet.size:
         raise NoPendant("no Dirichlet vertex; the zero boundary set is empty")
-    for v in dirichlet:
-        if degrees[v] != 1:
+    for k in dirichlet.tolist():
+        if degree[k] != 1:
             raise NoPendant(
-                f"Dirichlet vertex {v!r} has degree {degrees[v]}; Dirichlet "
+                f"Dirichlet vertex {verts[k]!r} has degree {degree[k]}; Dirichlet "
                 "vertices must be pendant (degree one)")
 
+    for a in (ends, lengths, dirichlet):
+        a.flags.writeable = False
     return ValidationReport(
         connected=True,
-        dirichlet_vertices=dirichlet,
-        degrees=degrees,
+        dirichlet_vertices=tuple(verts[k] for k in dirichlet.tolist()),
+        degrees=dict(zip(verts, degree.tolist())),
+        vertices=verts,
+        ends=ends,
+        lengths=lengths,
+        dirichlet=dirichlet,
     )
 
 
@@ -191,7 +235,7 @@ def parse_number(value, what: str) -> float:
     """float(value), raising InvalidDomain when value is not a number."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidDomain(f"{what} must be a number, got {value!r}") from None
 
 
@@ -282,13 +326,9 @@ def graph_from_dict(data: dict) -> MetricGraph:
         if not isinstance(ed, dict):
             raise InvalidDomain(f"bad edge entry {ed!r}: not an object")
         try:
-            edges.append(Edge(
-                id=str(ed.get("id", f"e{k}")),
-                tail=str(ed["from"]),
-                head=str(ed["to"]),
-                length=float(ed["length"]),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
+            edges.append(Edge(str(ed["id"]) if "id" in ed else f"e{k}", str(ed["from"]),
+                              str(ed["to"]), float(ed["length"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDomain(f"bad edge entry {ed!r}: {exc}") from exc
     return MetricGraph(tuple(edges), {str(v): str(c).lower()
                                       for v, c in conditions.items()})

@@ -14,16 +14,19 @@ and has at least one Dirichlet vertex.  The solvers use one assembly:
 GraphMesh.reduced_operators writes A_ff into its final CSR arrays in the
 free numbering (int32 indices) with no full-node matrix and no slicing,
 and M_ff + dt A_ff reuses that pattern.  The full-node ``stiffness`` and
-``lumped_mass`` are built only when read (free_energy, tests).  A reduced
+``lumped_mass`` are built only when read (tests; free_energy reads the
+mass).  A reduced
 operator is solved with its edge interiors condensed out (CondensedLU):
 every edge's interior block is tridiagonal and touches the rest only
-through its two end vertices.
+through its two end vertices.  The free energy (GraphMesh.energy) takes
+its gradient term cell by cell, the sum of (du)^2 / h: the exact Dirichlet
+energy of the P1 interpolant, u^T A u without a stiffness product's
+cancellation.  Nodes are numbered from the integer edge table validation
+leaves on the graph (ValidationReport), with no per-edge Python loop.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +36,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidDomain, LinearSolveFailure, MeshTooCoarse
-from .graph import DIRICHLET, MetricGraph
+from .graph import MetricGraph
 
 __all__ = ["GraphMesh", "Field", "field_from_function", "field_from_profiles",
            "constant_field", "free_energy", "factor_spd", "CondensedLU"]
@@ -52,42 +55,36 @@ class GraphMesh:
 
     def __init__(self, graph: MetricGraph, mesh_h: float | None = None,
                  intervals: dict[str, int] | None = None):
-        graph.validation    # raises on an invalid graph
+        report = graph.validation    # raises on an invalid graph
         self.graph = graph
+        edges = graph.edges
         if intervals is None:
             if mesh_h is None or not mesh_h > 0:
                 raise MeshTooCoarse("need a positive mesh_h or explicit interval counts")
             # a ratio past 2**63 (or inf) cannot be counted by an int64 index
-            intervals = {e.id: max(2, math.ceil(min(e.length / mesh_h, 2.0 ** 63)))
-                         for e in graph.edges}
-        self.intervals = dict(intervals)
-        for e in graph.edges:
-            n = self.intervals.get(e.id, 0)
-            if n < 2:
-                raise MeshTooCoarse(f"edge {e.id!r} has {n} cells; need at least 2")
-
-        verts = graph.vertices
-        self.vertex_node = {v: k for k, v in enumerate(verts)}
-        edges = graph.edges
-        counts = [self.intervals[e.id] for e in edges]
+            with np.errstate(over="ignore"):
+                ratio = report.lengths / mesh_h
+            cells = np.maximum(2.0, np.ceil(np.minimum(ratio, 2.0 ** 63)))
+            counts = cells.tolist()
+        else:
+            counts = [intervals.get(e.id, 0) for e in edges]
+            for e, n in zip(edges, counts):
+                if n < 2:
+                    raise MeshTooCoarse(f"edge {e.id!r} has {n} cells; need at least 2")
         # grid points summed as Python ints, before any array is built
-        if sum(counts) + len(counts) > np.iinfo(np.int64).max:
+        points = sum(map(int, counts)) + len(counts)
+        if points > np.iinfo(np.int64).max:
             raise InvalidDomain("the mesh has more grid points than an int64 index "
                                 "can count; the edges are too long for the mesh width")
-        # Flat layout of the grid points, edge by edge from tail to head:
-        # edge k owns points _ptr[k] .. _ptr[k + 1] - 1.  Interior nodes are
-        # numbered after the vertex nodes in that same order.
-        self._ptr = [0, *itertools.accumulate(n + 1 for n in counts)]
-        self.n_nodes = len(verts) + sum(counts) - len(edges)
         self._cells = np.array(counts, dtype=np.int64)
-        self._h = np.array([e.length for e in edges]) / self._cells
+        self._h = report.lengths / self._cells
+        nverts = len(report.vertices)
+        self.n_nodes = nverts + points - 2 * len(counts)
 
-        self.dirichlet_nodes = np.array(
-            sorted(self.vertex_node[v] for v in verts
-                   if graph.condition(v) == DIRICHLET), dtype=np.int64)
+        self.dirichlet_nodes = report.dirichlet
         # Dirichlet nodes are vertices, so the free-node vector lists the free
         # vertices first, then every edge's interior nodes in edge order.
-        nv = self.free_vertices = len(verts) - self.dirichlet_nodes.size
+        nv = self.free_vertices = nverts - self.dirichlet_nodes.size
         try:
             mask = np.ones(self.n_nodes, dtype=bool)
             mask[self.dirichlet_nodes] = False
@@ -96,27 +93,42 @@ class GraphMesh:
             raise InvalidDomain(f"the mesh has {self.n_nodes} nodes, more than "
                                 "memory holds; the edges are too long for the mesh "
                                 "width") from exc
-        free_vertex = np.full(len(verts), nv)
+        free_vertex = np.full(nverts, nv)
         free_vertex[self.free_nodes[:nv]] = np.arange(nv)
         # each edge's tail and head in the free numbering, nv where pinned
-        self._ends = free_vertex[np.array(
-            [(self.vertex_node[e.tail], self.vertex_node[e.head]) for e in edges])]
+        self._ends = free_vertex[report.ends]
         self._stiffness = None
         self._lumped_mass = None
 
     @cached_property
+    def intervals(self) -> dict[str, int]:
+        return dict(zip((e.id for e in self.graph.edges), self._cells.tolist()))
+
+    @cached_property
+    def vertex_node(self) -> dict[str, int]:
+        vertices = self.graph.validation.vertices
+        return dict(zip(vertices, range(len(vertices))))
+
+    @cached_property
+    def _ptr(self) -> np.ndarray:
+        """Edge k owns grid points _ptr[k] .. _ptr[k + 1] - 1, tail to head;
+        interior nodes are numbered after the vertex nodes in that order."""
+        ptr = np.zeros(self._cells.size + 1, dtype=np.int64)
+        np.cumsum(self._cells + 1, out=ptr[1:])
+        return ptr
+
+    @cached_property
     def _point_node(self) -> np.ndarray:
         """Global node of every grid point in the flat layout (read-only)."""
-        ptr = np.array(self._ptr)
+        ptr = self._ptr
         first, last = ptr[:-1], ptr[1:] - 1
         point_node = np.empty(ptr[-1], dtype=np.int64)
-        nverts = len(self.vertex_node)
         inner = np.ones(ptr[-1], dtype=bool)
         inner[first] = inner[last] = False
-        point_node[inner] = np.arange(nverts, self.n_nodes)
-        edges = self.graph.edges
-        point_node[first] = [self.vertex_node[e.tail] for e in edges]
-        point_node[last] = [self.vertex_node[e.head] for e in edges]
+        ends = self.graph.validation.ends
+        point_node[inner] = np.arange(len(self.graph.validation.vertices), self.n_nodes)
+        point_node[first] = ends[:, 0]
+        point_node[last] = ends[:, 1]
         point_node.flags.writeable = False
         return point_node
 
@@ -129,11 +141,11 @@ class GraphMesh:
 
     @cached_property
     def edge_x(self) -> dict[str, np.ndarray]:
-        ptr = np.array(self._ptr)
+        ptr = self._ptr
         n = self._cells
         # j * h with the end pinned to the length: what np.linspace computes
         x = (np.arange(ptr[-1]) - np.repeat(ptr[:-1], n + 1)) * np.repeat(self._h, n + 1)
-        x[ptr[1:] - 1] = [e.length for e in self.graph.edges]
+        x[ptr[1:] - 1] = self.graph.validation.lengths
         x.flags.writeable = False
         return {i: x[lo:hi] for i, lo, hi in self._spans()}
 
@@ -146,7 +158,7 @@ class GraphMesh:
         point_node = self._point_node
         # a cell joins each point to the next one on the same edge
         joins = np.ones(point_node.size - 1, dtype=bool)
-        joins[np.array(self._ptr[1:-1], dtype=np.int64) - 1] = False
+        joins[self._ptr[1:-1] - 1] = False
         return (point_node[:-1][joins], point_node[1:][joins],
                 np.repeat(self._h, self._cells))
 
@@ -278,8 +290,48 @@ class GraphMesh:
         np.cumsum(np.bincount(cols, minlength=nv), out=ptr[1:])
         return rows[order], cols[order], slot[order], ptr
 
+    @cached_property
+    def _free_cells(self):
+        """(inner, first, last, w) for energy(): ``inner[j]`` is 1/h of the cell
+        between interior nodes j and j + 1, 0 where one edge ends and the next
+        begins; edge k's end cells, of weight w[k] = 1/h, join its tail to
+        interior node first[k] and interior node last[k] to its head."""
+        n = self._cells - 1     # interior nodes per edge
+        w = 1.0 / self._h
+        first = np.cumsum(n) - n
+        inner = np.repeat(w, n)[1:]
+        inner[first[1:] - 1] = 0.0
+        return inner, first, first + n - 1, w
+
+    def energy(self, u: np.ndarray, m: np.ndarray,
+               work: np.ndarray | None = None) -> float:
+        """H = 1/2 int (u')^2 - u^2 + 1/3 int u^3 of the P1 field that is u on
+        the free nodes and 0 at the pinned ones; m is their lumped mass and
+        ``work`` scratch of u's size.
+
+        The gradient term is the exact Dirichlet energy of the interpolant,
+        the sum over cells of (du)^2 / h from node differences: the
+        stiffness matrix is never read.
+        """
+        if work is None:
+            work = np.empty(u.shape)
+        inner, first, last, w = self._free_cells
+        nv = self.free_vertices
+        ui = u[nv:]
+        d = work[:ui.size - 1]
+        np.subtract(ui[1:], ui[:-1], out=d)
+        d *= d
+        uv = np.append(u[:nv], 0.0)     # pinned ends (index nv) read 0
+        tail, head = self._ends.T
+        d_tail, d_head = ui[first] - uv[tail], uv[head] - ui[last]
+        grad2 = float(inner @ d) + float(w @ (d_tail * d_tail + d_head * d_head))
+        np.multiply(u, u, out=work)
+        mass2 = float(m @ work)
+        work *= u
+        return 0.5 * grad2 - 0.5 * mass2 + float(m @ work) / 3.0
+
     def min_intervals(self) -> int:
-        return min(self.intervals.values())
+        return int(self._cells.min())
 
 
 def factor_spd(b: sp.spmatrix, what: str):
@@ -356,13 +408,22 @@ class CondensedLU:
             shape=(d.size, nv))
         self.schur = factor_spd(b[:nv, :nv] - self._ct @ self._g, what)
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x with B x = r, written into ``out`` when given (``out`` may be r)."""
         nv = self._nv
-        y, _ = dpttrs(self._d, self._e, r[nv:])
-        if self.schur is None:
-            return y
-        xv = self.schur.solve(r[:nv] - self._ct @ y)
-        return np.concatenate((xv, y - self._g @ xv))
+        if out is None:
+            out = np.empty(r.shape)
+        y = out[nv:]
+        if out is not r:
+            y[...] = r[nv:]
+        x, _ = dpttrs(self._d, self._e, y, overwrite_b=True)
+        if x is not y:      # a strided out: dpttrs solved a copy
+            y[...] = x
+        if self.schur is not None:
+            xv = self.schur.solve(r[:nv] - self._ct @ y)
+            out[:nv] = xv
+            y -= self._g @ xv
+        return out
 
 
 @dataclass
@@ -427,13 +488,13 @@ def field_from_profiles(mesh: GraphMesh, profiles: dict) -> Field:
 
 
 def free_energy(field: Field) -> float:
-    """Discrete H(u) = 1/2 int (u')^2 - u^2 + 1/3 int u^3.
+    """Discrete H(u) = 1/2 int (u')^2 - u^2 + 1/3 int u^3 (GraphMesh.energy).
 
     The gradient term is the exact Dirichlet energy of the piecewise-linear
-    interpolant (equivalently, one-sided differences per cell); the bulk
-    terms use the lumped mass weights.
+    interpolant, a sum over cells of (du)^2 / h; the bulk terms use the
+    lumped mass weights.  Dirichlet nodes count as 0, the value every
+    field holds there once pinned.
     """
-    u = field.values
-    m = field.mesh.lumped_mass
-    grad2 = float(u @ (field.mesh.stiffness @ u))
-    return 0.5 * grad2 - 0.5 * float(m @ (u * u)) + float(m @ (u ** 3)) / 3.0
+    mesh = field.mesh
+    free = mesh.free_nodes
+    return mesh.energy(field.values[free], mesh.lumped_mass[free])

@@ -241,8 +241,14 @@ BAD_INPUTS = [
     # ... or than memory holds (888 PiB: the allocation is refused outright)
     (2, ["spectrum", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3"]),
     (2, ["evolve", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3", "--max-t", "1"]),
-    # an initial state whose free energy overflows a double
+    # a step below evolve.DT_FLOOR, as given or after the monotone bound
+    # (const:1e300, whose free energy would overflow too, stops here first)
     (2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e300"]),
+    (2, ["evolve", "--flower", "stem=2", "--mesh", "0.1", "--dt", "1e-300", "--max-t", "1"]),
+    (2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e15"]),
+    # an initial state whose free energy overflows a double: 1e5 over 5e-301
+    (2, ["evolve", "--flower", "stem=1e-300", "loops=1", *QUICK_EVOLVE,
+         "--initial", "const:1e5"]),
 ]
 
 
@@ -341,8 +347,8 @@ def cli_calls(draw):
 def test_every_drawn_argv_ends_in_a_documented_exit(call):
     argv, valid = call
     err = io.StringIO()
-    # a tiny dt or a huge initial state runs to MAX_STEPS; a smaller cap ends
-    # those runs the same way sooner
+    # --tol 1e-300 never converges, so with --max-t 1e300 a run takes all of
+    # MAX_STEPS; a smaller cap ends it the same way sooner
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         mp.setattr("fkpp_graphs.evolve.MAX_STEPS", 2000)
@@ -505,6 +511,19 @@ def test_evolve_trivial_run(tmp_path):
     hs = np.array([float(r[1]) for r in rows])
     assert np.all(np.diff(hs) <= 1e-10)
     assert len(rows) == data["steps"] + 1
+
+
+# stem 3 with a loop of 1 lies on the nontrivial side (lambda0 = 0.157); a
+# tolerance above evolve.TOL_CAP once accepted any state in [0, 1] as trivial
+@pytest.mark.parametrize("tol", ["1e300", "1", "1e-3"])
+def test_a_loose_evolve_tolerance_ends_on_the_spectral_side(tmp_path, tol):
+    flower = ["--flower", "stem=3", "loops=1", "--mesh", "0.05"]
+    assert main(["spectrum", *flower, "--out", str(tmp_path / "s.json")]) == 0
+    assert main(["evolve", *flower, "--initial", "const:0.5", "--tol", tol,
+                 "--out", str(tmp_path / "e.json")]) == 0
+    region = read_json(tmp_path / "s.json")["region"]
+    assert region == "Nontrivial"
+    assert read_json(tmp_path / "e.json")["terminal"] == f"Converged{region}"
 
 
 def test_evolve_on_general_graph(tmp_path):

@@ -207,6 +207,9 @@ def test_graph_from_dict_edge_form():
     {"nodes": []},
     {"edges": [{"from": "a", "length": 1.0}]},
     {"edges": [{"from": "a", "to": "b", "length": "long"}]},
+    # JSON integers past a double's range
+    {"edges": [{"from": "a", "to": "b", "length": 10 ** 400}]},
+    {"flower": {"stem": 10 ** 400}},
 ])
 def test_graph_from_dict_rejects_malformed_input(data):
     with pytest.raises(InvalidDomain):
@@ -245,3 +248,71 @@ def test_validate_is_linear_in_graph_size():
     assert time.perf_counter() - start < 5.0
     assert report.degrees["v0"] == report.degrees[f"v{n}"] == 1
     assert report.degrees["v1"] == 2
+
+
+def _edges(*ends, ids=None):
+    return [{"id": f"e{k}" if ids is None else ids[k], "from": a, "to": b, "length": ell}
+            for k, (a, b, ell) in enumerate(ends)]
+
+
+# Each bad graph with the class and message it has always raised: the array
+# checks keep the per-edge checks' order and wording.
+@pytest.mark.parametrize("data,error,message", [
+    ({"edges": []}, DisconnectedGraph, "graph has no edges"),
+    ({"edges": _edges(("a", "v", 1.0), ("v", "w", 0.0)), "conditions": {"a": "dirichlet"}},
+     NonpositiveLength, "edge 'e1' has length 0.0; lengths must be positive and finite"),
+    ({"edges": _edges(("a", "v", -1.0), ("v", "w", math.nan))},
+     NonpositiveLength, "edge 'e0' has length -1.0; lengths must be positive and finite"),
+    ({"edges": _edges(("a", "v", 1.0), ("v", "w", math.inf))},
+     NonpositiveLength, "edge 'e1' has length inf; lengths must be positive and finite"),
+    ({"edges": _edges(("a", "v", 1.0), ("v", "w", 0.0), ids=["e0", "e0"])},
+     NonpositiveLength, "edge 'e0' has length 0.0; lengths must be positive and finite"),
+    ({"edges": _edges(("a", "v", 1.0), ("v", "w", 1.0), ("w", "x", 1.0), ids=["e0", "e1", "e1"]),
+      "conditions": {"a": "robin"}},
+     InvalidDomain, "duplicate edge id 'e1'; edge ids must be unique"),
+    ({"edges": _edges(("a", "v", 1.0)), "conditions": {"a": "dirichlet", "q": "robin"}},
+     InvalidDomain, "unknown condition 'robin' at vertex 'q'"),
+    ({"edges": _edges(("a", "v", 1.0), ("x", "y", 1.0), ("y", "b", 1.0)),
+      "conditions": {"a": "dirichlet"}},
+     DisconnectedGraph, "vertices unreachable from 'a': ['b', 'x', 'y']"),
+    ({"edges": _edges(("a", "v", 1.0)),
+      "conditions": {"a": "dirichlet", "z": "kirchhoff", "c": "dirichlet"}},
+     DisconnectedGraph, "vertices unreachable from 'a': ['c', 'z']"),
+    ({"edges": _edges(("a", "v", 1.0), ("x", "x", 1.0))},
+     DisconnectedGraph, "vertices unreachable from 'a': ['x']"),
+    ({"edges": _edges(("a", "v", 1.0))},
+     NoPendant, "no Dirichlet vertex; the zero boundary set is empty"),
+    ({"edges": _edges(("a", "v", 1.0), ("v", "v", 1.0), ("w", "v", 1.0)),
+      "conditions": {"w": "Dirichlet", "v": "dirichlet"}},
+     NoPendant, "Dirichlet vertex 'v' has degree 4; Dirichlet vertices must be pendant"),
+    ({"edges": _edges(("a", "v", 1.0), ("b", "v", 1.0), ("b", "w", 1.0)),
+      "conditions": {"b": "dirichlet", "a": "dirichlet"}},
+     NoPendant, "Dirichlet vertex 'b' has degree 2; Dirichlet vertices must be pendant"),
+    ({"edges": 5, "conditions": {"a": "dirichlet"}},
+     InvalidDomain, '"edges" must be a list of edge objects'),
+    ({"edges": [5], "conditions": {"a": "dirichlet"}},
+     InvalidDomain, "bad edge entry 5: not an object"),
+    ({"edges": _edges(("a", "v", 1.0)), "conditions": ["a"]},
+     InvalidDomain, '"conditions" must map vertices to conditions'),
+    ({"edges": [{"id": "e0", "to": "v", "length": 1.0}]},
+     InvalidDomain, "bad edge entry {'id': 'e0', 'to': 'v', 'length': 1.0}: 'from'"),
+    ({"edges": [{"from": "a", "to": "b", "length": "long"}]},
+     InvalidDomain, "bad edge entry {'from': 'a', 'to': 'b', 'length': 'long'}: could not "
+                    "convert string to float: 'long'"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_bad_graphs_keep_their_error_and_message(data, error, message):
+    with pytest.raises(error) as info:
+        validate(graph_from_dict(data))
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def test_validation_report_carries_the_edge_table():
+    g = theta_graph()
+    report = validate(g)
+    assert report.vertices == tuple(g.vertices)
+    index = {v: k for k, v in enumerate(report.vertices)}
+    assert report.ends.tolist() == [[index[e.tail], index[e.head]] for e in g.edges]
+    assert report.lengths.tolist() == [e.length for e in g.edges]
+    assert report.dirichlet.tolist() == [index[v] for v in report.dirichlet_vertices]
+    assert not report.ends.flags.writeable

@@ -251,6 +251,97 @@ def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
     assert np.max(np.abs(f.values - avg)) <= 1e-14
 
 
+def reference_ingest(graph, mesh_h):
+    """The dict-per-vertex numbering GraphMesh replaced, kept as an oracle.
+
+    Returns (vertices, degrees, vertex_node, intervals, free_nodes, A_ff,
+    m_f): vertices in order of first appearance, counts from
+    max(2, ceil(min(length / h, 2**63))) per edge, and the reduced operators
+    sliced from a full COO assembly in the order the full-node stiffness
+    has always used (every cell's w, w, -w, -w in edge order).
+    """
+    seen = {}
+    for e in graph.edges:
+        seen.setdefault(e.tail)
+        seen.setdefault(e.head)
+    for v in graph.conditions:
+        seen.setdefault(v)
+    vertices = list(seen)
+    degrees = {v: sum((e.tail == v) + (e.head == v) for e in graph.edges) for v in vertices}
+    intervals = {e.id: max(2, math.ceil(min(e.length / mesh_h, 2.0 ** 63)))
+                 for e in graph.edges}
+    nodes, _, hs, _, mass, _ = per_edge_reference(graph, mesh_h)
+    vertex_node = {v: k for k, v in enumerate(vertices)}
+    pinned = {vertex_node[v] for v in vertices if graph.condition(v) == "dirichlet"}
+    free = np.array([k for k in range(mass.size) if k not in pinned])
+    a = np.concatenate([nodes[e.id][:-1] for e in graph.edges])
+    b = np.concatenate([nodes[e.id][1:] for e in graph.edges])
+    w = np.concatenate([np.full(intervals[e.id], 1.0 / hs[e.id]) for e in graph.edges])
+    full = sp.coo_matrix((np.concatenate([w, w, -w, -w]),
+                          (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                         shape=(mass.size, mass.size)).tocsr()
+    return vertices, degrees, vertex_node, intervals, free, full[free][:, free], mass[free]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]))
+def test_edge_table_numbers_the_mesh_as_the_vertex_dicts_did(graph, mesh_h):
+    vertices, degrees, vertex_node, intervals, free, a_ref, m_ref = reference_ingest(graph, mesh_h)
+    report = validate(graph)
+    assert list(report.vertices) == graph.vertices == vertices
+    assert report.degrees == degrees
+    mesh = GraphMesh(graph, mesh_h=mesh_h)
+    assert mesh.vertex_node == vertex_node
+    assert mesh.intervals == intervals
+    assert same_bits(mesh.free_nodes, free)
+    a, m = mesh.reduced_operators()
+    assert np.array_equal(a.indptr, a_ref.indptr) and np.array_equal(a.indices, a_ref.indices)
+    assert same_bits(a.data, a_ref.data) and same_bits(m, m_ref)
+
+
+@st.composite
+def energy_meshes(draw):
+    """multigraphs() meshes, or one edge between two Dirichlet vertices (no
+    free vertex); mesh width 0.35 gives the short edges 2 cells."""
+    mesh_h = draw(st.sampled_from([0.04, 0.1, 0.35]))
+    if draw(st.integers(0, 4)):
+        return GraphMesh(draw(multigraphs()), mesh_h=mesh_h)
+    edge = Edge("e0", "a", "b", draw(st.floats(0.05, 4.0)))
+    return GraphMesh(MetricGraph((edge,), {"a": "dirichlet", "b": "dirichlet"}), mesh_h=mesh_h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=energy_meshes(), seed=st.integers(0, 2**32 - 1), smooth=st.booleans())
+def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
+    rng = np.random.default_rng(seed)
+    if smooth:    # neighbouring values nearly cancel in the stiffness rows
+        k = rng.uniform(0.1, 2.0)
+        u = field_from_function(mesh, lambda eid, x: 1.0 + np.cos(k * x)).values
+    else:
+        u = rng.uniform(0.0, 2.0, mesh.n_nodes)
+        u[mesh.dirichlet_nodes] = 0.0
+    f = mesh.free_nodes
+    # with zero mass, energy() is half the per-cell Dirichlet energy exactly
+    got = 2.0 * mesh.energy(u[f], np.zeros(f.size))
+    a = mesh.stiffness
+    ref = float(u @ (a @ u))
+    # both sums carry at most about n_nodes roundings of |u|^T |A| |u|
+    scale = float(np.abs(u) @ (abs(a) @ np.abs(u)))
+    assert abs(got - ref) <= 4.0 * mesh.n_nodes * np.finfo(float).eps * scale
+    assert free_energy(Field(mesh, u)) == mesh.energy(u[f], mesh.lumped_mass[f])
+
+    a_ff, m_ff = mesh.reduced_operators()
+    op = sp.diags(m_ff) + 0.1 * a_ff
+    lu = CondensedLU(mesh, op, "test")
+    r = rng.uniform(-1.0, 1.0, f.size)
+    want = lu.solve(r)
+    buf = np.full(f.size, np.nan)
+    assert lu.solve(r, out=buf) is buf and same_bits(buf, want)
+    strided = np.full((f.size, 2), np.nan)
+    assert same_bits(lu.solve(r, out=strided[:, 0]), want)
+    assert lu.solve(r, out=r) is r and same_bits(r, want)
+
+
 def assert_condensed_solves(mesh, dt, seed):
     """CondensedLU solves A_ff and M_ff + dt A_ff to a 1e-12 backward error."""
     a, m = mesh.reduced_operators()
