@@ -23,17 +23,16 @@ gradient-flow descents.  Its gradient term is the exact Dirichlet energy
 of the P1 interpolant, the sum over cells of (du)^2 / h taken from node
 differences (GraphMesh.energy), so no step multiplies by the stiffness.
 
-M + dt A is symmetric positive definite (and an M-matrix).  It is formed
-in the pattern of A_ff from the mesh's one assembly (dt A with m added at
-the diagonal slots; no full-node matrix is built) and factored once per
-step size by mesh.CondensedLU: a LAPACK factor of the tridiagonal edge
-interiors plus a SuperLU factor of the small vertex complement, so each
-step is one tridiagonal sweep and one vertex-sized sparse solve.  The step
-loop runs on the free-node vector alone, in three buffers that it swaps
-(state, trial state, scratch): the right-hand side is formed in the trial
-buffer and solved in place.  Dirichlet values are 0, so H (from t = 0 on),
-sup u and min u follow from the free nodes, and the Field is written
-once, at the end.
+M + dt A is symmetric positive definite (and an M-matrix).  A run
+assembles (A_ff, m_f) once; mesh.CondensedLU factors diag(m_f) + dt A_ff
+straight from them, once per step size: a LAPACK factor of the
+tridiagonal edge interiors plus a SuperLU factor of the small vertex
+complement, so each step is one tridiagonal sweep and one vertex-sized
+sparse solve.  The step loop runs on the free-node vector alone, in three
+buffers that it swaps (state, trial state, scratch): the right-hand side
+is formed in the trial buffer and solved in place.  Dirichlet values are
+0, so H (from t = 0 on), sup u and min u follow from the free nodes, and
+the Field is written once, at the end.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ComparisonViolated,
@@ -118,19 +116,11 @@ def stable_dt(sup_u0: float, dt: float) -> float:
     return min(dt, 0.99 / (2.0 * c - 1.0))
 
 
-def _factor(mesh, dt: float):
-    """Factor M + dt A on the free nodes, for every step size; returns (lu, A_ff, m_f)."""
+def _factor(mesh, a, m, dt: float) -> CondensedLU:
+    """Factor M + dt A on the free nodes from (A_ff, m_f), for every step size."""
     if not 0.0 < dt < math.inf:    # NaN fails both comparisons
         raise InvalidDomain(f"time step must be positive and finite, got {dt}")
-    a, m = mesh.reduced_operators()
-    return CondensedLU(mesh, _implicit_operator(mesh, a, m, dt), "implicit step"), a, m
-
-
-def _implicit_operator(mesh, a, m, dt: float) -> sp.csr_matrix:
-    """M + dt A in A's own pattern: dt A with m added at its diagonal slots."""
-    data = dt * a.data
-    data[mesh.diagonal_slots(a.indptr)] += m
-    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+    return CondensedLU(mesh, a, m, dt, "implicit step")
 
 
 def _advance(lu, m, u, dt: float, out=None, work=None) -> np.ndarray:
@@ -151,7 +141,8 @@ def _advance(lu, m, u, dt: float, out=None, work=None) -> np.ndarray:
 
 def step(field: Field, dt: float) -> Field:
     """One semi-implicit step; standalone, factorizes the operator anew."""
-    lu, _, m = _factor(field.mesh, dt)
+    a, m = field.mesh.reduced_operators()
+    lu = _factor(field.mesh, a, m, dt)
     free = field.mesh.free_nodes
     out = field.copy()
     out.values[free] = _advance(lu, m, field.values[free], dt)
@@ -197,7 +188,8 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
         raise InvalidDomain(
             f"time step {dt:.6g} is below the step floor {DT_FLOOR:g} (the step "
             f"after the monotone bound for initial data up to {sup0:.6g})")
-    lu, _, m = _factor(mesh, dt)
+    a, m = mesh.reduced_operators()
+    lu = _factor(mesh, a, m, dt)
 
     # the state, the trial state and scratch: three free-node vectors
     u = field.values[free]
@@ -233,7 +225,7 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
                 raise ComparisonViolated(
                     "time step collapsed below the floor while enforcing "
                     f"positivity/comparison/energy bounds at t={t:.6g}")
-            lu, _, m = _factor(mesh, dt)
+            lu = _factor(mesh, a, m, dt)
             continue
 
         np.subtract(v, u, out=work)

@@ -265,33 +265,19 @@ def interval_graph(length: float) -> MetricGraph:
 def as_flower(graph: MetricGraph) -> FlowerSpec | None:
     """Recognize a flower up to relabeling; None when the shape is different.
 
-    Requires exactly one Dirichlet pendant, its neighbor as the only other
-    vertex, and all remaining edges to be self-loops at that neighbor.
+    A valid graph is a flower exactly when it has two vertices, one of them
+    Dirichlet: that vertex is pendant, so its one edge is the stem, and
+    every other edge is a loop at the other vertex.
     """
     try:
         report = graph.validation
     except FisherKppError:
         return None
-    if len(report.dirichlet_vertices) != 1:
+    if len(report.vertices) != 2 or report.dirichlet.size != 1:
         return None
-    b = report.dirichlet_vertices[0]
-    stems = [e for e in graph.edges if b in (e.tail, e.head)]
-    if len(stems) != 1 or stems[0].tail == stems[0].head:
-        return None
-    stem = stems[0]
-    c = stem.head if stem.tail == b else stem.tail
-    if graph.condition(c) != KIRCHHOFF:
-        return None
-    halves = []
-    for e in graph.edges:
-        if e is stem:
-            continue
-        if not (e.tail == c and e.head == c):
-            return None
-        halves.append(e.length / 2.0)
-    if set(graph.vertices) != {b, c}:
-        return None
-    return FlowerSpec(stem=stem.length, loop_halves=tuple(halves))
+    lengths = [e.length for e in graph.edges]
+    stem = lengths.pop(int(np.flatnonzero(report.ends == report.dirichlet[0])[0]) // 2)
+    return FlowerSpec(stem=stem, loop_halves=tuple(x / 2.0 for x in lengths))
 
 
 def graph_from_dict(data: dict) -> MetricGraph:

@@ -12,13 +12,14 @@ Dirichlet vertices are pinned by row/column elimination; the reduced
 stiffness is symmetric positive definite whenever the graph is connected
 and has at least one Dirichlet vertex.  The solvers use one assembly:
 GraphMesh.reduced_operators writes A_ff into its final CSR arrays in the
-free numbering (int32 indices) with no full-node matrix and no slicing,
-and M_ff + dt A_ff reuses that pattern.  The full-node ``stiffness`` and
-``lumped_mass`` are built only when read (tests; free_energy reads the
-mass).  A reduced
-operator is solved with its edge interiors condensed out (CondensedLU):
-every edge's interior block is tridiagonal and touches the rest only
-through its two end vertices.  The free energy (GraphMesh.energy) takes
+free numbering (int32 indices) with no full-node matrix and no slicing.
+The full-node ``stiffness`` and ``lumped_mass`` are built only when read
+(tests; free_energy reads the mass).  CondensedLU factors
+B = diag(shift) + scale A_ff straight from A_ff's arrays, with its edge
+interiors condensed out: every edge's interior block is tridiagonal and
+touches the rest only through its two end vertices.  reduced_operators
+refuses cells more uneven than CELL_RATIO_CAP, since the condensed solves
+lose about that ratio times eps.  The free energy (GraphMesh.energy) takes
 its gradient term cell by cell, the sum of (du)^2 / h: the exact Dirichlet
 energy of the P1 interpolant, u^T A u without a stiffness product's
 cancellation.  Nodes are numbered from the integer edge table validation
@@ -40,6 +41,15 @@ from .graph import MetricGraph
 
 __all__ = ["GraphMesh", "Field", "field_from_function", "field_from_profiles",
            "constant_field", "free_energy", "factor_spd", "CondensedLU"]
+
+# widest cell over narrowest accepted in one mesh: the condensed solves lose
+# about ratio * eps.  From const:0.5 at mesh 0.1 and 0.02, a stem-2 flower
+# with one tiny loop and a 3-edge tree with a tiny Kirchhoff pendant ended
+# evolve off their short-edge-free limits by a rounding part of at most 6e-9
+# at ratio 1e6, 4e-7 at 1e8, 2e-5 at 1e9 and 4e-4 at 1e10; at 2e13 the flower
+# ran out of steps, at 2e15 it ended trivial on a nontrivial graph, and from
+# 2e16 both factors were singular.  The cap keeps seven decades of margin.
+CELL_RATIO_CAP = 1e6
 
 
 class GraphMesh:
@@ -99,6 +109,13 @@ class GraphMesh:
         self._ends = free_vertex[report.ends]
         self._stiffness = None
         self._lumped_mass = None
+
+    @cached_property
+    def _interiors(self):
+        """(count, first, w) per edge: its number of interior nodes, the index
+        of its first one among all interior nodes (edge order), and 1/h."""
+        count = self._cells - 1
+        return count, np.cumsum(count) - count, 1.0 / self._h
 
     @cached_property
     def intervals(self) -> dict[str, int]:
@@ -196,12 +213,21 @@ class GraphMesh:
         vertices sorting first).  A vertex row sums w over its incident
         cells; those O(E) entries go through scipy's COO summation, as in
         ``stiffness``, so each vertex adds its terms in the same order.
+        Every solve starts here, so MeshTooCoarse is raised here when the
+        widest cell exceeds the narrowest by more than CELL_RATIO_CAP.
         """
+        width, edges = self._h, self.graph.edges
+        wide, narrow = width.argmax(), width.argmin()
+        if width[wide] > CELL_RATIO_CAP * width[narrow]:
+            with np.errstate(divide="ignore", over="ignore"):    # the ratio may be inf
+                raise MeshTooCoarse(
+                    f"edge {edges[narrow].id!r} has cells {width[wide] / width[narrow]:.3g} times "
+                    f"narrower than edge {edges[wide].id!r}; above {CELL_RATIO_CAP:g} the "
+                    "implicit solves lose their accuracy (refine the mesh or drop the short edge)")
         nv = self.free_vertices
         tail, head = self._ends.T
-        c = self._cells - 1                  # interior nodes per edge
-        w = 1.0 / self._h
-        first = nv + np.cumsum(c) - c        # each edge's first interior row
+        c, first, w = self._interiors
+        first = nv + first                   # each edge's first interior row
         last = first + c - 1
         size = nv + int(c.sum())
         idx = np.int32 if 8 * size <= np.iinfo(np.int32).max else np.int64
@@ -255,15 +281,6 @@ class GraphMesh:
         m[nv:] = np.repeat(half + half, c)
         return a, m
 
-    def diagonal_slots(self, indptr: np.ndarray) -> np.ndarray:
-        """Where each row's diagonal sits in the data of a reduced_operators matrix."""
-        nv = self.free_vertices
-        slots = indptr[1:] - 2      # an interior row: (left, self, right)
-        slots[:nv] = indptr[:nv]    # a vertex row starts at its diagonal
-        c = self._cells - 1
-        slots[nv - 1 + np.cumsum(c)] += 1    # an edge's last row ends there
-        return slots
-
     @cached_property
     def _couplings(self):
         """Where the interior block of a reduced operator meets the vertices.
@@ -277,8 +294,7 @@ class GraphMesh:
         """
         nv = self.free_vertices
         tail, head = self._ends.T
-        n = self._cells - 1     # interior nodes per edge
-        lo = np.cumsum(n) - n
+        n, lo, _ = self._interiors
         hi = lo + n - 1
         t = tail < nv
         h = (head < nv) & ~((lo == hi) & (head == tail))
@@ -296,9 +312,7 @@ class GraphMesh:
         between interior nodes j and j + 1, 0 where one edge ends and the next
         begins; edge k's end cells, of weight w[k] = 1/h, join its tail to
         interior node first[k] and interior node last[k] to its head."""
-        n = self._cells - 1     # interior nodes per edge
-        w = 1.0 / self._h
-        first = np.cumsum(n) - n
+        n, first, w = self._interiors
         inner = np.repeat(w, n)[1:]
         inner[first[1:] - 1] = 0.0
         return inner, first, first + n - 1, w
@@ -354,30 +368,31 @@ def factor_spd(b: sp.spmatrix, what: str):
 
 
 class CondensedLU:
-    """Factor of a reduced operator B with the edge interiors condensed out.
+    """Factor of B = diag(shift) + scale A_ff with the edge interiors condensed out.
 
-    B is ``A_ff``, ``M_ff + dt A_ff`` or any matrix of their pattern that is
-    symmetric positive definite; every entry is read from B.  In the free
-    numbering of GraphMesh, B = [[B_VV, C^T], [C, T]] with T the interior
-    block: tridiagonal, with no entry between consecutive edges, and C the
-    interior-vertex coupling, one entry per free edge end.  T is factored by
-    LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs with two
+    A_ff is GraphMesh.reduced_operators' stiffness, read in place; ``shift``
+    is a free-node vector or a scalar: (0, 1) gives A_ff, (m_f, dt) the
+    implicit step's M_ff + dt A_ff.  B must be symmetric positive definite.
+    In the free numbering of GraphMesh, B = [[B_VV, C^T], [C, T]] with T
+    the interior block: tridiagonal, with no entry between consecutive
+    edges, and C the interior-vertex coupling, one entry per free edge end.
+    B_VV is diagonal, since every edge has an interior node.  T is factored
+    by LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs with two
     right-hand sides (every edge's tail coupling in one, its head coupling
     in the other, since the edge blocks are independent); G and C^T are
     written as CSR straight from the coupling positions GraphMesh knows.
     The vertex complement S = B_VV - C^T G, SPD and small, goes to
-    factor_spd.  A
-    solve is one dpttrs and one SuperLU solve: y = T^-1 r_I, then
-    x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
+    factor_spd.  A solve is one dpttrs and one SuperLU solve: y = T^-1 r_I,
+    then x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
     """
 
-    def __init__(self, mesh: GraphMesh, b: sp.spmatrix, what: str):
-        b = b.tocsr()
+    def __init__(self, mesh: GraphMesh, a: sp.csr_matrix, shift, scale: float,
+                 what: str):
         nv = mesh.free_vertices
-        d = b.diagonal()[nv:]
+        d = a.diagonal() * scale + shift
+        e = a.diagonal(1)[nv:] * scale
         # f2py asks for one superdiagonal entry even when T is 1 x 1
-        e = b.diagonal(1)[nv:] if d.size > 1 else np.zeros(1)
-        self._d, self._e, info = dpttrf(d, e)
+        self._d, self._e, info = dpttrf(d[nv:], e if e.size else np.zeros(1))
         if info != 0:
             raise LinearSolveFailure(
                 f"{what} factorization failed: LAPACK dpttrf info {info}")
@@ -385,28 +400,29 @@ class CondensedLU:
         self.schur = None
         if nv == 0:
             return
+        size = d.size - nv
         rows, cols, slot, ptr = mesh._couplings
-        c = np.asarray(b[rows + nv, cols]).ravel()
-        couple = np.zeros((d.size, 2))
+        c = scale * np.asarray(a[rows + nv, cols]).ravel()
+        couple = np.zeros((size, 2))
         couple[rows, slot] = c
         g, _ = dpttrs(self._d, self._e, couple)
-        self._ct = sp.csr_matrix((c, rows, ptr), shape=(nv, d.size))
+        self._ct = sp.csr_matrix((c, rows, ptr), shape=(nv, size))
         # Every row of an edge couples to the same free ends: G keeps them in
         # column order, one entry where both ends are one vertex.
         tail, head = mesh._ends.T
-        n = mesh._cells - 1
+        n, _, _ = mesh._interiors
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         swap = np.repeat(tail > head, n)
         g[swap] = g[swap, ::-1]
         same = np.repeat((lo == hi) & (lo < nv), n)
         g[same, 0] += g[same, 1]
         keep = np.repeat(np.column_stack((lo < nv, (hi < nv) & (hi != lo))), n, axis=0)
-        indptr = np.zeros(d.size + 1, dtype=b.indptr.dtype)
+        indptr = np.zeros(size + 1, dtype=a.indptr.dtype)
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
         self._g = sp.csr_matrix(
             (g[keep], np.repeat(np.column_stack((lo, hi)), n, axis=0)[keep], indptr),
-            shape=(d.size, nv))
-        self.schur = factor_spd(b[:nv, :nv] - self._ct @ self._g, what)
+            shape=(size, nv))
+        self.schur = factor_spd(sp.diags(d[:nv], format="csr") - self._ct @ self._g, what)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x with B x = r, written into ``out`` when given (``out`` may be r)."""

@@ -162,7 +162,7 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
             f"coarsest edge has {mesh.min_intervals()} cells; need >= 5 "
             "(four interior nodes) for the eigenvalue stencil")
     a, m = mesh.reduced_operators()
-    lu = CondensedLU(mesh, a, "stiffness")
+    lu = CondensedLU(mesh, a, 0.0, 1.0, "stiffness")
     n = a.shape[0]
     solves = 0
 

@@ -210,6 +210,23 @@ TINY_LOOPS = [["stem=2", "loops=1e-13"], ["stem=0.5", "loops=1e-14"]]
 HUGE_LENGTHS = [["stem=1e200", "loops=1"], ["stem=1", "loops=1e300"],
                 ["stem=1e-300", "loops=1e300"]]    # s * stem underflows to 0
 QUICK_EVOLVE = ["--mesh", "0.1", "--max-t", "1"]
+
+
+def pendant_tree(pendant):
+    """Three edges at vertex a: to the Dirichlet end, a second edge, a Kirchhoff pendant."""
+    return {"edges": [{"id": "e0", "from": "d", "to": "a", "length": 2.0},
+                      {"id": "e1", "from": "a", "to": "b", "length": 1.5},
+                      {"id": "e2", "from": "a", "to": "p", "length": pendant}],
+            "conditions": {"d": "dirichlet"}}
+
+
+# cells more uneven than mesh.CELL_RATIO_CAP: solved, these end off the
+# answer (1e-11 to 1e-15), after all MAX_STEPS (loop 1e-14), on the wrong
+# side (loop 1e-16), with a collapsed step (pendant 1e-16) or in a singular
+# factor (1e-17 and below)
+UNEVEN_EVOLVE = ["--mesh", "0.1", "--initial", "const:0.5", "--max-t", "200"]
+UNEVEN_LOOPS = ["1e-11", "1e-13", "1e-14", "1e-15", "1e-16", "1e-17", "1e-300"]
+UNEVEN_PENDANTS = [1e-15, 1e-16, 1e-17]
 BAD_GRAPH_JSON = [
     {"edges": [{"id": "e0", "from": "a", "to": "v", "length": 1.0}], "conditions": ["a"]},
     {"edges": [5], "conditions": {"a": "dirichlet"}},
@@ -246,9 +263,15 @@ BAD_INPUTS = [
     (2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e300"]),
     (2, ["evolve", "--flower", "stem=2", "--mesh", "0.1", "--dt", "1e-300", "--max-t", "1"]),
     (2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e15"]),
-    # an initial state whose free energy overflows a double: 1e5 over 5e-301
+    # cells of 5e-301 next to 0.1: too uneven, before the energy of 1e5 overflows
     (2, ["evolve", "--flower", "stem=1e-300", "loops=1", *QUICK_EVOLVE,
          "--initial", "const:1e5"]),
+    # an initial state whose free energy overflows a double: 1e5 over a mass of 1e299
+    (2, ["evolve", "--flower", "stem=1e300", "--mesh", "1e299", "--max-t", "1",
+         "--initial", "const:1e5"]),
+    *((2, ["evolve", "--flower", "stem=2", f"loops={loop}", *UNEVEN_EVOLVE])
+      for loop in UNEVEN_LOOPS),
+    *((2, ["evolve", *UNEVEN_EVOLVE, "--graph", pendant_tree(p)]) for p in UNEVEN_PENDANTS),
 ]
 
 
@@ -524,6 +547,38 @@ def test_a_loose_evolve_tolerance_ends_on_the_spectral_side(tmp_path, tol):
     region = read_json(tmp_path / "s.json")["region"]
     assert region == "Nontrivial"
     assert read_json(tmp_path / "e.json")["terminal"] == f"Converged{region}"
+
+
+# the shortest loop and pendant whose cells mesh.CELL_RATIO_CAP accepts at
+# --mesh 0.1 (ratio 1e6 to rounding): evolve ends on the side spectrum gives
+# the graph without the short edge, and next to that graph's run
+@pytest.mark.parametrize("short", ["loop", "pendant"])
+def test_the_most_uneven_accepted_cells_end_on_the_spectral_side(tmp_path, short):
+    def graph(length):
+        if short == "loop":
+            return ["--flower", "stem=2", *([f"loops={length!r}"] if length else [])]
+        tree = pendant_tree(length)
+        tree["edges"] = tree["edges"][:3 if length else 2]
+        path = tmp_path / f"tree_{length}.json"
+        path.write_text(json.dumps(tree))
+        return ["--graph", str(path)]
+
+    def evolve(length):
+        out = tmp_path / "e.json"
+        code = main(["evolve", *graph(length), *UNEVEN_EVOLVE, "--out", str(out)])
+        return read_json(out) if code == 0 else None
+
+    length = 2.0 * 0.1 / mesh.CELL_RATIO_CAP
+    for _ in range(4):    # the ratio at this length may round to just above the cap
+        if (data := evolve(length)) is not None:
+            break
+        length = math.nextafter(length, math.inf)
+    assert data is not None
+    spec = tmp_path / "s.json"
+    assert main(["spectrum", *graph(None), "--mesh", "0.1", "--out", str(spec)]) == 0
+    region = read_json(spec)["region"]
+    assert data["terminal"] == f"Converged{region}" == "ConvergedNontrivial"
+    assert abs(data["sup_end"] - evolve(None)["sup_end"]) <= 1e-6
 
 
 def test_evolve_on_general_graph(tmp_path):

@@ -231,7 +231,8 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
     free = mesh.free_nodes
     sup0 = field.sup_norm
     dt = evolve.stable_dt(sup0, dt)
-    lu, _, m = evolve._factor(mesh, dt)
+    a, m = mesh.reduced_operators()
+    lu = evolve._factor(mesh, a, m, dt)
     t, c, h = 0.0, sup0, free_energy(field)
     times, energies, sups, mins, dts = [0.0], [h], [sup0], [field.min_value()], []
     terminal = Terminal.MAX_STEPS_REACHED
@@ -248,7 +249,7 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
             ok = h_new <= h + evolve.ENERGY_SLACK
         if not ok:
             dt *= 0.5
-            lu, _, m = evolve._factor(mesh, dt)
+            lu = evolve._factor(mesh, a, m, dt)
             continue
         diff = float(np.max(np.abs(u_new - u_free)))
         field, t, c, h = trial, t + dt, c_new, h_new
@@ -307,6 +308,26 @@ def test_free_node_loop_matches_the_field_loop_when_dt_halves(monkeypatch):
     assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
     assert trace.dt_history[0] == 8.0 and trace.dt_history[-1] == 0.5
     assert_matches_reference(trace, reference_run(f, dt=8.0, tol=1e-9))
+
+
+def test_a_run_assembles_once_however_often_dt_halves(monkeypatch):
+    # as above: dt = 8 is halved four times, and every factor reads the one A_ff
+    monkeypatch.setattr(evolve, "stable_dt", lambda sup_u0, dt: dt)
+    calls = {"assemble": 0, "factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GraphMesh, "reduced_operators",
+                        counted("assemble", GraphMesh.reduced_operators))
+    monkeypatch.setattr(evolve, "_factor", counted("factor", evolve._factor))
+    trace = run_to_attractor(constant_field(GraphMesh(TADPOLE_GRAPH, mesh_h=0.05), 0.5),
+                             dt=8.0, tol=1e-9)
+    assert trace.dt_history[-1] == 0.5
+    assert calls == {"assemble": 1, "factor": 5}
 
 
 @pytest.mark.parametrize("bad", [{"max_t": 0.0}, {"max_t": -1.0}, {"max_t": float("nan")},

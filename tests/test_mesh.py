@@ -29,7 +29,7 @@ from fkpp_graphs.mesh import (
     field_from_profiles,
     free_energy,
 )
-from fkpp_graphs.evolve import _implicit_operator
+from fkpp_graphs.evolve import run_to_attractor
 
 
 def test_interval_counts_follow_mesh_h():
@@ -331,8 +331,7 @@ def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
     assert free_energy(Field(mesh, u)) == mesh.energy(u[f], mesh.lumped_mass[f])
 
     a_ff, m_ff = mesh.reduced_operators()
-    op = sp.diags(m_ff) + 0.1 * a_ff
-    lu = CondensedLU(mesh, op, "test")
+    lu = CondensedLU(mesh, a_ff, m_ff, 0.1, "test")
     r = rng.uniform(-1.0, 1.0, f.size)
     want = lu.solve(r)
     buf = np.full(f.size, np.nan)
@@ -342,22 +341,32 @@ def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
     assert lu.solve(r, out=r) is r and same_bits(r, want)
 
 
+def shifted_operators(a, m, dt):
+    """(shift, scale, B) for A_ff and M_ff + dt A_ff, B built by scipy."""
+    return ((0.0, 1.0, a), (m, dt, sp.diags(m) + dt * a))
+
+
+def assert_backward_stable(mesh, a, shift, scale, op, rhs):
+    """CondensedLU(a, shift, scale) solves op x = rhs to a 1e-12 backward error."""
+    lu = CondensedLU(mesh, a, shift, scale, "test")
+    if mesh.free_vertices:
+        # the vertex complement: symmetric ordering with diagonal pivots
+        assert np.array_equal(lu.schur.perm_r, lu.schur.perm_c)
+    else:
+        assert lu.schur is None
+    x = lu.solve(rhs)
+    # normwise relative residual (backward error) in the inf-norm
+    norm = abs(op).sum(axis=1).max()
+    res = np.max(np.abs(op @ x - rhs))
+    assert res <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
 def assert_condensed_solves(mesh, dt, seed):
     """CondensedLU solves A_ff and M_ff + dt A_ff to a 1e-12 backward error."""
     a, m = mesh.reduced_operators()
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, m.size)
-    for op in (a, sp.diags(m) + dt * a):
-        lu = CondensedLU(mesh, op, "test")
-        if mesh.free_vertices:
-            # the vertex complement: symmetric ordering with diagonal pivots
-            assert np.array_equal(lu.schur.perm_r, lu.schur.perm_c)
-        else:
-            assert lu.schur is None
-        x = lu.solve(rhs)
-        # normwise relative residual (backward error) in the inf-norm
-        norm = abs(op).sum(axis=1).max()
-        res = np.max(np.abs(op @ x - rhs))
-        assert res <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+    for shift, scale, op in shifted_operators(a, m, dt):
+        assert_backward_stable(mesh, a, shift, scale, op, rhs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -407,12 +416,9 @@ def assert_assembly_is_exact(mesh, dt, seed):
     for got, want in ((a.indptr, ref.indptr), (a.indices, ref.indices),
                       (a.data, ref.data), (m, mesh.lumped_mass[f])):
         assert same_bits(got, want)
-    b, ref = _implicit_operator(mesh, a, m, dt), sp.diags(m) + dt * a
-    for got, want in ((b.indptr, ref.indptr), (b.indices, ref.indices), (b.data, ref.data)):
-        assert same_bits(got, want)
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, m.size)
-    for op in (a, b):
-        assert same_bits(CondensedLU(mesh, op, "test").solve(rhs),
+    for shift, scale, op in shifted_operators(a, m, dt):
+        assert same_bits(CondensedLU(mesh, a, shift, scale, "test").solve(rhs),
                          coo_condensed_solve(mesh, op, rhs))
 
 
@@ -458,7 +464,7 @@ def test_mesh_and_factor_peak_memory_per_unknown():
     try:
         mesh = GraphMesh(graph, mesh_h=0.05)
         a, m = mesh.reduced_operators()
-        lu = CondensedLU(mesh, a, "test")
+        lu = CondensedLU(mesh, a, 0.0, 1.0, "test")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -488,4 +494,31 @@ def test_condensed_factor_rejects_an_indefinite_interior():
     mesh = GraphMesh(interval_graph(1.0), mesh_h=0.25)
     a, _ = mesh.reduced_operators()
     with pytest.raises(LinearSolveFailure, match="dpttrf"):
-        CondensedLU(mesh, -a, "test")
+        CondensedLU(mesh, a, 0.0, -1.0, "test")
+
+
+def test_a_mixed_sign_shift_solves_the_newton_jacobian():
+    # A - diag(m (1 - 2u*)) at the positive state evolve reaches: the shift is
+    # negative where u* < 1/2 and positive where u* > 1/2
+    graph = MetricGraph((Edge("e0", "d", "a", 2.0), Edge("e1", "a", "b", 1.5),
+                         Edge("e2", "a", "a", 0.7)), {"d": "dirichlet"})
+    mesh = GraphMesh(graph, mesh_h=0.05)
+    u = run_to_attractor(constant_field(mesh, 0.5)).final.values[mesh.free_nodes]
+    a, m = mesh.reduced_operators()
+    shift = -m * (1.0 - 2.0 * u)
+    assert shift.min() < 0.0 < shift.max()
+    rhs = np.random.default_rng(11).uniform(-1.0, 1.0, m.size)
+    assert_backward_stable(mesh, a, shift, 1.0, a + sp.diags(shift), rhs)
+
+
+@pytest.mark.parametrize("graph,mesh_h,intervals,narrow", [
+    (flower_graph(FlowerSpec(2.0, (1e-8 / 2,))), 0.1, None, "loop1"),
+    (flower_graph(FlowerSpec(1e-300, (0.5,))), 0.1, None, "stem"),
+    (MetricGraph((Edge("e0", "d", "a", 2.0), Edge("e1", "a", "b", 1.5),
+                  Edge("e2", "a", "p", 1e-15)), {"d": "dirichlet"}), 0.1, None, "e2"),
+    (flower_graph(FlowerSpec(1.0, (0.5,))), None, {"stem": 2, "loop1": 4 * 10 ** 6}, "loop1"),
+], ids=["tiny-loop", "tiny-stem", "tiny-pendant", "fine-count"])
+def test_cells_too_uneven_are_refused(graph, mesh_h, intervals, narrow):
+    mesh = GraphMesh(graph, mesh_h, intervals=intervals)    # sampling needs no solve
+    with pytest.raises(MeshTooCoarse, match=f"edge {narrow!r} has cells"):
+        mesh.reduced_operators()
