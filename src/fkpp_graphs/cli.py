@@ -186,7 +186,10 @@ def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field
 
         def tent(edge_id, x):
             ell = x[-1]
-            return amp * np.minimum(x, ell - x) / (ell / 2.0)
+            # a peak past a double (or amp inf) samples as inf or nan, which
+            # evolve refuses as non-finite initial data
+            with np.errstate(over="ignore", invalid="ignore"):
+                return amp * np.minimum(x, ell - x) / (ell / 2.0)
 
         return field_from_function(mesh, tent)
     if kind == "csv":

@@ -183,8 +183,10 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     free = mesh.free_nodes
 
     sup0 = field.sup_norm
-    dt = stable_dt(sup0, dt)
-    if 0.0 < dt < DT_FLOOR:
+    given, dt = dt, stable_dt(sup0, dt)
+    # a given step of 0 or below, or NaN, is _factor's to refuse; the bound
+    # for huge data may itself round to 0
+    if given > 0.0 and dt < DT_FLOOR:
         raise InvalidDomain(
             f"time step {dt:.6g} is below the step floor {DT_FLOOR:g} (the step "
             f"after the monotone bound for initial data up to {sup0:.6g})")

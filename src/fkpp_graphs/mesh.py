@@ -17,7 +17,9 @@ The full-node ``stiffness`` and ``lumped_mass`` are built only when read
 (tests; free_energy reads the mass).  CondensedLU factors
 B = diag(shift) + scale A_ff straight from A_ff's arrays, with its edge
 interiors condensed out: every edge's interior block is tridiagonal and
-touches the rest only through its two end vertices.  reduced_operators
+touches the rest only through its two end vertices, whose couplings
+CondensedLU reads back from A_ff's vertex rows.  GraphMesh refuses cells
+too narrow for their stiffness 2/h to be a double, and reduced_operators
 refuses cells more uneven than CELL_RATIO_CAP, since the condensed solves
 lose about that ratio times eps.  The free energy (GraphMesh.energy) takes
 its gradient term cell by cell, the sum of (du)^2 / h: the exact Dirichlet
@@ -88,6 +90,12 @@ class GraphMesh:
                                 "can count; the edges are too long for the mesh width")
         self._cells = np.array(counts, dtype=np.int64)
         self._h = report.lengths / self._cells
+        narrow = self._h.argmin()
+        with np.errstate(divide="ignore", over="ignore"):    # h may underflow to 0
+            if np.isinf(2.0 / self._h[narrow]):
+                raise InvalidDomain(f"edge {edges[narrow].id!r} has cells of width "
+                                    f"{self._h[narrow]:.3g}, too narrow for their "
+                                    "stiffness 2/h to be held as a double")
         nverts = len(report.vertices)
         self.n_nodes = nverts + points - 2 * len(counts)
 
@@ -282,31 +290,6 @@ class GraphMesh:
         return a, m
 
     @cached_property
-    def _couplings(self):
-        """Where the interior block of a reduced operator meets the vertices.
-
-        Returns (rows, cols, slot, ptr): each free edge end's coupling entry
-        sits at interior row ``rows`` (counted from the first interior node)
-        and free vertex ``cols``; ``slot`` is 0 at a tail and 1 at a head.
-        The entries are sorted by vertex, then row, so ``ptr`` is the row
-        pointer of C^T.  A 2-cell self-loop's one interior node couples to
-        its vertex through a single entry, kept as the tail's.
-        """
-        nv = self.free_vertices
-        tail, head = self._ends.T
-        n, lo, _ = self._interiors
-        hi = lo + n - 1
-        t = tail < nv
-        h = (head < nv) & ~((lo == hi) & (head == tail))
-        rows = np.concatenate((lo[t], hi[h]))
-        cols = np.concatenate((tail[t], head[h]))
-        slot = np.repeat([0, 1], [np.count_nonzero(t), np.count_nonzero(h)])
-        order = np.lexsort((rows, cols))
-        ptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=nv), out=ptr[1:])
-        return rows[order], cols[order], slot[order], ptr
-
-    @cached_property
     def _free_cells(self):
         """(inner, first, last, w) for energy(): ``inner[j]`` is 1/h of the cell
         between interior nodes j and j + 1, 0 where one edge ends and the next
@@ -379,8 +362,10 @@ class CondensedLU:
     B_VV is diagonal, since every edge has an interior node.  T is factored
     by LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs with two
     right-hand sides (every edge's tail coupling in one, its head coupling
-    in the other, since the edge blocks are independent); G and C^T are
-    written as CSR straight from the coupling positions GraphMesh knows.
+    in the other, since the edge blocks are independent).  C^T is A_ff's
+    own vertex-by-interior block, scaled.  G is one CSR construction: two
+    entries per interior row, at its edge's tail and head, a pinned end in
+    a sentinel column that is sliced off, a self-loop's two columns summed.
     The vertex complement S = B_VV - C^T G, SPD and small, goes to
     factor_spd.  A solve is one dpttrs and one SuperLU solve: y = T^-1 r_I,
     then x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
@@ -401,27 +386,24 @@ class CondensedLU:
         if nv == 0:
             return
         size = d.size - nv
-        rows, cols, slot, ptr = mesh._couplings
-        c = scale * np.asarray(a[rows + nv, cols]).ravel()
+        self._ct = scale * a[:nv, nv:]
+        # a coupling of vertex v at interior row r is its edge's tail coupling
+        # when r is the edge's first row and v its tail, else the head's
+        ct = self._ct.tocoo()
+        v, r = ct.row, ct.col
+        n, first, _ = mesh._interiors
+        edge = np.searchsorted(first, r, side="right") - 1
+        head = (r != first[edge]) | (v != mesh._ends[edge, 0])
         couple = np.zeros((size, 2))
-        couple[rows, slot] = c
+        couple[r, head.astype(np.intp)] = ct.data
         g, _ = dpttrs(self._d, self._e, couple)
-        self._ct = sp.csr_matrix((c, rows, ptr), shape=(nv, size))
-        # Every row of an edge couples to the same free ends: G keeps them in
-        # column order, one entry where both ends are one vertex.
-        tail, head = mesh._ends.T
-        n, _, _ = mesh._interiors
-        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-        swap = np.repeat(tail > head, n)
-        g[swap] = g[swap, ::-1]
-        same = np.repeat((lo == hi) & (lo < nv), n)
-        g[same, 0] += g[same, 1]
-        keep = np.repeat(np.column_stack((lo < nv, (hi < nv) & (hi != lo))), n, axis=0)
-        indptr = np.zeros(size + 1, dtype=a.indptr.dtype)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        self._g = sp.csr_matrix(
-            (g[keep], np.repeat(np.column_stack((lo, hi)), n, axis=0)[keep], indptr),
-            shape=(size, nv))
+        # every interior row meets its edge's tail and head: a pinned end goes
+        # to the sentinel column nv, and a self-loop's two columns merge
+        idx = a.indices.dtype
+        g = sp.csr_matrix((g.ravel(), np.repeat(mesh._ends.astype(idx), n, axis=0).ravel(),
+                           np.arange(0, 2 * size + 1, 2, dtype=idx)), shape=(size, nv + 1))
+        g.sum_duplicates()
+        self._g = g[:, :nv]
         self.schur = factor_spd(sp.diags(d[:nv], format="csr") - self._ct @ self._g, what)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

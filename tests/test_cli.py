@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,16 @@ def pendant_tree(pendant):
 UNEVEN_EVOLVE = ["--mesh", "0.1", "--initial", "const:0.5", "--max-t", "200"]
 UNEVEN_LOOPS = ["1e-11", "1e-13", "1e-14", "1e-15", "1e-16", "1e-17", "1e-300"]
 UNEVEN_PENDANTS = [1e-15, 1e-16, 1e-17]
+# a step below evolve.DT_FLOOR, as given or after the monotone bound
+# (const:1e300, whose free energy would overflow too, stops here first; at
+# 1e308 the bound 0.99 / (2c - 1) rounds to 0)
+BELOW_STEP_FLOOR = [
+    ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e300"],
+    ["evolve", "--flower", "stem=2", "--mesh", "0.1", "--dt", "1e-300", "--max-t", "1"],
+    ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e15"],
+    ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e308"],
+    ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "hat:1e308"],
+]
 BAD_GRAPH_JSON = [
     {"edges": [{"id": "e0", "from": "a", "to": "v", "length": 1.0}], "conditions": ["a"]},
     {"edges": [5], "conditions": {"a": "dirichlet"}},
@@ -258,11 +269,14 @@ BAD_INPUTS = [
     # ... or than memory holds (888 PiB: the allocation is refused outright)
     (2, ["spectrum", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3"]),
     (2, ["evolve", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3", "--max-t", "1"]),
-    # a step below evolve.DT_FLOOR, as given or after the monotone bound
-    # (const:1e300, whose free energy would overflow too, stops here first)
-    (2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e300"]),
-    (2, ["evolve", "--flower", "stem=2", "--mesh", "0.1", "--dt", "1e-300", "--max-t", "1"]),
-    (2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, "--initial", "const:1e15"]),
+    *((2, argv) for argv in BELOW_STEP_FLOOR),
+    # cells too narrow for their stiffness 2/h to be a double: a stem of 0
+    # cells (the hat's ell / 2 underflows) and of 5e-311
+    (2, ["evolve", "--flower", "stem=5e-324", *QUICK_EVOLVE]),
+    (2, ["evolve", "--flower", "stem=1e-310", *QUICK_EVOLVE, "--initial", "const:0.5"]),
+    # a hat whose samples overflow: its peak past a double, or amp inf
+    *((2, ["evolve", "--flower", "stem=4", *QUICK_EVOLVE, "--initial", hat])
+      for hat in ("hat:1e308", "hat:inf")),
     # cells of 5e-301 next to 0.1: too uneven, before the energy of 1e5 overflows
     (2, ["evolve", "--flower", "stem=1e-300", "loops=1", *QUICK_EVOLVE,
          "--initial", "const:1e5"]),
@@ -283,11 +297,20 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, code, argv):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(argv[-1]))
         argv = argv[:-1] + [str(path)]
-    assert main(argv) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("argv", BELOW_STEP_FLOOR, ids=map(" ".join, BELOW_STEP_FLOOR))
+def test_a_step_below_the_floor_is_named_as_such(capsys, argv):
+    assert main(argv) == 2
+    assert "below the step floor" in capsys.readouterr().err
 
 
 # Every numeric option of a drawn argv takes one of these; None is the

@@ -388,11 +388,24 @@ def coo_condensed_solve(mesh, b, r):
     if nv == 0:
         return y
     free_vertex = {n: k for k, n in enumerate(mesh.free_nodes[:nv].tolist())}
-    ends = np.concatenate([
-        np.tile([free_vertex.get(int(nodes[0]), nv), free_vertex.get(int(nodes[-1]), nv)],
-                (nodes.size - 2, 1))
-        for nodes in (mesh.edge_nodes[edge.id] for edge in mesh.graph.edges)])
-    rows, cols, slot, _ = mesh._couplings
+    blocks = [np.tile([free_vertex.get(int(nodes[0]), nv), free_vertex.get(int(nodes[-1]), nv)],
+                      (nodes.size - 2, 1))
+              for nodes in (mesh.edge_nodes[edge.id] for edge in mesh.graph.edges)]
+    ends = np.concatenate(blocks)
+    # each edge's tail couples to its first row (slot 0) and its head to its
+    # last (slot 1); a 2-cell self-loop's one entry is the tail's
+    rows, cols, slot = [], [], []
+    lo = 0
+    for block in blocks:
+        hi = lo + len(block)
+        tail, head = block[0]
+        for row, v, s in ((lo, tail, 0), (hi - 1, head, 1)):
+            if v < nv and not (s == 1 and hi - lo == 1 and head == tail):
+                rows.append(row)
+                cols.append(v)
+                slot.append(s)
+        lo = hi
+    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
     c = np.asarray(b[rows + nv, cols]).ravel()
     couple = np.zeros((d.size, 2))
     couple[rows, slot] = c
