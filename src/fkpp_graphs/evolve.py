@@ -48,7 +48,7 @@ from .errors import (
     InvalidDomain,
     NegativeInitialData,
 )
-from .mesh import CondensedLU, Field, free_energy
+from .mesh import CondensedLU, Field
 
 __all__ = [
     "Terminal",
@@ -57,7 +57,6 @@ __all__ = [
     "run_to_attractor",
     "comparison_monitor",
     "stable_dt",
-    "free_energy",
 ]
 
 # slack for the per-step energy monotonicity test

@@ -59,9 +59,11 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Vertices, edges with lengths, and a boundary condition per vertex.
+    """Edges with lengths between named vertices, and a boundary condition
+    per vertex.
 
-    Construction is permissive; ``validate`` checks the invariants.
+    Construction is permissive; ``validate`` checks the invariants and
+    returns the vertex table.
     """
 
     edges: tuple[Edge, ...]
@@ -72,19 +74,6 @@ class MetricGraph:
         """validate(self), run once per graph: the loader and the mesh share it."""
         return validate(self)
 
-    @property
-    def vertices(self) -> list[str]:
-        return list(_number_vertices(self)[0])
-
-    def degree(self, v: str) -> int:
-        d = 0
-        for e in self.edges:
-            if e.tail == v:
-                d += 1
-            if e.head == v:
-                d += 1
-        return d
-
     def condition(self, v: str) -> str:
         return self.conditions.get(v, KIRCHHOFF)
 
@@ -94,17 +83,15 @@ class MetricGraph:
 
 @dataclass(frozen=True, eq=False)    # arrays have no single truth value
 class ValidationReport:
-    """What validate found, in the arrays GraphMesh numbers its nodes by.
+    """The graph's vertex table, the one GraphMesh numbers its nodes by.
 
-    ``vertices`` is ``MetricGraph.vertices``; ``ends[k]`` holds edge k's
+    ``vertices`` names each vertex in order of first appearance as an edge's
+    tail or head, then as a key of ``conditions``; ``ends[k]`` holds edge k's
     (tail, head) as indices into it, ``lengths[k]`` its length and
-    ``dirichlet`` the sorted indices of the Dirichlet vertices.  The arrays
-    are read-only.
+    ``dirichlet`` the sorted indices of the Dirichlet vertices.  A vertex's
+    degree is its count in ``ends``.  The arrays are read-only.
     """
 
-    connected: bool
-    dirichlet_vertices: tuple[str, ...]
-    degrees: dict[str, int]
     vertices: tuple[str, ...]
     ends: np.ndarray
     lengths: np.ndarray
@@ -116,17 +103,6 @@ def _check_length(length: float, what: str, *args) -> None:
     if not 0.0 < length < math.inf:    # NaN fails both comparisons
         raise NonpositiveLength(f"{what % args} has length {length!r}; lengths "
                                 "must be positive and finite")
-
-
-def _number_vertices(graph: MetricGraph) -> tuple[dict[str, int], list[int]]:
-    """Each vertex's index, in order of first appearance as an edge's tail or
-    head, then as a key of conditions; and the index of every edge end."""
-    index: dict[str, int] = {}
-    number = index.setdefault
-    ends = [number(v, len(index)) for e in graph.edges for v in (e.tail, e.head)]
-    for v in graph.conditions:
-        number(v, len(index))
-    return index, ends
 
 
 def _component_roots(ends: np.ndarray, n: int) -> np.ndarray:
@@ -155,9 +131,8 @@ def validate(graph: MetricGraph) -> ValidationReport:
     """Check the structural invariants, raising on the first violation.
 
     Raises NonpositiveLength, InvalidDomain (a duplicate edge id or an
-    unknown condition), DisconnectedGraph or NoPendant; returns a report with
-    connectivity, the Dirichlet vertex list, the degree table and the
-    integer edge table (see ValidationReport).  Edge ids must be unique
+    unknown condition), DisconnectedGraph or NoPendant; returns the graph's
+    vertex table (see ValidationReport).  Edge ids must be unique
     because meshes, fields and profile CSVs are keyed by them.  Apart from
     numbering the vertices, it works on numpy arrays; connectivity takes
     O(log V) rounds of hooking and pointer jumping.
@@ -180,8 +155,12 @@ def validate(graph: MetricGraph) -> ValidationReport:
         if c not in (DIRICHLET, KIRCHHOFF):
             raise InvalidDomain(f"unknown condition {c!r} at vertex {v!r}")
 
-    index, ends = _number_vertices(graph)
-    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    index: dict[str, int] = {}
+    number = index.setdefault
+    ends = np.array([number(v, len(index)) for e in edges for v in (e.tail, e.head)],
+                    dtype=np.int64).reshape(-1, 2)
+    for v in graph.conditions:
+        number(v, len(index))
     verts = tuple(index)
     degree = np.bincount(ends.ravel(), minlength=len(verts))
 
@@ -202,15 +181,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
 
     for a in (ends, lengths, dirichlet):
         a.flags.writeable = False
-    return ValidationReport(
-        connected=True,
-        dirichlet_vertices=tuple(verts[k] for k in dirichlet.tolist()),
-        degrees=dict(zip(verts, degree.tolist())),
-        vertices=verts,
-        ends=ends,
-        lengths=lengths,
-        dirichlet=dirichlet,
-    )
+    return ValidationReport(verts, ends, lengths, dirichlet)
 
 
 @dataclass(frozen=True)
@@ -231,10 +202,17 @@ class FlowerSpec:
         return len(self.loop_halves)
 
 
+def _float(value) -> float:
+    """float(value), but a TypeError on a bool: JSON's true is not the length 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def parse_number(value, what: str) -> float:
     """float(value), raising InvalidDomain when value is not a number."""
     try:
-        return float(value)
+        return _float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidDomain(f"{what} must be a number, got {value!r}") from None
 
@@ -313,7 +291,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
             raise InvalidDomain(f"bad edge entry {ed!r}: not an object")
         try:
             edges.append(Edge(str(ed["id"]) if "id" in ed else f"e{k}", str(ed["from"]),
-                              str(ed["to"]), float(ed["length"])))
+                              str(ed["to"]), _float(ed["length"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDomain(f"bad edge entry {ed!r}: {exc}") from exc
     return MetricGraph(tuple(edges), {str(v): str(c).lower()

@@ -130,11 +130,6 @@ class GraphMesh:
         return dict(zip((e.id for e in self.graph.edges), self._cells.tolist()))
 
     @cached_property
-    def vertex_node(self) -> dict[str, int]:
-        vertices = self.graph.validation.vertices
-        return dict(zip(vertices, range(len(vertices))))
-
-    @cached_property
     def _ptr(self) -> np.ndarray:
         """Edge k owns grid points _ptr[k] .. _ptr[k + 1] - 1, tail to head;
         interior nodes are numbered after the vertex nodes in that order."""
@@ -476,11 +471,18 @@ def field_from_function(mesh: GraphMesh, fn) -> Field:
 
 
 def field_from_profiles(mesh: GraphMesh, profiles: dict) -> Field:
-    """Interpolate per-edge (x, u) sample arrays onto the mesh nodes."""
+    """Interpolate per-edge (x, u) sample arrays onto the mesh nodes.
+
+    Each edge's x must be nondecreasing numbers, as np.interp needs.
+    """
     def fn(edge_id, x):
         if edge_id not in profiles:
             raise InvalidDomain(f"the profile has no samples for edge {edge_id!r}")
         xp, up = profiles[edge_id]
+        xp = np.asarray(xp)
+        if np.isnan(xp).any() or (xp[1:] < xp[:-1]).any():
+            raise InvalidDomain(f"the profile's x samples on edge {edge_id!r} decrease "
+                                "or are NaN; x must run from the edge's tail to its head")
         return np.interp(x, xp, up)
     return field_from_function(mesh, fn)
 

@@ -145,7 +145,8 @@ def test_non_numeric_flower_json_exit_2(tmp_path, capsys, flower):
 @pytest.mark.parametrize("body", [
     "stem,0.0,abc\n",      # non-numeric u
     "stem,0.0\n",          # too few fields
-], ids=["non-numeric", "short-row"])
+    "stem,1.0,0.5\nstem,0.5,0.4\nstem,0.0,0.0\n",    # x runs head to tail
+], ids=["non-numeric", "short-row", "decreasing x"])
 def test_bad_profile_csv_exit_2(tmp_path, body):
     prof = tmp_path / "prof.csv"
     prof.write_text("edge_id,x,u\n" + body)
@@ -242,6 +243,10 @@ BAD_GRAPH_JSON = [
     {"edges": [{"id": "e0", "from": "a", "to": "v", "length": 1.0}], "conditions": ["a"]},
     {"edges": [5], "conditions": {"a": "dirichlet"}},
     {"edges": 5, "conditions": {"a": "dirichlet"}},
+    # JSON's true is not the length 1
+    {"flower": {"stem": True, "loops": [True]}},
+    {"edges": [{"id": "e0", "from": "a", "to": "v", "length": True}],
+     "conditions": {"a": "dirichlet"}},
 ]
 BAD_INPUTS = [
     *((2, [cmd, "--flower", *flower, *(QUICK_EVOLVE if cmd == "evolve" else [])])
@@ -285,6 +290,9 @@ BAD_INPUTS = [
          "--initial", "const:1e5"]),
     *((2, ["evolve", "--flower", "stem=2", f"loops={loop}", *UNEVEN_EVOLVE])
       for loop in UNEVEN_LOOPS),
+    # ... and with the default hat, to a horizon of 1
+    *((2, ["evolve", "--flower", "stem=2", f"loops={loop}", *QUICK_EVOLVE])
+      for loop in ("1e-16", "1e-300")),
     *((2, ["evolve", *UNEVEN_EVOLVE, "--graph", pendant_tree(p)]) for p in UNEVEN_PENDANTS),
 ]
 

@@ -48,10 +48,12 @@ def test_node_sharing_on_a_tadpole():
     assert mesh.n_nodes == 10
     stem = mesh.edge_nodes["stem"]
     loop = mesh.edge_nodes["loop1"]
-    # the stem head and both loop ends are the same shared center node
-    assert stem[-1] == loop[0] == loop[-1] == mesh.vertex_node["c"]
-    assert stem[0] == mesh.vertex_node["b"]
-    assert mesh.dirichlet_nodes.tolist() == [mesh.vertex_node["b"]]
+    # vertex k of the report is node k; the stem head and both loop ends
+    # are the same shared center node
+    b, c = map(g.validation.vertices.index, ("b", "c"))
+    assert stem[-1] == loop[0] == loop[-1] == c
+    assert stem[0] == b
+    assert mesh.dirichlet_nodes.tolist() == [b]
     assert mesh.free_nodes.size == mesh.n_nodes - 1
 
 
@@ -115,7 +117,7 @@ def test_field_shape_is_checked():
 def test_constant_field_pins_dirichlet():
     mesh = GraphMesh(interval_graph(1.0), mesh_h=0.25)
     f = constant_field(mesh, 0.7)
-    assert f.values[mesh.vertex_node["b"]] == 0.0
+    assert f.values[mesh.graph.validation.vertices.index("b")] == 0.0
     assert f.sup_norm == 0.7
     assert f.min_value() == 0.0
     c = f.copy()
@@ -132,8 +134,9 @@ def test_field_from_function_averages_vertex_samples():
 
     f = field_from_function(mesh, fn)
     # center collects one stem sample and the two loop ends
-    assert math.isclose(f.values[mesh.vertex_node["c"]], 3.0)
-    assert f.values[mesh.vertex_node["b"]] == 0.0
+    b, c = map(g.validation.vertices.index, ("b", "c"))
+    assert math.isclose(f.values[c], 3.0)
+    assert f.values[b] == 0.0
 
 
 def test_field_from_profiles_exact_on_linear_data():
@@ -174,7 +177,9 @@ def per_edge_reference(graph, mesh_h):
     node values field_from_function gives cos(x + length)), built one edge
     at a time with np.add.at.
     """
-    vertex_node = {v: k for k, v in enumerate(graph.vertices)}
+    seen = dict.fromkeys([*(v for e in graph.edges for v in (e.tail, e.head)),
+                          *graph.conditions])
+    vertex_node = {v: k for k, v in enumerate(seen)}
     nxt = len(vertex_node)
     edge_nodes, edge_x, edge_h = {}, {}, {}
     for e in graph.edges:
@@ -235,7 +240,6 @@ def multigraphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]))
 def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
-    assert validate(graph).degrees == {v: graph.degree(v) for v in graph.vertices}
     mesh = GraphMesh(graph, mesh_h=mesh_h)
     nodes, xs, hs, stiffness, mass, avg = per_edge_reference(graph, mesh_h)
     assert mesh.n_nodes == mass.size
@@ -288,10 +292,16 @@ def reference_ingest(graph, mesh_h):
 def test_edge_table_numbers_the_mesh_as_the_vertex_dicts_did(graph, mesh_h):
     vertices, degrees, vertex_node, intervals, free, a_ref, m_ref = reference_ingest(graph, mesh_h)
     report = validate(graph)
-    assert list(report.vertices) == graph.vertices == vertices
-    assert report.degrees == degrees
+    assert list(report.vertices) == vertices
+    degree = np.bincount(report.ends.ravel(), minlength=len(vertices))
+    assert dict(zip(vertices, degree.tolist())) == degrees
     mesh = GraphMesh(graph, mesh_h=mesh_h)
-    assert mesh.vertex_node == vertex_node
+    # vertex v is node vertex_node[v]: at every edge end, and where pinned
+    for e in graph.edges:
+        assert mesh.edge_nodes[e.id][[0, -1]].tolist() == [vertex_node[e.tail],
+                                                           vertex_node[e.head]]
+    assert mesh.dirichlet_nodes.tolist() == sorted(
+        vertex_node[v] for v in vertices if graph.condition(v) == "dirichlet")
     assert mesh.intervals == intervals
     assert same_bits(mesh.free_nodes, free)
     a, m = mesh.reduced_operators()
