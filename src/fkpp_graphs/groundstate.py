@@ -28,7 +28,9 @@ per-row floors
 which measure the best residual representable at the working precision.
 Newton hands its converged loop spans to the solution, so the profile, the
 turning points and the loop actions of the free energy need no further
-turning-point solve.
+turning-point solve.  The solve integrates each edge only to its end
+state, for the residuals; profile samples are built when a caller reads
+them.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ THRESHOLD_LENGTH = math.pi / 2.0
 MAX_NEWTON_ITER = 60
 MAX_PRESOLVE_ROUNDS = 100   # Chandrupatla rounds after the bracket ladder
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
+PROFILE_DX = 1e-2           # step bound of the end-state pass; reconstruct_profile default
 MAX_STEPS_PER_EDGE = 500_000  # caps an edge's RK4 time before StepTooLarge
 JACOBIAN_QUAD_TOL = 1e-10
 # K in the RK4 end error K h^4 e^L of an edge of length L, which sets the
@@ -98,7 +101,8 @@ def _stem_slope(q_loops) -> float:
 
 @dataclass
 class GroundStateSolution:
-    """Solved period-system parameters plus sampled profiles."""
+    """Solved period-system parameters.  The solve keeps each edge's end
+    state only; ``profiles`` is sampled on first read, by reconstruct_profile."""
 
     spec: FlowerSpec
     p: float
@@ -109,7 +113,14 @@ class GroundStateSolution:
     lambda0: float                 # lowest Laplacian eigenvalue of spec
     jacobian: JacobianReport       # the period-system Jacobian at the solution
     loop_spans: tuple              # period.loop_spans at the solution
-    profiles: dict | None = None   # edge_id -> (x, u) sample arrays
+    _profiles: dict | None = None
+
+    @property
+    def profiles(self) -> dict:
+        """edge_id -> (x, u) sample arrays from the last reconstruct_profile."""
+        if self._profiles is None:
+            reconstruct_profile(self)
+        return self._profiles
 
     @property
     def q_stem(self) -> float:
@@ -314,7 +325,7 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
         jacobian=JacobianReport.of(J),
         loop_spans=tuple(spans),
     )
-    reconstruct_profile(sol)
+    _integrate_edges(sol, PROFILE_DX)
     return sol
 
 
@@ -411,12 +422,15 @@ def jacobian_report(p: float, q_list) -> JacobianReport:
     return JacobianReport.of(_jacobian(np.array([p, *qs], float), JACOBIAN_QUAD_TOL))
 
 
-def _rk4_path(w0: float, v0: float, length: float, n: int):
-    """w at n + 1 points and the end slope: w'' = w - w^2 by n fixed RK4 steps."""
+def _rk4(w0: float, v0: float, length: float, n: int, path=None):
+    """End state (w, w') of w'' = w - w^2 after n fixed RK4 steps from (w0, v0).
+
+    Given an array ``path`` of n + 1, w at every step is stored in it too.
+    """
     h = length / n
-    w = np.empty(n + 1)
-    w[0] = cw = w0
-    cv = v0
+    cw, cv = w0, v0
+    if path is not None:
+        path[0] = w0
     half = 0.5 * h
     sixth = h / 6.0
     for k in range(n):
@@ -433,8 +447,9 @@ def _rk4_path(w0: float, v0: float, length: float, n: int):
         a4v = w4 * (1.0 - w4)
         cw += sixth * (a1w + 2.0 * a2w + 2.0 * a3w + a4w)
         cv += sixth * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-        w[k + 1] = cw
-    return w, cv
+        if path is not None:
+            path[k + 1] = cw
+    return cw, cv
 
 
 def _edge_steps(length: float, dx: float) -> int:
@@ -452,41 +467,56 @@ def _check_end_state(mismatch: float) -> None:
             f"{10.0 * PROFILE_TOL:.3e}")
 
 
-def reconstruct_profile(solution: GroundStateSolution, dx: float = 1e-2) -> dict:
-    """Sample u on every edge by integrating the orbit ODE.
+def _integrate_edges(solution: GroundStateSolution, dx: float, profiles=None) -> None:
+    """RK4 over every edge at its own step, at most dx; checks the end states.
 
     Stem: from the Dirichlet end (w, w') = (1, q_tilde).  Loops: from the
-    midpoint turning point (p0_j, 0) toward the vertex, mirrored to the
-    full loop, so evenness about the midpoint is exact.  Each edge's fixed
-    step, at most dx, is set by that edge's own length.  End-state mismatches
-    go into solution.residuals; one beyond 10 PROFILE_TOL raises StepTooLarge.
+    midpoint turning point (p0_j, 0) toward the vertex.  End-state
+    mismatches go into solution.residuals; one beyond 10 PROFILE_TOL raises
+    StepTooLarge.  Given a dict ``profiles``, each edge's samples go into
+    it, every loop mirrored to its full length.
     """
     p, spec = solution.p, solution.spec
-    qs = q_tilde(PhasePoint(p, solution.q_stem))
     n = _edge_steps(spec.stem, dx)
-    w, flux = _rk4_path(1.0, qs, spec.stem, n)
-    cont = abs(w[-1] - p)
+    w = None if profiles is None else np.empty(n + 1)
+    w_end, flux = _rk4(1.0, q_tilde(PhasePoint(p, solution.q_stem)), spec.stem, n, w)
+    cont = abs(w_end - p)
     mismatch = max(cont, abs(flux - solution.q_stem))
     # the loops cannot lower the mismatch: a bad stem fails before they run
     _check_end_state(mismatch)
-    profiles = {"stem": (np.linspace(0.0, spec.stem, n + 1), 1.0 - w)}
+    if profiles is not None:
+        profiles["stem"] = (np.linspace(0.0, spec.stem, n + 1), 1.0 - w)
 
     for j, (q, half, p0) in enumerate(zip(solution.q_loops, spec.loop_halves,
                                           solution.loop_turning_points()), start=1):
         nh = _edge_steps(half, dx)
-        wh, vh_end = _rk4_path(p0, 0.0, half, nh)
-        xf = np.linspace(0.0, 2.0 * half, 2 * nh + 1)
-        # first half runs from the vertex down to the turning point
-        profiles[f"loop{j}"] = (xf, 1.0 - np.concatenate((wh[::-1], wh[1:])))
-        cont = max(cont, abs(wh[-1] - p))
-        mismatch = max(mismatch, abs(wh[-1] - p), abs(vh_end + q))
+        wh = None if profiles is None else np.empty(nh + 1)
+        wh_end, vh_end = _rk4(p0, 0.0, half, nh, wh)
+        if profiles is not None:
+            # the first half runs from the vertex down to the turning point
+            profiles[f"loop{j}"] = (np.linspace(0.0, 2.0 * half, 2 * nh + 1),
+                                    1.0 - np.concatenate((wh[::-1], wh[1:])))
+        cont = max(cont, abs(wh_end - p))
+        mismatch = max(mismatch, abs(wh_end - p), abs(vh_end + q))
         flux += 2.0 * vh_end
 
     _check_end_state(mismatch)
+    # u = 1 - w is exactly 0 at the Dirichlet end, where the stem starts
+    solution.residuals.update(continuity=cont, kirchhoff_flux=abs(flux), dirichlet=0.0)
 
-    solution.profiles = profiles
-    solution.residuals.update(continuity=cont, kirchhoff_flux=abs(flux),
-                              dirichlet=abs(profiles["stem"][1][0]))
+
+def reconstruct_profile(solution: GroundStateSolution, dx: float = PROFILE_DX) -> dict:
+    """Sample u on every edge by integrating the orbit ODE; edge_id -> (x, u).
+
+    The solve ran the same RK4 pass at the default dx keeping end states
+    only; this one keeps every step, so at that dx it rewrites the same
+    residuals, bit for bit.  Loops are mirrored about their midpoint, so
+    their evenness is exact.  The samples become solution.profiles, and a
+    mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge.
+    """
+    profiles = {}
+    _integrate_edges(solution, dx, profiles)    # may raise StepTooLarge
+    solution._profiles = profiles
     return profiles
 
 

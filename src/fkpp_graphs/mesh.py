@@ -52,6 +52,9 @@ __all__ = ["GraphMesh", "Field", "field_from_function", "field_from_profiles",
 # ran out of steps, at 2e15 it ended trivial on a nontrivial graph, and from
 # 2e16 both factors were singular.  The cap keeps seven decades of margin.
 CELL_RATIO_CAP = 1e6
+# how far, relative to the edge length, a profile's first and last x may sit
+# from 0 and the length: room for x printed to fewer digits, no more
+PROFILE_SPAN_RTOL = 1e-9
 
 
 class GraphMesh:
@@ -473,7 +476,10 @@ def field_from_function(mesh: GraphMesh, fn) -> Field:
 def field_from_profiles(mesh: GraphMesh, profiles: dict) -> Field:
     """Interpolate per-edge (x, u) sample arrays onto the mesh nodes.
 
-    Each edge's x must be nondecreasing numbers, as np.interp needs.
+    Each edge's x must be nondecreasing numbers, as np.interp needs, and
+    span the edge: start at 0 and end at its length, to a relative
+    PROFILE_SPAN_RTOL of that length.  Every profile this package writes
+    pins both ends exactly.
     """
     def fn(edge_id, x):
         if edge_id not in profiles:
@@ -483,6 +489,12 @@ def field_from_profiles(mesh: GraphMesh, profiles: dict) -> Field:
         if np.isnan(xp).any() or (xp[1:] < xp[:-1]).any():
             raise InvalidDomain(f"the profile's x samples on edge {edge_id!r} decrease "
                                 "or are NaN; x must run from the edge's tail to its head")
+        length = float(x[-1])    # edge_x ends at the edge length exactly
+        x0, x1 = float(xp[0]), float(xp[-1])
+        slack = PROFILE_SPAN_RTOL * length
+        if not (abs(x0) <= slack and abs(x1 - length) <= slack):
+            raise InvalidDomain(f"the profile's x samples on edge {edge_id!r} run from "
+                                f"{x0!r} to {x1!r}; they must span the edge, 0 to {length!r}")
         return np.interp(x, xp, up)
     return field_from_function(mesh, fn)
 

@@ -146,7 +146,11 @@ def test_non_numeric_flower_json_exit_2(tmp_path, capsys, flower):
     "stem,0.0,abc\n",      # non-numeric u
     "stem,0.0\n",          # too few fields
     "stem,1.0,0.5\nstem,0.5,0.4\nstem,0.0,0.0\n",    # x runs head to tail
-], ids=["non-numeric", "short-row", "decreasing x"])
+    "stem,0.0,0.0\nstem,0.5,0.4\n",                  # x ends short of the edge
+    "stem,0.0,0.0\nstem,1.5,0.4\n",                  # x runs past the edge
+    "stem,0.5,0.0\nstem,1.0,0.4\n",                  # x starts inside the edge
+], ids=["non-numeric", "short-row", "decreasing x", "x short of the edge",
+        "x past the edge", "x starts inside"])
 def test_bad_profile_csv_exit_2(tmp_path, body):
     prof = tmp_path / "prof.csv"
     prof.write_text("edge_id,x,u\n" + body)
@@ -462,6 +466,10 @@ def test_80_loops_solve_to_the_same_bytes_on_the_scalar_path(monkeypatch, tmp_pa
         assert main(["groundstate", "--flower", "stem=12", f"loops={loops}",
                      "--out", str(out), "--profile", str(prof)]) == 0
         outputs.append((out.read_bytes(), prof.read_bytes()))
+        # sampling the profile on read leaves the JSON as the end-state pass wrote it
+        assert main(["groundstate", "--flower", "stem=12", f"loops={loops}",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == outputs[-1][0]
     assert outputs[0] == outputs[1]
 
 

@@ -2,10 +2,12 @@
 
 import importlib.util
 import itertools
+import json
 import math
 import pathlib
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -362,6 +364,32 @@ def test_each_edge_profile_takes_its_own_step():
         n = groundstate._edge_steps(half, 1e-2)
         x, u = sol.profiles[f"loop{j}"]
         assert len(x) == len(u) == 2 * n + 1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_interval(20.0), lambda: solve_flower(FlowerSpec(16.0, (16.0,))),
+], ids=["interval-20", "16-16"])
+def test_a_solve_keeps_only_end_states(solve):
+    # sampled, these long edges hold about 2 MB of profile arrays
+    solve()    # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        sol = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1e6
+    assert sol._profiles is None
+
+
+@pytest.mark.parametrize("spec", [FlowerSpec(20.0), TADPOLE, EIGHTY_LOOPS,
+                                  FlowerSpec(16.0, (16.0,))],
+                         ids=["interval-20", "tadpole", "12-80loops", "16-16"])
+def test_reading_profiles_leaves_the_residuals_bit_for_bit(spec):
+    sol = solve_flower(spec)
+    before = json.dumps(sol.residuals)
+    assert set(sol.profiles) == {"stem", *(f"loop{j}" for j in range(1, spec.n_loops + 1))}
+    assert json.dumps(sol.residuals) == before
 
 
 def test_reported_stem_slope_is_the_one_newton_solved(monkeypatch):

@@ -20,6 +20,7 @@ from fkpp_graphs.graph import (
     validate,
 )
 from fkpp_graphs.mesh import (
+    PROFILE_SPAN_RTOL,
     CondensedLU,
     Field,
     GraphMesh,
@@ -145,6 +146,19 @@ def test_field_from_profiles_exact_on_linear_data():
     f = field_from_profiles(mesh, {"stem": (xs, 0.25 * xs)})
     x, u = f.on_edge("stem")
     assert np.max(np.abs(u - 0.25 * x)) <= 1e-15
+
+
+def test_field_from_profiles_needs_x_to_span_the_edge():
+    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.1)
+    # x may miss either end by PROFILE_SPAN_RTOL of the length, and no more
+    for rtol, ok in ((0.5 * PROFILE_SPAN_RTOL, True), (2.0 * PROFILE_SPAN_RTOL, False)):
+        for x0, x1 in ((2.0 * rtol, 2.0), (0.0, 2.0 * (1.0 - rtol)), (0.0, 2.0 * (1.0 + rtol))):
+            profile = {"stem": (np.array([x0, x1]), np.zeros(2))}
+            if ok:
+                field_from_profiles(mesh, profile)
+            else:
+                with pytest.raises(InvalidDomain, match="'stem'.*span the edge"):
+                    field_from_profiles(mesh, profile)
 
 
 def test_free_energy_of_zero_field():
