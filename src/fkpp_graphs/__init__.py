@@ -30,8 +30,7 @@ _SUBMODULE = {
         "validate",
     ], "graph"),
     **dict.fromkeys([
-        "PhasePoint", "energy", "q_tilde", "turning_point_p0",
-        "turning_point_pair", "well",
+        "PhasePoint", "energy", "q_tilde", "turning_point_pair", "well",
     ], "phaseplane"),
     **dict.fromkeys([
         "HOMOCLINIC_OFFSET", "PeriodGradient", "PeriodValue",
@@ -43,14 +42,14 @@ _SUBMODULE = {
         "field_from_profiles", "free_energy",
     ], "mesh"),
     **dict.fromkeys([
-        "Region", "RegionReport", "SpectralResult", "eigenvalue_length_slope",
-        "lambda0_discretized", "lambda0_flower", "lower_boundary",
-        "lower_boundary_symmetric", "region_membership", "secular_mismatch",
+        "Region", "RegionReport", "SpectralResult", "lambda0_discretized",
+        "lambda0_flower", "lower_boundary", "region_membership",
+        "secular_mismatch",
     ], "spectral"),
     **dict.fromkeys([
         "GroundStateSolution", "JacobianReport", "energy_of",
-        "jacobian_report", "proximity_check", "reconstruct_profile",
-        "solve_flower", "solve_interval",
+        "jacobian_report", "reconstruct_profile", "solve_flower",
+        "solve_interval",
     ], "groundstate"),
     **dict.fromkeys([
         "EvolutionTrace", "Terminal", "comparison_monitor", "run_to_attractor",

@@ -72,7 +72,6 @@ __all__ = [
     "solve_flower",
     "jacobian_report",
     "reconstruct_profile",
-    "proximity_check",
     "energy_of",
 ]
 
@@ -125,13 +124,6 @@ class GroundStateSolution:
     @property
     def q_stem(self) -> float:
         return _stem_slope(self.q_loops)
-
-    @property
-    def stem_energy(self) -> float:
-        return energy(self.p, self.q_stem)
-
-    def loop_energies(self) -> tuple[float, ...]:
-        return tuple(energy(self.p, q) for q in self.q_loops)
 
     def loop_turning_points(self) -> tuple[float, ...]:
         return tuple(span[0] for span in self.loop_spans)
@@ -518,17 +510,6 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float = PROFILE_DX) -
     _integrate_edges(solution, dx, profiles)    # may raise StepTooLarge
     solution._profiles = profiles
     return profiles
-
-
-def proximity_check(solution: GroundStateSolution) -> float:
-    """max |u - 1| over the loop subgraph (the stem pendant is excluded).
-
-    That is p: each loop half runs monotonically in w = 1 - u from its
-    turning point p0_j up to the vertex value p.
-    """
-    if solution.spec.n_loops == 0:
-        raise InvalidDomain("proximity is defined over loops; none present")
-    return solution.p
 
 
 def energy_of(solution: GroundStateSolution) -> float:

@@ -60,32 +60,24 @@ PROFILE_SPAN_RTOL = 1e-9
 class GraphMesh:
     """Shared-vertex uniform grids on every edge of a metric graph.
 
-    ``intervals[edge_id]`` cells on each edge.  The constructor keeps only
-    per-edge numbers and the free-node index; every per-point array is built
-    on first use.  ``edge_nodes[edge_id]`` lists the global node index of
-    each grid point along the edge, endpoints being the vertex nodes;
-    ``edge_nodes`` and ``edge_x`` hold read-only views of one flat array
-    each.
+    Each edge has max(2, ceil(length / mesh_h)) cells.  The constructor
+    keeps only per-edge numbers and the free-node index; every per-point
+    array is built on first use.  ``edge_nodes[edge_id]`` lists the global
+    node index of each grid point along the edge, endpoints being the vertex
+    nodes; ``edge_nodes`` and ``edge_x`` hold read-only views of one flat
+    array each.
     """
 
-    def __init__(self, graph: MetricGraph, mesh_h: float | None = None,
-                 intervals: dict[str, int] | None = None):
+    def __init__(self, graph: MetricGraph, mesh_h: float | None = None):
         report = graph.validation    # raises on an invalid graph
         self.graph = graph
         edges = graph.edges
-        if intervals is None:
-            if mesh_h is None or not mesh_h > 0:
-                raise MeshTooCoarse("need a positive mesh_h or explicit interval counts")
-            # a ratio past 2**63 (or inf) cannot be counted by an int64 index
-            with np.errstate(over="ignore"):
-                ratio = report.lengths / mesh_h
-            cells = np.maximum(2.0, np.ceil(np.minimum(ratio, 2.0 ** 63)))
-            counts = cells.tolist()
-        else:
-            counts = [intervals.get(e.id, 0) for e in edges]
-            for e, n in zip(edges, counts):
-                if n < 2:
-                    raise MeshTooCoarse(f"edge {e.id!r} has {n} cells; need at least 2")
+        if mesh_h is None or not mesh_h > 0:
+            raise MeshTooCoarse("need a positive mesh_h")
+        # a ratio past 2**63 (or inf) cannot be counted by an int64 index
+        with np.errstate(over="ignore"):
+            ratio = report.lengths / mesh_h
+        counts = np.maximum(2.0, np.ceil(np.minimum(ratio, 2.0 ** 63))).tolist()
         # grid points summed as Python ints, before any array is built
         points = sum(map(int, counts)) + len(counts)
         if points > np.iinfo(np.int64).max:
@@ -129,10 +121,6 @@ class GraphMesh:
         return count, np.cumsum(count) - count, 1.0 / self._h
 
     @cached_property
-    def intervals(self) -> dict[str, int]:
-        return dict(zip((e.id for e in self.graph.edges), self._cells.tolist()))
-
-    @cached_property
     def _ptr(self) -> np.ndarray:
         """Edge k owns grid points _ptr[k] .. _ptr[k + 1] - 1, tail to head;
         interior nodes are numbered after the vertex nodes in that order."""
@@ -171,10 +159,6 @@ class GraphMesh:
         x[ptr[1:] - 1] = self.graph.validation.lengths
         x.flags.writeable = False
         return {i: x[lo:hi] for i, lo, hi in self._spans()}
-
-    @cached_property
-    def edge_h(self) -> dict[str, float]:
-        return dict(zip((e.id for e in self.graph.edges), self._h.tolist()))
 
     def _cell_list(self):
         """(start node, end node, width) of every cell, edge by edge."""

@@ -94,7 +94,6 @@ __all__ = [
     "loop_arcs",
     "loop_gradients",
     "action_T",
-    "action_T0",
     "asymptotic_T",
     "center_limits",
 ]
@@ -370,11 +369,6 @@ def action_T(pt: PhasePoint) -> float:
     only QUADPACK's relative tolerance scales with it.
     """
     return _arc(*_stem_span(pt.p, pt.q), 0.0, "action")[0]
-
-
-def action_T0(pt: PhasePoint) -> float:
-    """int v^2 dx over period_T0's arc, with absolute tolerance 0 as in action_T."""
-    return _arc(*_loop_span(pt), 0.0, "action")[0]
 
 
 def _require_interior(pt: PhasePoint) -> None:

@@ -36,11 +36,8 @@ __all__ = [
     "PhasePoint",
     "energy",
     "q_tilde",
-    "turning_point_p0",
     "turning_point_pair",
     "well",
-    "well_chord",
-    "well_difference",
     "energy_above_center",
 ]
 
@@ -48,16 +45,6 @@ __all__ = [
 def well(u: float) -> float:
     """A(u) = u^2 - (2/3) u^3, the potential term in v^2 = E + A(u)."""
     return u * u * (1.0 - 2.0 * u / 3.0)
-
-
-def well_chord(a: float, b: float) -> float:
-    """g(a, b) = (a+b) - (2/3)(a^2+ab+b^2) = (A(a) - A(b)) / (a - b)."""
-    return a + b - (2.0 / 3.0) * (a * a + a * b + b * b)
-
-
-def well_difference(u: float, p: float) -> float:
-    """A(u) - A(p) in factored form; exact to rounding for u near p or near 1."""
-    return (u - p) * well_chord(u, p)
 
 
 def energy(u: float, v: float) -> float:
@@ -156,8 +143,3 @@ def turning_point_pair(pt: PhasePoint) -> tuple[float, float]:
         return 1.0 - b0, b0
     p0 = _center_side_root(-e)
     return p0, 1.0 - p0
-
-
-def turning_point_p0(pt: PhasePoint) -> float:
-    """Inner turning point p0 of the closed orbit through pt."""
-    return turning_point_pair(pt)[0]

@@ -12,11 +12,6 @@ mesh.GraphMesh and one shift-invert Lanczos solve (ARPACK) at 0 on the
 generalized problem A x = lambda M x, with A_ff from the mesh's one
 assembly (no full-node matrix), the lumped M applied as a diagonal
 operator, and A's own CSR arrays shared by the residual floor's |A|.
-
-The derivative of a simple eigenvalue with respect to one edge length is
--(psi'^2 + lambda psi^2) evaluated on that edge; the quantity is constant
-along the edge because psi'' = -lambda psi, which is what
-eigenvalue_length_slope exploits (midpoint evaluation, second order).
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from .errors import (
     LoopTooLong,
     MeshTooCoarse,
 )
-from .graph import Edge, FlowerSpec, MetricGraph, flower_graph
+from .graph import FlowerSpec, MetricGraph, flower_graph
 from .mesh import CondensedLU, Field, GraphMesh, field_from_function
 
 __all__ = [
@@ -47,10 +42,8 @@ __all__ = [
     "RegionReport",
     "lambda0_flower",
     "lambda0_discretized",
-    "eigenvalue_length_slope",
     "region_membership",
     "lower_boundary",
-    "lower_boundary_symmetric",
     "secular_mismatch",
 ]
 
@@ -143,8 +136,15 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
                           iterations, partial(_flower_eigenfunction, spec, s))
 
 
-def lambda0_discretized(graph: MetricGraph, mesh_h: float,
-                        intervals: dict[str, int] | None = None) -> SpectralResult:
+def _mesh_eigenfunction(mesh: GraphMesh, y: np.ndarray) -> Field:
+    """The Lanczos vector on the free nodes as a full-node field, 0 where
+    pinned, with its sign chosen so its values sum to >= 0."""
+    vals = np.zeros(mesh.n_nodes)
+    vals[mesh.free_nodes] = y if y.sum() >= 0 else -y
+    return Field(mesh, vals)
+
+
+def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
     """Smallest eigenvalue of the P1-discretized Laplacian on any graph.
 
     One shift-invert Lanczos call at 0 on A x = rho M x applies the
@@ -156,7 +156,7 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
     groundstate._floors does; that floor grows like 1/lambda0, so large
     graphs with a small lambda0 sit above 1e-10.
     """
-    mesh = GraphMesh(graph, mesh_h, intervals=intervals)
+    mesh = GraphMesh(graph, mesh_h)
     if mesh.min_intervals() < 5:
         raise MeshTooCoarse(
             f"coarsest edge has {mesh.min_intervals()} cells; need >= 5 "
@@ -188,48 +188,8 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float,
         bound = abs_a @ np.abs(y) + rho * (m * np.abs(y))
         if rel > 2.0 * EPS * math.sqrt(float(bound @ bound)) / scale:
             raise LinearSolveFailure(f"eigenpair residual {rel:.3e} is above its floor")
-    vals = np.zeros(mesh.n_nodes)
-    vals[mesh.free_nodes] = y if y.sum() >= 0 else -y
-    return SpectralResult(rho, "discretized", rel, solves, partial(Field, mesh, vals))
-
-
-def eigenvalue_length_slope(graph: MetricGraph, edge_id: str,
-                            mesh_h: float) -> tuple[float, float]:
-    """(finite-difference, eigenfunction) values of d lambda0 / d length.
-
-    Left entry: central difference of the discretized lambda0 as the named
-    edge's length varies by +-1e-4*length, holding every interval count
-    fixed so the difference is smooth.  Right entry:
-    -(psi'^2 + lambda psi^2) from the unperturbed eigenfunction at the
-    middle cell of that edge.  Both are negative.
-    """
-    lengths = {e.id: e.length for e in graph.edges}
-    if edge_id not in lengths:
-        raise InvalidDomain(f"no edge named {edge_id!r}")
-    base = lambda0_discretized(graph, mesh_h)
-    counts = dict(base.eigenfunction.mesh.intervals)
-
-    def with_length(val: float) -> MetricGraph:
-        edges = tuple(Edge(e.id, e.tail, e.head, val if e.id == edge_id else e.length)
-                      for e in graph.edges)
-        return MetricGraph(edges, dict(graph.conditions))
-
-    delta = 1e-4 * lengths[edge_id]
-    lam_plus = lambda0_discretized(with_length(lengths[edge_id] + delta),
-                                   mesh_h, intervals=counts).lambda0
-    lam_minus = lambda0_discretized(with_length(lengths[edge_id] - delta),
-                                    mesh_h, intervals=counts).lambda0
-    lhs = (lam_plus - lam_minus) / (2.0 * delta)
-
-    mesh = base.eigenfunction.mesh
-    psi = base.eigenfunction.values
-    idx = mesh.edge_nodes[edge_id]
-    h = mesh.edge_h[edge_id]
-    k = (len(idx) - 1) // 2
-    dpsi = (psi[idx[k + 1]] - psi[idx[k]]) / h
-    pmid = 0.5 * (psi[idx[k + 1]] + psi[idx[k]])
-    rhs = -(dpsi * dpsi + base.lambda0 * pmid * pmid)
-    return lhs, rhs
+    return SpectralResult(rho, "discretized", rel, solves,
+                          partial(_mesh_eigenfunction, mesh, y))
 
 
 class Region(Enum):
@@ -267,14 +227,3 @@ def lower_boundary(loop_halves) -> float:
                 "critical stem length is 0 already")
         total += math.tan(h)
     return math.pi / 2.0 - math.atan(2.0 * total)
-
-
-def lower_boundary_symmetric(L: float, n_loops: int) -> float:
-    """Critical common half-length for n_loops equal loops on stem L."""
-    if n_loops < 1:
-        raise InvalidDomain("need at least one loop")
-    if not 0.0 < L < math.pi / 2.0:
-        raise InvalidDomain(
-            f"stem length {L} outside (0, pi/2); no finite critical loop "
-            "length exists there")
-    return math.atan(1.0 / (math.tan(L) * 2.0 * n_loops))

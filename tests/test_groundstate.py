@@ -33,13 +33,12 @@ from fkpp_graphs.graph import FlowerSpec
 from fkpp_graphs.groundstate import (
     energy_of,
     jacobian_report,
-    proximity_check,
     reconstruct_profile,
     solve_flower,
     solve_interval,
 )
 from fkpp_graphs.period import period_T, period_T0
-from fkpp_graphs.phaseplane import PhasePoint, well
+from fkpp_graphs.phaseplane import PhasePoint, energy, well
 from fkpp_graphs.spectral import lower_boundary
 
 P_STAR_L2 = 0.5523884970850482263588
@@ -149,9 +148,10 @@ def test_tadpole_anchor():
     assert math.isclose(sol.p, TAD_P, rel_tol=1e-12)
     assert math.isclose(sol.q_loops[0], TAD_Q1, rel_tol=1e-12)
     assert sol.q_stem == 2.0 * sol.q_loops[0]
-    assert math.isclose(sol.stem_energy, TAD_STEM_E, rel_tol=1e-12)
+    stem_energy = energy(sol.p, sol.q_stem)
+    assert math.isclose(stem_energy, TAD_STEM_E, rel_tol=1e-12)
     assert math.isclose(sol.loop_turning_points()[0], TAD_LOOP_P0, rel_tol=1e-12)
-    assert sol.stem_energy < 0.0  # stem orbit inside the homoclinic here
+    assert stem_energy < 0.0  # stem orbit inside the homoclinic here
     assert max(sol.residuals["period_residuals"].values()) <= 1e-9
     assert sol.newton_iterations <= 60
 
@@ -162,9 +162,10 @@ def test_two_loop_anchor():
     assert math.isclose(sol.q_loops[0], TWO_Q1, rel_tol=1e-12)
     assert math.isclose(sol.q_loops[1], TWO_Q2, rel_tol=1e-12)
     # this geometry pushes the stem orbit outside the homoclinic loop
-    assert math.isclose(sol.stem_energy, TWO_STEM_E, rel_tol=1e-12)
-    assert sol.stem_energy > 0.0
-    assert all(e < 0.0 for e in sol.loop_energies())
+    stem_energy = energy(sol.p, sol.q_stem)
+    assert math.isclose(stem_energy, TWO_STEM_E, rel_tol=1e-12)
+    assert stem_energy > 0.0
+    assert all(energy(sol.p, q) < 0.0 for q in sol.q_loops)
 
 
 def test_solved_periods_match_edge_lengths():
@@ -292,17 +293,21 @@ def test_flower_profile_contracts():
 
 
 def test_proximity_on_loops():
-    sol = solve_flower(TADPOLE)
-    # the loop's farthest point from 1 is the shared vertex, where u = 1 - p
-    assert math.isclose(proximity_check(sol), sol.p, rel_tol=1e-8)
-    with pytest.raises(InvalidDomain):
-        proximity_check(solve_interval(2.0))
+    # max |u - 1| over a loop is p, at the shared vertex: each loop half runs
+    # monotonically in w = 1 - u from its turning point p0_j up to p
+    for spec in (TADPOLE, TWO_LOOP):
+        sol = solve_flower(spec)
+        for j in range(1, spec.n_loops + 1):
+            _, u = sol.profiles[f"loop{j}"]
+            w = 1.0 - u
+            assert np.argmax(w) in (0, w.size - 1)
+            assert math.isclose(np.max(w), sol.p, rel_tol=1e-9)
 
 
 def test_proximity_near_boundary_is_large():
     crit = lower_boundary([0.8])
     sol = solve_flower(FlowerSpec(stem=crit + 1e-3, loop_halves=(0.8,)))
-    assert proximity_check(sol) > 0.9
+    assert sol.p > 0.9    # max |u - 1| over the loop
 
 
 def test_energy_negative_and_converges_under_refinement():

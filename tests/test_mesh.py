@@ -35,16 +35,16 @@ from fkpp_graphs.evolve import run_to_attractor
 
 def test_interval_counts_follow_mesh_h():
     mesh = GraphMesh(interval_graph(2.0), mesh_h=0.5)
-    assert mesh.intervals == {"stem": 4}
+    assert len(mesh.edge_nodes["stem"]) - 1 == 4
     assert mesh.n_nodes == 5
-    assert mesh.edge_h["stem"] == 0.5
+    assert np.all(np.diff(mesh.edge_x["stem"]) == 0.5)
     assert np.allclose(mesh.edge_x["stem"], [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 def test_node_sharing_on_a_tadpole():
     g = flower_graph(FlowerSpec(stem=0.8, loop_halves=(0.75,)))
     mesh = GraphMesh(g, mesh_h=0.25)
-    assert mesh.intervals == {"stem": 4, "loop1": 6}
+    assert {e: len(n) - 1 for e, n in mesh.edge_nodes.items()} == {"stem": 4, "loop1": 6}
     # 2 vertices + 3 + 5 interior nodes
     assert mesh.n_nodes == 10
     stem = mesh.edge_nodes["stem"]
@@ -63,23 +63,21 @@ def test_mesh_too_coarse():
         GraphMesh(interval_graph(1.0))
     with pytest.raises(MeshTooCoarse):
         GraphMesh(interval_graph(1.0), mesh_h=-0.1)
-    with pytest.raises(MeshTooCoarse):
-        GraphMesh(interval_graph(1.0), intervals={"stem": 1})
 
 
 # Only counts past int64 here: a mesh that could be allocated might not fit
 # in memory.
-@pytest.mark.parametrize("graph,mesh_h,intervals", [
-    (flower_graph(FlowerSpec(1e200, (0.5,))), 0.1, None),
-    (flower_graph(FlowerSpec(1e-300, (5e299,))), 2e-3, None),
-    (flower_graph(FlowerSpec(1e306, (0.5,))), 1e-3, None),      # the ratio is inf
-    (flower_graph(FlowerSpec(1.0, (0.5,))), None, {"stem": 2 ** 63, "loop1": 4}),
-    (flower_graph(FlowerSpec(1.0, (0.5, 0.5))), None,           # only the sum overflows
-     {"stem": 2 ** 62, "loop1": 2 ** 62, "loop2": 4}),
+@pytest.mark.parametrize("graph,mesh_h", [
+    (flower_graph(FlowerSpec(1e200, (0.5,))), 0.1),
+    (flower_graph(FlowerSpec(1e-300, (5e299,))), 2e-3),
+    (flower_graph(FlowerSpec(1e306, (0.5,))), 1e-3),      # the ratio is inf
+    (flower_graph(FlowerSpec(1.0, (0.5,))), 2.0 ** -63),  # the stem has 2**63 cells
+    # each loop's 2**62 cells fit; only the sum overflows
+    (flower_graph(FlowerSpec(1e-10, (0.5, 0.5))), 2.0 ** -62),
 ], ids=["stem-1e200", "loop-1e300", "ratio-inf", "count-2^63", "sum-past-2^63"])
-def test_mesh_counts_past_int64_are_invalid(graph, mesh_h, intervals):
+def test_mesh_counts_past_int64_are_invalid(graph, mesh_h):
     with pytest.raises(InvalidDomain, match="int64"):
-        GraphMesh(graph, mesh_h, intervals=intervals)
+        GraphMesh(graph, mesh_h)
 
 
 def test_stiffness_is_symmetric_with_zero_row_sums():
@@ -260,7 +258,7 @@ def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
     for e in graph.edges:
         assert np.array_equal(mesh.edge_nodes[e.id], nodes[e.id])
         assert np.array_equal(mesh.edge_x[e.id], xs[e.id])
-        assert mesh.edge_h[e.id] == hs[e.id]
+        assert mesh.edge_x[e.id][1] == hs[e.id]
     assert abs(mesh.stiffness - stiffness).max() <= 1e-14 * abs(stiffness).max()
     assert np.max(np.abs(mesh.lumped_mass - mass)) <= 1e-14 * np.max(mass)
     lengths = {e.id: e.length for e in graph.edges}
@@ -316,7 +314,7 @@ def test_edge_table_numbers_the_mesh_as_the_vertex_dicts_did(graph, mesh_h):
                                                            vertex_node[e.head]]
     assert mesh.dirichlet_nodes.tolist() == sorted(
         vertex_node[v] for v in vertices if graph.condition(v) == "dirichlet")
-    assert mesh.intervals == intervals
+    assert {e.id: len(mesh.edge_nodes[e.id]) - 1 for e in graph.edges} == intervals
     assert same_bits(mesh.free_nodes, free)
     a, m = mesh.reduced_operators()
     assert np.array_equal(a.indptr, a_ref.indptr) and np.array_equal(a.indices, a_ref.indices)
@@ -511,20 +509,22 @@ def test_mesh_and_factor_peak_memory_per_unknown():
 
 # shapes multigraphs() never draws: no free vertex at all, and edges of two
 # cells (one interior node, a 1 x 1 tridiagonal block)
-@pytest.mark.parametrize("edges,conditions,intervals", [
-    ([("e0", "a", "b", 2.0)], ("a", "b"), {"e0": 40}),
-    ([("e0", "a", "b", 0.1)], ("a", "b"), {"e0": 2}),
-    ([("e0", "a", "v", 1.0), ("e1", "v", "w", 0.3)], ("a",), {"e0": 10, "e1": 2}),
-    ([("e0", "a", "v", 1.0), ("e1", "v", "v", 0.4)], ("a",), {"e0": 10, "e1": 2}),
+@pytest.mark.parametrize("edges,conditions,mesh_h,cells", [
+    ([("e0", "a", "b", 2.0)], ("a", "b"), 0.05, [40]),
+    ([("e0", "a", "b", 0.1)], ("a", "b"), 0.05, [2]),
+    ([("e0", "a", "v", 1.0), ("e1", "v", "w", 0.3)], ("a",), 0.2, [5, 2]),
+    ([("e0", "a", "v", 1.0), ("e1", "v", "v", 0.4)], ("a",), 0.2, [5, 2]),
     ([("e0", "a", "v", 1.0), ("e1", "v", "w", 0.3), ("e2", "w", "w", 0.4),
-      ("e3", "w", "b", 0.2)], ("a", "b"), {"e0": 2, "e1": 2, "e2": 2, "e3": 2}),
+      ("e3", "w", "b", 0.2)], ("a", "b"), 0.5, [2, 2, 2, 2]),
 ], ids=["two-dirichlet", "two-dirichlet-2-cells", "2-cell-pendant",
         "2-cell-self-loop", "all-2-cells"])
 @pytest.mark.parametrize("dt", [1e-3, 0.99])
-def test_condensed_factor_on_edge_cases(edges, conditions, intervals, dt):
+def test_condensed_factor_on_edge_cases(edges, conditions, mesh_h, cells, dt):
     graph = MetricGraph(tuple(Edge(*e) for e in edges),
                         {v: "dirichlet" for v in conditions})
-    assert_condensed_solves(GraphMesh(graph, intervals=intervals), dt, 3)
+    mesh = GraphMesh(graph, mesh_h)
+    assert [len(mesh.edge_nodes[e.id]) - 1 for e in graph.edges] == cells
+    assert_condensed_solves(mesh, dt, 3)
 
 
 def test_condensed_factor_rejects_an_indefinite_interior():
@@ -548,14 +548,13 @@ def test_a_mixed_sign_shift_solves_the_newton_jacobian():
     assert_backward_stable(mesh, a, shift, 1.0, a + sp.diags(shift), rhs)
 
 
-@pytest.mark.parametrize("graph,mesh_h,intervals,narrow", [
-    (flower_graph(FlowerSpec(2.0, (1e-8 / 2,))), 0.1, None, "loop1"),
-    (flower_graph(FlowerSpec(1e-300, (0.5,))), 0.1, None, "stem"),
+@pytest.mark.parametrize("graph,mesh_h,narrow", [
+    (flower_graph(FlowerSpec(2.0, (1e-8 / 2,))), 0.1, "loop1"),
+    (flower_graph(FlowerSpec(1e-300, (0.5,))), 0.1, "stem"),
     (MetricGraph((Edge("e0", "d", "a", 2.0), Edge("e1", "a", "b", 1.5),
-                  Edge("e2", "a", "p", 1e-15)), {"d": "dirichlet"}), 0.1, None, "e2"),
-    (flower_graph(FlowerSpec(1.0, (0.5,))), None, {"stem": 2, "loop1": 4 * 10 ** 6}, "loop1"),
-], ids=["tiny-loop", "tiny-stem", "tiny-pendant", "fine-count"])
-def test_cells_too_uneven_are_refused(graph, mesh_h, intervals, narrow):
-    mesh = GraphMesh(graph, mesh_h, intervals=intervals)    # sampling needs no solve
+                  Edge("e2", "a", "p", 1e-15)), {"d": "dirichlet"}), 0.1, "e2"),
+], ids=["tiny-loop", "tiny-stem", "tiny-pendant"])
+def test_cells_too_uneven_are_refused(graph, mesh_h, narrow):
+    mesh = GraphMesh(graph, mesh_h)    # sampling needs no solve
     with pytest.raises(MeshTooCoarse, match=f"edge {narrow!r} has cells"):
         mesh.reduced_operators()

@@ -19,18 +19,18 @@ from fkpp_graphs.errors import FisherKppError, InvalidDomain, OrbitNotClosed
 from fkpp_graphs.period import (
     HOMOCLINIC_OFFSET,
     action_T,
-    action_T0,
     arclength_from_turning,
     asymptotic_T,
     center_limits,
     grad_T,
     grad_T0,
     interval_period_slope,
+    loop_arcs,
+    loop_spans,
     period_T,
     period_T0,
 )
-from fkpp_graphs.phaseplane import PhasePoint, turning_point_p0, \
-    turning_point_pair, well, well_difference
+from fkpp_graphs.phaseplane import PhasePoint, turning_point_pair, well
 
 X0 = 1.316957896924816708625046
 
@@ -92,7 +92,7 @@ def test_lift_matches_independent_shooting():
     # integrate w'' = w - w^2 from the turning point until w reaches 0.9;
     # the crossing position is T0 by definition
     p, q = 0.9, -0.05
-    p0 = turning_point_p0(PhasePoint(p, q))
+    p0 = turning_point_pair(PhasePoint(p, q))[0]
 
     def rhs(x, y):
         return [y[1], y[0] - y[0] * y[0]]
@@ -179,7 +179,7 @@ def test_interval_slope_matches_finite_differences():
 
 def test_arclength_from_turning_consistent_with_lift():
     pt = PhasePoint(0.9, -0.05)
-    p0 = turning_point_p0(pt)
+    p0 = turning_point_pair(pt)[0]
     direct = arclength_from_turning(pt.p, p0)
     assert math.isclose(direct, period_T0(pt).value, rel_tol=1e-11)
     with pytest.raises(InvalidDomain):
@@ -305,7 +305,9 @@ deep = st.floats(-100.0, math.log10(0.5)).map(lambda e: 10.0 ** e)
 def _loop_point(p0: float) -> PhasePoint:
     """A closed orbit with turning point p0, at p = 1.9 p0 (well conditioned)."""
     p = 1.9 * p0
-    return PhasePoint(p, -math.sqrt(well_difference(p, p0)))
+    # A(p) - A(p0) in factored form, exact to rounding
+    chord = p + p0 - (2.0 / 3.0) * (p * p + p * p0 + p0 * p0)
+    return PhasePoint(p, -math.sqrt((p - p0) * chord))
 
 
 @settings(max_examples=8, deadline=None)
@@ -367,7 +369,8 @@ def test_stem_action_matches_reference(p, q):
 ], ids=str)
 def test_loop_action_matches_reference(pt):
     want = ref.action(ref.turning_point(pt.p, pt.q), pt.p)
-    assert math.isclose(action_T0(pt), want, rel_tol=1e-14)
+    got = loop_arcs(loop_spans(pt.p, [pt.q]), 0.0, "action")[0]
+    assert math.isclose(got, want, rel_tol=1e-14)
 
 
 def test_quad_retries_only_a_call_that_used_up_its_subintervals(monkeypatch):

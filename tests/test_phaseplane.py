@@ -14,7 +14,6 @@ from fkpp_graphs.phaseplane import (
     PhasePoint,
     energy,
     q_tilde,
-    turning_point_p0,
     turning_point_pair,
     well,
 )
@@ -63,7 +62,6 @@ def test_turning_point_anchor():
     p0, b0 = turning_point_pair(PhasePoint(0.9, -0.05))
     assert math.isclose(p0, P0_AT_09_M005, rel_tol=1e-13)
     assert math.isclose(p0 + b0, 1.0, rel_tol=1e-14)
-    assert turning_point_p0(PhasePoint(0.9, -0.05)) == p0
 
 
 @pytest.mark.parametrize("p,q", [(0.2, -0.5), (1.0, -1.0 / math.sqrt(3.0)),

