@@ -553,7 +553,12 @@ def test_a_mixed_sign_shift_solves_the_newton_jacobian():
     (flower_graph(FlowerSpec(1e-300, (0.5,))), 0.1, "stem"),
     (MetricGraph((Edge("e0", "d", "a", 2.0), Edge("e1", "a", "b", 1.5),
                   Edge("e2", "a", "p", 1e-15)), {"d": "dirichlet"}), 0.1, "e2"),
-], ids=["tiny-loop", "tiny-stem", "tiny-pendant"])
+    (MetricGraph((Edge("e0", "d", "a", 2.0), Edge("e1", "a", "a", 1.0),
+                  Edge("e2", "a", "b", 1e-9), Edge("e3", "b", "b", 1.0)),
+                 {"d": "dirichlet"}), 0.1, "e2"),
+    # wide cells, not a tiny edge: 4 cells of 1e6 on the stem, 2 of 0.5 on the loop
+    (flower_graph(FlowerSpec(4e6, (0.5,))), 1e6, "loop1"),
+], ids=["tiny-loop", "tiny-stem", "tiny-pendant", "tiny-bridge", "coarse-stem"])
 def test_cells_too_uneven_are_refused(graph, mesh_h, narrow):
     mesh = GraphMesh(graph, mesh_h)    # sampling needs no solve
     with pytest.raises(MeshTooCoarse, match=f"edge {narrow!r} has cells"):
