@@ -307,14 +307,12 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _boundary_row(halves: tuple) -> tuple:
-    from .spectral import lower_boundary
-
-    limit = math.pi / 2.0
-    if any(h >= limit for h in halves):
-        # continuous extension: tan blows up, the critical stem closes to 0
-        return halves + (0.0,)
-    return halves + (lower_boundary(halves),)
+def _repeated_sum(t: float, n: int) -> float:
+    """t added n times from 0.0, in lower_boundary's order."""
+    total = 0.0
+    for _ in range(n):
+        total += t
+    return total
 
 
 def cmd_region(args) -> int:
@@ -333,17 +331,22 @@ def cmd_region(args) -> int:
         }, args.out)
         return 0
 
+    from .spectral import critical_stem
+
     limit = math.pi / 2.0
+    ls = np.linspace(0.0, limit, args.samples, endpoint=bool(args.grid)).tolist()
+    # tan once per axis sample; inf from pi/2 on, the continuous extension
+    # where the critical stem closes to 0
+    tans = [math.tan(h) if h < limit else math.inf for h in ls]
     if args.grid:
-        ls = np.linspace(0.0, limit, args.samples)
-        cases = [(float(l1), float(l2)) for l1 in ls for l2 in ls]
         header = ["loop_half_1", "loop_half_2", "critical_stem"]
+        rows = ((l1, l2, critical_stem(t1 + t2))
+                for l1, t1 in zip(ls, tans) for l2, t2 in zip(ls, tans))
     else:
         n = args.curve
-        ls = np.linspace(0.0, limit, args.samples, endpoint=False)
-        cases = [(float(l),) * n for l in ls]
         header = [f"loop_half_{j + 1}" for j in range(n)] + ["critical_stem"]
-    rows = map(_boundary_row, cases)
+        rows = ((h,) * n + (critical_stem(_repeated_sum(t, n)),)
+                for h, t in zip(ls, tans))
     _write_csv(args.out, header, (tuple(repr(v) for v in row) for row in rows))
     return 0
 

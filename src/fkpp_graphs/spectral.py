@@ -8,10 +8,13 @@ where L is the stem length and l_j the loop half-lengths.  The left side
 increases and the right side decreases on s in (0, s_max) with
 s_max = min(pi/(2L), min_j pi/(2 l_j)), so the smallest eigenvalue is the
 unique root there.  General graphs go through the P1 discretization of
-mesh.GraphMesh and one shift-invert Lanczos solve (ARPACK) at 0 on the
-generalized problem A x = lambda M x, with A_ff from the mesh's one
-assembly (no full-node matrix), the lumped M applied as a diagonal
-operator, and A's own CSR arrays shared by the residual floor's |A|.
+mesh.GraphMesh and a two-pass Lanczos run on the generalized problem
+A x = lambda M x: the three-term recurrence for A_ff^-1 M in the M inner
+product, applied through one mesh.CondensedLU factor of A_ff from the mesh's
+one assembly, keeps only its coefficients, and a second pass regenerates
+the same vectors to sum the Ritz vector (Paige, J. Inst. Math. Appl. 18,
+1976).  So the eigen-solve holds four n-vectors and no basis.  The lumped
+M is a vector, and A's own CSR arrays serve the residual floor's |A|.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
+from itertools import count
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (
     InvalidDomain,
@@ -52,12 +56,11 @@ EPS = np.finfo(float).eps
 # brentq's xtol, the smallest normal double: far below every root on the exact
 # path, so rtol = 4 eps, brentq's floor, alone decides when a root is done
 ROOT_XTOL = 2.0 ** -1022
-# Lanczos basis size (eigsh caps it at the number of free nodes).  Trees and
-# grids of 1e3-4e3 edges converge in one pass of NCV + 1 solves (20 would
-# double that); below 10, trees with all leaves Dirichlet (lambda0/lambda1
-# near 1) restart more: at most 97 solves over 20 seeded 1000-edge trees at
-# 8 and 118 at 6, against 81 at 10.
-NCV = 10
+# Lanczos steps before lambda0_discretized gives up.  At --mesh 0.05, trees
+# and grids of 1e3-4e3 edges stop at its 4 eps Ritz residual in 8-11 steps,
+# trees of 1e3-1e4 edges with every leaf Dirichlet (lambda0/lambda1 near 1)
+# in 29-58.
+MAX_LANCZOS_STEPS = 300
 
 
 @dataclass
@@ -137,20 +140,86 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
 
 
 def _mesh_eigenfunction(mesh: GraphMesh, y: np.ndarray) -> Field:
-    """The Lanczos vector on the free nodes as a full-node field, 0 where
+    """The Ritz vector on the free nodes as a full-node field, 0 where
     pinned, with its sign chosen so its values sum to >= 0."""
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.free_nodes] = y if y.sum() >= 0 else -y
     return Field(mesh, vals)
 
 
+def _lanczos(solve: Callable, m: np.ndarray, coeffs: list):
+    """Yield v_1, v_2, ...: the Lanczos vectors of A^-1 M in the M inner
+    product, from v_1 = ones scaled to v_1.M.v_1 = 1.
+
+    Forming v_{j+1} takes one solve and the pair coeffs[j] = (alpha_j,
+    beta_j); a pair not yet listed is computed and appended.  So a first
+    pass fills ``coeffs``, and a second pass over the same list regenerates
+    the same vectors bit for bit, with no inner product.  beta_j = 0 (an
+    invariant subspace) leaves v_{j+1} = 0.  Four n-vectors are held; a
+    yielded vector holds until the second resumption after it.
+    """
+    v = np.full(m.size, 1.0 / math.sqrt(float(m.sum())))
+    prev, w, mv = np.zeros(m.size), np.empty(m.size), np.empty(m.size)
+    beta = 0.0
+    for j in count():
+        yield v
+        solve(np.multiply(m, v, out=mv), out=w)
+        prev *= beta
+        w -= prev                       # A^-1 M v_j - beta_{j-1} v_{j-1}
+        new = j == len(coeffs)
+        if new:
+            alpha = float(mv @ w)
+        else:
+            alpha, beta = coeffs[j]
+        w -= np.multiply(v, alpha, out=prev)
+        if new:
+            beta = math.sqrt(float(np.multiply(m, w, out=mv) @ w))
+            coeffs.append((alpha, beta))
+        if beta > 0.0:
+            w /= beta
+        prev, v, w = v, w, prev
+
+
+def _largest_ritz(coeffs: list) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the Lanczos tridiagonal T_j and its unit eigenvector."""
+    alpha, beta = np.array(coeffs).T
+    j = len(coeffs) - 1
+    theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(j, j))
+    return float(theta[0]), s[:, 0]
+
+
+def _largest_pair(solve: Callable, m: np.ndarray) -> tuple[float, np.ndarray]:
+    """(theta, y): the largest eigenvalue of A^-1 M and its Ritz vector,
+    y.M.y = 1, from two passes of _lanczos.  Their vectors are freed on
+    return, before the caller's residual check allocates its own."""
+    coeffs = []
+    for _ in _lanczos(solve, m, coeffs):
+        if coeffs:
+            theta, s = _largest_ritz(coeffs)
+            if coeffs[-1][1] * abs(s[-1]) <= 4.0 * EPS * theta:
+                break
+            if len(coeffs) == MAX_LANCZOS_STEPS:
+                raise LinearSolveFailure(
+                    f"Lanczos did not converge in {MAX_LANCZOS_STEPS} steps")
+    y = np.zeros(m.size)
+    for sj, v in zip(s, _lanczos(solve, m, coeffs)):
+        y += sj * v
+    y /= math.sqrt(float((m * y) @ y))
+    return theta, y
+
+
 def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
     """Smallest eigenvalue of the P1-discretized Laplacian on any graph.
 
-    One shift-invert Lanczos call at 0 on A x = rho M x applies the
-    mesh.CondensedLU factor of A once per step (a tridiagonal sweep over
-    the edge interiors and one SuperLU solve on the vertex complement);
-    ``iterations`` counts those solves.
+    rho = 1/theta, theta the largest eigenvalue of A^-1 M, by Lanczos in
+    the M inner product from v_1 = ones.  Each step applies the
+    mesh.CondensedLU factor of A once (a tridiagonal sweep over the edge
+    interiors and one SuperLU solve on the vertex complement).  The first
+    pass keeps only the recurrence's coefficients and stops at step j when
+    the largest Ritz value theta of T_j has beta_j |s_j| <= 4 eps theta;
+    MAX_LANCZOS_STEPS without that raises.  The second pass regenerates
+    v_1..v_j from the coefficients and sums y = sum s_i v_i, scaled to
+    y.M.y = 1.  ``iterations`` counts the solves of both passes, 2j - 1.
     The pair must meet a relative residual of 1e-10 or its own rounding
     floor, 2 eps |(|A| |y| + rho M |y|)| over the same scale, as
     groundstate._floors does; that floor grows like 1/lambda0, so large
@@ -163,22 +232,15 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
             "(four interior nodes) for the eigenvalue stencil")
     a, m = mesh.reduced_operators()
     lu = CondensedLU(mesh, a, 0.0, 1.0, "stiffness")
-    n = a.shape[0]
     solves = 0
 
-    def solve(b):
+    def solve(b, out):
         nonlocal solves
         solves += 1
-        return lu.solve(b)
+        return lu.solve(b, out)
 
-    mass = LinearOperator((n, n), matvec=m.__mul__, dtype=float)    # diagonal, not copied
-    try:
-        vals, vecs = eigsh(a, k=1, M=mass, sigma=0, which="LM",
-                           OPinv=LinearOperator((n, n), matvec=solve, dtype=float),
-                           v0=np.ones(n), ncv=NCV)
-    except ArpackNoConvergence as exc:
-        raise LinearSolveFailure(f"shift-invert Lanczos did not converge: {exc}") from exc
-    rho, y = float(vals[0]), vecs[:, 0]    # ARPACK returns y with y.M.y = 1
+    theta, y = _largest_pair(solve, m)
+    rho = 1.0 / theta
     ay = a @ y
     r = ay - rho * (m * y)
     scale = math.sqrt(float(ay @ ay)) + rho
@@ -226,4 +288,9 @@ def lower_boundary(loop_halves) -> float:
                 f"loop half-length {h} >= pi/2; tan diverges and the "
                 "critical stem length is 0 already")
         total += math.tan(h)
-    return math.pi / 2.0 - math.atan(2.0 * total)
+    return critical_stem(total)
+
+
+def critical_stem(tan_sum: float) -> float:
+    """arccot(2 tan_sum), the critical stem for sum_j tan(l_j) = tan_sum; 0 at inf."""
+    return math.pi / 2.0 - math.atan(2.0 * tan_sum)

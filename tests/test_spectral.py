@@ -1,6 +1,7 @@
 """Lowest eigenvalue: secular equation, discretization, threshold region."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from slope_reference import length_slopes
+from test_mesh import seeded_tree
 
 from fkpp_graphs import spectral
 from fkpp_graphs.errors import (
@@ -242,38 +244,79 @@ def leaf_tree(n_edges: int, seed: int) -> MetricGraph:
     return MetricGraph(edges, {f"v{v}": "dirichlet" for v in np.flatnonzero(degree == 1)})
 
 
-@pytest.mark.parametrize("seed", [101, 109, 112])
-def test_discretized_small_gap_trees(seed):
+# one edge between two Dirichlet vertices: no free vertex, so the condensed
+# factor has no vertex complement
+TWO_DIRICHLET_EDGE = MetricGraph((Edge("e0", "a", "b", 2.0),),
+                                 {"a": "dirichlet", "b": "dirichlet"})
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: leaf_tree(150, 101), id="101"),
+    pytest.param(lambda: leaf_tree(150, 109), id="109"),
+    pytest.param(lambda: leaf_tree(150, 112), id="112"),
+    pytest.param(lambda: TWO_DIRICHLET_EDGE, id="two-dirichlet-edge"),
+])
+def test_discretized_small_gap_trees(graph):
     # with every leaf Dirichlet, lambda0/lambda1 is close to 1: a solver whose
     # rate is that ratio needs hundreds of steps here
-    res = lambda0_discretized(leaf_tree(150, seed), 0.05)
-    a, m = res.eigenfunction.mesh.reduced_operators()
+    res = lambda0_discretized(graph(), 0.05)
+    mesh = res.eigenfunction.mesh
+    a, m = mesh.reduced_operators()
     lam = sla.eigh(a.toarray(), np.diag(m), eigvals_only=True, subset_by_index=[0, 0])[0]
     assert abs(res.lambda0 - lam) <= 1e-10 * lam
+    y = res.eigenfunction.values[mesh.free_nodes]
+    assert abs(float(m @ (y * y)) - 1.0) <= 1e-12
 
 
 def test_discretized_smallest_mesh():
-    # 5 cells, 5 free nodes: fewer than the Lanczos basis size
+    # 5 cells, 5 free nodes: the Krylov space is all of them after 5 steps
     res = lambda0_discretized(interval_graph(1.0), 0.2)
     want = (4.0 / 0.2 ** 2) * math.sin(math.pi / 20.0) ** 2
     assert math.isclose(res.lambda0, want, rel_tol=1e-13)
     assert math.isclose(want, 2.4471741852423, rel_tol=1e-13)
 
 
-def no_convergence(*args, **kwargs):
-    raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+def no_convergence(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_LANCZOS_STEPS", 2)
 
 
-def shifted_pair(*args, **kwargs):
-    vals, vecs = spla.eigsh(*args, **kwargs)
-    return 1.001 * vals, vecs
+def shifted_pair(monkeypatch):
+    ritz = spectral._largest_ritz
+
+    def shifted(coeffs):
+        theta, s = ritz(coeffs)
+        return 1.001 * theta, s
+
+    monkeypatch.setattr(spectral, "_largest_ritz", shifted)
 
 
 @pytest.mark.parametrize("fake", [no_convergence, shifted_pair])
 def test_discretized_failures_are_typed(monkeypatch, fake):
-    monkeypatch.setattr(spectral, "eigsh", fake)
+    # no Ritz residual at 4 eps within the step cap, or a pair whose
+    # residual is above its floor
+    fake(monkeypatch)
     with pytest.raises(LinearSolveFailure):
         lambda0_discretized(interval_graph(1.0), 0.05)
+
+
+# Peak bytes per free unknown of lambda0_discretized on test_mesh's seeded
+# 2000-edge trees (about 21,000 unknowns): about 313 when ARPACK held its
+# n x 10 Lanczos basis and a second n x 10 block, about 178 with the two-pass
+# Lanczos, whose four n-vectors stay below the condensed factor's own build.
+PEAK_BYTES_PER_UNKNOWN = 240
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_discretized_peak_memory_per_unknown(seed):
+    graph = seeded_tree(2000, seed)
+    graph.validation
+    tracemalloc.start()
+    try:
+        res = lambda0_discretized(graph, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / res.eigenfunction.mesh.free_nodes.size <= PEAK_BYTES_PER_UNKNOWN
 
 
 def test_discretized_needs_resolved_edges():
