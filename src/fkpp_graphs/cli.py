@@ -1,8 +1,9 @@
 """Command line front end: spectrum, groundstate, evolve, region, validate.
 
-Exit codes: 0 success; 2 bad input: arguments, files, JSON, domains,
-graphs that fail validation (disconnected, no Dirichlet pendant, a length
-outside (0, inf)) and meshes too coarse for an edge; 3 below threshold /
+Exit codes: 0 success; 2 bad input: arguments, files that cannot be read,
+decoded or written, JSON, domains, graphs that fail validation
+(disconnected, no Dirichlet pendant, a length outside (0, inf)) and meshes
+too coarse for an edge; 3 below threshold /
 outside the existence region; 4 groundstate on a graph that is not
 flower-representable; 1 any other failure, including a solve that stalls
 and failed validation suites.  Errors print one `error:` line on stderr.
@@ -13,7 +14,8 @@ evolution traces `t,H,sup_norm`, boundary curves `loop_half,critical_stem`
 (one extra loop_half column per loop for grids).  Profile x runs from each
 edge's tail; on a flower-shaped --graph file groundstate keeps the file's
 edge ids and orientation, so its profile reads back into evolve --graph.
-Set FKPP_LOG=INFO or DEBUG for progress output on stderr.
+Set FKPP_LOG=INFO or DEBUG for progress output on stderr; a value that is
+not a level name logs at WARNING.
 
 Each subcommand and validate suite imports its layer (period functions,
 spectral, mesh, groundstate, evolve) on first use, so a call pays only for
@@ -95,7 +97,7 @@ def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidDomain(f"cannot read graph file {path}: {exc}") from exc
     graph = graph_from_json(text)
     graph.validation    # invalid graphs exit 2 here; as_flower reads the cached report
@@ -104,17 +106,25 @@ def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
     return as_flower(graph), graph
 
 
+def _open_out(path: str, **kwargs):
+    """open(path, "w") for an output file; InvalidDomain when it cannot be opened."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise InvalidDomain(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_json(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_out(path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+    fh = _open_out(path, newline="") if path else sys.stdout
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -168,7 +178,7 @@ def _read_profile_csv(path: str) -> dict:
                 xs, us = profiles.setdefault(row[0], ([], []))
                 xs.append(parse_number(row[1], f"{path}: line {reader.line_num}: x"))
                 us.append(parse_number(row[2], f"{path}: line {reader.line_num}: u"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidDomain(f"cannot read profile CSV {path}: {exc}") from exc
     if not profiles:
         raise InvalidDomain(f"{path}: no profile rows")
@@ -651,9 +661,10 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("FKPP_LOG", "WARNING").upper()
+    # a name that is not a level (getLevelName returns a str) logs at WARNING
+    level = logging.getLevelName(os.environ.get("FKPP_LOG", "WARNING").upper())
     logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level, logging.WARNING),
+                        level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:

@@ -53,7 +53,6 @@ from .mesh import CondensedLU, Field
 __all__ = [
     "Terminal",
     "EvolutionTrace",
-    "step",
     "run_to_attractor",
     "comparison_monitor",
     "stable_dt",
@@ -136,17 +135,6 @@ def _advance(lu, m, u, dt: float, out=None, work=None) -> np.ndarray:
     out += u
     out *= m
     return lu.solve(out, out=out)
-
-
-def step(field: Field, dt: float) -> Field:
-    """One semi-implicit step; standalone, factorizes the operator anew."""
-    a, m = field.mesh.reduced_operators()
-    lu = _factor(field.mesh, a, m, dt)
-    free = field.mesh.free_nodes
-    out = field.copy()
-    out.values[free] = _advance(lu, m, field.values[free], dt)
-    out.pin_dirichlet()
-    return out
 
 
 def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,

@@ -41,7 +41,6 @@ __all__ = [
     "validate",
     "as_flower",
     "flower_graph",
-    "interval_graph",
     "graph_from_dict",
     "graph_from_json",
 ]
@@ -235,11 +234,6 @@ def flower_graph(spec: FlowerSpec) -> MetricGraph:
     return MetricGraph(tuple(edges), {"b": DIRICHLET, "c": KIRCHHOFF})
 
 
-def interval_graph(length: float) -> MetricGraph:
-    """Interval [0, L]: Dirichlet at one end, free (Neumann) at the other."""
-    return flower_graph(FlowerSpec(stem=length))
-
-
 def as_flower(graph: MetricGraph) -> FlowerSpec | None:
     """Recognize a flower up to relabeling; None when the shape is different.
 
@@ -303,4 +297,6 @@ def graph_from_json(text: str) -> MetricGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidDomain(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:    # arrays or objects nested past the recursion limit
+        raise InvalidDomain(f"JSON nested too deeply: {exc}") from exc
     return graph_from_dict(data)

@@ -37,8 +37,8 @@ from .errors import (
     LoopTooLong,
     MeshTooCoarse,
 )
-from .graph import FlowerSpec, MetricGraph, flower_graph
-from .mesh import CondensedLU, Field, GraphMesh, field_from_function
+from .graph import FlowerSpec, MetricGraph
+from .mesh import CondensedLU, Field, GraphMesh
 
 __all__ = [
     "SpectralResult",
@@ -65,17 +65,18 @@ MAX_LANCZOS_STEPS = 300
 
 @dataclass
 class SpectralResult:
-    """lambda0 and how it was found; the eigenfunction is sampled on first read."""
+    """lambda0 and how it was found; a discretized result samples its P1
+    eigenfunction on first read, a transcendental one has none (None)."""
 
     lambda0: float
     method: str              # "transcendental" | "discretized"
     residual: float
     iterations: int
-    sample: Callable[[], Field] = field(repr=False, compare=False)
+    sample: Callable[[], Field] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def eigenfunction(self) -> Field:
-        return self.sample()
+    def eigenfunction(self) -> Field | None:
+        return None if self.sample is None else self.sample()
 
 
 def secular_mismatch(spec: FlowerSpec, s: float) -> float:
@@ -86,32 +87,6 @@ def secular_mismatch(spec: FlowerSpec, s: float) -> float:
     t = 2.0 * sum(math.tan(s * h) for h in spec.loop_halves)
     x = s * spec.stem
     return t - (1.0 / math.tan(x) if x > 0.0 else math.inf)
-
-
-def _flower_eigenfunction(spec: FlowerSpec, s: float) -> Field:
-    """Sample the sin/cos eigenfunction branches, L2-normalized."""
-    L = spec.stem
-    # stem: sin(s x); loop j: (sin(sL)/cos(s l_j)) * cos(s (x - l_j))
-    stem_sq = L / 2.0 - math.sin(2.0 * s * L) / (4.0 * s)
-    total = stem_sq
-    amp = {}
-    for j, h in enumerate(spec.loop_halves, start=1):
-        d = math.sin(s * L) / math.cos(s * h)
-        amp[f"loop{j}"] = d
-        total += d * d * (h + math.sin(2.0 * s * h) / (2.0 * s))
-    c = 1.0 / math.sqrt(total)
-
-    graph = flower_graph(spec)
-    mesh_h = max(min(0.02, min(e.length for e in graph.edges) / 8.0), 1e-4)
-    mesh = GraphMesh(graph, mesh_h)
-
-    def fn(edge_id, x):
-        if edge_id == "stem":
-            return c * np.sin(s * x)
-        half = 0.5 * (x[-1] if len(x) else 0.0)
-        return c * amp[edge_id] * np.cos(s * (x - half))
-
-    return field_from_function(mesh, fn)
 
 
 def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
@@ -125,8 +100,7 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
     L = spec.stem
     if spec.n_loops == 0:
         s = math.pi / (2.0 * L)
-        return SpectralResult(s * s, "transcendental", 0.0, 0,
-                              partial(_flower_eigenfunction, spec, s))
+        return SpectralResult(s * s, "transcendental", 0.0, 0)
     s_max = min([math.pi / (2.0 * L)] +
                 [math.pi / (2.0 * h) for h in spec.loop_halves])
     mismatch = partial(secular_mismatch, spec)
@@ -135,8 +109,7 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
         s, info = brentq(mismatch, s_max * 1e-12, s, xtol=ROOT_XTOL,
                          rtol=4.0 * EPS, maxiter=200, full_output=True)
         iterations = info.iterations
-    return SpectralResult(s * s, "transcendental", abs(mismatch(s)),
-                          iterations, partial(_flower_eigenfunction, spec, s))
+    return SpectralResult(s * s, "transcendental", abs(mismatch(s)), iterations)
 
 
 def _mesh_eigenfunction(mesh: GraphMesh, y: np.ndarray) -> Field:
@@ -264,10 +237,6 @@ class RegionReport:
     region: Region
     lambda0: float
     boundary: bool    # |lambda0 - 1| <= 1e-10: too close to classify firmly
-
-    def __str__(self):
-        tag = " (boundary)" if self.boundary else ""
-        return f"{self.region.value}{tag}, lambda0={self.lambda0:.12g}"
 
 
 def region_membership(spec: FlowerSpec) -> RegionReport:

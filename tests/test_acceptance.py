@@ -17,7 +17,7 @@ from slope_reference import length_slopes
 
 from fkpp_graphs.errors import BelowThreshold
 from fkpp_graphs.evolve import Terminal, comparison_monitor, run_to_attractor
-from fkpp_graphs.graph import FlowerSpec, flower_graph, interval_graph
+from fkpp_graphs.graph import FlowerSpec, flower_graph
 from fkpp_graphs.groundstate import (
     jacobian_report,
     reconstruct_profile,
@@ -37,7 +37,7 @@ def evolve_runs():
     """The two cross-validation integrations, shared with the energy check."""
     runs = {}
     for name, L in (("supercritical", 2.0), ("subcritical", 1.0)):
-        mesh = GraphMesh(interval_graph(L), mesh_h=1e-3)
+        mesh = GraphMesh(flower_graph(FlowerSpec(stem=L)), mesh_h=1e-3)
         u0 = field_from_function(
             mesh, lambda eid, x: 1e-3 * np.minimum(x, L - x) / (L / 2.0))
         start = time.perf_counter()

@@ -158,6 +158,21 @@ def test_bad_profile_csv_exit_2(tmp_path, body):
                  "--initial", f"csv:{prof}"]) == 2
 
 
+@pytest.mark.parametrize("kind,body", [
+    ("graph", b'{"flower": {"stem": 1, "loops": ["\xe9"]}}'),
+    ("graph", b"[" * 200_000),
+    ("csv", b"edge_id,x,u\nstem,0.0,\xff\n"),
+], ids=["graph not UTF-8", "graph nested past the recursion limit", "CSV not UTF-8"])
+def test_undecodable_files_exit_2(tmp_path, capsys, kind, body):
+    path = tmp_path / "input"
+    path.write_bytes(body)
+    argv = (["spectrum", "--graph", str(path)] if kind == "graph" else
+            ["evolve", "--flower", "stem=1", "--mesh", "0.1", "--initial", f"csv:{path}"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_duplicate_edge_ids_exit_2(tmp_path):
     g = tmp_path / "dup.json"
     g.write_text(json.dumps({
@@ -216,6 +231,8 @@ TINY_LOOPS = [["stem=2", "loops=1e-13"], ["stem=0.5", "loops=1e-14"]]
 HUGE_LENGTHS = [["stem=1e200", "loops=1"], ["stem=1", "loops=1e300"],
                 ["stem=1e-300", "loops=1e300"]]    # s * stem underflows to 0
 QUICK_EVOLVE = ["--mesh", "0.1", "--max-t", "1"]
+# an output path inside a file, which no directory can be
+UNWRITABLE = os.path.join(os.devnull, "out")
 
 
 def pendant_tree(pendant):
@@ -298,6 +315,12 @@ BAD_INPUTS = [
     *((2, ["evolve", "--flower", "stem=2", f"loops={loop}", *QUICK_EVOLVE])
       for loop in ("1e-16", "1e-300")),
     *((2, ["evolve", *UNEVEN_EVOLVE, "--graph", pendant_tree(p)]) for p in UNEVEN_PENDANTS),
+    # outputs that cannot be written
+    (2, ["region", "--curve", "2", "--out", UNWRITABLE]),
+    (2, ["spectrum", "--flower", "stem=2", "--out", UNWRITABLE]),
+    (2, ["groundstate", "--flower", "stem=2", "--profile", UNWRITABLE]),
+    *((2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, option, UNWRITABLE])
+      for option in ("--trace", "--profile", "--out")),
 ]
 
 
@@ -823,6 +846,18 @@ def test_validate_seeded_runs_repeat(tmp_path):
         assert main(["validate", "--suite", "jacobian", "--seed", "7",
                      "--samples", "5", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_log_value_that_is_not_a_level_logs_at_warning(monkeypatch):
+    # logging.BASIC_FORMAT is a str attribute of logging, not a level
+    monkeypatch.setenv("FKPP_LOG", "basic_format")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "fkpp_graphs.cli", "region", "--curve", "1",
+         "--samples", "2"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_logging_env_smoke(tmp_path, monkeypatch, capsys):

@@ -17,14 +17,12 @@ from fkpp_graphs.evolve import (
     comparison_monitor,
     run_to_attractor,
     stable_dt,
-    step,
 )
 from fkpp_graphs.graph import (
     Edge,
     FlowerSpec,
     MetricGraph,
     flower_graph,
-    interval_graph,
 )
 from fkpp_graphs.groundstate import reconstruct_profile, solve_interval
 from fkpp_graphs.mesh import (
@@ -45,7 +43,7 @@ def hat_field(mesh, amp, L):
 
 
 def test_zero_field_is_a_fixed_point():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.05)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.05)
     trace = run_to_attractor(constant_field(mesh, 0.0))
     assert trace.terminal is Terminal.CONVERGED_TRIVIAL
     assert trace.steps == 1
@@ -57,18 +55,15 @@ def test_stable_dt_policy():
     assert stable_dt(0.5, 0.1) == 0.1
     assert stable_dt(1.0, 2.0) == 0.99
     assert math.isclose(stable_dt(3.0, 0.5), 0.99 / 5.0)
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.05)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.05)
     trace = run_to_attractor(constant_field(mesh, 3.0), dt=0.5, max_t=1.0)
     assert trace.dt_history[0] <= 0.99 / 5.0 + 1e-15
 
 
 def test_step_rejects_bad_dt():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.1)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.1)
     f = constant_field(mesh, 0.5)
-    for dt in (0.0, -0.1, float("inf"), float("nan")):
-        with pytest.raises(InvalidDomain):
-            step(f, dt)
-    # run_to_attractor shares step's check; stable_dt clamps an infinite dt first
+    # stable_dt clamps an infinite dt before it is checked
     for dt in (0.0, -0.1, float("nan")):
         with pytest.raises(InvalidDomain):
             run_to_attractor(f, dt=dt, max_t=1.0)
@@ -77,7 +72,7 @@ def test_step_rejects_bad_dt():
 
 
 def test_negative_or_nonfinite_initial_data():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.1)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.1)
     f = constant_field(mesh, 0.5)
     f.values[3] = -1e-3
     with pytest.raises(NegativeInitialData):
@@ -90,11 +85,11 @@ def test_negative_or_nonfinite_initial_data():
 def test_ground_state_is_near_stationary_at_second_order():
     sol = solve_interval(2.0)
     reconstruct_profile(sol, dx=2e-4)  # dense reference, free of interp error
-    g = interval_graph(2.0)
+    g = flower_graph(FlowerSpec(stem=2.0))
     drifts = []
     for h in (0.08, 0.04, 0.02):
         f = field_from_profiles(GraphMesh(g, mesh_h=h), sol.profiles)
-        moved = step(f, 0.1)
+        moved = run_to_attractor(f, dt=0.1, max_t=0.1).final
         drifts.append(float(np.max(np.abs(moved.values - f.values))))
     assert drifts[2] <= 1e-6
     assert 3.4 <= drifts[0] / drifts[1] <= 4.6
@@ -103,7 +98,7 @@ def test_ground_state_is_near_stationary_at_second_order():
 
 def test_supercritical_interval_converges_to_ground_state():
     L = 2.0
-    mesh = GraphMesh(interval_graph(L), mesh_h=0.02)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=L)), mesh_h=0.02)
     trace = run_to_attractor(hat_field(mesh, 1e-3, L), dt=0.1, tol=1e-9)
     assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
     sol = solve_interval(L)
@@ -117,7 +112,7 @@ def test_supercritical_interval_converges_to_ground_state():
 
 
 def test_subcritical_interval_dies():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.02)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.02)
     trace = run_to_attractor(constant_field(mesh, 0.5), dt=0.1, tol=1e-9)
     assert trace.terminal is Terminal.CONVERGED_TRIVIAL
     assert trace.final.sup_norm <= 1e-8
@@ -125,7 +120,7 @@ def test_subcritical_interval_dies():
 
 
 def test_constant_two_relaxes_through_supersolutions():
-    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.02)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=2.0)), mesh_h=0.02)
     trace = run_to_attractor(constant_field(mesh, 2.0), dt=0.1, tol=1e-9)
     assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
     # logistic majorant decreases monotonically toward 1 from above
@@ -138,9 +133,9 @@ def test_constant_two_relaxes_through_supersolutions():
 
 
 def test_unit_data_decays_near_the_pinned_end():
-    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.02)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=2.0)), mesh_h=0.02)
     f = constant_field(mesh, 1.0)
-    moved = step(f, 0.1)
+    moved = run_to_attractor(f, dt=0.1, max_t=0.1).final
     x, u = moved.on_edge("stem")
     assert u[0] == 0.0
     assert u[1] < 1.0  # diffusion pulls the profile down near the vertex
@@ -183,14 +178,14 @@ def test_slow_decay_ends_on_the_spectral_side(stem):
 
 
 def test_time_budget_exhaustion():
-    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.05)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=2.0)), mesh_h=0.05)
     trace = run_to_attractor(constant_field(mesh, 0.5), dt=0.1, max_t=0.3)
     assert trace.terminal is Terminal.MAX_STEPS_REACHED
     assert trace.times[-1] >= 0.3
 
 
 def test_comparison_monitor_flags_bad_traces():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.1)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.1)
     f = constant_field(mesh, 0.5)
     good = run_to_attractor(f, max_t=1.0)
     comparison_monitor(good)  # passes
@@ -334,6 +329,6 @@ def test_a_run_assembles_once_however_often_dt_halves(monkeypatch):
                                  {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}],
                          ids=str)
 def test_run_rejects_a_bad_horizon_or_tolerance(bad):
-    f = constant_field(GraphMesh(interval_graph(1.0), mesh_h=0.1), 0.5)
+    f = constant_field(GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.1), 0.5)
     with pytest.raises(InvalidDomain, match="must be positive"):
         run_to_attractor(f, **{"max_t": 1.0, **bad})

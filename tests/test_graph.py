@@ -22,7 +22,6 @@ from fkpp_graphs.graph import (
     flower_graph,
     graph_from_dict,
     graph_from_json,
-    interval_graph,
     validate,
 )
 
@@ -74,7 +73,7 @@ def test_flower_graph_structure():
 
 
 def test_interval_graph_is_a_loopless_flower():
-    g = interval_graph(2.0)
+    g = flower_graph(FlowerSpec(stem=2.0))
     assert len(g.edges) == 1
     report = validate(g)
     assert [report.vertices[k] for k in report.dirichlet.tolist()] == ["b"]
@@ -231,7 +230,7 @@ def test_as_flower_does_not_hide_internal_errors(monkeypatch):
 
     monkeypatch.setattr(graph_module, "validate", broken)
     with pytest.raises(KeyError):
-        as_flower(interval_graph(1.0))
+        as_flower(flower_graph(FlowerSpec(stem=1.0)))
 
 
 def test_as_flower_still_rejects_invalid_graphs():

@@ -16,7 +16,6 @@ from fkpp_graphs.graph import (
     FlowerSpec,
     MetricGraph,
     flower_graph,
-    interval_graph,
     validate,
 )
 from fkpp_graphs.mesh import (
@@ -34,7 +33,7 @@ from fkpp_graphs.evolve import run_to_attractor
 
 
 def test_interval_counts_follow_mesh_h():
-    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.5)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=2.0)), mesh_h=0.5)
     assert len(mesh.edge_nodes["stem"]) - 1 == 4
     assert mesh.n_nodes == 5
     assert np.all(np.diff(mesh.edge_x["stem"]) == 0.5)
@@ -60,9 +59,9 @@ def test_node_sharing_on_a_tadpole():
 
 def test_mesh_too_coarse():
     with pytest.raises(MeshTooCoarse):
-        GraphMesh(interval_graph(1.0))
+        GraphMesh(flower_graph(FlowerSpec(stem=1.0)))
     with pytest.raises(MeshTooCoarse):
-        GraphMesh(interval_graph(1.0), mesh_h=-0.1)
+        GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=-0.1)
 
 
 # Only counts past int64 here: a mesh that could be allocated might not fit
@@ -108,13 +107,13 @@ def test_reduced_stiffness_is_positive_definite():
 
 
 def test_field_shape_is_checked():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.25)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.25)
     with pytest.raises(ValueError):
         Field(mesh, np.zeros(3))
 
 
 def test_constant_field_pins_dirichlet():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.25)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.25)
     f = constant_field(mesh, 0.7)
     assert f.values[mesh.graph.validation.vertices.index("b")] == 0.0
     assert f.sup_norm == 0.7
@@ -139,7 +138,7 @@ def test_field_from_function_averages_vertex_samples():
 
 
 def test_field_from_profiles_exact_on_linear_data():
-    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.1)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=2.0)), mesh_h=0.1)
     xs = np.linspace(0.0, 2.0, 7)
     f = field_from_profiles(mesh, {"stem": (xs, 0.25 * xs)})
     x, u = f.on_edge("stem")
@@ -147,7 +146,7 @@ def test_field_from_profiles_exact_on_linear_data():
 
 
 def test_field_from_profiles_needs_x_to_span_the_edge():
-    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.1)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=2.0)), mesh_h=0.1)
     # x may miss either end by PROFILE_SPAN_RTOL of the length, and no more
     for rtol, ok in ((0.5 * PROFILE_SPAN_RTOL, True), (2.0 * PROFILE_SPAN_RTOL, False)):
         for x0, x1 in ((2.0 * rtol, 2.0), (0.0, 2.0 * (1.0 - rtol)), (0.0, 2.0 * (1.0 + rtol))):
@@ -160,7 +159,7 @@ def test_field_from_profiles_needs_x_to_span_the_edge():
 
 
 def test_free_energy_of_zero_field():
-    mesh = GraphMesh(interval_graph(2.0), mesh_h=0.1)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=2.0)), mesh_h=0.1)
     assert free_energy(constant_field(mesh, 0.0)) == 0.0
 
 
@@ -169,7 +168,7 @@ def test_free_energy_second_order_against_closed_form():
     #   int (u')^2 = pi^2/(8L), int u^2 = L/2, int u^3 = 4L/(3 pi)
     L = 2.0
     exact = math.pi ** 2 / (16.0 * L) - L / 4.0 + 4.0 * L / (9.0 * math.pi)
-    g = interval_graph(L)
+    g = flower_graph(FlowerSpec(stem=L))
 
     def sample(h):
         mesh = GraphMesh(g, mesh_h=h)
@@ -528,7 +527,7 @@ def test_condensed_factor_on_edge_cases(edges, conditions, mesh_h, cells, dt):
 
 
 def test_condensed_factor_rejects_an_indefinite_interior():
-    mesh = GraphMesh(interval_graph(1.0), mesh_h=0.25)
+    mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.25)
     a, _ = mesh.reduced_operators()
     with pytest.raises(LinearSolveFailure, match="dpttrf"):
         CondensedLU(mesh, a, 0.0, -1.0, "test")
