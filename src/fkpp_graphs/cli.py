@@ -681,6 +681,9 @@ def main(argv=None) -> int:
     except FisherKppError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), 1)
+    except MemoryError:    # past the mesh's guarded first allocation
+        print("error: out of memory; a coarser --mesh needs less", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,9 +23,10 @@ gradient-flow descents.  Its gradient term is the exact Dirichlet energy
 of the P1 interpolant, the sum over cells of (du)^2 / h taken from node
 differences (GraphMesh.energy), so no step multiplies by the stiffness.
 
-M + dt A is symmetric positive definite (and an M-matrix).  A run
-assembles (A_ff, m_f) once; mesh.CondensedLU factors diag(m_f) + dt A_ff
-straight from them, once per step size: a LAPACK factor of the
+M + dt A is symmetric positive definite (and an M-matrix).  A run builds
+the mesh's vertex rows and m_f once (GraphMesh.vertex_rows), and
+mesh.CondensedLU factors diag(m_f) + dt A_ff from them and the per-edge
+stencil, once per step size, with no A_ff formed: a LAPACK factor of the
 tridiagonal edge interiors plus a SuperLU factor of the small vertex
 complement, so each step is one tridiagonal sweep and one vertex-sized
 sparse solve.  The step loop runs on the free-node vector alone, in three
@@ -114,11 +115,11 @@ def stable_dt(sup_u0: float, dt: float) -> float:
     return min(dt, 0.99 / (2.0 * c - 1.0))
 
 
-def _factor(mesh, a, m, dt: float) -> CondensedLU:
-    """Factor M + dt A on the free nodes from (A_ff, m_f), for every step size."""
+def _factor(mesh, m, dt: float) -> CondensedLU:
+    """Factor M + dt A on the free nodes, m = m_f, for every step size."""
     if not 0.0 < dt < math.inf:    # NaN fails both comparisons
         raise InvalidDomain(f"time step must be positive and finite, got {dt}")
-    return CondensedLU(mesh, a, m, dt, "implicit step")
+    return CondensedLU(mesh, m, dt, "implicit step")
 
 
 def _advance(lu, m, u, dt: float, out=None, work=None) -> np.ndarray:
@@ -177,8 +178,8 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
         raise InvalidDomain(
             f"time step {dt:.6g} is below the step floor {DT_FLOOR:g} (the step "
             f"after the monotone bound for initial data up to {sup0:.6g})")
-    a, m = mesh.reduced_operators()
-    lu = _factor(mesh, a, m, dt)
+    _, m = mesh.vertex_rows
+    lu = _factor(mesh, m, dt)
 
     # the state, the trial state and scratch: three free-node vectors
     u = field.values[free]
@@ -214,7 +215,7 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
                 raise ComparisonViolated(
                     "time step collapsed below the floor while enforcing "
                     f"positivity/comparison/energy bounds at t={t:.6g}")
-            lu = _factor(mesh, a, m, dt)
+            lu = _factor(mesh, m, dt)
             continue
 
         np.subtract(v, u, out=work)

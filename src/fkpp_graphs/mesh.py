@@ -9,23 +9,23 @@ edge ends.  The mass matrix is lumped, so it stays diagonal and the scheme
 matrix M + dt*A is an M-matrix for any dt > 0.
 
 Dirichlet vertices are pinned by row/column elimination; the reduced
-stiffness is symmetric positive definite whenever the graph is connected
-and has at least one Dirichlet vertex.  The solvers use one assembly:
-GraphMesh.reduced_operators writes A_ff into its final CSR arrays in the
-free numbering (int32 indices) with no full-node matrix and no slicing.
-The full-node ``stiffness`` and ``lumped_mass`` are built only when read
-(tests; free_energy reads the mass).  CondensedLU factors
-B = diag(shift) + scale A_ff straight from A_ff's arrays, with its edge
-interiors condensed out: every edge's interior block is tridiagonal and
-touches the rest only through its two end vertices, whose couplings
-CondensedLU reads back from A_ff's vertex rows.  GraphMesh refuses cells
-too narrow for their stiffness 2/h to be a double, and reduced_operators
-refuses cells more uneven than CELL_RATIO_CAP, since the condensed solves
-lose about that ratio times eps.  The free energy (GraphMesh.energy) takes
-its gradient term cell by cell, the sum of (du)^2 / h: the exact Dirichlet
-energy of the P1 interpolant, u^T A u without a stiffness product's
-cancellation.  Nodes are numbered from the integer edge table validation
-leaves on the graph (ValidationReport), with no per-edge Python loop.
+stiffness A_ff is symmetric positive definite whenever the graph is
+connected and has at least one Dirichlet vertex.  No solve forms A_ff: an
+edge interior's row is the stencil [-w, 2w, -w] (w = 1/h) of the per-edge
+arrays, and GraphMesh.vertex_rows holds the free-vertex rows, one small
+CSR, with the lumped mass m_f.  The full-node ``stiffness`` and
+``lumped_mass``, and reduced_operators sliced from them, are built only
+when read (tests; free_energy reads the mass).  CondensedLU factors
+B = diag(shift) + scale A_ff with its edge interiors condensed out: every
+edge's interior block is tridiagonal and touches the rest only through its
+two end vertices.  GraphMesh refuses cells too narrow for their stiffness
+2/h to be a double, and vertex_rows refuses cells more uneven than
+CELL_RATIO_CAP, since the condensed solves lose about that ratio times
+eps.  The free energy (GraphMesh.energy) takes its gradient term cell by
+cell, the sum of (du)^2 / h: the exact Dirichlet energy of the P1
+interpolant, u^T A u without a stiffness product's cancellation.  Nodes
+are numbered from the integer edge table validation leaves on the graph
+(ValidationReport), with no per-edge Python loop.
 """
 
 from __future__ import annotations
@@ -194,17 +194,20 @@ class GraphMesh:
         return self._lumped_mass
 
     def reduced_operators(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """(A_ff, m_f): stiffness and lumped mass restricted to the free nodes.
+        """(A_ff, m_f): ``stiffness[f][:, f]`` and ``lumped_mass[f]``, sliced
+        from the full-node operators.  An oracle for tests; no solve reads it."""
+        f = self.free_nodes
+        return self.stiffness[f][:, f], self.lumped_mass[f]
 
-        A_ff is assembled straight into CSR in the free numbering, with no
-        full-node matrix: bit for bit ``stiffness[f][:, f]`` and
-        ``lumped_mass[f]``.  An interior row is [-w, 2w, -w] on its left
-        neighbour, itself and its right neighbour (w = 1/h, the edge's end
-        vertices sorting first).  A vertex row sums w over its incident
-        cells; those O(E) entries go through scipy's COO summation, as in
-        ``stiffness``, so each vertex adds its terms in the same order.
-        Every solve starts here, so MeshTooCoarse is raised here when the
-        widest cell exceeds the narrowest by more than CELL_RATIO_CAP.
+    @cached_property
+    def vertex_rows(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """(V, m_f): A_ff's free-vertex rows, an nv x n CSR, and the lumped
+        mass on the free nodes, bit for bit ``stiffness[f][:, f][:nv]`` and
+        ``lumped_mass[f]``.  A vertex row sums w over its incident cells
+        through scipy's COO summation, as in ``stiffness``, so each vertex
+        adds its terms in the same order.  Every solve starts here, so
+        MeshTooCoarse is raised here when the widest cell exceeds the
+        narrowest by more than CELL_RATIO_CAP.
         """
         width, edges = self._h, self.graph.edges
         wide, narrow = width.argmax(), width.argmin()
@@ -218,58 +221,41 @@ class GraphMesh:
         tail, head = self._ends.T
         c, first, w = self._interiors
         first = nv + first                   # each edge's first interior row
-        last = first + c - 1
         size = nv + int(c.sum())
-        idx = np.int32 if 8 * size <= np.iinfo(np.int32).max else np.int64
         t, h = tail < nv, head < nv
-        top = sp.csr_matrix(
+        rows = sp.csr_matrix(
             (np.concatenate((w[t], w[h], -w[t], -w[h])),
              (np.concatenate((tail[t], head[h], tail[t], head[h])),
-              np.concatenate((tail[t], head[h], first[t], last[h])))),
+              np.concatenate((tail[t], head[h], first[t], first[h] + c[h] - 1)))),
             shape=(nv, size))
-
-        cols = np.empty((size - nv, 3), dtype=idx)
-        cols[:, 1] = np.arange(nv, size, dtype=idx)
-        cols[:, 0] = cols[:, 1] - 1
-        cols[:, 2] = cols[:, 1] + 1
-        vals = np.empty((size - nv, 3))
-        vals[:, 0] = vals[:, 2] = -np.repeat(w, c)
-        vals[:, 1] = -2.0 * vals[:, 0]
-        keep = np.ones((size - nv, 3), dtype=bool)
-        # an edge's first row starts at its tail, its last row at its head
-        # (vertices sort first); a one-node edge has both ends in its row,
-        # merged on a self-loop
-        long = c > 1
-        r, v = first[long] - nv, tail[long]
-        cols[r, 0], keep[r, 0] = v, v < nv
-        r, v, wl = last[long] - nv, head[long], w[long]
-        cols[r] = np.column_stack((v, r + nv - 1, r + nv))
-        vals[r] = np.column_stack((-wl, -wl, 2.0 * wl))
-        keep[r, 0] = v < nv
-        r, lo, hi, ws = (first[~long] - nv, np.minimum(tail, head)[~long],
-                         np.maximum(tail, head)[~long], w[~long])
-        cols[r] = np.column_stack((lo, hi, r + nv))
-        vals[r] = np.column_stack((np.where(lo == hi, -ws + -ws, -ws), -ws, 2.0 * ws))
-        keep[r, 0], keep[r, 1] = lo < nv, (hi < nv) & (hi != lo)
-
-        indptr = np.empty(size + 1, dtype=idx)
-        indptr[:nv + 1] = top.indptr
-        np.cumsum(keep.sum(axis=1, dtype=idx), out=indptr[nv + 1:])
-        indptr[nv + 1:] += top.nnz
-        indices = np.empty(indptr[-1], dtype=idx)
-        data = np.empty(indptr[-1])
-        indices[:top.nnz], data[:top.nnz] = top.indices, top.data
-        np.compress(keep.ravel(), cols.ravel(), out=indices[top.nnz:])
-        np.compress(keep.ravel(), vals.ravel(), out=data[top.nnz:])
-        a = sp.csr_matrix((data, indices, indptr), shape=(size, size))
-
         half = 0.5 * self._h
         m = np.empty(size)
         # each edge adds half a cell to its tail, then to its head
         m[:nv] = np.bincount(self._ends.ravel(), weights=np.repeat(half, 2),
                              minlength=nv + 1)[:nv]
         m[nv:] = np.repeat(half + half, c)
-        return a, m
+        return rows, m
+
+    def stiffness_diagonal(self) -> np.ndarray:
+        """diag(A_ff): the vertex rows' diagonal, then 2w on each interior node."""
+        c, _, w = self._interiors
+        return np.concatenate((self.vertex_rows[0].diagonal(), np.repeat(w + w, c)))
+
+    def stiffness_product(self, y: np.ndarray) -> np.ndarray:
+        """A_ff y: the vertex rows' product, then 2w y_j - w y_left - w y_right
+        on each interior node, its edge's end values (0 where pinned) beyond
+        its first and last one; rounded as a CSR product of A_ff rounds, but
+        on an edge's last row, whose CSR sums its head first."""
+        nv = self.free_vertices
+        c, first, w = self._interiors
+        yi = y[nv:]
+        ends = np.append(y[:nv], 0.0)[self._ends]
+        left = np.concatenate(([0.0], yi[:-1]))
+        left[first] = ends[:, 0]
+        right = np.concatenate((yi[1:], [0.0]))
+        right[first + c - 1] = ends[:, 1]
+        w = np.repeat(w, c)
+        return np.concatenate((self.vertex_rows[0] @ y, (w + w) * yi - w * left - w * right))
 
     @cached_property
     def _free_cells(self):
@@ -335,17 +321,19 @@ def factor_spd(b: sp.spmatrix, what: str):
 class CondensedLU:
     """Factor of B = diag(shift) + scale A_ff with the edge interiors condensed out.
 
-    A_ff is GraphMesh.reduced_operators' stiffness, read in place; ``shift``
-    is a free-node vector or a scalar: (0, 1) gives A_ff, (m_f, dt) the
-    implicit step's M_ff + dt A_ff.  B must be symmetric positive definite.
-    In the free numbering of GraphMesh, B = [[B_VV, C^T], [C, T]] with T
-    the interior block: tridiagonal, with no entry between consecutive
-    edges, and C the interior-vertex coupling, one entry per free edge end.
-    B_VV is diagonal, since every edge has an interior node.  T is factored
-    by LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs with two
-    right-hand sides (every edge's tail coupling in one, its head coupling
-    in the other, since the edge blocks are independent).  C^T is A_ff's
-    own vertex-by-interior block, scaled.  G is one CSR construction: two
+    A_ff is read from the mesh, never formed: its diagonal and interior
+    stencil from the per-edge arrays, its vertex rows from
+    GraphMesh.vertex_rows.  ``shift`` is a free-node vector or a scalar:
+    (0, 1) gives A_ff, (m_f, dt) the implicit step's M_ff + dt A_ff.  B must
+    be symmetric positive definite.  In the free numbering of GraphMesh,
+    B = [[B_VV, C^T], [C, T]] with T the interior block: tridiagonal, with
+    no entry between consecutive edges, and C the interior-vertex coupling,
+    -scale w at each edge's first interior row (its tail) and last (its
+    head).  B_VV is diagonal, since every edge has an interior node.  T is
+    factored by LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs
+    with two right-hand sides (every edge's tail coupling in one, its head
+    coupling in the other, since the edge blocks are independent).  C^T is
+    the vertex rows' interior block, scaled.  G is one CSR construction: two
     entries per interior row, at its edge's tail and head, a pinned end in
     a sentinel column that is sliced off, a self-loop's two columns summed.
     The vertex complement S = B_VV - C^T G, SPD and small, goes to
@@ -353,11 +341,12 @@ class CondensedLU:
     then x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
     """
 
-    def __init__(self, mesh: GraphMesh, a: sp.csr_matrix, shift, scale: float,
-                 what: str):
+    def __init__(self, mesh: GraphMesh, shift, scale: float, what: str):
         nv = mesh.free_vertices
-        d = a.diagonal() * scale + shift
-        e = a.diagonal(1)[nv:] * scale
+        d = mesh.stiffness_diagonal() * scale + shift    # raises MeshTooCoarse
+        n, first, w = mesh._interiors
+        e = np.repeat(w * -scale, n)[1:]
+        e[first[1:] - 1] = 0.0           # no entry between consecutive edges
         # f2py asks for one superdiagonal entry even when T is 1 x 1
         self._d, self._e, info = dpttrf(d[nv:], e if e.size else np.zeros(1))
         if info != 0:
@@ -368,20 +357,13 @@ class CondensedLU:
         if nv == 0:
             return
         size = d.size - nv
-        self._ct = scale * a[:nv, nv:]
-        # a coupling of vertex v at interior row r is its edge's tail coupling
-        # when r is the edge's first row and v its tail, else the head's
-        ct = self._ct.tocoo()
-        v, r = ct.row, ct.col
-        n, first, _ = mesh._interiors
-        edge = np.searchsorted(first, r, side="right") - 1
-        head = (r != first[edge]) | (v != mesh._ends[edge, 0])
+        self._ct = scale * mesh.vertex_rows[0][:, nv:]
         couple = np.zeros((size, 2))
-        couple[r, head.astype(np.intp)] = ct.data
+        couple[first, 0] = couple[first + n - 1, 1] = w * -scale
         g, _ = dpttrs(self._d, self._e, couple)
         # every interior row meets its edge's tail and head: a pinned end goes
         # to the sentinel column nv, and a self-loop's two columns merge
-        idx = a.indices.dtype
+        idx = np.int32 if 2 * size <= np.iinfo(np.int32).max else np.int64
         g = sp.csr_matrix((g.ravel(), np.repeat(mesh._ends.astype(idx), n, axis=0).ravel(),
                            np.arange(0, 2 * size + 1, 2, dtype=idx)), shape=(size, nv + 1))
         g.sum_duplicates()

@@ -10,11 +10,11 @@ s_max = min(pi/(2L), min_j pi/(2 l_j)), so the smallest eigenvalue is the
 unique root there.  General graphs go through the P1 discretization of
 mesh.GraphMesh and a two-pass Lanczos run on the generalized problem
 A x = lambda M x: the three-term recurrence for A_ff^-1 M in the M inner
-product, applied through one mesh.CondensedLU factor of A_ff from the mesh's
-one assembly, keeps only its coefficients, and a second pass regenerates
-the same vectors to sum the Ritz vector (Paige, J. Inst. Math. Appl. 18,
-1976).  So the eigen-solve holds four n-vectors and no basis.  The lumped
-M is a vector, and A's own CSR arrays serve the residual floor's |A|.
+product, applied through one mesh.CondensedLU factor of A_ff, keeps only
+its coefficients, and a second pass regenerates the same vectors to sum the
+Ritz vector (Paige, J. Inst. Math. Appl. 18, 1976).  So the eigen-solve
+holds four n-vectors and no basis.  The lumped M is a vector, A_ff is never
+formed, and the residual reads A_ff y from the mesh's stencil product.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cached_property, partial
 from itertools import count
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
@@ -196,15 +195,17 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
     The pair must meet a relative residual of 1e-10 or its own rounding
     floor, 2 eps |(|A| |y| + rho M |y|)| over the same scale, as
     groundstate._floors does; that floor grows like 1/lambda0, so large
-    graphs with a small lambda0 sit above 1e-10.
+    graphs with a small lambda0 sit above 1e-10.  A y and |A| |y| are
+    mesh stencil products, the latter as 2 diag(A) |y| - A |y|, since A's
+    off-diagonal entries are all negative.
     """
     mesh = GraphMesh(graph, mesh_h)
     if mesh.min_intervals() < 5:
         raise MeshTooCoarse(
             f"coarsest edge has {mesh.min_intervals()} cells; need >= 5 "
             "(four interior nodes) for the eigenvalue stencil")
-    a, m = mesh.reduced_operators()
-    lu = CondensedLU(mesh, a, 0.0, 1.0, "stiffness")
+    _, m = mesh.vertex_rows
+    lu = CondensedLU(mesh, 0.0, 1.0, "stiffness")
     solves = 0
 
     def solve(b, out):
@@ -214,13 +215,14 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
 
     theta, y = _largest_pair(solve, m)
     rho = 1.0 / theta
-    ay = a @ y
+    ay = mesh.stiffness_product(y)
     r = ay - rho * (m * y)
     scale = math.sqrt(float(ay @ ay)) + rho
     rel = math.sqrt(float(r @ r)) / scale
     if rel > 1e-10:    # a pair within 1e-10 passes whatever its floor
-        abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-        bound = abs_a @ np.abs(y) + rho * (m * np.abs(y))
+        ya = np.abs(y)
+        bound = (2.0 * mesh.stiffness_diagonal() * ya - mesh.stiffness_product(ya)
+                 + rho * (m * ya))
         if rel > 2.0 * EPS * math.sqrt(float(bound @ bound)) / scale:
             raise LinearSolveFailure(f"eigenpair residual {rel:.3e} is above its floor")
     return SpectralResult(rho, "discretized", rel, solves,

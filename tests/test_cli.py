@@ -268,6 +268,12 @@ BAD_GRAPH_JSON = [
     {"flower": {"stem": True, "loops": [True]}},
     {"edges": [{"id": "e0", "from": "a", "to": "v", "length": True}],
      "conditions": {"a": "dirichlet"}},
+    # an edge entry nested 900 deep: its message quotes an excerpt, not 1,800 brackets
+    {"edges": [json.loads("[" * 900 + "]" * 900)], "conditions": {"a": "dirichlet"}},
+    # ... and so do a condition nested as deep and 300 unreachable vertices
+    {"edges": [{"id": "e0", "from": "a", "to": "v", "length": 1.0}],
+     "conditions": {"a": json.loads("[" * 900 + "]" * 900)}},
+    edge_graph(("a", "v", 1.0), *((f"x{k}", f"y{k}", 1.0) for k in range(300))),
 ]
 BAD_INPUTS = [
     *((2, [cmd, "--flower", *flower, *(QUICK_EVOLVE if cmd == "evolve" else [])])
@@ -324,8 +330,13 @@ BAD_INPUTS = [
 ]
 
 
+# the longest first error line a bad input may print: user values are quoted
+# as excerpts
+ERROR_LINE_CAP = 400
+
+
 @pytest.mark.parametrize("code,argv", BAD_INPUTS,
-                         ids=[" ".join(a if isinstance(a, str) else json.dumps(a)
+                         ids=[" ".join(a if isinstance(a, str) else json.dumps(a)[:200]
                                        for a in argv) for _, argv in BAD_INPUTS])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, code, argv):
     if isinstance(argv[-1], dict):
@@ -338,8 +349,21 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, code, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert len(err.splitlines()[0]) <= ERROR_LINE_CAP
     assert "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_memory_that_runs_out_after_the_mesh_is_one_error_line(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(mesh.CondensedLU, "__init__", refuse)
+    g = tmp_path / "theta.json"
+    g.write_text(THETA_JSON)
+    assert main(["evolve", "--graph", str(g), "--mesh", "0.05", "--max-t", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", BELOW_STEP_FLOOR, ids=map(" ".join, BELOW_STEP_FLOOR))
@@ -672,6 +696,33 @@ def test_edge_between_two_dirichlet_vertices(tmp_path, length, lam, steps, termi
                  "--out", str(run)]) == 0
     data = read_json(run)
     assert (data["steps"], data["terminal"]) == (steps, terminal)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--graph", "THETA", "--mesh", "0.05"],
+    ["evolve", "--graph", "THETA", "--mesh", "0.05", "--initial", "const:0.5", "--max-t", "5"],
+    ["evolve", "--flower", "stem=2", "loops=1.5", "--initial", "groundstate"],
+], ids=["spectrum-graph", "evolve-graph", "evolve-flower-groundstate"])
+def test_no_command_builds_the_reduced_or_full_node_operators(monkeypatch, tmp_path, argv):
+    g = tmp_path / "theta.json"
+    g.write_text(THETA_JSON)
+    argv = [str(g) if a == "THETA" else a for a in argv]
+
+    def run(tag):
+        outs = [tmp_path / f"{tag}.{kind}" for kind in ("json", "trace.csv", "profile.csv")]
+        extra = ["--trace", str(outs[1]), "--profile", str(outs[2])] if argv[0] == "evolve" else []
+        assert main([*argv, "--out", str(outs[0]), *extra]) == 0
+        return [path.read_bytes() for path in outs if path.exists()]
+
+    want = run("plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built A_ff or a full-node operator")
+
+    monkeypatch.setattr(mesh.GraphMesh, "reduced_operators", refuse)
+    monkeypatch.setattr(mesh.GraphMesh, "stiffness", property(refuse))
+    monkeypatch.setattr(mesh.GraphMesh, "lumped_mass", property(refuse))
+    assert run("patched") == want
 
 
 def test_evolve_bad_initial_data(tmp_path):

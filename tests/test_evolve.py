@@ -1,6 +1,7 @@
 """Time integration: fixed points, comparison bounds, energy descent."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -226,8 +227,8 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
     free = mesh.free_nodes
     sup0 = field.sup_norm
     dt = evolve.stable_dt(sup0, dt)
-    a, m = mesh.reduced_operators()
-    lu = evolve._factor(mesh, a, m, dt)
+    _, m = mesh.vertex_rows
+    lu = evolve._factor(mesh, m, dt)
     t, c, h = 0.0, sup0, free_energy(field)
     times, energies, sups, mins, dts = [0.0], [h], [sup0], [field.min_value()], []
     terminal = Terminal.MAX_STEPS_REACHED
@@ -244,7 +245,7 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
             ok = h_new <= h + evolve.ENERGY_SLACK
         if not ok:
             dt *= 0.5
-            lu = evolve._factor(mesh, a, m, dt)
+            lu = evolve._factor(mesh, m, dt)
             continue
         diff = float(np.max(np.abs(u_new - u_free)))
         field, t, c, h = trial, t + dt, c_new, h_new
@@ -306,7 +307,8 @@ def test_free_node_loop_matches_the_field_loop_when_dt_halves(monkeypatch):
 
 
 def test_a_run_assembles_once_however_often_dt_halves(monkeypatch):
-    # as above: dt = 8 is halved four times, and every factor reads the one A_ff
+    # as above: dt = 8 is halved four times, and every factor reads the one
+    # build of the mesh's vertex rows
     monkeypatch.setattr(evolve, "stable_dt", lambda sup_u0, dt: dt)
     calls = {"assemble": 0, "factor": 0}
 
@@ -316,8 +318,9 @@ def test_a_run_assembles_once_however_often_dt_halves(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(GraphMesh, "reduced_operators",
-                        counted("assemble", GraphMesh.reduced_operators))
+    rows = cached_property(counted("assemble", GraphMesh.vertex_rows.func))
+    rows.__set_name__(GraphMesh, "vertex_rows")
+    monkeypatch.setattr(GraphMesh, "vertex_rows", rows)
     monkeypatch.setattr(evolve, "_factor", counted("factor", evolve._factor))
     trace = run_to_attractor(constant_field(GraphMesh(TADPOLE_GRAPH, mesh_h=0.05), 0.5),
                              dt=8.0, tol=1e-9)

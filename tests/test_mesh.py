@@ -351,8 +351,8 @@ def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
     assert abs(got - ref) <= 4.0 * mesh.n_nodes * np.finfo(float).eps * scale
     assert free_energy(Field(mesh, u)) == mesh.energy(u[f], mesh.lumped_mass[f])
 
-    a_ff, m_ff = mesh.reduced_operators()
-    lu = CondensedLU(mesh, a_ff, m_ff, 0.1, "test")
+    _, m_ff = mesh.vertex_rows
+    lu = CondensedLU(mesh, m_ff, 0.1, "test")
     r = rng.uniform(-1.0, 1.0, f.size)
     want = lu.solve(r)
     buf = np.full(f.size, np.nan)
@@ -362,14 +362,36 @@ def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
     assert lu.solve(r, out=r) is r and same_bits(r, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(mesh=energy_meshes(), seed=st.integers(0, 2**32 - 1), smooth=st.booleans())
+def test_stencil_product_matches_the_sliced_stiffness(mesh, seed, smooth):
+    rng = np.random.default_rng(seed)
+    f = mesh.free_nodes
+    if smooth:    # neighbouring values nearly cancel in the stencil
+        k = rng.uniform(0.1, 2.0)
+        y = field_from_function(mesh, lambda eid, x: 1.0 + np.cos(k * x)).values[f]
+    else:
+        y = rng.uniform(-1.0, 1.0, f.size)
+    a, _ = mesh.reduced_operators()
+    diag = mesh.stiffness_diagonal()
+    assert same_bits(diag, a.diagonal())
+    ya = np.abs(y)
+    abs_ay = abs(a) @ ya
+    # either side of a row rounds about once per entry of the row, plus twice
+    tol = 2.0 * (np.diff(a.indptr) + 2) * np.finfo(float).eps * abs_ay
+    assert np.all(np.abs(mesh.stiffness_product(y) - a @ y) <= tol)
+    # |A| |y| = 2 diag(A) |y| - A |y|, since every off-diagonal entry is negative
+    assert np.all(np.abs(2.0 * diag * ya - mesh.stiffness_product(ya) - abs_ay) <= tol)
+
+
 def shifted_operators(a, m, dt):
     """(shift, scale, B) for A_ff and M_ff + dt A_ff, B built by scipy."""
     return ((0.0, 1.0, a), (m, dt, sp.diags(m) + dt * a))
 
 
-def assert_backward_stable(mesh, a, shift, scale, op, rhs):
-    """CondensedLU(a, shift, scale) solves op x = rhs to a 1e-12 backward error."""
-    lu = CondensedLU(mesh, a, shift, scale, "test")
+def assert_backward_stable(mesh, shift, scale, op, rhs):
+    """CondensedLU(shift, scale) solves op x = rhs to a 1e-12 backward error."""
+    lu = CondensedLU(mesh, shift, scale, "test")
     if mesh.free_vertices:
         # the vertex complement: symmetric ordering with diagonal pivots
         assert np.array_equal(lu.schur.perm_r, lu.schur.perm_c)
@@ -387,7 +409,7 @@ def assert_condensed_solves(mesh, dt, seed):
     a, m = mesh.reduced_operators()
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, m.size)
     for shift, scale, op in shifted_operators(a, m, dt):
-        assert_backward_stable(mesh, a, shift, scale, op, rhs)
+        assert_backward_stable(mesh, shift, scale, op, rhs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -443,16 +465,18 @@ def same_bits(x, y):
 
 
 def assert_assembly_is_exact(mesh, dt, seed):
-    """The one assembly against the constructions it replaced, bit for bit."""
-    a, m = mesh.reduced_operators()
-    f = mesh.free_nodes
-    ref = mesh.stiffness[f][:, f]
-    for got, want in ((a.indptr, ref.indptr), (a.indices, ref.indices),
-                      (a.data, ref.data), (m, mesh.lumped_mass[f])):
+    """The vertex rows, the mass, the diagonal and the condensed solves against
+    the sliced full-node assembly, bit for bit."""
+    rows, m = mesh.vertex_rows
+    a, m_ref = mesh.reduced_operators()
+    ref = a[:mesh.free_vertices]
+    for got, want in ((rows.indptr, ref.indptr), (rows.indices, ref.indices),
+                      (rows.data, ref.data), (m, m_ref),
+                      (mesh.stiffness_diagonal(), a.diagonal())):
         assert same_bits(got, want)
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, m.size)
     for shift, scale, op in shifted_operators(a, m, dt):
-        assert same_bits(CondensedLU(mesh, a, shift, scale, "test").solve(rhs),
+        assert same_bits(CondensedLU(mesh, shift, scale, "test").solve(rhs),
                          coo_condensed_solve(mesh, op, rhs))
 
 
@@ -485,10 +509,11 @@ def seeded_tree(n_edges, seed):
     return MetricGraph(edges, {f"v{n_edges}": "dirichlet"})
 
 
-# Peak bytes per free unknown of GraphMesh + reduced_operators + CondensedLU
-# on a 2000-edge tree (about 21,000 unknowns): about 385 when the full-node
-# stiffness was built, sliced and cached, and about 195 with the one assembly.
-PEAK_BYTES_PER_UNKNOWN = 280
+# Peak bytes per free unknown of GraphMesh + vertex_rows + CondensedLU, the
+# commands' path, on a 2000-edge tree (about 21,000 unknowns): about 385 when
+# the full-node stiffness was built, sliced and cached, about 195 with A_ff
+# assembled straight into CSR, and about 136 with no A_ff formed.
+PEAK_BYTES_PER_UNKNOWN = 200
 
 
 def test_mesh_and_factor_peak_memory_per_unknown():
@@ -497,8 +522,8 @@ def test_mesh_and_factor_peak_memory_per_unknown():
     tracemalloc.start()
     try:
         mesh = GraphMesh(graph, mesh_h=0.05)
-        a, m = mesh.reduced_operators()
-        lu = CondensedLU(mesh, a, 0.0, 1.0, "test")
+        _, m = mesh.vertex_rows
+        lu = CondensedLU(mesh, 0.0, 1.0, "test")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -528,9 +553,8 @@ def test_condensed_factor_on_edge_cases(edges, conditions, mesh_h, cells, dt):
 
 def test_condensed_factor_rejects_an_indefinite_interior():
     mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.25)
-    a, _ = mesh.reduced_operators()
     with pytest.raises(LinearSolveFailure, match="dpttrf"):
-        CondensedLU(mesh, a, 0.0, -1.0, "test")
+        CondensedLU(mesh, 0.0, -1.0, "test")
 
 
 def test_a_mixed_sign_shift_solves_the_newton_jacobian():
@@ -544,7 +568,7 @@ def test_a_mixed_sign_shift_solves_the_newton_jacobian():
     shift = -m * (1.0 - 2.0 * u)
     assert shift.min() < 0.0 < shift.max()
     rhs = np.random.default_rng(11).uniform(-1.0, 1.0, m.size)
-    assert_backward_stable(mesh, a, shift, 1.0, a + sp.diags(shift), rhs)
+    assert_backward_stable(mesh, shift, 1.0, a + sp.diags(shift), rhs)
 
 
 @pytest.mark.parametrize("graph,mesh_h,narrow", [
@@ -561,4 +585,6 @@ def test_a_mixed_sign_shift_solves_the_newton_jacobian():
 def test_cells_too_uneven_are_refused(graph, mesh_h, narrow):
     mesh = GraphMesh(graph, mesh_h)    # sampling needs no solve
     with pytest.raises(MeshTooCoarse, match=f"edge {narrow!r} has cells"):
-        mesh.reduced_operators()
+        mesh.vertex_rows
+    with pytest.raises(MeshTooCoarse, match=f"edge {narrow!r} has cells"):
+        CondensedLU(mesh, 0.0, 1.0, "test")
