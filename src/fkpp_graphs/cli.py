@@ -219,7 +219,7 @@ def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field
 # ------------------------------------------------------------- subcommands
 
 def cmd_spectrum(args) -> int:
-    from .spectral import lambda0_discretized, lambda0_flower
+    from .spectral import Region, lambda0_discretized, lambda0_flower
 
     spec, graph = _load_graph(args)
     if spec is not None:
@@ -248,7 +248,7 @@ def cmd_spectrum(args) -> int:
             "residual": disc.residual,
             "mesh_h": mesh_h,
         }
-    out["region"] = "Nontrivial" if out["lambda0"] < 1.0 else "Trivial"
+    out["region"] = Region.of(out["lambda0"]).value
     logger.info("lambda0 = %.12g", out["lambda0"])
     _emit_json(out, args.out)
     return 0
@@ -580,8 +580,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
-def _add_graph_source(sub, required=True):
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_graph_source(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--flower", nargs="+", metavar="KEY=VAL",
                        help="flower shorthand: stem=L loops=T1,T2,... "
                             "(loop entries are total lengths)")
@@ -632,11 +632,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", metavar="FILE", help="write the JSON summary here")
 
     rg = subs.add_parser("region", help="existence region and its lower boundary")
-    _add_graph_source(rg, required=False)
-    rg.add_argument("--curve", type=_positive_int, metavar="N",
-                    help="sample the symmetric N-loop boundary curve")
-    rg.add_argument("--grid", action="store_true",
-                    help="sample the two-loop boundary surface")
+    mode = _add_graph_source(rg)
+    mode.add_argument("--curve", type=_positive_int, metavar="N",
+                      help="sample the symmetric N-loop boundary curve")
+    mode.add_argument("--grid", action="store_true",
+                      help="sample the two-loop boundary surface")
     rg.add_argument("--samples", type=_positive_int, default=50,
                     help="points per axis")
     rg.add_argument("--out", metavar="FILE", help="write the CSV/JSON here")
@@ -671,11 +671,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "region" and not (args.flower or args.graph
-                                         or args.curve or args.grid):
-        print("error: region needs --flower/--graph, --curve N, or --grid",
-              file=sys.stderr)
-        return 2
     try:
         return globals()[f"cmd_{args.command}"](args)
     except FisherKppError as exc:

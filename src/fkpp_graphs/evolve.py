@@ -122,14 +122,12 @@ def _factor(mesh, m, dt: float) -> CondensedLU:
     return CondensedLU(mesh, m, dt, "implicit step")
 
 
-def _advance(lu, m, u, dt: float, out=None, work=None) -> np.ndarray:
-    """u+ of one step from the free-node state u, in ``out`` when given.
+def _advance(lu, m, u, dt: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """u+ of one step from the free-node state u, in ``out``.
 
     The right-hand side m (u + dt u (1 - u)) is formed in out, rounded as
     that expression reads (``work`` holds 1 - u), and solved in place.
     """
-    if out is None:
-        out, work = np.empty(u.shape), np.empty(u.shape)
     np.multiply(u, dt, out=out)
     np.subtract(1.0, u, out=work)
     out *= work

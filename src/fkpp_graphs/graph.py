@@ -104,28 +104,6 @@ def _check_length(length: float, what: str, *args) -> None:
                                 "must be positive and finite")
 
 
-def _component_roots(ends: np.ndarray, n: int) -> np.ndarray:
-    """The smallest vertex index in each vertex's component.
-
-    Union-find on whole arrays: every root hooks onto the smallest root it
-    shares an edge with, then pointer jumping flattens the forest.  A root
-    with a smaller neighbour hooks at once, and one without is hooked by its
-    neighbours or, a round later, hooks itself, so the number of trees in a
-    component at least halves every two rounds.
-    """
-    root = np.arange(n)
-    tail, head = ends.T
-    while True:
-        rt, rh = root[tail], root[head]
-        if np.array_equal(rt, rh):
-            return root
-        lo = np.minimum(rt, rh)
-        np.minimum.at(root, rt, lo)
-        np.minimum.at(root, rh, lo)
-        while not np.array_equal(jump := root[root], root):
-            root = jump
-
-
 def validate(graph: MetricGraph) -> ValidationReport:
     """Check the structural invariants, raising on the first violation.
 
@@ -133,8 +111,8 @@ def validate(graph: MetricGraph) -> ValidationReport:
     unknown condition), DisconnectedGraph or NoPendant; returns the graph's
     vertex table (see ValidationReport).  Edge ids must be unique
     because meshes, fields and profile CSVs are keyed by them.  Apart from
-    numbering the vertices, it works on numpy arrays; connectivity takes
-    O(log V) rounds of hooking and pointer jumping.
+    numbering the vertices, it works on numpy arrays, and scipy's
+    connected_components finds the vertices cut off from the first one.
     """
     edges = graph.edges
     if not edges:
@@ -161,11 +139,17 @@ def validate(graph: MetricGraph) -> ValidationReport:
     for v in graph.conditions:
         number(v, len(index))
     verts = tuple(index)
-    degree = np.bincount(ends.ravel(), minlength=len(verts))
+    n = len(verts)
+    degree = np.bincount(ends.ravel(), minlength=n)
 
-    roots = _component_roots(ends, len(verts))
-    if roots.any():
-        missing = sorted(verts[k] for k in np.flatnonzero(roots).tolist())
+    # imported here, so that importing the CLI loads no scipy
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    # the weak components of the tail -> head graph are the graph's components
+    parts, label = connected_components(coo_matrix((np.ones(len(ends)), ends.T), shape=(n, n)))
+    if parts > 1:
+        missing = sorted(verts[k] for k in np.flatnonzero(label != label[0]).tolist())
         raise DisconnectedGraph(f"vertices unreachable from {_cut(repr(verts[0]))}: "
                                 f"{_cut(str(missing))}")
 

@@ -63,7 +63,7 @@ from .period import (
     turning_span,
 )
 from .phaseplane import PhasePoint, energy, energy_above_center, q_tilde, well
-from .spectral import ROOT_XTOL, lambda0_flower
+from .spectral import ROOT_XTOL, Region, lambda0_flower
 
 __all__ = [
     "GroundStateSolution",
@@ -148,15 +148,13 @@ def _system(spec: FlowerSpec, z: np.ndarray, quad_tol: float):
     return out, spans
 
 
-def _jacobian(z: np.ndarray, quad_tol: float, spans=None) -> np.ndarray:
-    """Period-system Jacobian at z; ``spans`` are _system's at z, if taken."""
+def _jacobian(z: np.ndarray, quad_tol: float, spans) -> np.ndarray:
+    """Period-system Jacobian at z; ``spans`` are loop_spans at z."""
     p, *qs = z.tolist()    # Python floats, as in _system
     J = np.zeros((z.size, z.size))
     g = grad_T(PhasePoint(p, _stem_slope(z[1:])), quad_tol)
     J[0, 0] = g.dT_dp
     J[0, 1:] = 2.0 * g.dT_dq
-    if spans is None:
-        spans = loop_spans(p, qs)
     for j, g0 in enumerate(loop_gradients(p, qs, spans, quad_tol), start=1):
         J[j, 0] = g0.dT_dp
         J[j, j] = g0.dT_dq
@@ -378,7 +376,7 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
         return solve_interval(spec.stem, tol)
     tol = _check_tol(tol)
     lam = lambda0_flower(spec).lambda0
-    if lam >= 1.0:
+    if Region.of(lam) is Region.TRIVIAL:
         raise OutsideRegion(
             f"lambda0 = {lam:.12g} >= 1 for stem {spec.stem}, loops "
             f"{tuple(2 * h for h in spec.loop_halves)}: only u = 0 exists")
@@ -411,7 +409,9 @@ def jacobian_report(p: float, q_list) -> JacobianReport:
     if not _admissible(p, qs):
         raise InvalidDomain(
             f"(p, q) = ({p}, {qs}) is not an admissible flower state")
-    return JacobianReport.of(_jacobian(np.array([p, *qs], float), JACOBIAN_QUAD_TOL))
+    z = np.array([p, *qs], float)
+    p, *qs = z.tolist()    # Python floats, as in _system
+    return JacobianReport.of(_jacobian(z, JACOBIAN_QUAD_TOL, loop_spans(p, qs)))
 
 
 def _rk4(w0: float, v0: float, length: float, n: int, path=None):

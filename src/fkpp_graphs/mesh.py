@@ -115,10 +115,19 @@ class GraphMesh:
 
     @cached_property
     def _interiors(self):
-        """(count, first, w) per edge: its number of interior nodes, the index
-        of its first one among all interior nodes (edge order), and 1/h."""
+        """(count, first, last, w, chain): per edge, its number of interior
+        nodes, the indices of its first and last one among all interior nodes
+        (edge order) and w = 1/h; and ``chain[j]``, the w of the cell between
+        interior nodes j and j + 1, 0 where one edge ends and the next begins.
+        Edge k's end cells join its tail to node first[k] and node last[k]
+        to its head."""
         count = self._cells - 1
-        return count, np.cumsum(count) - count, 1.0 / self._h
+        last = np.cumsum(count) - 1
+        first = last - count + 1
+        w = 1.0 / self._h
+        chain = np.repeat(w, count)[1:]
+        chain[first[1:] - 1] = 0.0
+        return count, first, last, w, chain
 
     @cached_property
     def _ptr(self) -> np.ndarray:
@@ -219,14 +228,13 @@ class GraphMesh:
                     "implicit solves lose their accuracy (refine the mesh or drop the short edge)")
         nv = self.free_vertices
         tail, head = self._ends.T
-        c, first, w = self._interiors
-        first = nv + first                   # each edge's first interior row
+        c, first, last, w, _ = self._interiors
         size = nv + int(c.sum())
         t, h = tail < nv, head < nv
         rows = sp.csr_matrix(
             (np.concatenate((w[t], w[h], -w[t], -w[h])),
              (np.concatenate((tail[t], head[h], tail[t], head[h])),
-              np.concatenate((tail[t], head[h], first[t], first[h] + c[h] - 1)))),
+              np.concatenate((tail[t], head[h], nv + first[t], nv + last[h])))),
             shape=(nv, size))
         half = 0.5 * self._h
         m = np.empty(size)
@@ -238,7 +246,7 @@ class GraphMesh:
 
     def stiffness_diagonal(self) -> np.ndarray:
         """diag(A_ff): the vertex rows' diagonal, then 2w on each interior node."""
-        c, _, w = self._interiors
+        c, _, _, w, _ = self._interiors
         return np.concatenate((self.vertex_rows[0].diagonal(), np.repeat(w + w, c)))
 
     def stiffness_product(self, y: np.ndarray) -> np.ndarray:
@@ -247,29 +255,17 @@ class GraphMesh:
         its first and last one; rounded as a CSR product of A_ff rounds, but
         on an edge's last row, whose CSR sums its head first."""
         nv = self.free_vertices
-        c, first, w = self._interiors
+        c, first, last, w, _ = self._interiors
         yi = y[nv:]
         ends = np.append(y[:nv], 0.0)[self._ends]
         left = np.concatenate(([0.0], yi[:-1]))
         left[first] = ends[:, 0]
         right = np.concatenate((yi[1:], [0.0]))
-        right[first + c - 1] = ends[:, 1]
+        right[last] = ends[:, 1]
         w = np.repeat(w, c)
         return np.concatenate((self.vertex_rows[0] @ y, (w + w) * yi - w * left - w * right))
 
-    @cached_property
-    def _free_cells(self):
-        """(inner, first, last, w) for energy(): ``inner[j]`` is 1/h of the cell
-        between interior nodes j and j + 1, 0 where one edge ends and the next
-        begins; edge k's end cells, of weight w[k] = 1/h, join its tail to
-        interior node first[k] and interior node last[k] to its head."""
-        n, first, w = self._interiors
-        inner = np.repeat(w, n)[1:]
-        inner[first[1:] - 1] = 0.0
-        return inner, first, first + n - 1, w
-
-    def energy(self, u: np.ndarray, m: np.ndarray,
-               work: np.ndarray | None = None) -> float:
+    def energy(self, u: np.ndarray, m: np.ndarray, work: np.ndarray) -> float:
         """H = 1/2 int (u')^2 - u^2 + 1/3 int u^3 of the P1 field that is u on
         the free nodes and 0 at the pinned ones; m is their lumped mass and
         ``work`` scratch of u's size.
@@ -278,9 +274,7 @@ class GraphMesh:
         the sum over cells of (du)^2 / h from node differences: the
         stiffness matrix is never read.
         """
-        if work is None:
-            work = np.empty(u.shape)
-        inner, first, last, w = self._free_cells
+        _, first, last, w, chain = self._interiors
         nv = self.free_vertices
         ui = u[nv:]
         d = work[:ui.size - 1]
@@ -289,7 +283,7 @@ class GraphMesh:
         uv = np.append(u[:nv], 0.0)     # pinned ends (index nv) read 0
         tail, head = self._ends.T
         d_tail, d_head = ui[first] - uv[tail], uv[head] - ui[last]
-        grad2 = float(inner @ d) + float(w @ (d_tail * d_tail + d_head * d_head))
+        grad2 = float(chain @ d) + float(w @ (d_tail * d_tail + d_head * d_head))
         np.multiply(u, u, out=work)
         mass2 = float(m @ work)
         work *= u
@@ -344,9 +338,10 @@ class CondensedLU:
     def __init__(self, mesh: GraphMesh, shift, scale: float, what: str):
         nv = mesh.free_vertices
         d = mesh.stiffness_diagonal() * scale + shift    # raises MeshTooCoarse
-        n, first, w = mesh._interiors
-        e = np.repeat(w * -scale, n)[1:]
-        e[first[1:] - 1] = 0.0           # no entry between consecutive edges
+        n, first, last, w, chain = mesh._interiors
+        # -scale chain, but +0.0 between consecutive edges: -0.0 there would
+        # flip the sign of some zeros that a solve returns
+        e = 0.0 - scale * chain
         # f2py asks for one superdiagonal entry even when T is 1 x 1
         self._d, self._e, info = dpttrf(d[nv:], e if e.size else np.zeros(1))
         if info != 0:
@@ -359,7 +354,7 @@ class CondensedLU:
         size = d.size - nv
         self._ct = scale * mesh.vertex_rows[0][:, nv:]
         couple = np.zeros((size, 2))
-        couple[first, 0] = couple[first + n - 1, 1] = w * -scale
+        couple[first, 0] = couple[last, 1] = w * -scale
         g, _ = dpttrs(self._d, self._e, couple)
         # every interior row meets its edge's tail and head: a pinned end goes
         # to the sentinel column nv, and a self-loop's two columns merge
@@ -475,4 +470,4 @@ def free_energy(field: Field) -> float:
     """
     mesh = field.mesh
     free = mesh.free_nodes
-    return mesh.energy(field.values[free], mesh.lumped_mass[free])
+    return mesh.energy(field.values[free], mesh.lumped_mass[free], np.empty(free.size))

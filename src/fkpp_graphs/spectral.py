@@ -160,10 +160,11 @@ def _largest_ritz(coeffs: list) -> tuple[float, np.ndarray]:
     return float(theta[0]), s[:, 0]
 
 
-def _largest_pair(solve: Callable, m: np.ndarray) -> tuple[float, np.ndarray]:
-    """(theta, y): the largest eigenvalue of A^-1 M and its Ritz vector,
-    y.M.y = 1, from two passes of _lanczos.  Their vectors are freed on
-    return, before the caller's residual check allocates its own."""
+def _largest_pair(solve: Callable, m: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """(theta, y, j): the largest eigenvalue of A^-1 M and its Ritz vector,
+    y.M.y = 1, from two passes of _lanczos that stop at step j.  Their
+    vectors are freed on return, before the caller's residual check
+    allocates its own."""
     coeffs = []
     for _ in _lanczos(solve, m, coeffs):
         if coeffs:
@@ -177,7 +178,7 @@ def _largest_pair(solve: Callable, m: np.ndarray) -> tuple[float, np.ndarray]:
     for sj, v in zip(s, _lanczos(solve, m, coeffs)):
         y += sj * v
     y /= math.sqrt(float((m * y) @ y))
-    return theta, y
+    return theta, y, len(coeffs)
 
 
 def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
@@ -206,14 +207,7 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
             "(four interior nodes) for the eigenvalue stencil")
     _, m = mesh.vertex_rows
     lu = CondensedLU(mesh, 0.0, 1.0, "stiffness")
-    solves = 0
-
-    def solve(b, out):
-        nonlocal solves
-        solves += 1
-        return lu.solve(b, out)
-
-    theta, y = _largest_pair(solve, m)
+    theta, y, j = _largest_pair(lu.solve, m)
     rho = 1.0 / theta
     ay = mesh.stiffness_product(y)
     r = ay - rho * (m * y)
@@ -225,13 +219,18 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
                  + rho * (m * ya))
         if rel > 2.0 * EPS * math.sqrt(float(bound @ bound)) / scale:
             raise LinearSolveFailure(f"eigenpair residual {rel:.3e} is above its floor")
-    return SpectralResult(rho, "discretized", rel, solves,
+    return SpectralResult(rho, "discretized", rel, 2 * j - 1,
                           partial(_mesh_eigenfunction, mesh, y))
 
 
 class Region(Enum):
     TRIVIAL = "Trivial"
     NONTRIVIAL = "Nontrivial"
+
+    @classmethod
+    def of(cls, lambda0: float) -> Region:
+        """The paper's sharp criterion: Nontrivial iff lambda0 < 1 strictly."""
+        return cls.NONTRIVIAL if lambda0 < 1.0 else cls.TRIVIAL
 
 
 @dataclass(frozen=True)
@@ -242,10 +241,9 @@ class RegionReport:
 
 
 def region_membership(spec: FlowerSpec) -> RegionReport:
-    """Nontrivial iff lambda0 < 1 strictly; flags near-threshold ties."""
+    """Region.of(lambda0); flags near-threshold ties."""
     lam = lambda0_flower(spec).lambda0
-    region = Region.NONTRIVIAL if lam < 1.0 else Region.TRIVIAL
-    return RegionReport(region, lam, abs(lam - 1.0) <= BOUNDARY_TOL)
+    return RegionReport(Region.of(lam), lam, abs(lam - 1.0) <= BOUNDARY_TOL)
 
 
 def lower_boundary(loop_halves) -> float:

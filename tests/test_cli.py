@@ -287,6 +287,9 @@ BAD_INPUTS = [
     *((2, ["spectrum", "--graph", body]) for body in BAD_GRAPH_JSON),
     (2, ["region", "--curve", "2", "--samples", "-1"]),
     (2, ["region", "--curve", "-1"]),
+    # region's modes exclude each other
+    (2, ["region", "--flower", "stem=2", "loops=1.5", "--curve", "3", "--grid"]),
+    (2, ["region", "--grid", "--curve", "2"]),
     (2, ["validate", "--suite", "jacobian", "--samples", "0"]),
     (2, ["validate", "--suite", "jacobian", "--seed", "-1"]),
     *((2, [*cmd, "--jobs", "2"]) for cmd in (["region", "--curve", "2"],

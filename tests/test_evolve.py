@@ -234,7 +234,8 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
     terminal = Terminal.MAX_STEPS_REACHED
     while t < max_t:
         u_free = field.values[free]
-        u_new = evolve._advance(lu, m, u_free, dt)
+        u_new = evolve._advance(lu, m, u_free, dt, np.empty(u_free.shape),
+                                np.empty(u_free.shape))
         c_new = c + dt * c * (1.0 - c)
         slack = 1e-9 * max(1.0, c)
         ok = u_new.min() >= -slack and u_new.max() <= c_new + slack

@@ -2,9 +2,12 @@
 
 import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fkpp_graphs.graph as graph_module
 from fkpp_graphs.errors import (
@@ -248,6 +251,75 @@ def test_validate_is_linear_in_graph_size():
     degree = dict(zip(report.vertices, np.bincount(report.ends.ravel()).tolist()))
     assert degree["v0"] == degree[f"v{n}"] == 1
     assert degree["v1"] == 2
+
+
+def test_validate_of_a_disconnected_graph_is_linear_in_graph_size():
+    # two paths of 1e4 edges each
+    n = 10_000
+    g = MetricGraph(tuple(Edge(f"{c}{k}", f"{c}{k}", f"{c}{k + 1}", 1.0)
+                          for c in "vw" for k in range(n)), {"v0": "dirichlet"})
+    start = time.perf_counter()
+    with pytest.raises(DisconnectedGraph) as info:
+        validate(g)
+    assert time.perf_counter() - start < 5.0
+    assert str(info.value).startswith("vertices unreachable from 'v0': ['w0', 'w1', 'w10', ")
+
+
+@st.composite
+def split_multigraphs(draw):
+    """Multigraphs of 1-3 components with self-loops, parallel edges, and
+    vertices that only a condition names (components of their own)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    names = [f"v{k}" for k in draw(st.permutations(range(sum(sizes))))]
+    length = st.floats(0.1, 2.0)
+    pairs, conditions, first = [], {}, 0
+    for c, size in enumerate(sizes):
+        part = names[first:first + size]
+        first += size
+        if size == 1 and c and draw(st.booleans()):
+            conditions[part[0]] = draw(st.sampled_from(["dirichlet", "kirchhoff"]))
+            continue
+        # a spanning tree, then self-loops and parallel edges inside the part
+        pairs += [(part[draw(st.integers(0, k - 1))], part[k]) for k in range(1, size)]
+        pairs += draw(st.lists(st.tuples(st.sampled_from(part), st.sampled_from(part)),
+                               min_size=1 if size == 1 else 0, max_size=4))
+    pairs = draw(st.permutations(pairs))
+    edges = tuple(Edge(f"e{k}", *(ab[::-1] if draw(st.booleans()) else ab), draw(length))
+                  for k, ab in enumerate(pairs))
+    for v in draw(st.lists(st.sampled_from(names), max_size=3)):
+        conditions[v] = draw(st.sampled_from(["dirichlet", "kirchhoff"]))
+    return MetricGraph(edges, conditions)
+
+
+def _unreachable(graph):
+    """The vertices a breadth-first search from the first edge's tail misses."""
+    neighbours = {v: set() for v in graph.conditions}
+    for e in graph.edges:
+        neighbours.setdefault(e.tail, set()).add(e.head)
+        neighbours.setdefault(e.head, set()).add(e.tail)
+    seen = {graph.edges[0].tail}
+    queue = deque(seen)
+    while queue:
+        for w in neighbours[queue.popleft()] - seen:
+            seen.add(w)
+            queue.append(w)
+    return sorted(set(neighbours) - seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=split_multigraphs())
+def test_validate_finds_the_components_a_search_finds(graph):
+    missing = _unreachable(graph)
+    if missing:
+        with pytest.raises(DisconnectedGraph) as info:
+            validate(graph)
+        assert str(info.value) == \
+            f"vertices unreachable from {graph.edges[0].tail!r}: {missing}"
+    else:
+        try:
+            validate(graph)
+        except NoPendant:    # connected, but its Dirichlet vertices are not pendant
+            pass
 
 
 def _edges(*ends, ids=None):

@@ -343,13 +343,14 @@ def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
         u[mesh.dirichlet_nodes] = 0.0
     f = mesh.free_nodes
     # with zero mass, energy() is half the per-cell Dirichlet energy exactly
-    got = 2.0 * mesh.energy(u[f], np.zeros(f.size))
+    got = 2.0 * mesh.energy(u[f], np.zeros(f.size), np.empty(f.size))
     a = mesh.stiffness
     ref = float(u @ (a @ u))
     # both sums carry at most about n_nodes roundings of |u|^T |A| |u|
     scale = float(np.abs(u) @ (abs(a) @ np.abs(u)))
     assert abs(got - ref) <= 4.0 * mesh.n_nodes * np.finfo(float).eps * scale
-    assert free_energy(Field(mesh, u)) == mesh.energy(u[f], mesh.lumped_mass[f])
+    assert free_energy(Field(mesh, u)) == mesh.energy(u[f], mesh.lumped_mass[f],
+                                                      np.empty(f.size))
 
     _, m_ff = mesh.vertex_rows
     lu = CondensedLU(mesh, m_ff, 0.1, "test")
