@@ -1,9 +1,9 @@
 """Command line front end: spectrum, groundstate, evolve, region, validate.
 
-Exit codes: 0 success; 2 bad input: arguments, files that cannot be read,
-decoded or written, JSON, domains, graphs that fail validation
-(disconnected, no Dirichlet pendant, a length outside (0, inf)) and meshes
-too coarse for an edge; 3 below threshold /
+Exit codes: 0 success; 2 bad input: arguments, files that cannot be read
+or decoded, outputs that fail while opened or written, JSON, domains,
+graphs that fail validation (disconnected, no Dirichlet pendant, a length
+outside (0, inf)) and meshes too coarse for an edge; 3 lambda0 >= 1,
 outside the existence region; 4 groundstate on a graph that is not
 flower-representable; 1 any other failure, including a solve that stalls
 and failed validation suites.  Errors print one `error:` line on stderr.
@@ -26,6 +26,7 @@ load no scipy at all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -38,11 +39,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    BelowThreshold,
     DisconnectedGraph,
     FisherKppError,
     InvalidDomain,
-    LoopTooLong,
     MeshTooCoarse,
     NegativeInitialData,
     NonpositiveLength,
@@ -106,32 +105,40 @@ def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
     return as_flower(graph), graph
 
 
-def _open_out(path: str, **kwargs):
-    """open(path, "w") for an output file; InvalidDomain when it cannot be opened."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream an output is written to: the file at path, else stdout.
+
+    An OSError while it is opened, written, flushed or closed becomes
+    InvalidDomain.  A failed stdout (a closed pipe) is pointed at os.devnull,
+    so the interpreter's flush at exit writes nothing more.
+    """
     try:
-        return open(path, "w", encoding="utf-8", **kwargs)
+        fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+        try:
+            yield fh
+            fh.flush()
+        finally:
+            if path:
+                fh.close()
     except OSError as exc:
-        raise InvalidDomain(f"cannot write {path}: {exc}") from exc
+        if not path:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InvalidDomain(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with _open_out(path) as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    fh = _open_out(path, newline="") if path else sys.stdout
-    try:
+    with _output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
 
 
 def _write_profile(path: str, profiles: dict) -> None:
@@ -317,14 +324,6 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _repeated_sum(t: float, n: int) -> float:
-    """t added n times from 0.0, in lower_boundary's order."""
-    total = 0.0
-    for _ in range(n):
-        total += t
-    return total
-
-
 def cmd_region(args) -> int:
     if args.flower or args.graph:
         spec, _ = _load_graph(args)
@@ -341,22 +340,18 @@ def cmd_region(args) -> int:
         }, args.out)
         return 0
 
-    from .spectral import critical_stem
+    from .spectral import critical_stem, loop_tan, lower_boundary
 
-    limit = math.pi / 2.0
-    ls = np.linspace(0.0, limit, args.samples, endpoint=bool(args.grid)).tolist()
-    # tan once per axis sample; inf from pi/2 on, the continuous extension
-    # where the critical stem closes to 0
-    tans = [math.tan(h) if h < limit else math.inf for h in ls]
+    ls = np.linspace(0.0, math.pi / 2.0, args.samples, endpoint=bool(args.grid)).tolist()
     if args.grid:
+        tans = [loop_tan(h) for h in ls]    # once per axis sample
         header = ["loop_half_1", "loop_half_2", "critical_stem"]
         rows = ((l1, l2, critical_stem(t1 + t2))
                 for l1, t1 in zip(ls, tans) for l2, t2 in zip(ls, tans))
     else:
         n = args.curve
         header = [f"loop_half_{j + 1}" for j in range(n)] + ["critical_stem"]
-        rows = ((h,) * n + (critical_stem(_repeated_sum(t, n)),)
-                for h, t in zip(ls, tans))
+        rows = ((h,) * n + (lower_boundary((h,) * n),) for h in ls)
     _write_csv(args.out, header, (tuple(repr(v) for v in row) for row in rows))
     return 0
 
@@ -654,8 +649,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # exit code per error class; every other FisherKppError exits 1
 _EXIT_CODES = {
-    BelowThreshold: 3, OutsideRegion: 3,
-    InvalidDomain: 2, NegativeInitialData: 2, LoopTooLong: 2, DisconnectedGraph: 2,
+    OutsideRegion: 3,
+    InvalidDomain: 2, NegativeInitialData: 2, DisconnectedGraph: 2,
     NoPendant: 2, NonpositiveLength: 2, MeshTooCoarse: 2,
 }
 

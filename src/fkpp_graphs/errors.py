@@ -27,16 +27,8 @@ class NonpositiveLength(FisherKppError):
     """An edge length is zero, negative, or not finite."""
 
 
-class LoopTooLong(FisherKppError):
-    """A loop half-length at or beyond pi/2, where no criticality threshold exists."""
-
-
 class MeshTooCoarse(FisherKppError):
     """Mesh spacing leaves an edge with fewer than four interior nodes."""
-
-
-class BelowThreshold(FisherKppError):
-    """No nontrivial ground state exists for the requested geometry."""
 
 
 class OutsideRegion(FisherKppError):

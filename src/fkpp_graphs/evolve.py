@@ -164,7 +164,7 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
             "require nonnegative data")
 
     mesh = field0.mesh
-    field = field0.copy()
+    field = Field(mesh, u0 + 0.0)    # + 0.0 reads -0.0 as 0.0
     field.pin_dirichlet()
     free = mesh.free_nodes
 

@@ -43,7 +43,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
-    BelowThreshold,
     InvalidDomain,
     NewtonStalled,
     OrbitNotClosed,
@@ -76,7 +75,6 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
-THRESHOLD_LENGTH = math.pi / 2.0
 MAX_NEWTON_ITER = 60
 MAX_PRESOLVE_ROUNDS = 100   # Chandrupatla rounds after the bracket ladder
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
@@ -303,19 +301,18 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
             diagnostics={"residuals": np.abs(F).tolist(), "floors": floors.tolist(),
                          "iterations": iterations})
     names = ["stem"] + [f"loop{j}" for j in range(1, spec.n_loops + 1)]
-    residuals = {"period_residuals": dict(zip(names, np.abs(F).tolist()))}
     sol = GroundStateSolution(
         spec=spec,
         p=float(z[0]),
         q_loops=tuple(float(q) for q in z[1:]),
         newton_iterations=iterations,
-        residuals=residuals,
+        residuals={"period_residuals": dict(zip(names, np.abs(F).tolist()))},
         convergence_floor=float(np.max(floors)),
         lambda0=lam,
         jacobian=JacobianReport.of(J),
         loop_spans=tuple(spans),
     )
-    _integrate_edges(sol, PROFILE_DX)
+    sol.residuals.update(_integrate_edges(sol, PROFILE_DX))
     return sol
 
 
@@ -326,22 +323,21 @@ def _check_tol(tol: float) -> float:
 
 
 def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
-    """Positive steady state on [0, L], Dirichlet at 0 and Neumann at L.
+    """Positive steady state on [0, L], Dirichlet at 0 and Neumann at L: the
+    loop-free flower, solve_flower(FlowerSpec(stem=L), tol)."""
+    return solve_flower(FlowerSpec(stem=L), tol)
+
+
+def _solve_loop_free(spec: FlowerSpec, tol: float, lam: float) -> GroundStateSolution:
+    """The interval's p by brentq, to rtol = 4 eps, unpolished.
 
     The Neumann end is the orbit's turning point, so the single unknown p
-    solves T(p, 0) = L; T(., 0) decreases strictly from infinity to pi/2,
-    hence existence and uniqueness exactly for L > pi/2.  As the loop-free
-    flower, p is brentq's root to rtol = 4 eps, unpolished; its residual must
-    meet max(tol, floor), the floor from the 1x1 Jacobian [[dT/dp]], or
-    NewtonStalled is raised.
+    solves T(p, 0) = L; T(., 0) decreases strictly from infinity to pi/2.
+    The residual must meet max(tol, floor), the floor from the 1x1 Jacobian
+    [[dT/dp]], or NewtonStalled is raised.
     """
-    tol = _check_tol(tol)
-    if not L > THRESHOLD_LENGTH:
-        raise BelowThreshold(
-            f"interval length {L} <= pi/2; the only nonnegative steady "
-            "state is u = 0")
+    L = spec.stem
     quad_tol = min(1e-11, 0.1 * tol)
-    spec = FlowerSpec(stem=L)
 
     @functools.cache    # brentq re-evaluates lo and returns an evaluated point
     def mismatch(p):
@@ -359,27 +355,28 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
                      rtol=4.0 * EPS, maxiter=200, full_output=True)
     return _package(spec, np.array([p]), np.array([mismatch(p)]),
                     np.array([[interval_period_slope(p, quad_tol)]]),
-                    info.iterations, (), tol, lambda0_flower(spec).lambda0)
+                    info.iterations, (), tol, lam)
 
 
 def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
                  init=None) -> GroundStateSolution:
-    """Positive ground state on a flower graph by one damped Newton run.
+    """Positive ground state on a flower graph; OutsideRegion unless lambda0 < 1.
 
-    ``init`` optionally supplies a starting point (p, (q_1, ..., q_N)); when
-    it is absent or inadmissible, the trace asymptotics seed p and per-loop
-    presolves seed q_j.  There is no retry: the ground state is unique and
-    the Jacobian never vanishes, so a run that stalls from the seed raises
-    NewtonStalled.
+    The loop-free flower, the interval, is solved by brentq in p.  With
+    loops, one damped Newton run: ``init`` optionally supplies a starting
+    point (p, (q_1, ..., q_N)); when it is absent or inadmissible, the trace
+    asymptotics seed p and per-loop presolves seed q_j.  There is no retry:
+    the ground state is unique and the Jacobian never vanishes, so a run
+    that stalls from the seed raises NewtonStalled.
     """
-    if spec.n_loops == 0:
-        return solve_interval(spec.stem, tol)
     tol = _check_tol(tol)
     lam = lambda0_flower(spec).lambda0
     if Region.of(lam) is Region.TRIVIAL:
         raise OutsideRegion(
             f"lambda0 = {lam:.12g} >= 1 for stem {spec.stem}, loops "
             f"{tuple(2 * h for h in spec.loop_halves)}: only u = 0 exists")
+    if spec.n_loops == 0:
+        return _solve_loop_free(spec, tol, lam)
     quad_tol = min(1e-11, 0.01 * tol)
 
     z0 = None if init is None else np.array([init[0], *init[1]], dtype=float)
@@ -459,14 +456,14 @@ def _check_end_state(mismatch: float) -> None:
             f"{10.0 * PROFILE_TOL:.3e}")
 
 
-def _integrate_edges(solution: GroundStateSolution, dx: float, profiles=None) -> None:
-    """RK4 over every edge at its own step, at most dx; checks the end states.
+def _integrate_edges(solution: GroundStateSolution, dx: float, profiles=None) -> dict:
+    """RK4 over every edge at its own step, at most dx; the end-state residuals.
 
     Stem: from the Dirichlet end (w, w') = (1, q_tilde).  Loops: from the
-    midpoint turning point (p0_j, 0) toward the vertex.  End-state
-    mismatches go into solution.residuals; one beyond 10 PROFILE_TOL raises
-    StepTooLarge.  Given a dict ``profiles``, each edge's samples go into
-    it, every loop mirrored to its full length.
+    midpoint turning point (p0_j, 0) toward the vertex.  An end-state
+    mismatch beyond 10 PROFILE_TOL raises StepTooLarge.  Given a dict
+    ``profiles``, each edge's samples go into it, every loop mirrored to its
+    full length.
     """
     p, spec = solution.p, solution.spec
     n = _edge_steps(spec.stem, dx)
@@ -494,17 +491,15 @@ def _integrate_edges(solution: GroundStateSolution, dx: float, profiles=None) ->
 
     _check_end_state(mismatch)
     # u = 1 - w is exactly 0 at the Dirichlet end, where the stem starts
-    solution.residuals.update(continuity=cont, kirchhoff_flux=abs(flux), dirichlet=0.0)
+    return {"continuity": cont, "kirchhoff_flux": abs(flux), "dirichlet": 0.0}
 
 
 def reconstruct_profile(solution: GroundStateSolution, dx: float = PROFILE_DX) -> dict:
     """Sample u on every edge by integrating the orbit ODE; edge_id -> (x, u).
 
-    The solve ran the same RK4 pass at the default dx keeping end states
-    only; this one keeps every step, so at that dx it rewrites the same
-    residuals, bit for bit.  Loops are mirrored about their midpoint, so
-    their evenness is exact.  The samples become solution.profiles, and a
-    mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge.
+    Loops are mirrored about their midpoint, so their evenness is exact.
+    The samples become solution.profiles; the residuals stay the solve's.
+    A mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge.
     """
     profiles = {}
     _integrate_edges(solution, dx, profiles)    # may raise StepTooLarge

@@ -33,7 +33,6 @@ from scipy.optimize import brentq
 from .errors import (
     InvalidDomain,
     LinearSolveFailure,
-    LoopTooLong,
     MeshTooCoarse,
 )
 from .graph import FlowerSpec, MetricGraph
@@ -247,17 +246,20 @@ def region_membership(spec: FlowerSpec) -> RegionReport:
 
 
 def lower_boundary(loop_halves) -> float:
-    """Critical stem length: lambda0 = 1 at L = arccot(2 sum tan l_j)."""
+    """Critical stem length: lambda0 = 1 at L = arccot(2 sum tan l_j), and 0
+    once a half reaches pi/2."""
     total = 0.0
     for h in loop_halves:
         if h < 0.0 or h != h:
             raise InvalidDomain(f"loop half-length must be >= 0, got {h}")
-        if h >= math.pi / 2.0:
-            raise LoopTooLong(
-                f"loop half-length {h} >= pi/2; tan diverges and the "
-                "critical stem length is 0 already")
-        total += math.tan(h)
+        total += loop_tan(h)
     return critical_stem(total)
+
+
+def loop_tan(h: float) -> float:
+    """tan h below pi/2, inf from pi/2 on: the continuous extension where
+    the critical stem closes to 0."""
+    return math.tan(h) if h < math.pi / 2.0 else math.inf
 
 
 def critical_stem(tan_sum: float) -> float:

@@ -15,7 +15,7 @@ import pytest
 
 from slope_reference import length_slopes
 
-from fkpp_graphs.errors import BelowThreshold
+from fkpp_graphs.errors import OutsideRegion
 from fkpp_graphs.evolve import Terminal, comparison_monitor, run_to_attractor
 from fkpp_graphs.graph import FlowerSpec, flower_graph
 from fkpp_graphs.groundstate import (
@@ -50,7 +50,7 @@ def test_criterion_01_interval_threshold():
     start = time.perf_counter()
     sol = solve_interval(math.pi / 2.0 + 1e-3)
     assert 0.0 < sol.p < 1.0
-    with pytest.raises(BelowThreshold):
+    with pytest.raises(OutsideRegion):
         solve_interval(math.pi / 2.0 - 1e-3)
     lam = lambda0_flower(FlowerSpec(stem=math.pi / 2.0)).lambda0
     assert abs(lam - 1.0) <= 1e-10

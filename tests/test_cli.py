@@ -233,6 +233,8 @@ HUGE_LENGTHS = [["stem=1e200", "loops=1"], ["stem=1", "loops=1e300"],
 QUICK_EVOLVE = ["--mesh", "0.1", "--max-t", "1"]
 # an output path inside a file, which no directory can be
 UNWRITABLE = os.path.join(os.devnull, "out")
+# a file that opens but refuses every write
+DEV_FULL = "/dev/full"
 
 
 def pendant_tree(pendant):
@@ -283,6 +285,7 @@ BAD_INPUTS = [
       for dt in ("-1", "0", "nan")),
     *((2, ["spectrum", "--flower", *flower]) for flower in TINY_LOOPS),   # MeshTooCoarse
     (3, ["groundstate", "--flower", *TINY_LOOPS[1]]),                     # lambda0 >= 1
+    (3, ["groundstate", "--flower", "stem=1"]),                           # ... on an interval
     *((1, ["groundstate", "--flower", *flower]) for flower in HUGE_LENGTHS),  # stalls
     *((2, ["spectrum", "--graph", body]) for body in BAD_GRAPH_JSON),
     (2, ["region", "--curve", "2", "--samples", "-1"]),
@@ -324,12 +327,13 @@ BAD_INPUTS = [
     *((2, ["evolve", "--flower", "stem=2", f"loops={loop}", *QUICK_EVOLVE])
       for loop in ("1e-16", "1e-300")),
     *((2, ["evolve", *UNEVEN_EVOLVE, "--graph", pendant_tree(p)]) for p in UNEVEN_PENDANTS),
-    # outputs that cannot be written
-    (2, ["region", "--curve", "2", "--out", UNWRITABLE]),
-    (2, ["spectrum", "--flower", "stem=2", "--out", UNWRITABLE]),
-    (2, ["groundstate", "--flower", "stem=2", "--profile", UNWRITABLE]),
-    *((2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, option, UNWRITABLE])
-      for option in ("--trace", "--profile", "--out")),
+    # outputs that cannot be opened, or that fail while written
+    *(entry for path in (UNWRITABLE, DEV_FULL) for entry in (
+        (2, ["region", "--curve", "2", "--out", path]),
+        (2, ["spectrum", "--flower", "stem=2", "--out", path]),
+        (2, ["groundstate", "--flower", "stem=2", "--profile", path]),
+        *((2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, option, path])
+          for option in ("--trace", "--profile", "--out")))),
 ]
 
 
@@ -342,6 +346,8 @@ ERROR_LINE_CAP = 400
                          ids=[" ".join(a if isinstance(a, str) else json.dumps(a)[:200]
                                        for a in argv) for _, argv in BAD_INPUTS])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, code, argv):
+    if DEV_FULL in argv and not os.path.exists(DEV_FULL):
+        pytest.skip(f"no {DEV_FULL} here")
     if isinstance(argv[-1], dict):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(argv[-1]))
@@ -733,6 +739,39 @@ def test_evolve_bad_initial_data(tmp_path):
                  "--initial", "const:-0.2"]) == 2
     assert main(["evolve", "--flower", "stem=1", "--mesh", "0.1",
                  "--initial", "blob:1"]) == 2
+
+
+def test_negative_zero_initial_data_prints_no_negative_zero(tmp_path, capsys):
+    # a Dirichlet pendant of 3 and a 2-cell pendant and self-loop at --mesh 0.05
+    g = tmp_path / "two_cells.json"
+    g.write_text(json.dumps({
+        "edges": [{"id": "e0", "from": "a", "to": "v", "length": 3},
+                  {"id": "e1", "from": "v", "to": "w", "length": 0.1},
+                  {"id": "e2", "from": "v", "to": "v", "length": 0.1}],
+        "conditions": {"a": "dirichlet"}}))
+    prof, trace = tmp_path / "prof.csv", tmp_path / "trace.csv"
+    assert main(["evolve", "--graph", str(g), "--mesh", "0.05", "--max-t", "1",
+                 "--initial", "const:-0.0", "--profile", str(prof),
+                 "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["terminal"] == "ConvergedTrivial"
+    for text in (out, prof.read_text(), trace.read_text()):
+        assert "-0.0" not in text
+
+
+def test_a_closed_stdout_pipe_is_one_error_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with subprocess.Popen(
+            [sys.executable, "-m", "fkpp_graphs.cli", "region", "--grid", "--samples", "300"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()    # the 90,000 rows left outgrow any pipe buffer
+        err = proc.stderr.read().decode()
+    assert first == b"loop_half_1,loop_half_2,critical_stem\r\n"
+    assert proc.returncode == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_evolve_from_the_groundstate_stays_nontrivial(tmp_path):

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scipy.optimize import brentq
@@ -21,7 +21,6 @@ import arclength_reference as ref
 
 from fkpp_graphs import groundstate, period, phaseplane
 from fkpp_graphs.errors import (
-    BelowThreshold,
     FisherKppError,
     InvalidDomain,
     NewtonStalled,
@@ -39,7 +38,7 @@ from fkpp_graphs.groundstate import (
 )
 from fkpp_graphs.period import period_T, period_T0
 from fkpp_graphs.phaseplane import PhasePoint, energy, well
-from fkpp_graphs.spectral import lower_boundary
+from fkpp_graphs.spectral import Region, lower_boundary, region_membership
 
 P_STAR_L2 = 0.5523884970850482263588
 P_STAR_L10 = 0.0001459856087904762218561
@@ -61,7 +60,7 @@ TWO_STEM_E = 0.1149418976029159702778
 
 @pytest.mark.parametrize("L", [0.5, 1.0, math.pi / 2.0])
 def test_interval_below_threshold(L):
-    with pytest.raises(BelowThreshold):
+    with pytest.raises(OutsideRegion):
         solve_interval(L)
 
 
@@ -183,8 +182,25 @@ def test_equal_loops_get_equal_slopes():
 def test_loopless_spec_routes_to_interval():
     sol = solve_flower(FlowerSpec(stem=2.0))
     assert math.isclose(sol.p, P_STAR_L2, rel_tol=1e-14)
-    with pytest.raises(BelowThreshold):
+    with pytest.raises(OutsideRegion):
         solve_flower(FlowerSpec(stem=1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stem=st.floats(0.0, 6.0, exclude_min=True),
+       halves=st.lists(st.floats(0.0, 3.0, exclude_min=True) | st.just(math.pi / 2.0),
+                       max_size=4))
+def test_one_existence_rule_on_every_flower(stem, halves):
+    # the interval is the loop-free flower, and a half at or past pi/2
+    # closes the critical stem to 0: lambda0 < 1 exactly above it
+    spec = FlowerSpec(stem, tuple(halves))
+    crit = lower_boundary(halves)
+    assume(abs(stem - crit) > 1e-9 * (1.0 + crit))
+    nontrivial = region_membership(spec).region is Region.NONTRIVIAL
+    assert nontrivial == (stem > crit)
+    if not nontrivial:
+        with pytest.raises(OutsideRegion):
+            solve_flower(spec)
 
 
 def test_outside_region_is_rejected():
@@ -394,6 +410,15 @@ def test_reading_profiles_leaves_the_residuals_bit_for_bit(spec):
     sol = solve_flower(spec)
     before = json.dumps(sol.residuals)
     assert set(sol.profiles) == {"stem", *(f"loop{j}" for j in range(1, spec.n_loops + 1))}
+    assert json.dumps(sol.residuals) == before
+
+
+def test_a_finer_profile_leaves_the_solve_residuals():
+    # sampling at dx = 1e-3 integrates more accurately than the solve's end
+    # check did; the solution's residuals are still the solve's own
+    sol = solve_flower(TADPOLE)
+    before = json.dumps(sol.residuals)
+    reconstruct_profile(sol, dx=1e-3)
     assert json.dumps(sol.residuals) == before
 
 
