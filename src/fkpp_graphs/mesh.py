@@ -231,11 +231,20 @@ class GraphMesh:
         c, first, last, w, _ = self._interiors
         size = nv + int(c.sum())
         t, h = tail < nv, head < nv
+        row = np.concatenate((tail[t], head[h], tail[t], head[h]))
+        # each row in input order, as scipy's COO to CSR conversion leaves it
+        order = np.argsort(row, kind="stable")
         rows = sp.csr_matrix(
-            (np.concatenate((w[t], w[h], -w[t], -w[h])),
-             (np.concatenate((tail[t], head[h], tail[t], head[h])),
-              np.concatenate((tail[t], head[h], nv + first[t], nv + last[h])))),
+            (np.concatenate((w[t], w[h], -w[t], -w[h]))[order],
+             np.concatenate((tail[t], head[h], nv + first[t], nv + last[h]))[order],
+             np.searchsorted(row[order], np.arange(nv + 1))),
             shape=(nv, size))
+        # ``stiffness`` always has unsorted (interior) rows, so scipy sorts
+        # every row of it before summing, and past 16 entries that sort may
+        # reorder a row's equal columns; sort every vertex row likewise, even
+        # when they all come sorted
+        rows.has_sorted_indices = False
+        rows.sum_duplicates()
         half = 0.5 * self._h
         m = np.empty(size)
         # each edge adds half a cell to its tail, then to its head

@@ -501,6 +501,15 @@ def test_reduced_assembly_is_exact_at_a_vertex_of_high_degree():
         assert_assembly_is_exact(GraphMesh(graph, mesh_h=mesh_h), 0.1, 1)
 
 
+def test_reduced_assembly_is_exact_when_every_vertex_row_comes_sorted():
+    # both vertex rows come in column order, 18 and 20 entries long; scipy
+    # still sorts them in the full stiffness, and introsort moves b's 26.67
+    # cell after its 28s, which changes the rounding of b's diagonal
+    edges = [Edge("e0", "a", "b", 0.1875)] + [Edge(f"e{k}", "a", "b", 0.25) for k in range(1, 9)]
+    graph = MetricGraph(tuple(edges) + (Edge("p", "d", "a", 0.25),), {"d": "dirichlet"})
+    assert_assembly_is_exact(GraphMesh(graph, mesh_h=0.04), 1e-3, 0)
+
+
 def seeded_tree(n_edges, seed):
     rng = np.random.default_rng(seed)
     parents = rng.integers(0, np.arange(1, n_edges + 1))
