@@ -332,27 +332,36 @@ class CondensedLU:
     B = [[B_VV, C^T], [C, T]] with T the interior block: tridiagonal, with
     no entry between consecutive edges, and C the interior-vertex coupling,
     -scale w at each edge's first interior row (its tail) and last (its
-    head).  B_VV is diagonal, since every edge has an interior node.  T is
-    factored by LAPACK's dpttrf (T = L D L^T), G = T^-1 C takes one dpttrs
-    with two right-hand sides (every edge's tail coupling in one, its head
-    coupling in the other, since the edge blocks are independent).  C^T is
-    the vertex rows' interior block, scaled.  G is one CSR construction: two
-    entries per interior row, at its edge's tail and head, a pinned end in
-    a sentinel column that is sliced off, a self-loop's two columns summed.
-    The vertex complement S = B_VV - C^T G, SPD and small, goes to
-    factor_spd.  A solve is one dpttrs and one SuperLU solve: y = T^-1 r_I,
-    then x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
+    head).  B_VV is diagonal, since every edge has an interior node.  The
+    factor and the solve work in place: LAPACK's dpttrf factors
+    T = L D L^T in the buffers that hold its diagonal and off-diagonal, and
+    one dpttrs overwrites its two right-hand sides with G = T^-1 C (every
+    edge's coupling to its lower end column in one, to its higher in the
+    other, since the edge blocks are independent).  C^T is the vertex rows'
+    interior block, scaled.  G's CSR takes only the entries at free
+    vertices, each row's lower column first and a self-loop's two summed,
+    and the dense solve is freed before the vertex complement
+    S = B_VV - C^T G, SPD and small, goes to factor_spd.
+    A solve is one dpttrs and one SuperLU solve: y = T^-1 r_I, then
+    x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
     """
 
     def __init__(self, mesh: GraphMesh, shift, scale: float, what: str):
         nv = mesh.free_vertices
-        d = mesh.stiffness_diagonal() * scale + shift    # raises MeshTooCoarse
+        rows = mesh.vertex_rows[0]    # raises MeshTooCoarse
         n, first, last, w, chain = mesh._interiors
-        # -scale chain, but +0.0 between consecutive edges: -0.0 there would
-        # flip the sign of some zeros that a solve returns
-        e = 0.0 - scale * chain
-        # f2py asks for one superdiagonal entry even when T is 1 x 1
-        self._d, self._e, info = dpttrf(d[nv:], e if e.size else np.zeros(1))
+        size = chain.size + 1
+        shift = np.broadcast_to(shift, (nv + size,))
+        # T's diagonal, scale 2w + shift, and -scale chain, but +0.0 between
+        # consecutive edges: -0.0 there would flip the sign of some zeros that
+        # a solve returns.  f2py asks for one superdiagonal entry even when T
+        # is 1 x 1.  dpttrf factors both in place.
+        d = np.repeat(w + w, n)
+        d *= scale
+        d += shift[nv:]
+        e = np.multiply(chain, scale) if chain.size else np.zeros(1)
+        np.subtract(0.0, e, out=e)
+        self._d, self._e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
         if info != 0:
             raise LinearSolveFailure(
                 f"{what} factorization failed: LAPACK dpttrf info {info}")
@@ -360,19 +369,38 @@ class CondensedLU:
         self.schur = None
         if nv == 0:
             return
-        size = d.size - nv
-        self._ct = scale * mesh.vertex_rows[0][:, nv:]
-        couple = np.zeros((size, 2))
-        couple[first, 0] = couple[last, 1] = w * -scale
-        g, _ = dpttrs(self._d, self._e, couple)
-        # every interior row meets its edge's tail and head: a pinned end goes
-        # to the sentinel column nv, and a self-loop's two columns merge
+        self._ct = scale * rows[:, nv:]
+        # Row by row, G holds its edge's lower end column, then its higher
+        # one; a pinned end (numbered nv, above every free one) is left out
+        # and a self-loop's two entries are summed.  So right-hand side 0
+        # holds each edge's coupling to its lower end and 1 to its higher:
+        # the edge blocks of T are independent, so an edge solves alike in
+        # either column.
+        tail, head = mesh._ends.T
+        ends = np.sort(mesh._ends, axis=1)
+        swap = (tail > head).astype(np.intp)
+        g = np.zeros((size, 2), order="F")
+        g[first, swap] = g[last, 1 - swap] = w * -scale
+        g, _ = dpttrs(self._d, self._e, g, overwrite_b=True)
+        loop = (tail == head) & (tail < nv)
+        np.add(g[:, 0], g[:, 1], out=g[:, 0], where=np.repeat(loop, n))
+        # an edge's rows keep its lower end if free, and its higher end if
+        # free and not the lower one
+        kept = np.column_stack((ends[:, 0] < nv, (ends[:, 1] < nv) & ~loop))
+        keep = np.repeat(kept, n, axis=0)
+        # a row-major copy, since masking the column-major solve is several
+        # times slower; the solve is freed before the mask copies again
+        data = np.ascontiguousarray(g)
+        del g
+        data = data[keep]
         idx = np.int32 if 2 * size <= np.iinfo(np.int32).max else np.int64
-        g = sp.csr_matrix((g.ravel(), np.repeat(mesh._ends.astype(idx), n, axis=0).ravel(),
-                           np.arange(0, 2 * size + 1, 2, dtype=idx)), shape=(size, nv + 1))
-        g.sum_duplicates()
-        self._g = g[:, :nv]
-        self.schur = factor_spd(sp.diags(d[:nv], format="csr") - self._ct @ self._g, what)
+        indices = np.repeat(ends.astype(idx), n, axis=0)[keep]
+        del keep
+        indptr = np.zeros(size + 1, dtype=idx)
+        np.cumsum(np.repeat(kept.sum(axis=1, dtype=idx), n), out=indptr[1:])
+        self._g = sp.csr_matrix((data, indices, indptr), shape=(size, nv))
+        b_vv = sp.diags(rows.diagonal() * scale + shift[:nv], format="csr")
+        self.schur = factor_spd(b_vv - self._ct @ self._g, what)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x with B x = r, written into ``out`` when given (``out`` may be r)."""
@@ -414,9 +442,6 @@ class Field:
 
     def min_value(self) -> float:
         return float(np.min(self.values))
-
-    def copy(self) -> "Field":
-        return Field(self.mesh, self.values.copy())
 
     def pin_dirichlet(self) -> None:
         self.values[self.mesh.dirichlet_nodes] = 0.0

@@ -192,12 +192,14 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
     MAX_LANCZOS_STEPS without that raises.  The second pass regenerates
     v_1..v_j from the coefficients and sums y = sum s_i v_i, scaled to
     y.M.y = 1.  ``iterations`` counts the solves of both passes, 2j - 1.
-    The pair must meet a relative residual of 1e-10 or its own rounding
-    floor, 2 eps |(|A| |y| + rho M |y|)| over the same scale, as
+    The factor is freed before the residual check.  The pair must meet a
+    relative residual of 1e-10 or its own rounding floor,
+    2 eps |(|A| |y| + rho M |y|)| over the same scale, as
     groundstate._floors does; that floor grows like 1/lambda0, so large
     graphs with a small lambda0 sit above 1e-10.  A y and |A| |y| are
     mesh stencil products, the latter as 2 diag(A) |y| - A |y|, since A's
-    off-diagonal entries are all negative.
+    off-diagonal entries are all negative; the residual and the floor's
+    bound are each formed in one buffer, in the order the formulas read.
     """
     mesh = GraphMesh(graph, mesh_h)
     if mesh.min_intervals() < 5:
@@ -205,17 +207,26 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
             f"coarsest edge has {mesh.min_intervals()} cells; need >= 5 "
             "(four interior nodes) for the eigenvalue stencil")
     _, m = mesh.vertex_rows
-    lu = CondensedLU(mesh, 0.0, 1.0, "stiffness")
-    theta, y, j = _largest_pair(lu.solve, m)
+    # the factor is freed when _largest_pair returns, before the residual
+    theta, y, j = _largest_pair(CondensedLU(mesh, 0.0, 1.0, "stiffness").solve, m)
     rho = 1.0 / theta
-    ay = mesh.stiffness_product(y)
-    r = ay - rho * (m * y)
-    scale = math.sqrt(float(ay @ ay)) + rho
+    r = mesh.stiffness_product(y)
+    scale = math.sqrt(float(r @ r)) + rho
+    # r = A y - rho (m y), rounded as that expression reads
+    my = np.multiply(m, y)
+    my *= rho
+    r -= my
     rel = math.sqrt(float(r @ r)) / scale
     if rel > 1e-10:    # a pair within 1e-10 passes whatever its floor
-        ya = np.abs(y)
-        bound = (2.0 * mesh.stiffness_diagonal() * ya - mesh.stiffness_product(ya)
-                 + rho * (m * ya))
+        # 2 diag(A) |y| - A |y| + rho (m |y|), left to right, |y| in my's buffer
+        ya = np.abs(y, out=my)
+        bound = mesh.stiffness_diagonal()
+        bound *= 2.0
+        bound *= ya
+        bound -= mesh.stiffness_product(ya)
+        ya *= m
+        ya *= rho
+        bound += ya
         if rel > 2.0 * EPS * math.sqrt(float(bound @ bound)) / scale:
             raise LinearSolveFailure(f"eigenpair residual {rel:.3e} is above its floor")
     return SpectralResult(rho, "discretized", rel, 2 * j - 1,

@@ -1,10 +1,13 @@
 """Time integration: fixed points, comparison bounds, energy descent."""
 
 import math
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
 import pytest
+
+from test_mesh import seeded_tree
 
 import fkpp_graphs.evolve as evolve
 from fkpp_graphs.errors import (
@@ -19,14 +22,10 @@ from fkpp_graphs.evolve import (
     run_to_attractor,
     stable_dt,
 )
-from fkpp_graphs.graph import (
-    Edge,
-    FlowerSpec,
-    MetricGraph,
-    flower_graph,
-)
+from fkpp_graphs.graph import FlowerSpec, flower_graph
 from fkpp_graphs.groundstate import reconstruct_profile, solve_interval
 from fkpp_graphs.mesh import (
+    Field,
     GraphMesh,
     constant_field,
     field_from_function,
@@ -222,7 +221,7 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
     """run_to_attractor on whole Fields: one Field copy and one
     full-stiffness free_energy per trial step."""
     mesh = field0.mesh
-    field = field0.copy()
+    field = Field(mesh, field0.values.copy())
     field.pin_dirichlet()
     free = mesh.free_nodes
     sup0 = field.sup_norm
@@ -240,7 +239,7 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
         slack = 1e-9 * max(1.0, c)
         ok = u_new.min() >= -slack and u_new.max() <= c_new + slack
         if ok:
-            trial = field.copy()
+            trial = Field(mesh, field.values.copy())
             trial.values[free] = u_new
             h_new = free_energy(trial)
             ok = h_new <= h + evolve.ENERGY_SLACK
@@ -260,15 +259,6 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
                         else Terminal.CONVERGED_NONTRIVIAL)
             break
     return times, energies, sups, mins, dts, terminal, field
-
-
-def seeded_tree(n_edges, seed):
-    rng = np.random.default_rng(seed)
-    parents = rng.integers(0, np.arange(1, n_edges + 1))
-    lengths = rng.uniform(0.25, 0.75, n_edges)
-    edges = tuple(Edge(f"e{k}", f"v{parents[k - 1]}", f"v{k}", float(lengths[k - 1]))
-                  for k in range(1, n_edges + 1))
-    return MetricGraph(edges, {f"v{n_edges}": "dirichlet"})
 
 
 def assert_matches_reference(trace, ref):
@@ -336,3 +326,24 @@ def test_run_rejects_a_bad_horizon_or_tolerance(bad):
     f = constant_field(GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.1), 0.5)
     with pytest.raises(InvalidDomain, match="must be positive"):
         run_to_attractor(f, **{"max_t": 1.0, **bad})
+
+
+# Peak bytes per free unknown of a short run, five steps of dt = 0.1, on
+# test_mesh's seeded 2000-edge trees (about 21,000 unknowns), mesh and data
+# built beforehand: about 140 while the condensed factor copied T's arrays
+# and built G through a sentinel column, about 106 with neither.
+PEAK_BYTES_PER_UNKNOWN = 122
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_run_peak_memory_per_unknown(seed):
+    mesh = GraphMesh(seeded_tree(2000, seed), mesh_h=0.05)
+    field0 = constant_field(mesh, 0.5)
+    tracemalloc.start()
+    try:
+        trace = run_to_attractor(field0, dt=0.1, max_t=0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == 5
+    assert peak / mesh.free_nodes.size <= PEAK_BYTES_PER_UNKNOWN

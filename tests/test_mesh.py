@@ -118,7 +118,7 @@ def test_constant_field_pins_dirichlet():
     assert f.values[mesh.graph.validation.vertices.index("b")] == 0.0
     assert f.sup_norm == 0.7
     assert f.min_value() == 0.0
-    c = f.copy()
+    c = Field(mesh, f.values.copy())
     c.values[:] = 0.0
     assert f.sup_norm == 0.7
 
@@ -522,8 +522,10 @@ def seeded_tree(n_edges, seed):
 # Peak bytes per free unknown of GraphMesh + vertex_rows + CondensedLU, the
 # commands' path, on a 2000-edge tree (about 21,000 unknowns): about 385 when
 # the full-node stiffness was built, sliced and cached, about 195 with A_ff
-# assembled straight into CSR, and about 136 with no A_ff formed.
-PEAK_BYTES_PER_UNKNOWN = 200
+# assembled straight into CSR, about 136 (later 143) with no A_ff formed,
+# and about 91 with T factored in place and G built from its unpinned
+# entries alone.
+PEAK_BYTES_PER_UNKNOWN = 105
 
 
 def test_mesh_and_factor_peak_memory_per_unknown():
@@ -559,6 +561,50 @@ def test_condensed_factor_on_edge_cases(edges, conditions, mesh_h, cells, dt):
     mesh = GraphMesh(graph, mesh_h)
     assert [len(mesh.edge_nodes[e.id]) - 1 for e in graph.edges] == cells
     assert_condensed_solves(mesh, dt, 3)
+    assert_factor_is_the_sentinel_construction(mesh, dt)
+
+
+def sentinel_factor(mesh, shift, scale):
+    """(d, e, G) of CondensedLU as it once built them: T's diagonal sliced
+    from the full diagonal and factored by a copying dpttrf; G from one
+    C-ordered two-column solve, every interior row's tail entry (column 0)
+    and head entry (column 1), a pinned end in the sentinel column nv,
+    duplicates summed by scipy, and column nv sliced off."""
+    nv = mesh.free_vertices
+    n, first, last, w, chain = mesh._interiors
+    e = 0.0 - scale * chain
+    d, e, _ = dpttrf((mesh.stiffness_diagonal() * scale + shift)[nv:],
+                     e if e.size else np.zeros(1))
+    couple = np.zeros((d.size, 2))
+    couple[first, 0] = couple[last, 1] = w * -scale
+    g, _ = dpttrs(d, e, couple)
+    g = sp.csr_matrix((g.ravel(), np.repeat(mesh._ends, n, axis=0).ravel(),
+                       np.arange(0, 2 * d.size + 1, 2)), shape=(d.size, nv + 1))
+    g.sum_duplicates()
+    return d, e, g[:, :nv]
+
+
+def assert_factor_is_the_sentinel_construction(mesh, dt):
+    """T's factor and G of both operators equal sentinel_factor's exactly."""
+    _, m = mesh.vertex_rows
+    for shift, scale in ((0.0, 1.0), (m, dt)):
+        lu = CondensedLU(mesh, shift, scale, "test")
+        d, e, g = sentinel_factor(mesh, shift, scale)
+        assert same_bits(lu._d, d) and same_bits(lu._e, e)
+        if mesh.free_vertices == 0:
+            assert lu.schur is None
+            continue
+        assert lu._g.shape == g.shape
+        assert same_bits(lu._g.data, g.data)
+        for got, want in ((lu._g.indices, g.indices), (lu._g.indptr, g.indptr)):
+            assert np.array_equal(got.astype(np.int64), want.astype(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]),
+       dt=st.sampled_from([1e-3, 0.1, 0.99]))
+def test_g_is_the_sentinel_construction(graph, mesh_h, dt):
+    assert_factor_is_the_sentinel_construction(GraphMesh(graph, mesh_h=mesh_h), dt)
 
 
 def test_condensed_factor_rejects_an_indefinite_interior():

@@ -292,8 +292,9 @@ def test_discretized_failures_are_typed(monkeypatch, fake):
 # Peak bytes per free unknown of lambda0_discretized on test_mesh's seeded
 # 2000-edge trees (about 21,000 unknowns): about 313 when ARPACK held its
 # n x 10 Lanczos basis and a second n x 10 block, about 178 with the two-pass
-# Lanczos, whose four n-vectors stay below the condensed factor's own build.
-PEAK_BYTES_PER_UNKNOWN = 240
+# Lanczos (about 164 later), and about 134 with the condensed factor built
+# without copies and freed before the residual check.
+PEAK_BYTES_PER_UNKNOWN = 155
 
 
 @pytest.mark.parametrize("seed", [5, 11])
