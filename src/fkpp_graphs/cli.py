@@ -1,12 +1,15 @@
 """Command line front end: spectrum, groundstate, evolve, region, validate.
 
-Exit codes: 0 success; 2 bad input: arguments, files that cannot be read
-or decoded, outputs that fail while opened or written, JSON, domains,
-graphs that fail validation (disconnected, no Dirichlet pendant, a length
-outside (0, inf)) and meshes too coarse for an edge; 3 lambda0 >= 1,
-outside the existence region; 4 groundstate on a graph that is not
-flower-representable; 1 any other failure, including a solve that stalls
-and failed validation suites.  Errors print one `error:` line on stderr.
+Exit codes: 0 success, 2 a usage error, else the exit_code of the
+FisherKppError raised: 2 bad input (InvalidDomain and its subclasses:
+files that cannot be read or decoded, outputs that fail while opened or
+written, JSON, domains, invalid graphs, meshes too coarse for an edge);
+3 lambda0 >= 1, outside the existence region (OutsideRegion); 4
+groundstate on a graph that is not flower-representable (NotAFlower); 1
+any other failure, including a stalled solve and a failed validation
+suite, and memory that runs out.  Each failure writes one `error:` line
+on stderr, cut to 400 characters with its head and tail kept; a usage
+error adds argparse's usage lines.
 
 File formats are stable: JSON summaries carry a "schema": 1 field; CSV
 files always start with a header row.  Profile CSVs are `edge_id,x,u`,
@@ -38,16 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraph,
-    FisherKppError,
-    InvalidDomain,
-    MeshTooCoarse,
-    NegativeInitialData,
-    NonpositiveLength,
-    NoPendant,
-    OutsideRegion,
-)
+from .errors import FisherKppError, InvalidDomain, NotAFlower
 from .graph import (
     DIRICHLET,
     FlowerSpec,
@@ -266,10 +260,8 @@ def cmd_groundstate(args) -> int:
 
     spec, graph = _load_graph(args)
     if spec is None:
-        print("error: graph is not flower-representable; the period method "
-              "does not apply. Use the evolve subcommand instead.",
-              file=sys.stderr)
-        return 4
+        raise NotAFlower("graph is not flower-representable; the period method "
+                         "does not apply. Use the evolve subcommand instead.")
     sol = solve_flower(spec, tol=args.tol)
     out = {
         "schema": 1,
@@ -394,9 +386,10 @@ def _suite_asymptotics(args) -> list[dict]:
         bp = 1e-3
         pt = PhasePoint(1.0 - bp, Q * bp)
         lim_t, lim_t0 = center_limits(Q)
-        dev_t = abs(period_T(pt).value - lim_t)
-        dev_t0 = abs(period_T0(pt).value - lim_t0)
-        dev_sum = abs(period_T(pt).value + period_T0(pt).value - math.pi / 2.0)
+        t, t0 = period_T(pt).value, period_T0(pt).value
+        dev_t = abs(t - lim_t)
+        dev_t0 = abs(t0 - lim_t0)
+        dev_sum = abs(t + t0 - math.pi / 2.0)
         ok = max(dev_t, dev_t0, dev_sum) <= 5e-3
         checks.append({
             "name": f"center limits along q = {Q:g}(1-p)",
@@ -426,11 +419,10 @@ def _suite_monotonicity(args) -> list[dict]:
     })
     rng = np.random.default_rng(args.seed)
     bad_q = bad_p = 0
-    n_inside = 0
-    for _ in range(args.samples or 200):
+    samples = args.samples or 200
+    for _ in range(samples):
         p, q = _admissible_loop_sample(rng)
         g0 = grad_T0(PhasePoint(p, q))
-        n_inside += 1
         if not g0.dT_dq < 0.0:
             bad_q += 1
         if p <= 0.5 and not g0.dT_dp < 0.0:
@@ -438,7 +430,7 @@ def _suite_monotonicity(args) -> list[dict]:
     checks.append({
         "name": "dT0/dq < 0 on random closed orbits",
         "passed": bad_q == 0,
-        "detail": f"{bad_q} violations out of {n_inside}",
+        "detail": f"{bad_q} violations out of {samples}",
     })
     checks.append({
         "name": "dT0/dp < 0 for p <= 1/2",
@@ -531,15 +523,18 @@ _SUITES = {
 
 def cmd_validate(args) -> int:
     checks = _SUITES[args.suite](args)
-    passed = all(c["passed"] for c in checks)
+    failed = [c["name"] for c in checks if not c["passed"]]
     _emit_json({
         "schema": 1,
         "suite": args.suite,
         "seed": args.seed,
         "checks": checks,
-        "passed": passed,
+        "passed": not failed,
     }, args.out)
-    return 0 if passed else 1
+    if failed:
+        raise FisherKppError(f"{len(failed)} of {len(checks)} {args.suite} checks "
+                             f"failed: {'; '.join(failed)}")
+    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -568,11 +563,20 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _error(message: str) -> None:
+    """Write the one `error:` line on stderr; past 400 characters it keeps the
+    first 297 and the last 100, "..." between, so that a user value quoted
+    whole in a message shows as an excerpt."""
+    line = f"error: {message}"
+    print(line if len(line) <= 400 else f"{line[:297]}...{line[-100:]}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors start with one `error:` line, as every other error does."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n{self.format_usage()}")
+        _error(message)
+        self.exit(2, self.format_usage())
 
 
 def _add_graph_source(sub):
@@ -647,14 +651,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# exit code per error class; every other FisherKppError exits 1
-_EXIT_CODES = {
-    OutsideRegion: 3,
-    InvalidDomain: 2, NegativeInitialData: 2, DisconnectedGraph: 2,
-    NoPendant: 2, NonpositiveLength: 2, MeshTooCoarse: 2,
-}
-
-
 def main(argv=None) -> int:
     # a name that is not a level (getLevelName returns a str) logs at WARNING
     level = logging.getLevelName(os.environ.get("FKPP_LOG", "WARNING").upper())
@@ -669,10 +665,10 @@ def main(argv=None) -> int:
     try:
         return globals()[f"cmd_{args.command}"](args)
     except FisherKppError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), 1)
+        _error(str(exc))
+        return exc.exit_code
     except MemoryError:    # past the mesh's guarded first allocation
-        print("error: out of memory; a coarser --mesh needs less", file=sys.stderr)
+        _error("out of memory; a coarser --mesh needs less")
         return 1
 
 

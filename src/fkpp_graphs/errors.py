@@ -4,35 +4,48 @@ from __future__ import annotations
 
 
 class FisherKppError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``exit_code`` is the
+    command line's exit status for one."""
+
+    exit_code = 1
 
 
 class InvalidDomain(FisherKppError):
     """Arguments outside the domain of a phase-plane or period operation."""
+
+    exit_code = 2
 
 
 class OrbitNotClosed(FisherKppError):
     """The requested orbit does not close around the positive equilibrium."""
 
 
-class DisconnectedGraph(FisherKppError):
+class DisconnectedGraph(InvalidDomain):
     """The metric graph is not connected."""
 
 
-class NoPendant(FisherKppError):
+class NoPendant(InvalidDomain):
     """No Dirichlet pendant vertex, or a Dirichlet vertex that is not one."""
 
 
-class NonpositiveLength(FisherKppError):
+class NonpositiveLength(InvalidDomain):
     """An edge length is zero, negative, or not finite."""
 
 
-class MeshTooCoarse(FisherKppError):
+class MeshTooCoarse(InvalidDomain):
     """Mesh spacing leaves an edge with fewer than four interior nodes."""
 
 
 class OutsideRegion(FisherKppError):
     """The geometry lies outside the existence region (eigenvalue >= 1)."""
+
+    exit_code = 3
+
+
+class NotAFlower(FisherKppError):
+    """The graph is not flower-representable; the period method does not apply."""
+
+    exit_code = 4
 
 
 class NewtonStalled(FisherKppError):
@@ -55,7 +68,7 @@ class LinearSolveFailure(FisherKppError):
     """Sparse factorization, solve or eigen-solve failed on a discretized operator."""
 
 
-class NegativeInitialData(FisherKppError):
+class NegativeInitialData(InvalidDomain):
     """Initial data for the evolution has a negative sample."""
 
 

@@ -100,7 +100,7 @@ class ValidationReport:
 def _check_length(length: float, what: str, *args) -> None:
     """NonpositiveLength unless 0 < length < inf; ``what % args`` formats on failure."""
     if not 0.0 < length < math.inf:    # NaN fails both comparisons
-        raise NonpositiveLength(f"{_cut(what % args)} has length {length!r}; lengths "
+        raise NonpositiveLength(f"{what % args} has length {length!r}; lengths "
                                 "must be positive and finite")
 
 
@@ -126,11 +126,11 @@ def validate(graph: MetricGraph) -> ValidationReport:
         seen: set[str] = set()
         for i in ids:
             if i in seen:
-                raise InvalidDomain(f"duplicate edge id {_cut(repr(i))}; edge ids must be unique")
+                raise InvalidDomain(f"duplicate edge id {i!r}; edge ids must be unique")
             seen.add(i)
     for v, c in graph.conditions.items():
         if c not in (DIRICHLET, KIRCHHOFF):
-            raise InvalidDomain(f"unknown condition {_cut(repr(c))} at vertex {_cut(repr(v))}")
+            raise InvalidDomain(f"unknown condition {c!r} at vertex {v!r}")
 
     index: dict[str, int] = {}
     number = index.setdefault
@@ -150,8 +150,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
     parts, label = connected_components(coo_matrix((np.ones(len(ends)), ends.T), shape=(n, n)))
     if parts > 1:
         missing = sorted(verts[k] for k in np.flatnonzero(label != label[0]).tolist())
-        raise DisconnectedGraph(f"vertices unreachable from {_cut(repr(verts[0]))}: "
-                                f"{_cut(str(missing))}")
+        raise DisconnectedGraph(f"vertices unreachable from {verts[0]!r}: {missing}")
 
     dirichlet = np.array(sorted(index[v] for v, c in graph.conditions.items()
                                 if c == DIRICHLET), dtype=np.int64)
@@ -160,7 +159,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
     for k in dirichlet.tolist():
         if degree[k] != 1:
             raise NoPendant(
-                f"Dirichlet vertex {_cut(repr(verts[k]))} has degree {degree[k]}; Dirichlet "
+                f"Dirichlet vertex {verts[k]!r} has degree {degree[k]}; Dirichlet "
                 "vertices must be pendant (degree one)")
 
     for a in (ends, lengths, dirichlet):
@@ -184,12 +183,6 @@ class FlowerSpec:
     @property
     def n_loops(self) -> int:
         return len(self.loop_halves)
-
-
-def _cut(text: str, limit: int = 160) -> str:
-    """text, cut to its first ``limit`` characters and "..." when longer: an
-    error message quotes an excerpt of a user's value, not all of it."""
-    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _float(value) -> float:
@@ -273,12 +266,12 @@ def graph_from_dict(data: dict) -> MetricGraph:
     edges = []
     for k, ed in enumerate(data["edges"]):
         if not isinstance(ed, dict):
-            raise InvalidDomain(f"bad edge entry {_cut(repr(ed))}: not an object")
+            raise InvalidDomain(f"bad edge entry {ed!r}: not an object")
         try:
             edges.append(Edge(str(ed["id"]) if "id" in ed else f"e{k}", str(ed["from"]),
                               str(ed["to"]), _float(ed["length"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidDomain(f"bad edge entry {_cut(repr(ed))}: {_cut(str(exc))}") from exc
+            raise InvalidDomain(f"bad edge entry {ed!r}: {exc}") from exc
     return MetricGraph(tuple(edges), {str(v): str(c).lower()
                                       for v, c in conditions.items()})
 

@@ -358,16 +358,14 @@ def _solve_loop_free(spec: FlowerSpec, tol: float, lam: float) -> GroundStateSol
                     info.iterations, (), tol, lam)
 
 
-def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
-                 init=None) -> GroundStateSolution:
+def solve_flower(spec: FlowerSpec, tol: float = 1e-10) -> GroundStateSolution:
     """Positive ground state on a flower graph; OutsideRegion unless lambda0 < 1.
 
     The loop-free flower, the interval, is solved by brentq in p.  With
-    loops, one damped Newton run: ``init`` optionally supplies a starting
-    point (p, (q_1, ..., q_N)); when it is absent or inadmissible, the trace
-    asymptotics seed p and per-loop presolves seed q_j.  There is no retry:
-    the ground state is unique and the Jacobian never vanishes, so a run
-    that stalls from the seed raises NewtonStalled.
+    loops, one damped Newton run from a seed: the trace asymptotics seed p
+    and per-loop presolves seed q_j.  There is no retry: the ground state is
+    unique and the Jacobian never vanishes, so a run that stalls from the
+    seed raises NewtonStalled.
     """
     tol = _check_tol(tol)
     lam = lambda0_flower(spec).lambda0
@@ -378,10 +376,7 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10,
     if spec.n_loops == 0:
         return _solve_loop_free(spec, tol, lam)
     quad_tol = min(1e-11, 0.01 * tol)
-
-    z0 = None if init is None else np.array([init[0], *init[1]], dtype=float)
-    if z0 is None or not _admissible(z0[0], z0[1:]):
-        z0 = _asymptotic_seed(spec, quad_tol)
+    z0 = _asymptotic_seed(spec, quad_tol)
     return _package(spec, *_newton(spec, z0, tol, quad_tol), tol, lam)
 
 

@@ -68,11 +68,11 @@ class GraphMesh:
     array each.
     """
 
-    def __init__(self, graph: MetricGraph, mesh_h: float | None = None):
+    def __init__(self, graph: MetricGraph, mesh_h: float):
         report = graph.validation    # raises on an invalid graph
         self.graph = graph
         edges = graph.edges
-        if mesh_h is None or not mesh_h > 0:
+        if not mesh_h > 0:
             raise MeshTooCoarse("need a positive mesh_h")
         # a ratio past 2**63 (or inf) cannot be counted by an int64 index
         with np.errstate(over="ignore"):

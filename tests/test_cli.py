@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkpp_graphs import cli, graph, groundstate, mesh, period, spectral
+from fkpp_graphs import cli, errors, graph, groundstate, mesh, period, spectral
 from fkpp_graphs.cli import main
 
 LAM_TADPOLE = 0.6309875424906724841546
@@ -142,20 +142,32 @@ def test_non_numeric_flower_json_exit_2(tmp_path, capsys, flower):
     assert "must be a number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", [
-    "stem,0.0,abc\n",      # non-numeric u
-    "stem,0.0\n",          # too few fields
-    "stem,1.0,0.5\nstem,0.5,0.4\nstem,0.0,0.0\n",    # x runs head to tail
-    "stem,0.0,0.0\nstem,0.5,0.4\n",                  # x ends short of the edge
-    "stem,0.0,0.0\nstem,1.5,0.4\n",                  # x runs past the edge
-    "stem,0.5,0.0\nstem,1.0,0.4\n",                  # x starts inside the edge
+# a user value of thousands of characters: a message that quotes it whole
+# still prints one error line of at most ERROR_LINE_CAP characters
+LONG = "x" * 5000
+PROFILE_HEADER = "edge_id,x,u\n"
+
+
+@pytest.mark.parametrize("text", [
+    PROFILE_HEADER + "stem,0.0,abc\n",      # non-numeric u
+    PROFILE_HEADER + "stem,0.0\n",          # too few fields
+    PROFILE_HEADER + "stem,1.0,0.5\nstem,0.5,0.4\nstem,0.0,0.0\n",    # x runs head to tail
+    PROFILE_HEADER + "stem,0.0,0.0\nstem,0.5,0.4\n",                  # x ends short of the edge
+    PROFILE_HEADER + "stem,0.0,0.0\nstem,1.5,0.4\n",                  # x runs past the edge
+    PROFILE_HEADER + "stem,0.5,0.0\nstem,1.0,0.4\n",                  # x starts inside the edge
+    PROFILE_HEADER + f"stem,0.0,{LONG}\n",
+    PROFILE_HEADER + f"stem,{LONG}\n",
+    f"{LONG}\nstem,0.0,0.0\n",
 ], ids=["non-numeric", "short-row", "decreasing x", "x short of the edge",
-        "x past the edge", "x starts inside"])
-def test_bad_profile_csv_exit_2(tmp_path, body):
+        "x past the edge", "x starts inside", "long u", "long short-row", "long header"])
+def test_bad_profile_csv_exit_2(tmp_path, capsys, text):
     prof = tmp_path / "prof.csv"
-    prof.write_text("edge_id,x,u\n" + body)
+    prof.write_text(text)
     assert main(["evolve", "--flower", "stem=1", "--mesh", "0.1",
                  "--initial", f"csv:{prof}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err.splitlines()[0]) <= ERROR_LINE_CAP
 
 
 @pytest.mark.parametrize("kind,body", [
@@ -225,6 +237,9 @@ def test_underflowing_interval_exits_1(capsys):
     assert "underflows" in capsys.readouterr().err
 
 
+# long values that argparse quotes, and a long edge id
+LONG_ARG = "x" * 3000
+LONG_ID = "e" * 3000
 # loops tiny next to the stem, and huge lengths: the secular root lies above
 # the old bracket end s_max (1 - 1e-13)
 TINY_LOOPS = [["stem=2", "loops=1e-13"], ["stem=0.5", "loops=1e-14"]]
@@ -237,11 +252,11 @@ UNWRITABLE = os.path.join(os.devnull, "out")
 DEV_FULL = "/dev/full"
 
 
-def pendant_tree(pendant):
+def pendant_tree(pendant, pendant_id="e2"):
     """Three edges at vertex a: to the Dirichlet end, a second edge, a Kirchhoff pendant."""
     return {"edges": [{"id": "e0", "from": "d", "to": "a", "length": 2.0},
                       {"id": "e1", "from": "a", "to": "b", "length": 1.5},
-                      {"id": "e2", "from": "a", "to": "p", "length": pendant}],
+                      {"id": pendant_id, "from": "a", "to": "p", "length": pendant}],
             "conditions": {"d": "dirichlet"}}
 
 
@@ -334,6 +349,25 @@ BAD_INPUTS = [
         (2, ["groundstate", "--flower", "stem=2", "--profile", path]),
         *((2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, option, path])
           for option in ("--trace", "--profile", "--out")))),
+    # long values on the command line, each quoted whole in its message ...
+    (2, ["evolve", "--flower", "stem=1", *QUICK_EVOLVE, "--initial", f"const:{LONG}"]),
+    (2, ["evolve", "--flower", "stem=1", *QUICK_EVOLVE, "--initial", LONG]),
+    (2, ["spectrum", "--flower", LONG]),
+    (2, ["spectrum", "--flower", f"{LONG}=1"]),
+    (2, ["spectrum", "--flower", f"stem={LONG}"]),
+    # ... by argparse too
+    (2, ["region", "--curve", "2", "--samples", LONG_ARG]),
+    (2, ["spectrum", "--flower", "stem=2", "--mesh", LONG_ARG]),
+    (2, ["region", "--curve", "2", LONG_ARG]),
+    # ... as a graph file or an output path, each past the longest file name
+    (2, ["spectrum", "--graph", LONG_ARG]),
+    (2, ["region", "--curve", "2", "--out", LONG_ARG]),
+    # ... and in graph files: an edge id in the mesh's messages, a flower stem
+    (2, ["evolve", *UNEVEN_EVOLVE, "--graph", pendant_tree(1e-15, LONG_ID)]),
+    (2, ["evolve", *QUICK_EVOLVE, "--graph", {"edges": [{"id": LONG_ID, "from": "a", "to": "v",
+                                                         "length": 1e-310}],
+                                              "conditions": {"a": "dirichlet"}}]),
+    (2, ["spectrum", "--graph", {"flower": {"stem": LONG}}]),
 ]
 
 
@@ -343,7 +377,7 @@ ERROR_LINE_CAP = 400
 
 
 @pytest.mark.parametrize("code,argv", BAD_INPUTS,
-                         ids=[" ".join(a if isinstance(a, str) else json.dumps(a)[:200]
+                         ids=[" ".join((a if isinstance(a, str) else json.dumps(a))[:200]
                                        for a in argv) for _, argv in BAD_INPUTS])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, code, argv):
     if DEV_FULL in argv and not os.path.exists(DEV_FULL):
@@ -610,6 +644,34 @@ def test_groundstate_non_flower_exit(tmp_path, capsys):
     rc = main(["groundstate", "--graph", str(g)])
     assert rc == 4
     assert "evolve" in capsys.readouterr().err
+
+
+# the exit code README documents for each error class
+EXIT_CODES = {
+    errors.FisherKppError: 1, errors.OrbitNotClosed: 1, errors.NewtonStalled: 1,
+    errors.StepTooLarge: 1, errors.LinearSolveFailure: 1, errors.ComparisonViolated: 1,
+    errors.InvalidDomain: 2, errors.DisconnectedGraph: 2, errors.NoPendant: 2,
+    errors.NonpositiveLength: 2, errors.MeshTooCoarse: 2, errors.NegativeInitialData: 2,
+    errors.OutsideRegion: 3, errors.NotAFlower: 4,
+}
+
+
+def test_every_error_class_is_documented():
+    classes, todo = set(), [errors.FisherKppError]
+    while todo:
+        classes.add(todo[-1])
+        todo.extend(todo.pop().__subclasses__())
+    assert classes == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", EXIT_CODES, ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_documented_code(monkeypatch, capsys, cls):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_region", fail)
+    assert main(["region", "--curve", "1"]) == EXIT_CODES[cls]
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_evolve_trivial_run(tmp_path):
@@ -939,6 +1001,18 @@ def test_validate_seeded_runs_repeat(tmp_path):
         assert main(["validate", "--suite", "jacobian", "--seed", "7",
                      "--samples", "5", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_failed_suite_writes_its_report_then_one_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli._SUITES, "jacobian", lambda args: [
+        {"name": "holds", "passed": True, "detail": ""},
+        {"name": "breaks", "passed": False, "detail": "forced"}])
+    out = tmp_path / "report.json"
+    assert main(["validate", "--suite", "jacobian", "--out", str(out)]) == 1
+    assert read_json(out)["passed"] is False
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "breaks" in err
 
 
 def test_a_log_value_that_is_not_a_level_logs_at_warning(monkeypatch):

@@ -227,16 +227,17 @@ def test_near_boundary_degeneration():
 def test_uniqueness_from_random_initializations():
     rng = np.random.default_rng(42)
     converged = 0
+    tol, quad_tol = 1e-10, 1e-12    # solve_flower's defaults
     for _ in range(20):
         p0 = rng.uniform(0.05, 0.95)
         q0 = -math.sqrt(well(p0)) * rng.uniform(0.1, 0.9)
-        try:
-            sol = solve_flower(TADPOLE, init=(p0, [q0]))
-        except NewtonStalled:
+        assert groundstate._admissible(p0, [q0])
+        z, F, J, _, _ = groundstate._newton(TADPOLE, np.array([p0, q0]), tol, quad_tol)
+        if not groundstate._converged(F, tol, groundstate._floors(TADPOLE, J, z)):
             continue
         converged += 1
-        assert abs(sol.p - TAD_P) <= 1e-8
-        assert abs(sol.q_loops[0] - TAD_Q1) <= 1e-8
+        assert abs(z[0] - TAD_P) <= 1e-8
+        assert abs(z[1] - TAD_Q1) <= 1e-8
     assert converged >= 10
 
 

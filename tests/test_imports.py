@@ -1,6 +1,7 @@
 """Lazy loading, and each submodule's ``__all__`` as its list of public names."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -62,3 +63,28 @@ def test_each_submodule_all_resolves_and_star_imports():
         for name in getattr(module, "__all__", ()):    # errors.py has no list
             assert namespace[name] is getattr(module, name), (submodule, name)
     assert fkpp_graphs.__version__ == "0.1.0"
+
+
+def _attribute(owner, attr):
+    """What the benchmark tracer saves and puts back: a class's own entry."""
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_the_benchmark_tracer_finds_every_traced_name_and_restores_it():
+    for submodule in SUBMODULES:    # install looks each traced module up loaded
+        importlib.import_module(f"fkpp_graphs.{submodule}")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(os.path.dirname(SRC), "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()    # a renamed or deleted traced name raises here
+        patched = list(tracer._undo)
+        assert all(_attribute(owner, attr) is not original for owner, attr, original in patched)
+    finally:
+        tracer.remove()
+    traced = {(owner.__name__, attr) for owner, attr, _ in patched}
+    assert {(f"fkpp_graphs.{mod}", attr) for _, mod, attr, _ in tracing._FUNCTIONS} <= traced
+    for owner, attr, original in patched:
+        assert _attribute(owner, attr) is original, (owner, attr)

@@ -59,8 +59,6 @@ def test_node_sharing_on_a_tadpole():
 
 def test_mesh_too_coarse():
     with pytest.raises(MeshTooCoarse):
-        GraphMesh(flower_graph(FlowerSpec(stem=1.0)))
-    with pytest.raises(MeshTooCoarse):
         GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=-0.1)
 
 
