@@ -4,12 +4,13 @@ Exit codes: 0 success, 2 a usage error, else the exit_code of the
 FisherKppError raised: 2 bad input (InvalidDomain and its subclasses:
 files that cannot be read or decoded, outputs that fail while opened or
 written, JSON, domains, invalid graphs, meshes too coarse for an edge);
-3 lambda0 >= 1, outside the existence region (OutsideRegion); 4
-groundstate on a graph that is not flower-representable (NotAFlower); 1
-any other failure, including a stalled solve and a failed validation
-suite, and memory that runs out.  Each failure writes one `error:` line
-on stderr, cut to 400 characters with its head and tail kept; a usage
-error adds argparse's usage lines.
+3 lambda0 >= 1, outside the existence region (OutsideRegion); 4 a
+graph that is not flower-representable where a flower is needed
+(NotAFlower: groundstate, region --graph and evolve --initial
+groundstate); 1 any other failure, including a stalled solve and a
+failed validation suite, and memory that runs out.  Each failure writes
+one `error:` line on stderr, cut to 400 characters with its head and
+tail kept; a usage error adds argparse's usage lines.
 
 File formats are stable: JSON summaries carry a "schema": 1 field; CSV
 files always start with a header row.  Profile CSVs are `edge_id,x,u`,
@@ -207,7 +208,7 @@ def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field
         return field_from_profiles(mesh, _read_profile_csv(arg))
     if kind == "groundstate":
         if spec is None:
-            raise InvalidDomain(
+            raise NotAFlower(
                 "initial groundstate needs a flower-representable graph")
         from .groundstate import solve_flower
 
@@ -320,7 +321,7 @@ def cmd_region(args) -> int:
     if args.flower or args.graph:
         spec, _ = _load_graph(args)
         if spec is None:
-            raise InvalidDomain("region membership needs a flower graph")
+            raise NotAFlower("region membership needs a flower-representable graph")
         from .spectral import region_membership
 
         rep = region_membership(spec)

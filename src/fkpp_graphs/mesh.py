@@ -15,7 +15,11 @@ edge interior's row is the stencil [-w, 2w, -w] (w = 1/h) of the per-edge
 arrays, and GraphMesh.vertex_rows holds the free-vertex rows, one small
 CSR, with the lumped mass m_f.  The full-node ``stiffness`` and
 ``lumped_mass``, and reduced_operators sliced from them, are built only
-when read (tests; free_energy reads the mass).  CondensedLU factors
+when read (tests; free_energy reads the mass), and so are the free-node
+index ``free_nodes`` (run_to_attractor, free_energy and an eigenfunction's
+sample read it; the constructor numbers the free vertices from a
+vertex-sized mask) and ``_chain``, the w of each cell between two
+interior nodes (only GraphMesh.energy reads it).  CondensedLU factors
 B = diag(shift) + scale A_ff with its edge interiors condensed out: every
 edge's interior block is tridiagonal and touches the rest only through its
 two end vertices.  GraphMesh refuses cells too narrow for their stiffness
@@ -61,8 +65,8 @@ class GraphMesh:
     """Shared-vertex uniform grids on every edge of a metric graph.
 
     Each edge has max(2, ceil(length / mesh_h)) cells.  The constructor
-    keeps only per-edge numbers and the free-node index; every per-point
-    array is built on first use.  ``edge_nodes[edge_id]`` lists the global
+    keeps only per-edge and per-vertex numbers; every per-node array is
+    built on first use.  ``edge_nodes[edge_id]`` lists the global
     node index of each grid point along the edge, endpoints being the vertex
     nodes; ``edge_nodes`` and ``edge_x`` hold read-only views of one flat
     array each.
@@ -98,36 +102,52 @@ class GraphMesh:
         # Dirichlet nodes are vertices, so the free-node vector lists the free
         # vertices first, then every edge's interior nodes in edge order.
         nv = self.free_vertices = nverts - self.dirichlet_nodes.size
-        try:
-            mask = np.ones(self.n_nodes, dtype=bool)
-            mask[self.dirichlet_nodes] = False
-            self.free_nodes = np.flatnonzero(mask)
+        try:    # every field and every solve holds a double per node
+            np.empty(self.n_nodes)
         except MemoryError as exc:
             raise InvalidDomain(f"the mesh has {self.n_nodes} nodes, more than "
                                 "memory holds; the edges are too long for the mesh "
                                 "width") from exc
+        free = np.ones(nverts, dtype=bool)
+        free[self.dirichlet_nodes] = False
         free_vertex = np.full(nverts, nv)
-        free_vertex[self.free_nodes[:nv]] = np.arange(nv)
+        free_vertex[free] = np.arange(nv)
         # each edge's tail and head in the free numbering, nv where pinned
         self._ends = free_vertex[report.ends]
         self._stiffness = None
         self._lumped_mass = None
 
     @cached_property
+    def free_nodes(self) -> np.ndarray:
+        """Global index of every free node: the free vertices, then every
+        interior node.  It maps free-node vectors to fields; no solve reads it."""
+        mask = np.ones(self.n_nodes, dtype=bool)
+        mask[self.dirichlet_nodes] = False
+        return np.flatnonzero(mask)
+
+    @cached_property
     def _interiors(self):
-        """(count, first, last, w, chain): per edge, its number of interior
-        nodes, the indices of its first and last one among all interior nodes
-        (edge order) and w = 1/h; and ``chain[j]``, the w of the cell between
-        interior nodes j and j + 1, 0 where one edge ends and the next begins.
-        Edge k's end cells join its tail to node first[k] and node last[k]
-        to its head."""
+        """(count, first, last, w): per edge, its number of interior nodes,
+        the indices of its first and last one among all interior nodes (edge
+        order) and w = 1/h.  Edge k's end cells join its tail to node
+        first[k] and node last[k] to its head."""
         count = self._cells - 1
         last = np.cumsum(count) - 1
         first = last - count + 1
-        w = 1.0 / self._h
-        chain = np.repeat(w, count)[1:]
-        chain[first[1:] - 1] = 0.0
-        return count, first, last, w, chain
+        return count, first, last, 1.0 / self._h
+
+    def _chained(self, per_edge: np.ndarray) -> np.ndarray:
+        """Per cell between interior nodes j and j + 1: its edge's entry of
+        ``per_edge``, and 0.0 where one edge ends and the next begins."""
+        count, first, _, _ = self._interiors
+        out = np.repeat(per_edge, count)[1:]
+        out[first[1:] - 1] = 0.0
+        return out
+
+    @cached_property
+    def _chain(self) -> np.ndarray:
+        """w of every cell between interior nodes (``_chained``)."""
+        return self._chained(self._interiors[3])
 
     @cached_property
     def _ptr(self) -> np.ndarray:
@@ -228,7 +248,7 @@ class GraphMesh:
                     "implicit solves lose their accuracy (refine the mesh or drop the short edge)")
         nv = self.free_vertices
         tail, head = self._ends.T
-        c, first, last, w, _ = self._interiors
+        c, first, last, w = self._interiors
         size = nv + int(c.sum())
         t, h = tail < nv, head < nv
         row = np.concatenate((tail[t], head[h], tail[t], head[h]))
@@ -255,7 +275,7 @@ class GraphMesh:
 
     def stiffness_diagonal(self) -> np.ndarray:
         """diag(A_ff): the vertex rows' diagonal, then 2w on each interior node."""
-        c, _, _, w, _ = self._interiors
+        c, _, _, w = self._interiors
         return np.concatenate((self.vertex_rows[0].diagonal(), np.repeat(w + w, c)))
 
     def stiffness_product(self, y: np.ndarray) -> np.ndarray:
@@ -264,7 +284,7 @@ class GraphMesh:
         its first and last one; rounded as a CSR product of A_ff rounds, but
         on an edge's last row, whose CSR sums its head first."""
         nv = self.free_vertices
-        c, first, last, w, _ = self._interiors
+        c, first, last, w = self._interiors
         yi = y[nv:]
         ends = np.append(y[:nv], 0.0)[self._ends]
         left = np.concatenate(([0.0], yi[:-1]))
@@ -283,7 +303,7 @@ class GraphMesh:
         the sum over cells of (du)^2 / h from node differences: the
         stiffness matrix is never read.
         """
-        _, first, last, w, chain = self._interiors
+        _, first, last, w = self._interiors
         nv = self.free_vertices
         ui = u[nv:]
         d = work[:ui.size - 1]
@@ -292,7 +312,7 @@ class GraphMesh:
         uv = np.append(u[:nv], 0.0)     # pinned ends (index nv) read 0
         tail, head = self._ends.T
         d_tail, d_head = ui[first] - uv[tail], uv[head] - ui[last]
-        grad2 = float(chain @ d) + float(w @ (d_tail * d_tail + d_head * d_head))
+        grad2 = float(self._chain @ d) + float(w @ (d_tail * d_tail + d_head * d_head))
         np.multiply(u, u, out=work)
         mass2 = float(m @ work)
         work *= u
@@ -349,17 +369,17 @@ class CondensedLU:
     def __init__(self, mesh: GraphMesh, shift, scale: float, what: str):
         nv = mesh.free_vertices
         rows = mesh.vertex_rows[0]    # raises MeshTooCoarse
-        n, first, last, w, chain = mesh._interiors
-        size = chain.size + 1
-        shift = np.broadcast_to(shift, (nv + size,))
+        n, first, last, w = mesh._interiors
         # T's diagonal, scale 2w + shift, and -scale chain, but +0.0 between
         # consecutive edges: -0.0 there would flip the sign of some zeros that
         # a solve returns.  f2py asks for one superdiagonal entry even when T
         # is 1 x 1.  dpttrf factors both in place.
         d = np.repeat(w + w, n)
+        size = d.size
+        shift = np.broadcast_to(shift, (nv + size,))
         d *= scale
         d += shift[nv:]
-        e = np.multiply(chain, scale) if chain.size else np.zeros(1)
+        e = mesh._chained(w * scale) if size > 1 else np.zeros(1)
         np.subtract(0.0, e, out=e)
         self._d, self._e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
         if info != 0:

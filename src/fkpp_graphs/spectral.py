@@ -12,9 +12,10 @@ mesh.GraphMesh and a two-pass Lanczos run on the generalized problem
 A x = lambda M x: the three-term recurrence for A_ff^-1 M in the M inner
 product, applied through one mesh.CondensedLU factor of A_ff, keeps only
 its coefficients, and a second pass regenerates the same vectors to sum the
-Ritz vector (Paige, J. Inst. Math. Appl. 18, 1976).  So the eigen-solve
-holds four n-vectors and no basis.  The lumped M is a vector, A_ff is never
-formed, and the residual reads A_ff y from the mesh's stencil product.
+Ritz vector (Paige, J. Inst. Math. Appl. 18, 1976).  So the recurrence
+holds three n-vectors and no basis, and the Ritz vector's sum a fourth.
+The lumped M is a vector, A_ff is never formed, and the residual reads
+A_ff y from the mesh's stencil product.
 """
 
 from __future__ import annotations
@@ -126,25 +127,27 @@ def _lanczos(solve: Callable, m: np.ndarray, coeffs: list):
     beta_j); a pair not yet listed is computed and appended.  So a first
     pass fills ``coeffs``, and a second pass over the same list regenerates
     the same vectors bit for bit, with no inner product.  beta_j = 0 (an
-    invariant subspace) leaves v_{j+1} = 0.  Four n-vectors are held; a
+    invariant subspace) leaves v_{j+1} = 0.  Three n-vectors are held: M v_j
+    is formed in w and solved in place, and a first pass rebuilds M v_j
+    (for alpha_j) and M w (for beta_j) in prev once v_{j-1} is spent.  A
     yielded vector holds until the second resumption after it.
     """
     v = np.full(m.size, 1.0 / math.sqrt(float(m.sum())))
-    prev, w, mv = np.zeros(m.size), np.empty(m.size), np.empty(m.size)
+    prev, w = np.zeros(m.size), np.empty(m.size)
     beta = 0.0
     for j in count():
         yield v
-        solve(np.multiply(m, v, out=mv), out=w)
+        solve(np.multiply(m, v, out=w), out=w)
         prev *= beta
         w -= prev                       # A^-1 M v_j - beta_{j-1} v_{j-1}
         new = j == len(coeffs)
         if new:
-            alpha = float(mv @ w)
+            alpha = float(np.multiply(m, v, out=prev) @ w)
         else:
             alpha, beta = coeffs[j]
         w -= np.multiply(v, alpha, out=prev)
         if new:
-            beta = math.sqrt(float(np.multiply(m, w, out=mv) @ w))
+            beta = math.sqrt(float(np.multiply(m, w, out=prev) @ w))
             coeffs.append((alpha, beta))
         if beta > 0.0:
             w /= beta

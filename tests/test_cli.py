@@ -302,6 +302,10 @@ BAD_INPUTS = [
     (3, ["groundstate", "--flower", *TINY_LOOPS[1]]),                     # lambda0 >= 1
     (3, ["groundstate", "--flower", "stem=1"]),                           # ... on an interval
     *((1, ["groundstate", "--flower", *flower]) for flower in HUGE_LENGTHS),  # stalls
+    # a graph that is not a flower where a flower is needed (NotAFlower)
+    (4, ["groundstate", "--graph", json.loads(THETA_JSON)]),
+    (4, ["region", "--graph", json.loads(THETA_JSON)]),
+    (4, ["evolve", *QUICK_EVOLVE, "--initial", "groundstate", "--graph", json.loads(THETA_JSON)]),
     *((2, ["spectrum", "--graph", body]) for body in BAD_GRAPH_JSON),
     (2, ["region", "--curve", "2", "--samples", "-1"]),
     (2, ["region", "--curve", "-1"]),
@@ -848,7 +852,7 @@ def test_evolve_from_the_groundstate_needs_a_flower(tmp_path, capsys):
     g = tmp_path / "theta.json"
     g.write_text(THETA_JSON)
     assert main(["evolve", "--graph", str(g), "--mesh", "0.05",
-                 "--initial", "groundstate"]) == 2
+                 "--initial", "groundstate"]) == 4
     assert "flower-representable" in capsys.readouterr().err
 
 

@@ -331,7 +331,8 @@ def test_run_rejects_a_bad_horizon_or_tolerance(bad):
 # Peak bytes per free unknown of a short run, five steps of dt = 0.1, on
 # test_mesh's seeded 2000-edge trees (about 21,000 unknowns), mesh and data
 # built beforehand: about 140 while the condensed factor copied T's arrays
-# and built G through a sentinel column, about 106 with neither.
+# and built G through a sentinel column, about 106 with neither, and about
+# 114 once the mesh built its free-node index on first read, inside the run.
 PEAK_BYTES_PER_UNKNOWN = 122
 
 

@@ -521,9 +521,10 @@ def seeded_tree(n_edges, seed):
 # commands' path, on a 2000-edge tree (about 21,000 unknowns): about 385 when
 # the full-node stiffness was built, sliced and cached, about 195 with A_ff
 # assembled straight into CSR, about 136 (later 143) with no A_ff formed,
-# and about 91 with T factored in place and G built from its unpinned
-# entries alone.
-PEAK_BYTES_PER_UNKNOWN = 105
+# about 91 with T factored in place and G built from its unpinned entries
+# alone, and about 75 with the free-node index and the interior weights'
+# chain built only when read: either of them back fails the bound.
+PEAK_BYTES_PER_UNKNOWN = 82
 
 
 def test_mesh_and_factor_peak_memory_per_unknown():
@@ -569,8 +570,8 @@ def sentinel_factor(mesh, shift, scale):
     and head entry (column 1), a pinned end in the sentinel column nv,
     duplicates summed by scipy, and column nv sliced off."""
     nv = mesh.free_vertices
-    n, first, last, w, chain = mesh._interiors
-    e = 0.0 - scale * chain
+    n, first, last, w = mesh._interiors
+    e = 0.0 - scale * mesh._chain
     d, e, _ = dpttrf((mesh.stiffness_diagonal() * scale + shift)[nv:],
                      e if e.size else np.zeros(1))
     couple = np.zeros((d.size, 2))

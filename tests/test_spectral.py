@@ -10,8 +10,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from lanczos_reference import four_vector_lanczos
 from slope_reference import length_slopes
-from test_mesh import seeded_tree
+from test_mesh import same_bits, seeded_tree
 
 from fkpp_graphs import spectral
 from fkpp_graphs.errors import (
@@ -26,6 +27,7 @@ from fkpp_graphs.graph import (
     flower_from_totals,
     flower_graph,
 )
+from fkpp_graphs.mesh import CondensedLU, GraphMesh
 from fkpp_graphs.spectral import (
     Region,
     lambda0_discretized,
@@ -289,12 +291,65 @@ def test_discretized_failures_are_typed(monkeypatch, fake):
         lambda0_discretized(flower_graph(FlowerSpec(stem=1.0)), 0.05)
 
 
+def seeded_grid(k, seed):
+    """A k x k lattice of edges drawn from U(0.25, 0.75), one Dirichlet
+    pendant at a corner: the grids of perfbench's graph_pde."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            for di, dj in ((1, 0), (0, 1)):
+                if i + di < k and j + dj < k:
+                    edges.append(Edge(f"e{len(edges)}", f"g{i}_{j}", f"g{i + di}_{j + dj}",
+                                      float(rng.uniform(0.25, 0.75))))
+    edges.append(Edge("pendant", "d", "g0_0", float(rng.uniform(0.25, 0.75))))
+    return MetricGraph(tuple(edges), {"d": "dirichlet"})
+
+
+def lanczos_run(monkeypatch, lanczos, solve, m):
+    """(coeffs, theta, y, j) of _largest_pair with ``lanczos`` as its recurrence."""
+    lists = []
+
+    def recorded(solve, m, coeffs):
+        lists.append(coeffs)
+        return lanczos(solve, m, coeffs)
+
+    monkeypatch.setattr(spectral, "_lanczos", recorded)
+    theta, y, j = spectral._largest_pair(solve, m)
+    assert len(lists) == 2 and lists[0] is lists[1]    # both passes read one list
+    return lists[0], theta, y, j
+
+
+@pytest.mark.parametrize("graph,mesh_h", [
+    pytest.param(lambda: seeded_tree(2000, 5), 0.05, id="tree-2000"),
+    pytest.param(lambda: seeded_grid(23, 1), 0.05, id="grid-23"),
+    # no free vertex, so no Schur solve
+    pytest.param(lambda: MetricGraph((Edge("e0", "a", "b", 1.0),),
+                                     {"a": "dirichlet", "b": "dirichlet"}), 0.2,
+                 id="5-cell-dirichlet-edge"),
+])
+def test_three_vector_lanczos_is_the_four_vector_recurrence(monkeypatch, graph, mesh_h):
+    mesh = GraphMesh(graph(), mesh_h)
+    assert mesh.min_intervals() >= 5
+    _, m = mesh.vertex_rows
+    lu = CondensedLU(mesh, 0.0, 1.0, "stiffness")
+    assert (lu.schur is None) == (mesh.free_vertices == 0)
+    got = lanczos_run(monkeypatch, spectral._lanczos, lu.solve, m)
+    want = lanczos_run(monkeypatch, four_vector_lanczos, lu.solve, m)
+    assert same_bits(np.array(got[0]), np.array(want[0]))
+    assert got[3] == want[3] == len(got[0])
+    assert same_bits(np.float64(got[1]), np.float64(want[1]))
+    assert same_bits(got[2], want[2])
+
+
 # Peak bytes per free unknown of lambda0_discretized on test_mesh's seeded
 # 2000-edge trees (about 21,000 unknowns): about 313 when ARPACK held its
 # n x 10 Lanczos basis and a second n x 10 block, about 178 with the two-pass
-# Lanczos (about 164 later), and about 134 with the condensed factor built
-# without copies and freed before the residual check.
-PEAK_BYTES_PER_UNKNOWN = 155
+# Lanczos (about 164 later), about 134 with the condensed factor built
+# without copies and freed before the residual check, and about 111 with
+# three Lanczos vectors, the free-node index and the interior weights' chain
+# built only when read.  Any one of those three arrays back fails the bound.
+PEAK_BYTES_PER_UNKNOWN = 118
 
 
 @pytest.mark.parametrize("seed", [5, 11])
