@@ -102,9 +102,11 @@ class GraphMesh:
         # Dirichlet nodes are vertices, so the free-node vector lists the free
         # vertices first, then every edge's interior nodes in edge order.
         nv = self.free_vertices = nverts - self.dirichlet_nodes.size
-        try:    # every field and every solve holds a double per node
+        # every field and every solve holds a double per node; past 2**60 nodes
+        # their byte count overflows numpy's, which raises ValueError instead
+        try:
             np.empty(self.n_nodes)
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:
             raise InvalidDomain(f"the mesh has {self.n_nodes} nodes, more than "
                                 "memory holds; the edges are too long for the mesh "
                                 "width") from exc

@@ -323,9 +323,12 @@ BAD_INPUTS = [
     # the P1 mesh of a huge length has more nodes than an int64 index counts
     *((2, ["spectrum", "--flower", *flower]) for flower in HUGE_LENGTHS[::2]),
     (2, ["evolve", "--flower", *HUGE_LENGTHS[0], *QUICK_EVOLVE]),
-    # ... or than memory holds (888 PiB: the allocation is refused outright)
+    # ... or than memory holds (6.9 EiB of doubles: the allocation is refused outright)
     (2, ["spectrum", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3"]),
     (2, ["evolve", "--flower", "stem=1e15", "loops=1", "--mesh", "1e-3", "--max-t", "1"]),
+    # ... or than numpy's byte count holds as doubles (about 5e18 nodes)
+    (2, ["spectrum", "--flower", "stem=5e15", "loops=1", "--mesh", "1e-3"]),
+    (2, ["evolve", "--flower", "stem=5e15", "loops=1", "--mesh", "1e-3", "--max-t", "1"]),
     *((2, argv) for argv in BELOW_STEP_FLOOR),
     # cells too narrow for their stiffness 2/h to be a double: a stem of 0
     # cells (the hat's ell / 2 underflows) and of 5e-311

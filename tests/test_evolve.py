@@ -1,13 +1,12 @@
 """Time integration: fixed points, comparison bounds, energy descent."""
 
 import math
-import tracemalloc
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from test_mesh import seeded_tree
+from test_mesh import peak_bytes, seeded_tree
 
 import fkpp_graphs.evolve as evolve
 from fkpp_graphs.errors import (
@@ -338,13 +337,14 @@ PEAK_BYTES_PER_UNKNOWN = 122
 
 @pytest.mark.parametrize("seed", [5, 11])
 def test_run_peak_memory_per_unknown(seed):
+    assert run_bytes_per_unknown(seed) <= PEAK_BYTES_PER_UNKNOWN
+
+
+def run_bytes_per_unknown(seed):
+    """Peak bytes per free unknown of a five-step run_to_attractor on
+    seeded_tree(2000, seed), mesh and data built beforehand."""
     mesh = GraphMesh(seeded_tree(2000, seed), mesh_h=0.05)
     field0 = constant_field(mesh, 0.5)
-    tracemalloc.start()
-    try:
-        trace = run_to_attractor(field0, dt=0.1, max_t=0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, trace = peak_bytes(lambda: run_to_attractor(field0, dt=0.1, max_t=0.5))
     assert trace.steps == 5
-    assert peak / mesh.free_nodes.size <= PEAK_BYTES_PER_UNKNOWN
+    return peak / mesh.free_nodes.size

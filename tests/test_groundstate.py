@@ -7,7 +7,6 @@ import math
 import pathlib
 import re
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import arclength_reference as ref
+from test_mesh import peak_bytes
 
 from fkpp_graphs import groundstate, period, phaseplane
 from fkpp_graphs.errors import (
@@ -394,12 +394,7 @@ def test_each_edge_profile_takes_its_own_step():
 def test_a_solve_keeps_only_end_states(solve):
     # sampled, these long edges hold about 2 MB of profile arrays
     solve()    # imports and caches outside the measurement
-    tracemalloc.start()
-    try:
-        sol = solve()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, sol = peak_bytes(solve)
     assert peak < 0.1e6
     assert sol._profiles is None
 

@@ -517,6 +517,23 @@ def seeded_tree(n_edges, seed):
     return MetricGraph(edges, {f"v{n_edges}": "dirichlet"})
 
 
+def peak_bytes(run):
+    """(peak, result): tracemalloc's peak in bytes while run() runs, and what
+    run() returns.  Every peak-memory test measures through this."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def mesh_and_factor(graph):
+    mesh = GraphMesh(graph, mesh_h=0.05)
+    _, m = mesh.vertex_rows
+    return m.size, CondensedLU(mesh, 0.0, 1.0, "test")
+
+
 # Peak bytes per free unknown of GraphMesh + vertex_rows + CondensedLU, the
 # commands' path, on a 2000-edge tree (about 21,000 unknowns): about 385 when
 # the full-node stiffness was built, sliced and cached, about 195 with A_ff
@@ -530,16 +547,9 @@ PEAK_BYTES_PER_UNKNOWN = 82
 def test_mesh_and_factor_peak_memory_per_unknown():
     graph = seeded_tree(2000, 5)
     graph.validation
-    tracemalloc.start()
-    try:
-        mesh = GraphMesh(graph, mesh_h=0.05)
-        _, m = mesh.vertex_rows
-        lu = CondensedLU(mesh, 0.0, 1.0, "test")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, (n, lu) = peak_bytes(lambda: mesh_and_factor(graph))
     assert lu.schur is not None
-    assert peak / m.size <= PEAK_BYTES_PER_UNKNOWN
+    assert peak / n <= PEAK_BYTES_PER_UNKNOWN
 
 
 # shapes multigraphs() never draws: no free vertex at all, and edges of two

@@ -1,7 +1,6 @@
 """Lowest eigenvalue: secular equation, discretization, threshold region."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from lanczos_reference import four_vector_lanczos
 from slope_reference import length_slopes
-from test_mesh import same_bits, seeded_tree
+from test_mesh import peak_bytes, same_bits, seeded_tree
 
 from fkpp_graphs import spectral
 from fkpp_graphs.errors import (
@@ -354,15 +353,15 @@ PEAK_BYTES_PER_UNKNOWN = 118
 
 @pytest.mark.parametrize("seed", [5, 11])
 def test_discretized_peak_memory_per_unknown(seed):
+    assert discretized_bytes_per_unknown(seed) <= PEAK_BYTES_PER_UNKNOWN
+
+
+def discretized_bytes_per_unknown(seed):
+    """Peak bytes per free unknown of lambda0_discretized on seeded_tree(2000, seed)."""
     graph = seeded_tree(2000, seed)
     graph.validation
-    tracemalloc.start()
-    try:
-        res = lambda0_discretized(graph, 0.05)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / res.eigenfunction.mesh.free_nodes.size <= PEAK_BYTES_PER_UNKNOWN
+    peak, res = peak_bytes(lambda: lambda0_discretized(graph, 0.05))
+    return peak / res.eigenfunction.mesh.free_nodes.size
 
 
 def test_discretized_needs_resolved_edges():
