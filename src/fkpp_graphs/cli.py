@@ -23,8 +23,11 @@ not a level name logs at WARNING.
 
 Each subcommand and validate suite imports its layer (period functions,
 spectral, mesh, groundstate, evolve) on first use, so a call pays only for
-the scipy modules it needs: `fkpp --help` and `import fkpp_graphs.cli`
-load no scipy at all.
+the scipy modules it needs.  The exact flower path has its own root finder
+and quadrature (spectral.brentq, the quadpack module), so `fkpp --help`,
+`region` in every mode and `groundstate --flower` load no scipy at all;
+scipy.sparse and scipy.linalg serve only graph validation (--graph files)
+and the P1 mesh layer (spectrum's discretized eigenvalue, evolve).
 """
 
 from __future__ import annotations

@@ -166,7 +166,6 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     mesh = field0.mesh
     field = Field(mesh, u0 + 0.0)    # + 0.0 reads -0.0 as 0.0
     field.pin_dirichlet()
-    free = mesh.free_nodes
 
     sup0 = field.sup_norm
     given, dt = dt, stable_dt(sup0, dt)
@@ -180,7 +179,7 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     lu = _factor(mesh, m, dt)
 
     # the state, the trial state and scratch: three free-node vectors
-    u = field.values[free]
+    u = mesh.free_values(field.values)
     v = np.empty(u.shape)
     work = np.empty(u.shape)
     t = 0.0
@@ -241,7 +240,7 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
                 terminal = Terminal.CONVERGED_NONTRIVIAL
                 break
 
-    field.values[free] = u
+    mesh.put_free_values(field.values, u)
     return EvolutionTrace(
         times=np.asarray(times),
         energy=np.asarray(energies),

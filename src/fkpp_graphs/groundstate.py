@@ -13,7 +13,9 @@ The system is solved by one damped Newton run with the analytic period
 gradients; the Jacobian is nonsingular on the admissible set (its
 determinant has sign (-1)^(N+1)), so damping alone is enough and a run
 that stalls from the seed below is reported, not retried.  The interval is
-the loop-free case N = 0, solved by brentq with the same residual and floors.
+the loop-free case N = 0, solved by spectral.brentq with the same residual
+and floors.  With period's own quadrature, the whole solve runs on numpy
+and the standard library: no scipy module is loaded.
 
 Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
@@ -40,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidDomain,
@@ -62,7 +63,7 @@ from .period import (
     turning_span,
 )
 from .phaseplane import PhasePoint, energy, energy_above_center, q_tilde, well
-from .spectral import ROOT_XTOL, Region, lambda0_flower
+from .spectral import ROOT_XTOL, Region, brentq, lambda0_flower
 
 __all__ = [
     "GroundStateSolution",
@@ -351,8 +352,7 @@ def _solve_loop_free(spec: FlowerSpec, tol: float, lam: float) -> GroundStateSol
         if mismatch(lo) > 0.0:
             break
         lo *= 0.5
-    p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), xtol=ROOT_XTOL,
-                     rtol=4.0 * EPS, maxiter=200, full_output=True)
+    p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), ROOT_XTOL, 4.0 * EPS, 200)
     return _package(spec, np.array([p]), np.array([mismatch(p)]),
                     np.array([[interval_period_slope(p, quad_tol)]]),
                     info.iterations, (), tol, lam)

@@ -16,10 +16,11 @@ arrays, and GraphMesh.vertex_rows holds the free-vertex rows, one small
 CSR, with the lumped mass m_f.  The full-node ``stiffness`` and
 ``lumped_mass``, and reduced_operators sliced from them, are built only
 when read (tests; free_energy reads the mass), and so are the free-node
-index ``free_nodes`` (run_to_attractor, free_energy and an eigenfunction's
-sample read it; the constructor numbers the free vertices from a
-vertex-sized mask) and ``_chain``, the w of each cell between two
-interior nodes (only GraphMesh.energy reads it).  CondensedLU factors
+index ``free_nodes`` (only reduced_operators reads it: free_values and
+put_free_values map free-node vectors through the vertex-sized index of
+the free vertices, since the interior nodes follow the vertices in one
+block) and ``_chain``, the w of each cell between two interior nodes
+(only GraphMesh.energy reads it).  CondensedLU factors
 B = diag(shift) + scale A_ff with its edge interiors condensed out: every
 edge's interior block is tridiagonal and touches the rest only through its
 two end vertices.  GraphMesh refuses cells too narrow for their stiffness
@@ -112,6 +113,10 @@ class GraphMesh:
                                 "width") from exc
         free = np.ones(nverts, dtype=bool)
         free[self.dirichlet_nodes] = False
+        # the free vertices' nodes; the interior nodes follow the vertices
+        # in one block, so these two map free-node vectors to fields
+        self._free_vertex_nodes = np.flatnonzero(free)
+        self._first_interior = nverts
         free_vertex = np.full(nverts, nv)
         free_vertex[free] = np.arange(nv)
         # each edge's tail and head in the free numbering, nv where pinned
@@ -122,10 +127,25 @@ class GraphMesh:
     @cached_property
     def free_nodes(self) -> np.ndarray:
         """Global index of every free node: the free vertices, then every
-        interior node.  It maps free-node vectors to fields; no solve reads it."""
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.dirichlet_nodes] = False
-        return np.flatnonzero(mask)
+        interior node.  An oracle for tests (reduced_operators); free_values
+        and put_free_values map free-node vectors without it."""
+        return np.concatenate((self._free_vertex_nodes,
+                               np.arange(self._first_interior, self.n_nodes)))
+
+    def free_values(self, values: np.ndarray) -> np.ndarray:
+        """The free-node vector of a full-node array: its free vertices, then
+        its interior nodes."""
+        nv = self.free_vertices
+        u = np.empty(nv + self.n_nodes - self._first_interior)
+        u[:nv] = values[self._free_vertex_nodes]
+        u[nv:] = values[self._first_interior:]
+        return u
+
+    def put_free_values(self, values: np.ndarray, u: np.ndarray) -> None:
+        """Write the free-node vector u into a full-node array's free nodes."""
+        nv = self.free_vertices
+        values[self._free_vertex_nodes] = u[:nv]
+        values[self._first_interior:] = u[nv:]
 
     @cached_property
     def _interiors(self):
@@ -525,5 +545,5 @@ def free_energy(field: Field) -> float:
     field holds there once pinned.
     """
     mesh = field.mesh
-    free = mesh.free_nodes
-    return mesh.energy(field.values[free], mesh.lumped_mass[free], np.empty(free.size))
+    u = mesh.free_values(field.values)
+    return mesh.energy(u, mesh.free_values(mesh.lumped_mass), np.empty(u.size))

@@ -20,8 +20,10 @@ g(u, lo) = (u + lo) - (2/3)(u^2 + u lo + lo^2).  Since A(1 - a) = 1/3 - A(a),
 g(u, lo) = g(1 - u, 1 - lo), so the kernel evaluates g on whichever side of
 the well is small and nothing cancels: neither as p -> 1 (orbits shrinking
 onto the center) nor when p or p0 is far below machine epsilon (deep in the
-existence region, where 1 - p rounds to 1).  The quadrature is plain
-adaptive Gauss-Kronrod on the analytic s-integrand.
+existence region, where 1 - p rounds to 1).  The quadrature is QUADPACK's
+adaptive Gauss-Kronrod, qagse, on the analytic s-integrand: the package's
+own port (quadpack.qagse), bit for bit with scipy.integrate.quad, to which
+the integrand lists its values at a panel's 21 nodes per call.
 
 The integrand runs at every QUADPACK node, so callers pass Python floats:
 numpy.float64 scalars give the same bits at about twice the cost.
@@ -74,10 +76,10 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidDomain
 from .phaseplane import PhasePoint, energy_above_center, turning_point_pair
+from .quadpack import EPMACH, WG, WGK, X21, XGK, qagse
 
 __all__ = [
     "HOMOCLINIC_OFFSET",
@@ -103,42 +105,23 @@ __all__ = [
 HOMOCLINIC_OFFSET = 2.0 * math.acosh(math.sqrt(1.5))
 
 _EPSREL = 1.5e-14    # every period quadrature's; QUADPACK's floor is ~50 eps
-_EPS = sys.float_info.epsilon    # QUADPACK's epmach
-
-# QUADPACK's dqk21 on [-1, 1], as printed there: Kronrod abscissae XGK
-# (_XGK[1::2] are the 10-point Gauss nodes), Kronrod weights WGK (the last
-# one the center's) and Gauss weights WG.
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208931783077, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
 # Panel nodes s on [0, 1] and their squares, shaped (2, 11, 1): the
 # center, then 0.5 - 0.5 XGK in row 0 and 0.5 + 0.5 XGK in row 1, so row 0
 # plus row 1 is each node pair's sum (and twice the center's value).
-_S = np.array([[0.5] + [0.5 + sign * 0.5 * x for x in _XGK]
+_S = np.array([[0.5] + [0.5 + sign * 0.5 * x for x in XGK]
                for sign in (-1.0, 1.0)])[:, :, None]
 _S2 = _S * _S
-_WGK_ROWS = np.array(_WGK[10:] + _WGK[:10])[:, None]      # center, then XGK's order
+_WGK_ROWS = np.array(WGK[10:] + WGK[:10])[:, None]      # center, then XGK's order
 # dqk21 sums the center and the pairs in _KRONROD_ORDER (the Gauss pairs
 # first): Kronrod weights for the sums of f and |f|, Gauss weights for f's,
 # where adding a zero-weighted term leaves the sum's bits alone.
 _KRONROD_ORDER = [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9]
 _SUM_ROWS = (np.array([[0], [1], [0]]), np.array(_KRONROD_ORDER))
 _SUM_WEIGHTS = np.array([_WGK_ROWS[_KRONROD_ORDER], _WGK_ROWS[_KRONROD_ORDER],
-                         np.array([0.0, *_WG, 0.0, 0.0, 0.0, 0.0, 0.0])[:, None]])
+                         np.array([0.0, *WG, 0.0, 0.0, 0.0, 0.0, 0.0])[:, None]])
 # A column is kept only with this much room on each of qagse's tests: the
 # error estimate goes through pow, which may round differently here
-_PANEL_MARGIN = 8.0 * _EPS
+_PANEL_MARGIN = 8.0 * EPMACH
 # Loop count from which loop_arcs runs one _panel for all loops: below it,
 # numpy's fixed cost per panel outweighs the scalar quadratures it replaces
 # (whole solves break even at 9-10 loops; see CHANGES.md)
@@ -161,16 +144,13 @@ def _quad(f, tol: float) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod on [0, 1] with an honest error estimate.
 
     A call that used up its 200 subintervals gets one retry with a deeper
-    budget, whose result is kept.  Other QUADPACK warnings (roundoff,
+    budget, whose result is kept.  Other QUADPACK exits (roundoff,
     divergence) stop short of the limit, and a retry would repeat the same
-    subdivisions to the same bits.  Reading the count is free; a warnings
-    filter around each call costs a third of a 21-node quad.
+    subdivisions to the same bits.
     """
-    out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=_EPSREL,
-                         limit=200, full_output=1)
-    if out[2]["last"] == 200:
-        out = integrate.quad(f, 0.0, 1.0, epsabs=0.5 * tol, epsrel=_EPSREL,
-                             limit=1000, full_output=1)
+    out = qagse(f, 0.0, 1.0, 0.5 * tol, _EPSREL, 200)
+    if out[3] == 200:
+        out = qagse(f, 0.0, 1.0, 0.5 * tol, _EPSREL, 1000)
     return out[0], out[1]
 
 
@@ -179,50 +159,59 @@ def _arc(lo: float, blo: float, d: float, c: float, tol: float,
     """int_lo^{lo+d} w(u) du / sqrt(c + A(u) - A(lo)) and its error; blo = 1 - lo.
 
     ``kind`` "length" takes w = 1 and "weighted" w = (1 - u^2) / (3 u^2);
-    "action" is int_lo^{lo+d} sqrt(c + A(u) - A(lo)) du instead.  g is taken
-    in (u, lo) when lo <= 1/2, else in (1 - u, 1 - lo); side and integrand
-    are chosen once per call, never per node.
-
-    On that side g(x0 + dx t, x0) = g0 + t (g1 + g2 t) in t = s^2, with
-    x0 <= 1/2, g0 = 2 x0 (1 - x0), g1 = dx (1 - 2 x0) and g2 = -(2/3) dx^2,
-    so each node costs one quadratic.  No term cancels: where dx > 0 (the
-    node runs from x0 up to at most 1), dx t <= 1 - x0 bounds the negative
-    term by 2/3 of g0 + g1 t; where dx < 0 (down to at most 0), |dx t| <= x0
-    bounds the two negative terms by 1/2 of g0.  g keeps at least a third of
-    its positive part, so rounding grows by at most 3x: under two bits.
+    "action" is int_lo^{lo+d} sqrt(c + A(u) - A(lo)) du instead.  The
+    quadrature runs in s, u = lo + d s^2, on _integrand's panels.
     """
     if d <= 0.0:
         return 0.0, 0.0
+    return _quad(_integrand(lo, blo, d, c, kind), tol)
+
+
+def _integrand(lo: float, blo: float, d: float, c: float, kind: str):
+    """_arc's integrand in s on [0, 1], as qagse reads it: f(centr, hlgth)
+    lists its values at the 21 nodes s = centr + hlgth x, x in X21.
+
+    g is taken in (u, lo) when lo <= 1/2, else in (1 - u, 1 - lo); side and
+    integrand are chosen once per call, never per node.  On that side
+    g(x0 + dx t, x0) = g0 + t (g1 + g2 t) in t = s^2, with x0 <= 1/2,
+    g0 = 2 x0 (1 - x0), g1 = dx (1 - 2 x0) and g2 = -(2/3) dx^2, so each
+    node costs one quadratic.  No term cancels: where dx > 0 (the node runs
+    from x0 up to at most 1), dx t <= 1 - x0 bounds the negative term by 2/3
+    of g0 + g1 t; where dx < 0 (down to at most 0), |dx t| <= x0 bounds the
+    two negative terms by 1/2 of g0.  g keeps at least a third of its
+    positive part, so rounding grows by at most 3x: under two bits.
+    """
     x0, dx = (lo, d) if lo <= 0.5 else (blo, -d)
     g0 = 2.0 * x0 * (1.0 - x0)
     g1 = dx * (1.0 - 2.0 * x0)
     g2 = -(2.0 / 3.0) * dx * dx
     k = 2.0 * math.sqrt(d) if c == 0.0 and kind != "action" else 2.0 * d
+    sqrt = math.sqrt
     if kind == "action":
-        def f(s):
-            s2 = s * s
-            return k * s * math.sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
+        def f(centr, hlgth):
+            return [k * s * sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
+                    for x in X21 for s in [centr + hlgth * x] for s2 in [s * s]]
     elif c == 0.0 and kind == "length":
-        def f(s):
-            s2 = s * s
-            return k / math.sqrt(g0 + s2 * (g1 + g2 * s2))
+        def f(centr, hlgth):
+            return [k / sqrt(g0 + s2 * (g1 + g2 * s2))
+                    for x in X21 for s in [centr + hlgth * x] for s2 in [s * s]]
     elif c == 0.0:
-        def f(s):
-            s2 = s * s
-            u = lo + d * s2
-            return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
-                * k / math.sqrt(g0 + s2 * (g1 + g2 * s2))
+        def f(centr, hlgth):
+            return [(blo - ds2) * (1.0 + u) / (3.0 * u * u)
+                    * k / sqrt(g0 + s2 * (g1 + g2 * s2))
+                    for x in X21 for s in [centr + hlgth * x] for s2 in [s * s]
+                    for ds2 in [d * s2] for u in [lo + ds2]]
     elif kind == "length":
-        def f(s):
-            s2 = s * s
-            return k * s / math.sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
+        def f(centr, hlgth):
+            return [k * s / sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
+                    for x in X21 for s in [centr + hlgth * x] for s2 in [s * s]]
     else:
-        def f(s):
-            s2 = s * s
-            u = lo + d * s2
-            return (blo - d * s2) * (1.0 + u) / (3.0 * u * u) \
-                * k * s / math.sqrt(c + d * s2 * (g0 + s2 * (g1 + g2 * s2)))
-    return _quad(f, tol)
+        def f(centr, hlgth):
+            return [(blo - ds2) * (1.0 + u) / (3.0 * u * u)
+                    * k * s / sqrt(c + ds2 * (g0 + s2 * (g1 + g2 * s2)))
+                    for x in X21 for s in [centr + hlgth * x] for s2 in [s * s]
+                    for ds2 in [d * s2] for u in [lo + ds2]]
+    return f
 
 
 def _panel(spans, tol: float, kind: str):
@@ -274,8 +263,8 @@ def _panel(spans, tol: float, kind: str):
         abserr = np.abs((resk - resg) * 0.5)
         scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
         abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
-        abserr = np.where(resabs > sys.float_info.min / (50.0 * _EPS),
-                          np.maximum(50.0 * _EPS * resabs, abserr), abserr)
+        abserr = np.where(resabs > sys.float_info.min / (50.0 * EPMACH),
+                          np.maximum(50.0 * EPMACH * resabs, abserr), abserr)
         bound = np.maximum(0.5 * tol, _EPSREL * np.abs(value))
         accepted = (abserr * (1.0 + _PANEL_MARGIN) <= bound) & \
             (np.abs(abserr - resasc) > _PANEL_MARGIN * resasc) | (abserr == 0.0)

@@ -7,15 +7,18 @@ Flower graphs admit a closed secular equation: with s = sqrt(lambda),
 where L is the stem length and l_j the loop half-lengths.  The left side
 increases and the right side decreases on s in (0, s_max) with
 s_max = min(pi/(2L), min_j pi/(2 l_j)), so the smallest eigenvalue is the
-unique root there.  General graphs go through the P1 discretization of
-mesh.GraphMesh and a two-pass Lanczos run on the generalized problem
-A x = lambda M x: the three-term recurrence for A_ff^-1 M in the M inner
-product, applied through one mesh.CondensedLU factor of A_ff, keeps only
-its coefficients, and a second pass regenerates the same vectors to sum the
-Ritz vector (Paige, J. Inst. Math. Appl. 18, 1976).  So the recurrence
-holds three n-vectors and no basis, and the Ritz vector's sum a fourth.
-The lumped M is a vector, A_ff is never formed, and the residual reads
-A_ff y from the mesh's stencil product.
+unique root there.  brentq, this module's line-for-line port of
+scipy.optimize.brentq, finds it (and groundstate's interval root), so the
+exact path loads no scipy.  General graphs go through the P1
+discretization of mesh.GraphMesh and a two-pass Lanczos run on the
+generalized problem A x = lambda M x: the three-term recurrence for
+A_ff^-1 M in the M inner product, applied through one mesh.CondensedLU
+factor of A_ff, keeps only its coefficients, and a second pass regenerates
+the same vectors to sum the Ritz vector (Paige, J. Inst. Math. Appl. 18,
+1976).  So the recurrence holds three n-vectors and no basis, and the Ritz
+vector's sum a fourth.  The lumped M is a vector, A_ff is never formed, and
+the residual reads A_ff y from the mesh's stencil product.  The mesh layer
+and scipy.linalg are imported by lambda0_discretized, on first use.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 from itertools import count
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidDomain,
@@ -37,7 +39,9 @@ from .errors import (
     MeshTooCoarse,
 )
 from .graph import FlowerSpec, MetricGraph
-from .mesh import CondensedLU, Field, GraphMesh
+
+if TYPE_CHECKING:
+    from .mesh import Field, GraphMesh
 
 __all__ = [
     "SpectralResult",
@@ -48,6 +52,8 @@ __all__ = [
     "region_membership",
     "lower_boundary",
     "secular_mismatch",
+    "brentq",
+    "RootInfo",
 ]
 
 BOUNDARY_TOL = 1e-10
@@ -78,6 +84,94 @@ class SpectralResult:
         return None if self.sample is None else self.sample()
 
 
+class RootInfo(NamedTuple):
+    """brentq's counts, as scipy's RootResults reports them."""
+
+    iterations: int
+    function_calls: int
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b as C divides doubles: by a zero, +-inf or NaN instead of an error."""
+    if b != 0.0:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
+           rtol: float, maxiter: int) -> tuple[float, RootInfo]:
+    """A root of f between xa and xb by Brent's method, and its counts.
+
+    A line-for-line port of scipy.optimize.brentq (its C brentq and the
+    Python checks around it): the same iterates, stopping test
+    |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2, iteration and call counts,
+    and errors.  f's values are read as floats; a NaN raises ValueError, as
+    do rtol below 4 eps, xtol <= 0 and ends of one sign, and maxiter
+    iterations without convergence raise RuntimeError.  An end where f is
+    0 is returned after 0 iterations (scipy leaves that count unset).
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4.0 * EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * EPS:g})")
+    xtol, rtol = float(xtol), float(rtol)
+    calls = 0
+
+    def fx(x):
+        nonlocal calls
+        y = float(f(x))
+        calls += 1
+        if y != y:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return y
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fx(xpre)
+    fcur = fx(xcur)
+    if fpre == 0.0:
+        return xpre, RootInfo(0, calls)
+    if fcur == 0.0:
+        return xcur, RootInfo(0, calls)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, RootInfo(i, calls)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
+            else:               # extrapolate
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = _divide(fblk - fcur, xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre),
+                               dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry    # good short step
+            else:
+                spre = scur = sbis         # bisect
+        else:
+            spre = scur = sbis             # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def secular_mismatch(spec: FlowerSpec, s: float) -> float:
     """2*sum tan(s*l_j) - cot(s*L); increasing in s on the root bracket.
 
@@ -105,8 +199,7 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
     mismatch = partial(secular_mismatch, spec)
     s, iterations = math.nextafter(s_max, 0.0), 0
     if mismatch(s) > 0.0:
-        s, info = brentq(mismatch, s_max * 1e-12, s, xtol=ROOT_XTOL,
-                         rtol=4.0 * EPS, maxiter=200, full_output=True)
+        s, info = brentq(mismatch, s_max * 1e-12, s, ROOT_XTOL, 4.0 * EPS, 200)
         iterations = info.iterations
     return SpectralResult(s * s, "transcendental", abs(mismatch(s)), iterations)
 
@@ -114,8 +207,10 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
 def _mesh_eigenfunction(mesh: GraphMesh, y: np.ndarray) -> Field:
     """The Ritz vector on the free nodes as a full-node field, 0 where
     pinned, with its sign chosen so its values sum to >= 0."""
+    from .mesh import Field
+
     vals = np.zeros(mesh.n_nodes)
-    vals[mesh.free_nodes] = y if y.sum() >= 0 else -y
+    mesh.put_free_values(vals, y if y.sum() >= 0 else -y)
     return Field(mesh, vals)
 
 
@@ -156,6 +251,8 @@ def _lanczos(solve: Callable, m: np.ndarray, coeffs: list):
 
 def _largest_ritz(coeffs: list) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the Lanczos tridiagonal T_j and its unit eigenvector."""
+    from scipy.linalg import eigh_tridiagonal
+
     alpha, beta = np.array(coeffs).T
     j = len(coeffs) - 1
     theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(j, j))
@@ -204,6 +301,8 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
     off-diagonal entries are all negative; the residual and the floor's
     bound are each formed in one buffer, in the order the formulas read.
     """
+    from .mesh import CondensedLU, GraphMesh
+
     mesh = GraphMesh(graph, mesh_h)
     if mesh.min_intervals() < 5:
         raise MeshTooCoarse(

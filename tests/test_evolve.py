@@ -6,7 +6,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from test_mesh import peak_bytes, seeded_tree
+from test_mesh import peak_bytes, same_bits, seeded_tree
 
 import fkpp_graphs.evolve as evolve
 from fkpp_graphs.errors import (
@@ -330,8 +330,9 @@ def test_run_rejects_a_bad_horizon_or_tolerance(bad):
 # Peak bytes per free unknown of a short run, five steps of dt = 0.1, on
 # test_mesh's seeded 2000-edge trees (about 21,000 unknowns), mesh and data
 # built beforehand: about 140 while the condensed factor copied T's arrays
-# and built G through a sentinel column, about 106 with neither, and about
-# 114 once the mesh built its free-node index on first read, inside the run.
+# and built G through a sentinel column, about 106 with neither, about 114
+# once the mesh built its free-node index on first read, inside the run, and
+# 106.7 and 106.2 since the run gathers through the free-vertex index alone.
 PEAK_BYTES_PER_UNKNOWN = 122
 
 
@@ -347,4 +348,14 @@ def run_bytes_per_unknown(seed):
     field0 = constant_field(mesh, 0.5)
     peak, trace = peak_bytes(lambda: run_to_attractor(field0, dt=0.1, max_t=0.5))
     assert trace.steps == 5
-    return peak / mesh.free_nodes.size
+    return peak / (mesh.n_nodes - mesh.dirichlet_nodes.size)
+
+
+def test_a_run_builds_no_free_node_index():
+    mesh = GraphMesh(seeded_tree(200, 5), mesh_h=0.05)
+    trace = run_to_attractor(constant_field(mesh, 0.5), dt=0.1, max_t=0.5)
+    assert trace.steps == 5
+    assert "free_nodes" not in mesh.__dict__
+    # the free-node vector it ran on is the one the index gathers
+    assert same_bits(mesh.free_values(trace.final.values),
+                     trace.final.values[mesh.free_nodes])

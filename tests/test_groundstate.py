@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 
 import arclength_reference as ref
 from test_mesh import peak_bytes
+from test_spectral import checked_brentq
 
 from fkpp_graphs import groundstate, period, phaseplane
 from fkpp_graphs.errors import (
@@ -504,15 +505,16 @@ def test_stalled_newton_is_not_retried(monkeypatch):
 # ------------------------------------------------------ work on the exact path
 
 def _record_quads(monkeypatch) -> list:
-    """Record (type of f(0.5), limit) for every period quadrature."""
+    """Record (type of the integrand's value at 0.5, limit) for every period
+    quadrature."""
     calls = []
-    quad = period.integrate.quad
+    qagse = period.qagse
 
-    def recorded(f, *args, **kwargs):
-        calls.append((type(f(0.5)), kwargs.get("limit")))
-        return quad(f, *args, **kwargs)
+    def recorded(f, a, b, epsabs, epsrel, limit):
+        calls.append((type(f(0.5, 0.0)[0]), limit))
+        return qagse(f, a, b, epsabs, epsrel, limit)
 
-    monkeypatch.setattr(period.integrate, "quad", recorded)
+    monkeypatch.setattr(period, "qagse", recorded)
     return calls
 
 
@@ -618,6 +620,13 @@ def test_the_presolve_round_cap_is_a_stalled_solve(monkeypatch):
     monkeypatch.setattr(groundstate, "MAX_PRESOLVE_ROUNDS", 2)
     with pytest.raises(NewtonStalled, match="no admissible Newton seed"):
         solve_flower(TADPOLE)
+
+
+def test_interval_root_is_scipys_brentq(monkeypatch):
+    calls = checked_brentq(monkeypatch, groundstate)
+    for L in np.linspace(1.6, 19.0, 15).tolist():
+        solve_interval(L)
+    assert len(calls) == 15
 
 
 def test_interval_evaluates_no_residual_twice(monkeypatch):

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import fkpp_graphs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -36,10 +38,49 @@ def fresh_modules(code: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def scipy_modules(loaded: list[str]) -> list[str]:
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+def fresh_command(argv: list[str]) -> list[str]:
+    """Run `fkpp argv` through cli.main in a fresh interpreter, which must
+    exit 0; the module names loaded by its end."""
+    return fresh_modules(f"from fkpp_graphs.cli import main\nassert main({argv!r}) == 0")
+
+
 def test_package_and_cli_import_no_scipy():
     loaded = fresh_modules("import fkpp_graphs, fkpp_graphs.cli")
-    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert scipy_modules(loaded) == []
     assert "fkpp_graphs.mesh" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--curve", "1", "--samples", "10"],
+    ["region", "--grid", "--samples", "5"],
+    ["region", "--flower", "stem=3", "loops=3"],
+    ["groundstate", "--flower", "stem=3", "loops=3"],
+    ["groundstate", "--flower", "stem=2"],
+], ids=" ".join)
+def test_region_and_groundstate_load_no_scipy(tmp_path, argv):
+    # the secular root and the period quadratures are the package's own
+    loaded = fresh_command(argv + ["--out", str(tmp_path / "out")])
+    assert "fkpp_graphs.spectral" in loaded
+    assert scipy_modules(loaded) == []
+
+
+def optimize_or_integrate(loaded: list[str]) -> list[str]:
+    return [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate"))]
+
+
+@pytest.mark.parametrize("source", [["--flower", "stem=3", "loops=3"], ["--graph", "TREE"]],
+                         ids=lambda source: source[0])
+def test_spectrum_loads_neither_optimize_nor_integrate(tmp_path, source):
+    g = tmp_path / "tree.json"
+    g.write_text(TREE_JSON)
+    loaded = fresh_command(["spectrum", *[str(g) if a == "TREE" else a for a in source],
+                            "--out", str(tmp_path / "out.json")])
+    assert "scipy.sparse" in loaded
+    assert optimize_or_integrate(loaded) == []
 
 
 def test_evolve_on_a_graph_loads_no_period_layer(tmp_path):
@@ -53,6 +94,7 @@ def test_evolve_on_a_graph_loads_no_period_layer(tmp_path):
     assert "fkpp_graphs.evolve" in loaded
     assert "fkpp_graphs.period" not in loaded
     assert "fkpp_graphs.groundstate" not in loaded
+    assert optimize_or_integrate(loaded) == []
 
 
 def test_each_submodule_all_resolves_and_star_imports():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import arclength_reference as ref
-from fkpp_graphs import period
+from fkpp_graphs import period, quadpack
 from fkpp_graphs.errors import FisherKppError, InvalidDomain, OrbitNotClosed
 from fkpp_graphs.period import (
     HOMOCLINIC_OFFSET,
@@ -375,16 +375,18 @@ def test_loop_action_matches_reference(pt):
 
 def test_quad_retries_only_a_call_that_used_up_its_subintervals(monkeypatch):
     limits = []
-    quad = period.integrate.quad
+    qagse = period.qagse
 
-    def recorded(f, *args, **kwargs):
-        out = quad(f, *args, **kwargs)
-        limits.append((kwargs["limit"], out[2]["last"]))
+    def recorded(f, a, b, epsabs, epsrel, limit):
+        out = qagse(f, a, b, epsabs, epsrel, limit)
+        limits.append((limit, out[3]))
         return out
 
-    monkeypatch.setattr(period.integrate, "quad", recorded)
+    monkeypatch.setattr(period, "qagse", recorded)
     # about 480 periods on [0, 1]: 200 subintervals cannot resolve them
-    value, err = period._quad(lambda s: math.cos(3000.0 * s), 1e-12)
+    value, err = period._quad(
+        lambda centr, hlgth: [math.cos(3000.0 * (centr + hlgth * x)) for x in quadpack.X21],
+        1e-12)
     assert limits[0] == (200, 200)
     assert [lim for lim, _ in limits] == [200, 1000]
     assert limits[1][1] < 1000
@@ -397,27 +399,27 @@ def test_quad_retries_only_a_call_that_used_up_its_subintervals(monkeypatch):
 def test_panel_rule_is_quadpacks_qk21():
     x, w = np.polynomial.legendre.leggauss(10)
     gauss = x > 0.0
-    assert np.allclose(np.sort(x[gauss])[::-1], period._XGK[1::2], rtol=0.0, atol=1e-15)
-    assert np.allclose(w[gauss][::-1], period._WG, rtol=0.0, atol=1e-15)
-    assert 2.0 * sum(period._WG) == 2.0
+    assert np.allclose(np.sort(x[gauss])[::-1], quadpack.XGK[1::2], rtol=0.0, atol=1e-15)
+    assert np.allclose(w[gauss][::-1], quadpack.WG, rtol=0.0, atol=1e-15)
+    assert 2.0 * sum(quadpack.WG) == 2.0
     # the 21-point Kronrod rule integrates x^k exactly on [-1, 1] up to k = 31
     for k in range(0, 32, 2):
-        rule = period._WGK[10] * (k == 0) + 2.0 * sum(
-            wk * xk ** k for wk, xk in zip(period._WGK, period._XGK))
+        rule = quadpack.WGK[10] * (k == 0) + 2.0 * sum(
+            wk * xk ** k for wk, xk in zip(quadpack.WGK, quadpack.XGK))
         assert math.isclose(rule, 2.0 / (k + 1), rel_tol=0.0, abs_tol=1e-15)
 
 
 def _first_panel_arcs(monkeypatch, spans, tol, kind):
     """[(value, QUADPACK's subinterval count)] of the scalar _arc per span."""
     lasts = []
-    quad = period.integrate.quad
+    qagse = period.qagse
 
-    def recorded(f, *args, **kwargs):
-        out = quad(f, *args, **kwargs)
-        lasts.append(out[2]["last"])
+    def recorded(f, a, b, epsabs, epsrel, limit):
+        out = qagse(f, a, b, epsabs, epsrel, limit)
+        lasts.append(out[3])
         return out
 
-    monkeypatch.setattr(period.integrate, "quad", recorded)
+    monkeypatch.setattr(period, "qagse", recorded)
     out = []
     for span in spans:
         lasts.clear()

@@ -1,0 +1,114 @@
+"""The QUADPACK port against scipy.integrate's own dqagse, bit for bit.
+
+Each check runs quadpack.qagse and scipy's _qagse (full output) on the same
+integrand and compares the value, the error estimate, ier, the number of
+subintervals and the first `last` places of the alist, blist, rlist and
+elist lists.  scipy reads the integrand one node at a time, at
+f(x, 0.0)[0]: the panel at centr = x of half-width 0.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fkpp_graphs import groundstate, period, quadpack
+from fkpp_graphs.graph import FlowerSpec
+
+_quadpack = pytest.importorskip("scipy.integrate._quadpack")
+
+
+def scipy_qagse(f, epsabs: float, epsrel: float, limit: int):
+    value, abserr, info, ier = _quadpack._qagse(
+        lambda x: f(x, 0.0)[0], 0.0, 1.0, (), 1, epsabs, epsrel, limit)
+    last = info["last"]
+    return (value, abserr, ier, last,
+            *(info[name][:last].tolist() for name in ("alist", "blist", "rlist", "elist")))
+
+
+def ported_qagse(f, epsabs: float, epsrel: float, limit: int):
+    value, abserr, ier, last, *lists = quadpack.qagse(f, 0.0, 1.0, epsabs, epsrel, limit)
+    return (value, abserr, ier, last, *(list(x[1:last + 1]) for x in lists))
+
+
+def outcome(qagse, *args):
+    """qagse(*args), or the class of the error it raised."""
+    try:
+        return qagse(*args)
+    except ArithmeticError as exc:    # the integrand's own, e.g. 1 / u^2 at u = 1e-163
+        return type(exc)
+
+
+def assert_same_qagse(f, epsabs: float, epsrel: float = period._EPSREL,
+                      limit: int = 200):
+    want = outcome(scipy_qagse, f, epsabs, epsrel, limit)
+    assert outcome(ported_qagse, f, epsabs, epsrel, limit) == want
+    return want
+
+
+def exponent(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def arc_spans(draw):
+    """_arc's (lo, 1 - lo, d, c): a stem arc (p, 1 - p, 1 - p, q^2), or a
+    loop arc from a turning point p0 <= 1/2 up to p, or one next to the
+    center (1 - b0, b0, b0 - (1 - p), 0); p and p0 reach 1e-300."""
+    shape = draw(st.sampled_from(["stem", "loop", "center"]))
+    if shape == "stem":
+        p = draw(st.one_of(exponent(-300.0, -0.31),
+                           exponent(-12.0, -0.31).map(lambda b: 1.0 - b)))
+        q = -draw(exponent(-12.0, 1.0))
+        return period._stem_span(p, q)
+    if shape == "loop":
+        p0 = draw(exponent(-300.0, math.log10(0.5)))
+        p = min(0.99, p0 * draw(exponent(1e-6, 3.0)))
+        return p0, 1.0 - p0, p - p0, 0.0
+    bp = draw(exponent(-12.0, -0.5))
+    b0 = min(0.45, bp * draw(exponent(1e-6, 3.0)))
+    return 1.0 - b0, b0, b0 - bp, 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(span=arc_spans(), kind=st.sampled_from(["length", "weighted", "action"]),
+       tol=st.sampled_from([1e-10, 1e-11, 1e-12, 0.0]))
+def test_qagse_is_scipys_on_every_arc_integrand(span, kind, tol):
+    if span[2] <= 0.0:    # _arc's 0, with no quadrature
+        return
+    assert_same_qagse(period._integrand(*span, kind), 0.5 * tol)
+
+
+@pytest.mark.parametrize("integrand", [
+    lambda s: math.cos(3000.0 * s),               # too many periods for 200
+    lambda s: math.sin(1.0 / (s + 1e-4)),
+    lambda s: abs(s - 1.0 / 3.0) ** -0.5 if s != 1.0 / 3.0 else 0.0,
+], ids=["cos-3000", "sin-1/s", "inverse-sqrt"])
+def test_qagse_is_scipys_where_the_limit_runs_out(integrand):
+    def f(centr, hlgth):
+        return [integrand(centr + hlgth * x) for x in quadpack.X21]
+
+    for limit in (200, 1000):
+        value, abserr, ier, last, *_ = assert_same_qagse(f, 5e-13, limit=limit)
+        assert ier > 0 or last < limit
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: groundstate.solve_flower(FlowerSpec(stem=0.8, loop_halves=(0.75,))),
+    lambda: groundstate.solve_flower(FlowerSpec(stem=0.51, loop_halves=(0.8, 0.5))),
+    lambda: groundstate.solve_interval(2.0),
+], ids=["tadpole", "two-loop", "interval-2"])
+def test_every_quadrature_of_a_solve_is_scipys(monkeypatch, solve):
+    calls = []
+    qagse = period.qagse
+
+    def checked(f, a, b, epsabs, epsrel, limit):
+        calls.append(assert_same_qagse(f, epsabs, epsrel, limit))
+        return qagse(f, a, b, epsabs, epsrel, limit)
+
+    monkeypatch.setattr(period, "qagse", checked)
+    sol = solve()
+    groundstate.energy_of(sol)
+    assert len(calls) > 10
+    assert any(last > 1 for _, _, _, last, *_ in calls)

@@ -81,7 +81,7 @@ def test_secular_root_builds_no_mesh(monkeypatch, spec, want):
     def no_mesh(*args, **kwargs):
         raise AssertionError("lambda0_flower built a GraphMesh")
 
-    monkeypatch.setattr(spectral, "GraphMesh", no_mesh)
+    monkeypatch.setattr("fkpp_graphs.mesh.GraphMesh", no_mesh)
     res = lambda0_flower(spec)
     assert math.isclose(res.lambda0, want, rel_tol=1e-13)
     assert res.eigenfunction is None
@@ -110,6 +110,70 @@ def test_secular_root_matches_bisection(stem, loop):
     spec = flower_from_totals(stem, [loop])
     want = _bisected_lambda0(spec)
     assert math.isclose(lambda0_flower(spec).lambda0, want, rel_tol=4 * spectral.EPS)
+
+
+def checked_brentq(monkeypatch, module) -> list:
+    """Make module.brentq check each call against scipy.optimize.brentq:
+    the same root, iterations and function calls; returns the calls' results."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    calls = []
+    port = module.brentq
+
+    def checked(f, xa, xb, xtol, rtol, maxiter):
+        root, info = scipy_brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                                  full_output=True)
+        got = port(f, xa, xb, xtol, rtol, maxiter)
+        assert got == (root, spectral.RootInfo(info.iterations, info.function_calls))
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(module, "brentq", checked)
+    return calls
+
+
+def sweep_flowers(seed: int, n: int) -> list:
+    """Flowers as the benchmark's sweep draws them: 1-80 loops (log-uniform),
+    halves in [0.1, 1.2], the stem from the critical stem up to three times
+    past it."""
+    rng = np.random.default_rng(seed)
+    flowers = []
+    for _ in range(n):
+        k = min(80, int(math.exp(rng.uniform() * math.log(81.0))))
+        halves = tuple(rng.uniform(0.1, 1.2, k).tolist())
+        flowers.append(FlowerSpec(lower_boundary(halves) + float(rng.uniform(0.01, 3.0)),
+                                  halves))
+    return flowers
+
+
+def test_secular_root_is_scipys_brentq(monkeypatch):
+    calls = checked_brentq(monkeypatch, spectral)
+    specs = sweep_flowers(1, 300) + [
+        FlowerSpec(*args) for args in [(0.8, (0.75,)), (0.51, (0.8, 0.5)), (2.0, (1e-13,)),
+                                       (0.5, (1e-14,)), (1e200, (1.0,)), (1.0, (1e300,)),
+                                       (1e-300, (1e300,)), (2.0 ** -1023, (2.0 ** -1023,))]]
+    for spec in specs:
+        lambda0_flower(spec)
+    assert len(calls) > 290
+
+
+def test_brentq_fails_as_scipys_does():
+    from scipy.optimize import brentq as scipy_brentq
+
+    def failure(solve):
+        with pytest.raises((ValueError, RuntimeError)) as info:
+            solve()
+        return info.type, str(info.value)
+
+    for f, xa, xb, xtol, rtol, maxiter in [
+            (math.cos, 0.0, 1.0, 1e-12, 1e-15, 100),           # ends of one sign
+            (lambda x: x - 0.3, 0.0, 1.0, 0.0, 1e-15, 100),    # xtol <= 0
+            (lambda x: x - 0.3, 0.0, 1.0, 1e-12, 1e-16, 100),  # rtol below 4 eps
+            (lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-15, 100),
+            (lambda x: x - 0.3 if x < 0.9 else math.nan, 0.0, 1.0, 1e-12, 1e-15, 100),
+            (math.tan, -1.0, 1.5, 1e-300, 1e-15, 3)]:           # out of iterations
+        assert failure(lambda: spectral.brentq(f, xa, xb, xtol, rtol, maxiter)) == \
+            failure(lambda: scipy_brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter))
 
 
 def test_lower_boundary_values():
