@@ -98,8 +98,9 @@ def _load_graph(args) -> tuple[FlowerSpec | None, MetricGraph]:
         raise InvalidDomain(f"cannot read graph file {path}: {exc}") from exc
     graph = graph_from_json(text)
     graph.validation    # invalid graphs exit 2 here; as_flower reads the cached report
-    logger.info("loaded graph with %d edges, total length %.6g",
-                len(graph.edges), graph.total_length())
+    if logger.isEnabledFor(logging.INFO):    # total_length is an O(E) sum
+        logger.info("loaded graph with %d edges, total length %.6g",
+                    len(graph.edges), graph.total_length())
     return as_flower(graph), graph
 
 
@@ -363,7 +364,7 @@ def _admissible_loop_sample(rng) -> tuple[float, float]:
 
 
 def _suite_asymptotics(args) -> list[dict]:
-    from .period import asymptotic_T, center_limits, period_T, period_T0
+    from .period import HOMOCLINIC_OFFSET, asymptotic_T, center_limits, period_T, period_T0
     from .phaseplane import PhasePoint, well
 
     checks = []
@@ -378,7 +379,7 @@ def _suite_asymptotics(args) -> list[dict]:
         "detail": f"residual/p over three decades: {resid} (spread x{ratio:.3f})",
     })
     for L in (6.0, 8.0, 10.0):
-        p = 6.0 * math.exp(-L - 2.0 * math.acosh(math.sqrt(1.5)))
+        p = 6.0 * math.exp(-L - HOMOCLINIC_OFFSET)
         q = -math.sqrt(well(p))
         err = abs(period_T(PhasePoint(p, q)).value - L)
         checks.append({

@@ -63,6 +63,7 @@ from .period import (
     turning_span,
 )
 from .phaseplane import PhasePoint, energy, energy_above_center, q_tilde, well
+from .quadpack import EPMACH
 from .spectral import ROOT_XTOL, Region, brentq, lambda0_flower
 
 __all__ = [
@@ -75,7 +76,6 @@ __all__ = [
     "energy_of",
 ]
 
-EPS = float(np.finfo(float).eps)
 MAX_NEWTON_ITER = 60
 MAX_PRESOLVE_ROUNDS = 100   # Chandrupatla rounds after the bracket ladder
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
@@ -161,7 +161,7 @@ def _jacobian(z: np.ndarray, quad_tol: float, spans) -> np.ndarray:
 
 
 def _floors(spec: FlowerSpec, J: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return 8.0 * EPS * (np.abs([spec.stem, *spec.loop_halves]) + np.abs(J) @ np.abs(z))
+    return 8.0 * EPMACH * (np.abs([spec.stem, *spec.loop_halves]) + np.abs(J) @ np.abs(z))
 
 
 def _turning_arclengths(p: float, ys, quad_tol: float) -> list[float]:
@@ -215,7 +215,7 @@ def _loop_turning_points(p: float, halves, quad_tol: float) -> list[float]:
         steps = {}
         for half, (y1, f1, y2, f2, t) in list(brackets.items()):
             y_min = y1 if abs(f1) < abs(f2) else y2
-            tol = 1e-13 + 4.0 * EPS * abs(y_min)
+            tol = 1e-13 + 4.0 * EPMACH * abs(y_min)
             if f1 == 0.0 or abs(y2 - y1) < tol:    # brentq's stopping rule
                 roots[half] = y_min
                 del brackets[half]
@@ -352,7 +352,7 @@ def _solve_loop_free(spec: FlowerSpec, tol: float, lam: float) -> GroundStateSol
         if mismatch(lo) > 0.0:
             break
         lo *= 0.5
-    p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), ROOT_XTOL, 4.0 * EPS, 200)
+    p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), ROOT_XTOL, 4.0 * EPMACH, 200)
     return _package(spec, np.array([p]), np.array([mismatch(p)]),
                     np.array([[interval_period_slope(p, quad_tol)]]),
                     info.iterations, (), tol, lam)

@@ -33,15 +33,10 @@ on all N loops at one point: loop_spans solves each loop's turning point
 once, and loop_arcs takes the N spans.  The same call serves each round of
 a seed's lockstep presolve (T0 at every loop's new turning-point iterate,
 spans from turning_span) and the loop actions of the free energy.  From
-PANEL_MIN_LOOPS = 10 spans on it runs one batched panel, _panel: QUADPACK's
-21-node rule (qk21) for every integrand at once as one numpy array, in
-_arc's operation order and with qk21's weights summed in qk21's order, so
-each value is _arc's to the bit.  A column is kept only where qagse would
-also stop after that first panel (abserr <= max(epsabs, epsrel |value|) and
-abserr != resasc, or abserr = 0), each test with a few ulp to spare; any
-other column gets its own _arc.  The panel's fixed numpy cost is about that
-of 7-10 scalar quadratures, hence the crossover, measured on whole solves
-(CHANGES.md).
+PANEL_MIN_LOOPS = 10 spans on it runs one batched first panel, _panel:
+every integrand at qk21's 21 nodes as one numpy array, in _arc's operation
+order, then quadpack.qk21_columns, so a column is kept exactly where qagse
+stops after that panel, with _arc's bits; any other column gets its own _arc.
 
 Gradients use the renormalized closed forms
 
@@ -72,14 +67,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidDomain
 from .phaseplane import PhasePoint, energy_above_center, turning_point_pair
-from .quadpack import EPMACH, WG, WGK, X21, XGK, qagse
+from .quadpack import X21, qagse, qk21_columns
 
 __all__ = [
     "HOMOCLINIC_OFFSET",
@@ -105,23 +99,8 @@ __all__ = [
 HOMOCLINIC_OFFSET = 2.0 * math.acosh(math.sqrt(1.5))
 
 _EPSREL = 1.5e-14    # every period quadrature's; QUADPACK's floor is ~50 eps
-# Panel nodes s on [0, 1] and their squares, shaped (2, 11, 1): the
-# center, then 0.5 - 0.5 XGK in row 0 and 0.5 + 0.5 XGK in row 1, so row 0
-# plus row 1 is each node pair's sum (and twice the center's value).
-_S = np.array([[0.5] + [0.5 + sign * 0.5 * x for x in XGK]
-               for sign in (-1.0, 1.0)])[:, :, None]
+_S = 0.5 + 0.5 * np.array(X21)[:, None]
 _S2 = _S * _S
-_WGK_ROWS = np.array(WGK[10:] + WGK[:10])[:, None]      # center, then XGK's order
-# dqk21 sums the center and the pairs in _KRONROD_ORDER (the Gauss pairs
-# first): Kronrod weights for the sums of f and |f|, Gauss weights for f's,
-# where adding a zero-weighted term leaves the sum's bits alone.
-_KRONROD_ORDER = [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9]
-_SUM_ROWS = (np.array([[0], [1], [0]]), np.array(_KRONROD_ORDER))
-_SUM_WEIGHTS = np.array([_WGK_ROWS[_KRONROD_ORDER], _WGK_ROWS[_KRONROD_ORDER],
-                         np.array([0.0, *WG, 0.0, 0.0, 0.0, 0.0, 0.0])[:, None]])
-# A column is kept only with this much room on each of qagse's tests: the
-# error estimate goes through pow, which may round differently here
-_PANEL_MARGIN = 8.0 * EPMACH
 # Loop count from which loop_arcs runs one _panel for all loops: below it,
 # numpy's fixed cost per panel outweighs the scalar quadratures it replaces
 # (whole solves break even at 9-10 loops; see CHANGES.md)
@@ -167,6 +146,11 @@ def _arc(lo: float, blo: float, d: float, c: float, tol: float,
     return _quad(_integrand(lo, blo, d, c, kind), tol)
 
 
+def _well(x0, dx):
+    """(g0, g1, g2) with g(x0 + dx t, x0) = g0 + t (g1 + g2 t); see _integrand."""
+    return 2.0 * x0 * (1.0 - x0), dx * (1.0 - 2.0 * x0), -(2.0 / 3.0) * dx * dx
+
+
 def _integrand(lo: float, blo: float, d: float, c: float, kind: str):
     """_arc's integrand in s on [0, 1], as qagse reads it: f(centr, hlgth)
     lists its values at the 21 nodes s = centr + hlgth x, x in X21.
@@ -181,10 +165,7 @@ def _integrand(lo: float, blo: float, d: float, c: float, kind: str):
     two negative terms by 1/2 of g0.  g keeps at least a third of its
     positive part, so rounding grows by at most 3x: under two bits.
     """
-    x0, dx = (lo, d) if lo <= 0.5 else (blo, -d)
-    g0 = 2.0 * x0 * (1.0 - x0)
-    g1 = dx * (1.0 - 2.0 * x0)
-    g2 = -(2.0 / 3.0) * dx * dx
+    g0, g1, g2 = _well(*((lo, d) if lo <= 0.5 else (blo, -d)))
     k = 2.0 * math.sqrt(d) if c == 0.0 and kind != "action" else 2.0 * d
     sqrt = math.sqrt
     if kind == "action":
@@ -215,60 +196,29 @@ def _integrand(lo: float, blo: float, d: float, c: float, kind: str):
 
 
 def _panel(spans, tol: float, kind: str):
-    """dqk21 on [0, 1] for every loop span's _arc integrand at once.
+    """qk21 on [0, 1] for every loop span's _arc integrand at once.
 
     ``spans`` are _arc's (lo, 1 - lo, d, 0); ``kind`` is "length",
     "weighted" or "action".  Returns (value, accepted) arrays, one column
-    per span.  Each integrand runs at QUADPACK's 21 nodes in _arc's
-    operation order, and the sums run in dqk21's order, so a value is
-    _arc's to the bit.  A column is accepted only where qagse would stop
-    after this first panel: abserr <= max(epsabs, epsrel |value|) and
-    abserr != resasc, or abserr = 0, each test with _PANEL_MARGIN to spare.
-    A span with d = 0 gives _arc's 0; d < 0 and every non-finite column
-    fail the test.
+    per span: qk21_columns on the integrands at qk21's nodes, in _arc's
+    operation order, so a value is _arc's to the bit and is accepted where
+    qagse stops after this first panel (never where d < 0; d = 0 gives 0).
     """
     lo, blo, d, c = np.fromiter(itertools.chain.from_iterable(spans), float,
                                 4 * len(spans)).reshape(-1, 4).T
-    left = lo <= 0.5
-    x0 = np.where(left, lo, blo)
-    dx = np.where(left, d, -d)
-    g0 = 2.0 * x0 * (1.0 - x0)
-    g1 = dx * (1.0 - 2.0 * x0)
-    g2 = -(2.0 / 3.0) * dx * dx
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    g0, g1, g2 = _well(*np.where(lo <= 0.5, (lo, d), (blo, -d)))
+    with np.errstate(all="ignore"):
         poly = g0 + _S2 * (g1 + g2 * _S2)
-        fa = np.empty((2,) + poly.shape)    # f and |f|
-        f = fa[0]
         if kind == "action":
-            np.multiply(2.0 * d * _S, np.sqrt(c + d * _S2 * poly), out=f)
+            fv = 2.0 * d * _S * np.sqrt(c + d * _S2 * poly)
         elif kind == "length":
-            np.divide(2.0 * np.sqrt(d), np.sqrt(poly), out=f)
+            fv = 2.0 * np.sqrt(d) / np.sqrt(poly)
         else:
             ds2 = d * _S2
             u = lo + ds2
-            np.divide((blo - ds2) * (1.0 + u) / (3.0 * u * u) * (2.0 * np.sqrt(d)),
-                      np.sqrt(poly), out=f)
-        np.abs(f, out=fa[1])
-        pairs = fa[:, 0] + fa[:, 1]
-        pairs[:, 0] = fa[:, 0, 0]
-        resk, resabs, resg = np.add.accumulate(_SUM_WEIGHTS * pairs[_SUM_ROWS],
-                                               axis=1)[:, -1]
-        dev = np.abs(f - resk * 0.5)
-        dev_pairs = dev[0] + dev[1]
-        dev_pairs[0] = dev[0, 0]
-        resasc = np.add.accumulate(_WGK_ROWS * dev_pairs)[-1] * 0.5
-        # dqk21's result and error estimate, then qagse's first-panel exit
-        value = resk * 0.5
-        resabs = resabs * 0.5
-        abserr = np.abs((resk - resg) * 0.5)
-        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
-        abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
-        abserr = np.where(resabs > sys.float_info.min / (50.0 * EPMACH),
-                          np.maximum(50.0 * EPMACH * resabs, abserr), abserr)
-        bound = np.maximum(0.5 * tol, _EPSREL * np.abs(value))
-        accepted = (abserr * (1.0 + _PANEL_MARGIN) <= bound) & \
-            (np.abs(abserr - resasc) > _PANEL_MARGIN * resasc) | (abserr == 0.0)
-    return value, accepted & np.isfinite(value) & (d >= 0.0)
+            fv = (blo - ds2) * (1.0 + u) / (3.0 * u * u) * (2.0 * np.sqrt(d)) / np.sqrt(poly)
+    value, _, accepted = qk21_columns(fv, 0.0, 1.0, 0.5 * tol, _EPSREL)
+    return value, accepted & (d >= 0.0)
 
 
 def _check_not_center(pt: PhasePoint) -> None:

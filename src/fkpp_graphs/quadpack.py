@@ -14,6 +14,8 @@ values at the 21 nodes centr + hlgth x, x in X21, which saves a Python call
 per node.  Lists are 1-based, as in QUADPACK, with a placeholder in place 0,
 and every test keeps QUADPACK's sense (not (x > y) rather than x <= y), so
 a NaN takes the branch it takes there.
+qk21_columns runs qk21 and qagse's first-panel exit on one numpy column
+per integrand, with the same bits and decisions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = ["qagse", "qk21"]
+import numpy as np
+
+__all__ = ["qagse", "qk21", "qk21_columns"]
 
 EPMACH = sys.float_info.epsilon    # QUADPACK's d1mach(4)
 _UFLOW = sys.float_info.min        # d1mach(1)
@@ -50,6 +54,11 @@ WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 # qk21's nodes centr + hlgth x: the center, then centr - hlgth XGK and
 # centr + hlgth XGK, each in XGK's order (hlgth (-x) is -(hlgth x) exactly)
 X21 = (0.0, *(-x for x in XGK), *XGK)
+# qk21_columns' rows: the center, then pair j (nodes -+XGK[j]) in row j + 1,
+# weighted by _WGK; _KRONROD_ROWS takes X21's rows to qk21's order
+_WGK = np.array(WGK[10:] + WGK[:10])[:, None]
+_KRONROD_ROWS = np.r_[0:11:2, 1:10:2, 12:21:2, 11:20:2]
+_WGK_KRONROD, _WG = _WGK[_KRONROD_ROWS[:11]], np.array(WG)[:, None]
 
 
 def qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
@@ -100,6 +109,45 @@ def qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
     if resabs > _UFLOW / (50.0 * EPMACH):
         abserr = max(EPMACH * 50.0 * resabs, abserr)
     return resk * hlgth, abserr, resabs, resasc
+
+
+def _kronrod(fv):
+    """dqk21's Kronrod sum of each column of fv, and its Gauss pairs' sums."""
+    rows = fv.take(_KRONROD_ROWS, axis=0)
+    rows[1:11] += rows[11:]
+    return np.add.accumulate(_WGK_KRONROD * rows[:11])[-1], rows[1:6]
+
+
+def qk21_columns(fv, a: float, b: float, epsabs: float, epsrel: float):
+    """qk21 on [a, b] for each column of fv, and qagse's exit after it.
+
+    fv is (21, N): N integrands at the nodes centr + hlgth x, x in X21.
+    Returns (result, abserr, exits), each column's to the bit: qk21's result
+    and abserr, and whether qagse(f, a, b, epsabs, epsrel, limit > 1) returns
+    after this first panel (it needs epsabs > 0 or epsrel >= _MIN_EPSREL).
+    Sums run in qk21's order, each power is Python's, and Python's max(x, y)
+    is fmax: only y can be NaN, and then max gives x.
+    """
+    hlgth = 0.5 * (b - a)
+    with np.errstate(all="ignore"):
+        resk, gauss = _kronrod(fv)
+        resabs = (resk if (fv >= 0.0).all() else _kronrod(np.abs(fv))[0]) * abs(hlgth)
+        resg = np.add.accumulate(_WG * gauss)[-1]    # qk21's 0.0 + only signs a 0
+        dev = np.abs(fv - resk * 0.5)
+        dev[1:11] += dev[11:]
+        resasc = np.add.accumulate(_WGK * dev[:11])[-1] * abs(hlgth)
+        abserr = np.abs((resk - resg) * hlgth)
+        ratio = np.minimum(200.0 * abserr / resasc, 1.0)    # resasc min(1, x^1.5)
+        np.multiply(resasc, [r ** 1.5 for r in ratio.tolist()], out=abserr,
+                    where=(resasc != 0.0) & (abserr != 0.0))
+        np.fmax(EPMACH * 50.0 * resabs, abserr, out=abserr,
+                where=resabs > _UFLOW / (50.0 * EPMACH))
+        result = resk * hlgth
+        errbnd = np.fmax(epsabs, epsrel * np.abs(result))
+        # past errbnd (or NaN), qagse ends on ier = 2 where roundoff rules
+        exits = np.where(abserr <= errbnd, abserr != resasc,
+                         abserr <= 100.0 * EPMACH * resabs) | (abserr == 0.0)
+    return result, abserr, exits
 
 
 def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list,

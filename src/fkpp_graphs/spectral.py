@@ -39,6 +39,7 @@ from .errors import (
     MeshTooCoarse,
 )
 from .graph import FlowerSpec, MetricGraph
+from .quadpack import EPMACH
 
 if TYPE_CHECKING:
     from .mesh import Field, GraphMesh
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-10
-EPS = np.finfo(float).eps
 # brentq's xtol, the smallest normal double: far below every root on the exact
 # path, so rtol = 4 eps, brentq's floor, alone decides when a root is done
 ROOT_XTOL = 2.0 ** -1022
@@ -114,8 +114,8 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
     """
     if xtol <= 0.0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < 4.0 * EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * EPS:g})")
+    if rtol < 4.0 * EPMACH:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * EPMACH:g})")
     xtol, rtol = float(xtol), float(rtol)
     calls = 0
 
@@ -199,7 +199,7 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
     mismatch = partial(secular_mismatch, spec)
     s, iterations = math.nextafter(s_max, 0.0), 0
     if mismatch(s) > 0.0:
-        s, info = brentq(mismatch, s_max * 1e-12, s, ROOT_XTOL, 4.0 * EPS, 200)
+        s, info = brentq(mismatch, s_max * 1e-12, s, ROOT_XTOL, 4.0 * EPMACH, 200)
         iterations = info.iterations
     return SpectralResult(s * s, "transcendental", abs(mismatch(s)), iterations)
 
@@ -268,7 +268,7 @@ def _largest_pair(solve: Callable, m: np.ndarray) -> tuple[float, np.ndarray, in
     for _ in _lanczos(solve, m, coeffs):
         if coeffs:
             theta, s = _largest_ritz(coeffs)
-            if coeffs[-1][1] * abs(s[-1]) <= 4.0 * EPS * theta:
+            if coeffs[-1][1] * abs(s[-1]) <= 4.0 * EPMACH * theta:
                 break
             if len(coeffs) == MAX_LANCZOS_STEPS:
                 raise LinearSolveFailure(
@@ -329,7 +329,7 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
         ya *= m
         ya *= rho
         bound += ya
-        if rel > 2.0 * EPS * math.sqrt(float(bound @ bound)) / scale:
+        if rel > 2.0 * EPMACH * math.sqrt(float(bound @ bound)) / scale:
             raise LinearSolveFailure(f"eigenpair residual {rel:.3e} is above its floor")
     return SpectralResult(rho, "discretized", rel, 2 * j - 1,
                           partial(_mesh_eigenfunction, mesh, y))

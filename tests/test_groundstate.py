@@ -566,7 +566,7 @@ def _reference_turning_point(p: float, half: float, quad_tol: float) -> float:
         y_lo -= 5.0
     else:
         raise OrbitNotClosed(f"no loop orbit of half-length {half} through p = {p}")
-    return brentq(mismatch, y_lo, y_hi, xtol=1e-13, rtol=4.0 * groundstate.EPS,
+    return brentq(mismatch, y_lo, y_hi, xtol=1e-13, rtol=4.0 * groundstate.EPMACH,
                   maxiter=300)
 
 
@@ -586,7 +586,7 @@ def test_lockstep_presolve_equals_scipy_brentq_per_loop(seed, n):
         ys = groundstate._loop_turning_points(p, halves, 1e-12)
         for y, half in zip(ys, halves):
             y_ref = _reference_turning_point(p, half, 1e-12)
-            assert abs(y - y_ref) <= 1e-13 + 4.0 * groundstate.EPS * abs(y_ref)
+            assert abs(y - y_ref) <= 1e-13 + 4.0 * groundstate.EPMACH * abs(y_ref)
         assert ys[-1] == math.log(p) - 1e-12
 
 

@@ -4,11 +4,13 @@ Each check runs quadpack.qagse and scipy's _qagse (full output) on the same
 integrand and compares the value, the error estimate, ier, the number of
 subintervals and the first `last` places of the alist, blist, rlist and
 elist lists.  scipy reads the integrand one node at a time, at
-f(x, 0.0)[0]: the panel at centr = x of half-width 0.
+f(x, 0.0)[0]: the panel at centr = x of half-width 0.  The column form
+qk21_columns is checked against the port's own qk21 and qagse.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,3 +114,45 @@ def test_every_quadrature_of_a_solve_is_scipys(monkeypatch, solve):
     groundstate.energy_of(sol)
     assert len(calls) > 10
     assert any(last > 1 for _, _, _, last, *_ in calls)
+
+
+# ------------------------------------------------ qk21 and the first exit, by column
+
+def seeded_columns(seed: int):
+    """(21, N) node values: smooth, odd, constant and zero columns (at
+    1e-305, resasc = 0 < abserr with no error floor); nearly constant ones;
+    and ones of both signs over 600 decades, a tenth of their values 0, -0,
+    +-inf or NaN."""
+    rng = np.random.default_rng(seed)
+    x = np.array(quadpack.X21)[:, None]
+    shapes = [np.exp(-3.0 * x), np.exp(2.0 * x), 1.0 / (1.1 + x), x, x ** 3 - x,
+              np.full_like(x, 3.0), np.full_like(x, -0.1), np.full_like(x, 1e-305),
+              np.zeros_like(x)]
+    near = 1.0 + 10.0 ** rng.uniform(-16.0, -8.0, (1, 40)) * rng.standard_normal((21, 40))
+    wild = rng.choice([-1.0, 1.0], (21, 80)) * 10.0 ** rng.uniform(-300.0, 300.0, (21, 80))
+    special = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], (21, 80))
+    wild = np.where(rng.random((21, 80)) < 0.1, special, wild)
+    return np.hstack(shapes + [near, wild])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("a, b, epsabs, epsrel", [
+    (0.0, 1.0, 0.5e-10, period._EPSREL), (0.0, 1.0, 0.0, period._EPSREL),
+    (-2.0, 3.0, 1e-300, 1e-3), (1.0, 0.25, 1e-8, 1e-8)])
+def test_qk21_columns_are_qk21_and_qagses_first_exit(seed, a, b, epsabs, epsrel):
+    outcomes = set()
+    # a batch with no negative value takes the rule on |f| from f's own sum
+    for fv in (seeded_columns(seed), np.abs(seeded_columns(seed))):
+        result, abserr, exits = quadpack.qk21_columns(fv, a, b, epsabs, epsrel)
+        for col, value, err, ends in zip(fv.T.tolist(), result.tolist(),
+                                         abserr.tolist(), exits.tolist()):
+            def f(centr, hlgth):
+                return col
+
+            want = quadpack.qk21(f, a, b)
+            assert (value.hex(), err.hex()) == (want[0].hex(), want[1].hex())
+            # limit 2: qagse bisects once, unless it returns after the first panel
+            _, _, ier, last, *_ = quadpack.qagse(f, a, b, epsabs, epsrel, 2)
+            assert ends == (last == 1)
+            outcomes.add((ends, ier))
+    assert {(True, 0), (True, 2), (False, 1)} <= outcomes

@@ -109,7 +109,7 @@ def test_secular_root_matches_bisection(stem, loop):
     # s_max (1 - 1e-13); for the huge ones lambda0 underflows to 0 < 1
     spec = flower_from_totals(stem, [loop])
     want = _bisected_lambda0(spec)
-    assert math.isclose(lambda0_flower(spec).lambda0, want, rel_tol=4 * spectral.EPS)
+    assert math.isclose(lambda0_flower(spec).lambda0, want, rel_tol=4 * spectral.EPMACH)
 
 
 def checked_brentq(monkeypatch, module) -> list:
