@@ -31,9 +31,10 @@ tridiagonal edge interiors plus a SuperLU factor of the small vertex
 complement, so each step is one tridiagonal sweep and one vertex-sized
 sparse solve.  The step loop runs on the free-node vector alone, in three
 buffers that it swaps (state, trial state, scratch): the right-hand side
-is formed in the trial buffer and solved in place.  Dirichlet values are
-0, so H (from t = 0 on), sup u and min u follow from the free nodes, and
-the Field is written once, at the end.
+is formed in the trial buffer and solved in place.  The state starts as
+a view of the Field's free nodes, which the mesh numbers first, and the
+Field is copied into only if the run ends in the other buffer.  Dirichlet
+values are 0, so H (from t = 0 on), sup u and min u follow from them.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
     _, m = mesh.vertex_rows
     lu = _factor(mesh, m, dt)
 
-    # the state, the trial state and scratch: three free-node vectors
+    # the state (a view of the field), the trial state and scratch
     u = mesh.free_values(field.values)
     v = np.empty(u.shape)
     work = np.empty(u.shape)
@@ -240,7 +241,7 @@ def run_to_attractor(field0: Field, dt: float = 0.1, max_t: float = 500.0,
                 terminal = Terminal.CONVERGED_NONTRIVIAL
                 break
 
-    mesh.put_free_values(field.values, u)
+    mesh.free_values(field.values)[...] = u    # numpy skips it when u is the view
     return EvolutionTrace(
         times=np.asarray(times),
         energy=np.asarray(energies),

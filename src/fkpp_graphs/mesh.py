@@ -8,29 +8,29 @@ vertices: the vertex row is the sum of one-sided differences over incident
 edge ends.  The mass matrix is lumped, so it stays diagonal and the scheme
 matrix M + dt*A is an M-matrix for any dt > 0.
 
-Dirichlet vertices are pinned by row/column elimination; the reduced
-stiffness A_ff is symmetric positive definite whenever the graph is
-connected and has at least one Dirichlet vertex.  No solve forms A_ff: an
-edge interior's row is the stencil [-w, 2w, -w] (w = 1/h) of the per-edge
-arrays, and GraphMesh.vertex_rows holds the free-vertex rows, one small
-CSR, with the lumped mass m_f.  The full-node ``stiffness`` and
-``lumped_mass``, and reduced_operators sliced from them, are built only
-when read (tests; free_energy reads the mass), and so are the free-node
-index ``free_nodes`` (only reduced_operators reads it: free_values and
-put_free_values map free-node vectors through the vertex-sized index of
-the free vertices, since the interior nodes follow the vertices in one
-block) and ``_chain``, the w of each cell between two interior nodes
-(only GraphMesh.energy reads it).  CondensedLU factors
-B = diag(shift) + scale A_ff with its edge interiors condensed out: every
-edge's interior block is tridiagonal and touches the rest only through its
-two end vertices.  GraphMesh refuses cells too narrow for their stiffness
-2/h to be a double, and vertex_rows refuses cells more uneven than
-CELL_RATIO_CAP, since the condensed solves lose about that ratio times
-eps.  The free energy (GraphMesh.energy) takes its gradient term cell by
-cell, the sum of (du)^2 / h: the exact Dirichlet energy of the P1
-interpolant, u^T A u without a stiffness product's cancellation.  Nodes
-are numbered from the integer edge table validation leaves on the graph
-(ValidationReport), with no per-edge Python loop.
+Nodes are numbered from the integer edge table validation leaves on the
+graph (ValidationReport), with no per-edge Python loop, in three blocks:
+the free vertices in vertex-table order, every edge's interior nodes in
+edge order, then the Dirichlet vertices.  The first two blocks are the
+free nodes, so a field's free-node vector is a view of its first
+``n_free`` values (GraphMesh.free_values).  Dirichlet vertices are pinned
+by row/column elimination; the reduced stiffness A_ff is symmetric
+positive definite whenever the graph is connected and has at least one
+Dirichlet vertex.  No solve forms A_ff: an edge interior's row is the
+stencil [-w, 2w, -w] (w = 1/h) of the per-edge arrays, and
+GraphMesh.vertex_rows holds the free-vertex rows, one small CSR, with the
+lumped mass m_f.  The full-node ``stiffness`` and ``lumped_mass``, and
+reduced_operators sliced from them, are built only when read (tests;
+free_energy reads the mass), and so is ``_chain``, the w of each cell
+between two interior nodes (only GraphMesh.energy reads it).  CondensedLU
+factors B = diag(shift) + scale A_ff with its edge interiors condensed
+out: every edge's interior block is tridiagonal and touches the rest only
+through its two end vertices.  GraphMesh refuses cells too narrow for
+their stiffness 2/h to be a double, and vertex_rows refuses cells more
+uneven than CELL_RATIO_CAP, since the condensed solves lose about that
+ratio times eps.  The free energy (GraphMesh.energy) takes its gradient
+term cell by cell, the sum of (du)^2 / h: the exact Dirichlet energy of the
+P1 interpolant, u^T A u without a stiffness product's cancellation.
 """
 
 from __future__ import annotations
@@ -99,10 +99,8 @@ class GraphMesh:
         nverts = len(report.vertices)
         self.n_nodes = nverts + points - 2 * len(counts)
 
-        self.dirichlet_nodes = report.dirichlet
-        # Dirichlet nodes are vertices, so the free-node vector lists the free
-        # vertices first, then every edge's interior nodes in edge order.
-        nv = self.free_vertices = nverts - self.dirichlet_nodes.size
+        nv = self.free_vertices = nverts - report.dirichlet.size
+        self.n_free = self.n_nodes - report.dirichlet.size
         # every field and every solve holds a double per node; past 2**60 nodes
         # their byte count overflows numpy's, which raises ValueError instead
         try:
@@ -111,41 +109,21 @@ class GraphMesh:
             raise InvalidDomain(f"the mesh has {self.n_nodes} nodes, more than "
                                 "memory holds; the edges are too long for the mesh "
                                 "width") from exc
-        free = np.ones(nverts, dtype=bool)
-        free[self.dirichlet_nodes] = False
-        # the free vertices' nodes; the interior nodes follow the vertices
-        # in one block, so these two map free-node vectors to fields
-        self._free_vertex_nodes = np.flatnonzero(free)
-        self._first_interior = nverts
-        free_vertex = np.full(nverts, nv)
-        free_vertex[free] = np.arange(nv)
-        # each edge's tail and head in the free numbering, nv where pinned
-        self._ends = free_vertex[report.ends]
+        self.dirichlet_nodes = np.arange(self.n_free, self.n_nodes)
+        # each vertex's node: a free vertex counts the free ones before it,
+        # and the Dirichlet ones follow every free node
+        free = np.ones(nverts, dtype=np.int64)
+        free[report.dirichlet] = 0
+        self._vertex_node = np.cumsum(free) - 1
+        self._vertex_node[report.dirichlet] = self.dirichlet_nodes
+        # each edge's tail and head among the free vertices, nv where pinned
+        self._ends = np.minimum(self._vertex_node[report.ends], nv)
         self._stiffness = None
         self._lumped_mass = None
 
-    @cached_property
-    def free_nodes(self) -> np.ndarray:
-        """Global index of every free node: the free vertices, then every
-        interior node.  An oracle for tests (reduced_operators); free_values
-        and put_free_values map free-node vectors without it."""
-        return np.concatenate((self._free_vertex_nodes,
-                               np.arange(self._first_interior, self.n_nodes)))
-
     def free_values(self, values: np.ndarray) -> np.ndarray:
-        """The free-node vector of a full-node array: its free vertices, then
-        its interior nodes."""
-        nv = self.free_vertices
-        u = np.empty(nv + self.n_nodes - self._first_interior)
-        u[:nv] = values[self._free_vertex_nodes]
-        u[nv:] = values[self._first_interior:]
-        return u
-
-    def put_free_values(self, values: np.ndarray, u: np.ndarray) -> None:
-        """Write the free-node vector u into a full-node array's free nodes."""
-        nv = self.free_vertices
-        values[self._free_vertex_nodes] = u[:nv]
-        values[self._first_interior:] = u[nv:]
+        """A full-node array's free-node vector: a view of its first n_free."""
+        return values[:self.n_free]
 
     @cached_property
     def _interiors(self):
@@ -174,7 +152,7 @@ class GraphMesh:
     @cached_property
     def _ptr(self) -> np.ndarray:
         """Edge k owns grid points _ptr[k] .. _ptr[k + 1] - 1, tail to head;
-        interior nodes are numbered after the vertex nodes in that order."""
+        interior nodes are numbered after the free vertices in that order."""
         ptr = np.zeros(self._cells.size + 1, dtype=np.int64)
         np.cumsum(self._cells + 1, out=ptr[1:])
         return ptr
@@ -187,10 +165,8 @@ class GraphMesh:
         point_node = np.empty(ptr[-1], dtype=np.int64)
         inner = np.ones(ptr[-1], dtype=bool)
         inner[first] = inner[last] = False
-        ends = self.graph.validation.ends
-        point_node[inner] = np.arange(len(self.graph.validation.vertices), self.n_nodes)
-        point_node[first] = ends[:, 0]
-        point_node[last] = ends[:, 1]
+        point_node[inner] = np.arange(self.free_vertices, self.n_free)
+        point_node[first], point_node[last] = self._vertex_node[self.graph.validation.ends].T
         point_node.flags.writeable = False
         return point_node
 
@@ -245,18 +221,19 @@ class GraphMesh:
         return self._lumped_mass
 
     def reduced_operators(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """(A_ff, m_f): ``stiffness[f][:, f]`` and ``lumped_mass[f]``, sliced
-        from the full-node operators.  An oracle for tests; no solve reads it."""
-        f = self.free_nodes
-        return self.stiffness[f][:, f], self.lumped_mass[f]
+        """(A_ff, m_f): the free-node block of ``stiffness`` and
+        ``lumped_mass``, their first n_free rows and columns.  An oracle for
+        tests; no solve reads it."""
+        n = self.n_free
+        return self.stiffness[:n, :n], self.lumped_mass[:n]
 
     @cached_property
     def vertex_rows(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """(V, m_f): A_ff's free-vertex rows, an nv x n CSR, and the lumped
-        mass on the free nodes, bit for bit ``stiffness[f][:, f][:nv]`` and
-        ``lumped_mass[f]``.  A vertex row sums w over its incident cells
-        through scipy's COO summation, as in ``stiffness``, so each vertex
-        adds its terms in the same order.  Every solve starts here, so
+        mass on the free nodes, bit for bit ``reduced_operators()[0][:nv]``
+        and ``reduced_operators()[1]``.  A vertex row sums w over its
+        incident cells through scipy's COO summation, as in ``stiffness``,
+        so each vertex adds its terms in the same order.  Every solve starts here, so
         MeshTooCoarse is raised here when the widest cell exceeds the
         narrowest by more than CELL_RATIO_CAP.
         """
@@ -486,7 +463,7 @@ class Field:
         return float(np.min(self.values))
 
     def pin_dirichlet(self) -> None:
-        self.values[self.mesh.dirichlet_nodes] = 0.0
+        self.values[self.mesh.n_free:] = 0.0
 
 
 def constant_field(mesh: GraphMesh, value: float) -> Field:

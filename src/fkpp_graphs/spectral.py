@@ -210,7 +210,7 @@ def _mesh_eigenfunction(mesh: GraphMesh, y: np.ndarray) -> Field:
     from .mesh import Field
 
     vals = np.zeros(mesh.n_nodes)
-    mesh.put_free_values(vals, y if y.sum() >= 0 else -y)
+    mesh.free_values(vals)[...] = y if y.sum() >= 0 else -y
     return Field(mesh, vals)
 
 

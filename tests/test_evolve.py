@@ -6,7 +6,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from test_mesh import peak_bytes, same_bits, seeded_tree
+from test_mesh import peak_bytes, seeded_tree
 
 import fkpp_graphs.evolve as evolve
 from fkpp_graphs.errors import (
@@ -222,7 +222,7 @@ def reference_run(field0, dt=0.1, max_t=500.0, tol=1e-9):
     mesh = field0.mesh
     field = Field(mesh, field0.values.copy())
     field.pin_dirichlet()
-    free = mesh.free_nodes
+    free = slice(mesh.n_free)
     sup0 = field.sup_norm
     dt = evolve.stable_dt(sup0, dt)
     _, m = mesh.vertex_rows
@@ -331,9 +331,11 @@ def test_run_rejects_a_bad_horizon_or_tolerance(bad):
 # test_mesh's seeded 2000-edge trees (about 21,000 unknowns), mesh and data
 # built beforehand: about 140 while the condensed factor copied T's arrays
 # and built G through a sentinel column, about 106 with neither, about 114
-# once the mesh built its free-node index on first read, inside the run, and
-# 106.7 and 106.2 since the run gathers through the free-vertex index alone.
-PEAK_BYTES_PER_UNKNOWN = 122
+# once the mesh built its free-node index on first read, inside the run,
+# 106.7 and 106.2 once the run gathered through the free-vertex index alone,
+# and 98.7 and 98.2 since the mesh numbers the free nodes first and the run
+# steps on a view of the field: a gather copy of the state fails the bound.
+PEAK_BYTES_PER_UNKNOWN = 104
 
 
 @pytest.mark.parametrize("seed", [5, 11])
@@ -348,14 +350,26 @@ def run_bytes_per_unknown(seed):
     field0 = constant_field(mesh, 0.5)
     peak, trace = peak_bytes(lambda: run_to_attractor(field0, dt=0.1, max_t=0.5))
     assert trace.steps == 5
-    return peak / (mesh.n_nodes - mesh.dirichlet_nodes.size)
+    return peak / mesh.n_free
 
 
-def test_a_run_builds_no_free_node_index():
+@pytest.mark.parametrize("max_t", [0.4, 0.5])
+def test_a_run_steps_on_the_field_and_gathers_nothing(max_t, monkeypatch):
+    # an even and an odd step count: the last state sits in the field's own
+    # free-node view or in the other buffer
     mesh = GraphMesh(seeded_tree(200, 5), mesh_h=0.05)
-    trace = run_to_attractor(constant_field(mesh, 0.5), dt=0.1, max_t=0.5)
-    assert trace.steps == 5
-    assert "free_nodes" not in mesh.__dict__
-    # the free-node vector it ran on is the one the index gathers
-    assert same_bits(mesh.free_values(trace.final.values),
-                     trace.final.values[mesh.free_nodes])
+    field0 = constant_field(mesh, 0.5)
+    want = reference_run(field0, max_t=max_t)
+    states = []
+    advance = evolve._advance
+
+    def recorded(lu, m, u, *args):
+        states.append(u)
+        return advance(lu, m, u, *args)
+
+    monkeypatch.setattr(evolve, "_advance", recorded)
+    trace = run_to_attractor(field0, dt=0.1, max_t=max_t)
+    assert trace.steps == round(max_t / 0.1)
+    # the first step advances a view of the field itself, not a copy
+    assert np.shares_memory(states[0], trace.final.values)
+    assert_matches_reference(trace, want)

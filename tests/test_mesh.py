@@ -48,13 +48,13 @@ def test_node_sharing_on_a_tadpole():
     assert mesh.n_nodes == 10
     stem = mesh.edge_nodes["stem"]
     loop = mesh.edge_nodes["loop1"]
-    # vertex k of the report is node k; the stem head and both loop ends
+    # the free vertex c is node 0, the interior nodes follow in edge order
+    # and the Dirichlet vertex b is last; the stem head and both loop ends
     # are the same shared center node
-    b, c = map(g.validation.vertices.index, ("b", "c"))
-    assert stem[-1] == loop[0] == loop[-1] == c
-    assert stem[0] == b
-    assert mesh.dirichlet_nodes.tolist() == [b]
-    assert mesh.free_nodes.size == mesh.n_nodes - 1
+    assert stem.tolist() == [9, 1, 2, 3, 0]
+    assert loop.tolist() == [0, 4, 5, 6, 7, 8, 0]
+    assert mesh.dirichlet_nodes.tolist() == [9]
+    assert mesh.free_vertices == 1 and mesh.n_free == mesh.n_nodes - 1
 
 
 def test_mesh_too_coarse():
@@ -113,7 +113,9 @@ def test_field_shape_is_checked():
 def test_constant_field_pins_dirichlet():
     mesh = GraphMesh(flower_graph(FlowerSpec(stem=1.0)), mesh_h=0.25)
     f = constant_field(mesh, 0.7)
-    assert f.values[mesh.graph.validation.vertices.index("b")] == 0.0
+    # the Dirichlet vertex b, the stem's tail, is the last node
+    b = mesh.edge_nodes["stem"][0]
+    assert b == mesh.n_nodes - 1 and f.values[b] == 0.0
     assert f.sup_norm == 0.7
     assert f.min_value() == 0.0
     c = Field(mesh, f.values.copy())
@@ -129,8 +131,10 @@ def test_field_from_function_averages_vertex_samples():
         return np.full_like(x, 1.0 if edge_id == "stem" else 4.0)
 
     f = field_from_function(mesh, fn)
-    # center collects one stem sample and the two loop ends
-    b, c = map(g.validation.vertices.index, ("b", "c"))
+    # center collects one stem sample and the two loop ends; the free
+    # vertex c is node 0 and the Dirichlet vertex b the last node
+    b, c = mesh.edge_nodes["stem"][[0, -1]]
+    assert (b, c) == (mesh.n_nodes - 1, 0)
     assert math.isclose(f.values[c], 3.0)
     assert f.values[b] == 0.0
 
@@ -182,17 +186,24 @@ def test_free_energy_second_order_against_closed_form():
 def per_edge_reference(graph, mesh_h):
     """The edge-by-edge assembly GraphMesh replaced, kept as an oracle.
 
-    Returns (edge_nodes, edge_x, edge_h, stiffness, lumped mass, and the
-    node values field_from_function gives cos(x + length)), built one edge
-    at a time with np.add.at.
+    Returns (vertex_node, edge_nodes, edge_x, edge_h, stiffness, lumped
+    mass, and the node values field_from_function gives cos(x + length)),
+    built one edge at a time with np.add.at.  Vertices are numbered from a
+    dict in order of first appearance: the free ones from 0, then every
+    edge's interior nodes in edge order, then the Dirichlet ones.
     """
     seen = dict.fromkeys([*(v for e in graph.edges for v in (e.tail, e.head)),
                           *graph.conditions])
-    vertex_node = {v: k for k, v in enumerate(seen)}
-    nxt = len(vertex_node)
+    free = [v for v in seen if graph.condition(v) != "dirichlet"]
+    pinned = [v for v in seen if graph.condition(v) == "dirichlet"]
+    cells = {e.id: max(2, int(np.ceil(e.length / mesh_h))) for e in graph.edges}
+    n_free = len(free) + sum(n - 1 for n in cells.values())
+    vertex_node = {v: k for k, v in enumerate(free)}
+    vertex_node.update((v, n_free + k) for k, v in enumerate(pinned))
+    nxt = len(free)
     edge_nodes, edge_x, edge_h = {}, {}, {}
     for e in graph.edges:
-        n = max(2, int(np.ceil(e.length / mesh_h)))
+        n = cells[e.id]
         idx = np.empty(n + 1, dtype=np.int64)
         idx[0] = vertex_node[e.tail]
         idx[-1] = vertex_node[e.head]
@@ -202,9 +213,10 @@ def per_edge_reference(graph, mesh_h):
         edge_x[e.id] = np.linspace(0.0, e.length, n + 1)
         edge_h[e.id] = e.length / n
     rows, cols, vals = [], [], []
-    m = np.zeros(nxt)
-    acc = np.zeros(nxt)
-    cnt = np.zeros(nxt)
+    size = n_free + len(pinned)
+    m = np.zeros(size)
+    acc = np.zeros(size)
+    cnt = np.zeros(size)
     for e in graph.edges:
         idx = edge_nodes[e.id]
         w = 1.0 / edge_h[e.id]
@@ -220,8 +232,8 @@ def per_edge_reference(graph, mesh_h):
         np.add.at(cnt, idx, 1.0)
     stiffness = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nxt, nxt)).tocsr()
-    return edge_nodes, edge_x, edge_h, stiffness, m, acc / cnt
+        shape=(size, size)).tocsr()
+    return vertex_node, edge_nodes, edge_x, edge_h, stiffness, m, acc / cnt
 
 
 @st.composite
@@ -250,7 +262,7 @@ def multigraphs(draw):
 @given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]))
 def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
     mesh = GraphMesh(graph, mesh_h=mesh_h)
-    nodes, xs, hs, stiffness, mass, avg = per_edge_reference(graph, mesh_h)
+    _, nodes, xs, hs, stiffness, mass, avg = per_edge_reference(graph, mesh_h)
     assert mesh.n_nodes == mass.size
     for e in graph.edges:
         assert np.array_equal(mesh.edge_nodes[e.id], nodes[e.id])
@@ -267,11 +279,13 @@ def test_array_assembly_matches_per_edge_reference(graph, mesh_h):
 def reference_ingest(graph, mesh_h):
     """The dict-per-vertex numbering GraphMesh replaced, kept as an oracle.
 
-    Returns (vertices, degrees, vertex_node, intervals, free_nodes, A_ff,
-    m_f): vertices in order of first appearance, counts from
-    max(2, ceil(min(length / h, 2**63))) per edge, and the reduced operators
-    sliced from a full COO assembly in the order the full-node stiffness
-    has always used (every cell's w, w, -w, -w in edge order).
+    Returns (vertices, degrees, vertex_node, intervals, free, A_ff,
+    m_f): vertices in order of first appearance, per_edge_reference's
+    vertex nodes, counts from max(2, ceil(min(length / h, 2**63))) per
+    edge, the nodes that are not Dirichlet vertices, and the reduced
+    operators sliced at those nodes from a full COO assembly in the order
+    the full-node stiffness has always used (every cell's w, w, -w, -w in
+    edge order).
     """
     seen = {}
     for e in graph.edges:
@@ -283,8 +297,7 @@ def reference_ingest(graph, mesh_h):
     degrees = {v: sum((e.tail == v) + (e.head == v) for e in graph.edges) for v in vertices}
     intervals = {e.id: max(2, math.ceil(min(e.length / mesh_h, 2.0 ** 63)))
                  for e in graph.edges}
-    nodes, _, hs, _, mass, _ = per_edge_reference(graph, mesh_h)
-    vertex_node = {v: k for k, v in enumerate(vertices)}
+    vertex_node, nodes, _, hs, _, mass, _ = per_edge_reference(graph, mesh_h)
     pinned = {vertex_node[v] for v in vertices if graph.condition(v) == "dirichlet"}
     free = np.array([k for k in range(mass.size) if k not in pinned])
     a = np.concatenate([nodes[e.id][:-1] for e in graph.edges])
@@ -312,10 +325,33 @@ def test_edge_table_numbers_the_mesh_as_the_vertex_dicts_did(graph, mesh_h):
     assert mesh.dirichlet_nodes.tolist() == sorted(
         vertex_node[v] for v in vertices if graph.condition(v) == "dirichlet")
     assert {e.id: len(mesh.edge_nodes[e.id]) - 1 for e in graph.edges} == intervals
-    assert same_bits(mesh.free_nodes, free)
+    # the free nodes are the first n_free
+    assert free.tolist() == list(range(mesh.n_free))
     a, m = mesh.reduced_operators()
     assert np.array_equal(a.indptr, a_ref.indptr) and np.array_equal(a.indices, a_ref.indices)
     assert same_bits(a.data, a_ref.data) and same_bits(m, m_ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=multigraphs(), mesh_h=st.sampled_from([0.04, 0.1, 0.35]))
+def test_free_nodes_come_first(graph, mesh_h):
+    mesh = GraphMesh(graph, mesh_h=mesh_h)
+    nv, n = mesh.free_vertices, mesh.n_free
+    for e in graph.edges:
+        nodes = mesh.edge_nodes[e.id]
+        for v, node in ((e.tail, nodes[0]), (e.head, nodes[-1])):
+            if graph.condition(v) == "dirichlet":
+                assert node >= n
+            else:
+                assert node < nv
+        assert np.all((nv <= nodes[1:-1]) & (nodes[1:-1] < n))
+    assert np.all(mesh.dirichlet_nodes >= n)
+    # every node is some grid point's
+    assert np.array_equal(np.unique(np.concatenate(list(mesh.edge_nodes.values()))),
+                          np.arange(mesh.n_nodes))
+    v = np.zeros(mesh.n_nodes)
+    assert np.shares_memory(mesh.free_values(v), v)
+    assert mesh.free_values(v).size == n
 
 
 @st.composite
@@ -339,24 +375,23 @@ def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
     else:
         u = rng.uniform(0.0, 2.0, mesh.n_nodes)
         u[mesh.dirichlet_nodes] = 0.0
-    f = mesh.free_nodes
+    uf, n = mesh.free_values(u), mesh.n_free
     # with zero mass, energy() is half the per-cell Dirichlet energy exactly
-    got = 2.0 * mesh.energy(u[f], np.zeros(f.size), np.empty(f.size))
+    got = 2.0 * mesh.energy(uf, np.zeros(n), np.empty(n))
     a = mesh.stiffness
     ref = float(u @ (a @ u))
     # both sums carry at most about n_nodes roundings of |u|^T |A| |u|
     scale = float(np.abs(u) @ (abs(a) @ np.abs(u)))
     assert abs(got - ref) <= 4.0 * mesh.n_nodes * np.finfo(float).eps * scale
-    assert free_energy(Field(mesh, u)) == mesh.energy(u[f], mesh.lumped_mass[f],
-                                                      np.empty(f.size))
+    assert free_energy(Field(mesh, u)) == mesh.energy(uf, mesh.lumped_mass[:n], np.empty(n))
 
     _, m_ff = mesh.vertex_rows
     lu = CondensedLU(mesh, m_ff, 0.1, "test")
-    r = rng.uniform(-1.0, 1.0, f.size)
+    r = rng.uniform(-1.0, 1.0, n)
     want = lu.solve(r)
-    buf = np.full(f.size, np.nan)
+    buf = np.full(n, np.nan)
     assert lu.solve(r, out=buf) is buf and same_bits(buf, want)
-    strided = np.full((f.size, 2), np.nan)
+    strided = np.full((n, 2), np.nan)
     assert same_bits(lu.solve(r, out=strided[:, 0]), want)
     assert lu.solve(r, out=r) is r and same_bits(r, want)
 
@@ -365,12 +400,11 @@ def test_cell_energy_is_the_stiffness_quadratic_form(mesh, seed, smooth):
 @given(mesh=energy_meshes(), seed=st.integers(0, 2**32 - 1), smooth=st.booleans())
 def test_stencil_product_matches_the_sliced_stiffness(mesh, seed, smooth):
     rng = np.random.default_rng(seed)
-    f = mesh.free_nodes
     if smooth:    # neighbouring values nearly cancel in the stencil
         k = rng.uniform(0.1, 2.0)
-        y = field_from_function(mesh, lambda eid, x: 1.0 + np.cos(k * x)).values[f]
+        y = mesh.free_values(field_from_function(mesh, lambda eid, x: 1.0 + np.cos(k * x)).values)
     else:
-        y = rng.uniform(-1.0, 1.0, f.size)
+        y = rng.uniform(-1.0, 1.0, mesh.n_free)
     a, _ = mesh.reduced_operators()
     diag = mesh.stiffness_diagonal()
     assert same_bits(diag, a.diagonal())
@@ -429,9 +463,8 @@ def coo_condensed_solve(mesh, b, r):
     y, _ = dpttrs(d, e, r[nv:])
     if nv == 0:
         return y
-    free_vertex = {n: k for k, n in enumerate(mesh.free_nodes[:nv].tolist())}
-    blocks = [np.tile([free_vertex.get(int(nodes[0]), nv), free_vertex.get(int(nodes[-1]), nv)],
-                      (nodes.size - 2, 1))
+    # free vertex k is node k; a pinned end reads nv
+    blocks = [np.tile([min(int(nodes[0]), nv), min(int(nodes[-1]), nv)], (nodes.size - 2, 1))
               for nodes in (mesh.edge_nodes[edge.id] for edge in mesh.graph.edges)]
     ends = np.concatenate(blocks)
     # each edge's tail couples to its first row (slot 0) and its head to its
@@ -628,7 +661,7 @@ def test_a_mixed_sign_shift_solves_the_newton_jacobian():
     graph = MetricGraph((Edge("e0", "d", "a", 2.0), Edge("e1", "a", "b", 1.5),
                          Edge("e2", "a", "a", 0.7)), {"d": "dirichlet"})
     mesh = GraphMesh(graph, mesh_h=0.05)
-    u = run_to_attractor(constant_field(mesh, 0.5)).final.values[mesh.free_nodes]
+    u = mesh.free_values(run_to_attractor(constant_field(mesh, 0.5)).final.values)
     a, m = mesh.reduced_operators()
     shift = -m * (1.0 - 2.0 * u)
     assert shift.min() < 0.0 < shift.max()

@@ -5,7 +5,9 @@ integrand and compares the value, the error estimate, ier, the number of
 subintervals and the first `last` places of the alist, blist, rlist and
 elist lists.  scipy reads the integrand one node at a time, at
 f(x, 0.0)[0]: the panel at centr = x of half-width 0.  The column form
-qk21_columns is checked against the port's own qk21 and qagse.
+qk21_columns is checked against the port's own qk21 and qagse, so those
+cases run without scipy's private _quadpack module; only the comparisons
+with scipy skip.
 """
 
 import math
@@ -18,11 +20,17 @@ from hypothesis import strategies as st
 from fkpp_graphs import groundstate, period, quadpack
 from fkpp_graphs.graph import FlowerSpec
 
-_quadpack = pytest.importorskip("scipy.integrate._quadpack")
+
+@pytest.fixture(scope="module")
+def scipy_quadpack():
+    """Skips a test that compares with scipy when its _quadpack is missing."""
+    pytest.importorskip("scipy.integrate._quadpack")
 
 
 def scipy_qagse(f, epsabs: float, epsrel: float, limit: int):
-    value, abserr, info, ier = _quadpack._qagse(
+    from scipy.integrate._quadpack import _qagse
+
+    value, abserr, info, ier = _qagse(
         lambda x: f(x, 0.0)[0], 0.0, 1.0, (), 1, epsabs, epsrel, limit)
     last = info["last"]
     return (value, abserr, ier, last,
@@ -73,6 +81,7 @@ def arc_spans(draw):
     return 1.0 - b0, b0, b0 - bp, 0.0
 
 
+@pytest.mark.usefixtures("scipy_quadpack")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(span=arc_spans(), kind=st.sampled_from(["length", "weighted", "action"]),
        tol=st.sampled_from([1e-10, 1e-11, 1e-12, 0.0]))
@@ -87,6 +96,7 @@ def test_qagse_is_scipys_on_every_arc_integrand(span, kind, tol):
     lambda s: math.sin(1.0 / (s + 1e-4)),
     lambda s: abs(s - 1.0 / 3.0) ** -0.5 if s != 1.0 / 3.0 else 0.0,
 ], ids=["cos-3000", "sin-1/s", "inverse-sqrt"])
+@pytest.mark.usefixtures("scipy_quadpack")
 def test_qagse_is_scipys_where_the_limit_runs_out(integrand):
     def f(centr, hlgth):
         return [integrand(centr + hlgth * x) for x in quadpack.X21]
@@ -101,6 +111,7 @@ def test_qagse_is_scipys_where_the_limit_runs_out(integrand):
     lambda: groundstate.solve_flower(FlowerSpec(stem=0.51, loop_halves=(0.8, 0.5))),
     lambda: groundstate.solve_interval(2.0),
 ], ids=["tadpole", "two-loop", "interval-2"])
+@pytest.mark.usefixtures("scipy_quadpack")
 def test_every_quadrature_of_a_solve_is_scipys(monkeypatch, solve):
     calls = []
     qagse = period.qagse

@@ -232,9 +232,9 @@ def test_discretized_interval_matches_closed_form():
     assert res.method == "discretized"
     assert abs(res.lambda0 - (math.pi / 4.0) ** 2) <= 1e-6
     f = res.eigenfunction
-    assert np.all(f.values[f.mesh.free_nodes] > 0.0)
-    m = f.mesh.lumped_mass[f.mesh.free_nodes]
-    mass = float(m @ (f.values[f.mesh.free_nodes] ** 2))
+    y = f.mesh.free_values(f.values)
+    assert np.all(y > 0.0)
+    mass = float(f.mesh.free_values(f.mesh.lumped_mass) @ (y ** 2))
     assert abs(mass - 1.0) <= 1e-12
 
 
@@ -319,7 +319,7 @@ def test_discretized_small_gap_trees(graph):
     a, m = mesh.reduced_operators()
     lam = sla.eigh(a.toarray(), np.diag(m), eigvals_only=True, subset_by_index=[0, 0])[0]
     assert abs(res.lambda0 - lam) <= 1e-10 * lam
-    y = res.eigenfunction.values[mesh.free_nodes]
+    y = mesh.free_values(res.eigenfunction.values)
     assert abs(float(m @ (y * y)) - 1.0) <= 1e-12
 
 
@@ -411,7 +411,9 @@ def test_three_vector_lanczos_is_the_four_vector_recurrence(monkeypatch, graph, 
 # Lanczos (about 164 later), about 134 with the condensed factor built
 # without copies and freed before the residual check, and about 111 with
 # three Lanczos vectors, the free-node index and the interior weights' chain
-# built only when read.  Any one of those three arrays back fails the bound.
+# built only when read (the mesh now numbers the free nodes first and keeps
+# no free-node index).  A fourth Lanczos vector or an eagerly built chain
+# fails the bound.
 PEAK_BYTES_PER_UNKNOWN = 118
 
 
@@ -425,7 +427,7 @@ def discretized_bytes_per_unknown(seed):
     graph = seeded_tree(2000, seed)
     graph.validation
     peak, res = peak_bytes(lambda: lambda0_discretized(graph, 0.05))
-    return peak / res.eigenfunction.mesh.free_nodes.size
+    return peak / res.eigenfunction.mesh.n_free
 
 
 def test_discretized_needs_resolved_edges():
