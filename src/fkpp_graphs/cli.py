@@ -281,8 +281,10 @@ def cmd_groundstate(args) -> int:
         "convergence_floor": sol.convergence_floor,
     }
     if spec.n_loops:
-        det = sol.jacobian.determinant    # null, not +-Infinity, when it overflows
-        out["jacobian_determinant"] = det if math.isfinite(det) else None
+        # null, not +-Infinity, when the determinant overflows; its log stays finite
+        for key, value in (("jacobian_determinant", sol.jacobian.determinant),
+                           ("jacobian_log_abs_determinant", sol.jacobian.log_abs_determinant)):
+            out[key] = value if math.isfinite(value) else None
         out["jacobian_sign_ok"] = bool(sol.jacobian.sign_ok)
     if args.profile:
         _write_profile(args.profile, _graph_profiles(graph, sol.profiles))

@@ -12,7 +12,13 @@ with the stem slope tied to the loop slopes by the Kirchhoff flux balance.
 The system is solved by one damped Newton run with the analytic period
 gradients; the Jacobian is nonsingular on the admissible set (its
 determinant has sign (-1)^(N+1)), so damping alone is enough and a run
-that stalls from the seed below is reported, not retried.  The interval is
+that stalls from the seed below is reported, not retried.  Loop row j
+depends on (p, q_j) only, so the Jacobian is an arrowhead, kept as its
+Arrow: each Newton step solves it through the Schur complement of its
+diagonal block (Golub & Van Loan, Matrix Computations) in O(N), with no
+BLAS or LAPACK call, and the same complement gives the determinant's sign
+exactly and its log, which stays finite where the determinant overflows
+(as on the 80-loop stem-12 flower).  The interval is
 the loop-free case N = 0, solved by spectral.brentq with the same residual
 and floors.  With period's own quadrature, the whole solve runs on numpy
 and the standard library: no scipy module is loaded.
@@ -67,6 +73,7 @@ from .quadpack import EPMACH
 from .spectral import ROOT_XTOL, Region, brentq, lambda0_flower
 
 __all__ = [
+    "Arrow",
     "GroundStateSolution",
     "JacobianReport",
     "solve_interval",
@@ -133,7 +140,8 @@ class GroundStateSolution:
 
 
 def _admissible(p: float, qs) -> bool:
-    return 0.0 < p < 1.0 and all(q < 0.0 and energy(p, q) < 0.0 for q in qs)
+    qs = np.asarray(qs, float)
+    return 0.0 < p < 1.0 and bool((qs < 0.0).all() and (energy(p, qs) < 0.0).all())
 
 
 def _system(spec: FlowerSpec, z: np.ndarray, quad_tol: float):
@@ -147,21 +155,57 @@ def _system(spec: FlowerSpec, z: np.ndarray, quad_tol: float):
     return out, spans
 
 
-def _jacobian(z: np.ndarray, quad_tol: float, spans) -> np.ndarray:
-    """Period-system Jacobian at z; ``spans`` are loop_spans at z."""
+@dataclass(frozen=True)
+class Arrow:
+    """The period-system Jacobian J, kept as its arrowhead.
+
+    Loop row j depends on p and q_j only, so J is zero but for its first
+    row, its first column and its diagonal: J[0, 0] = corner = dT/dp, every
+    J[0, j] = row = 2 dT/dq_stem, J[j, 0] = column[j-1] = dT0_j/dp and
+    J[j, j] = diagonal[j-1] = dT0_j/dq_j.  The interval's 1x1 Jacobian
+    [[dT/dp]] is the arrow with no loops.  Every method is O(N) and calls
+    no BLAS or LAPACK routine.
+    """
+
+    corner: float
+    row: float
+    column: np.ndarray
+    diagonal: np.ndarray
+
+    def schur(self) -> float:
+        """The Schur complement s = J00 - row sum_j column_j / diagonal_j of
+        the diagonal block: det J = s prod_j diagonal_j.  Needs no 0 on the
+        diagonal."""
+        return self.corner - self.row * float((self.column / self.diagonal).sum())
+
+    def solve(self, r: np.ndarray) -> np.ndarray | None:
+        """x with J x = r by the Schur complement, or None when a diagonal
+        entry or s is 0."""
+        if not self.diagonal.all():
+            return None
+        s = self.schur()
+        if s == 0.0:
+            return None
+        x = np.empty(r.size)
+        x[0] = (r[0] - self.row * float((r[1:] / self.diagonal).sum())) / s
+        x[1:] = (r[1:] - self.column * x[0]) / self.diagonal
+        return x
+
+
+def _jacobian(z: np.ndarray, quad_tol: float, spans) -> Arrow:
+    """Period-system Jacobian at z, as its arrow; ``spans`` are loop_spans at z."""
     p, *qs = z.tolist()    # Python floats, as in _system
-    J = np.zeros((z.size, z.size))
     g = grad_T(PhasePoint(p, _stem_slope(z[1:])), quad_tol)
-    J[0, 0] = g.dT_dp
-    J[0, 1:] = 2.0 * g.dT_dq
-    for j, g0 in enumerate(loop_gradients(p, qs, spans, quad_tol), start=1):
-        J[j, 0] = g0.dT_dp
-        J[j, j] = g0.dT_dq
-    return J
+    return Arrow(g.dT_dp, 2.0 * g.dT_dq, *loop_gradients(p, qs, spans, quad_tol))
 
 
-def _floors(spec: FlowerSpec, J: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return 8.0 * EPMACH * (np.abs([spec.stem, *spec.loop_halves]) + np.abs(J) @ np.abs(z))
+def _floors(spec: FlowerSpec, J: Arrow, z: np.ndarray) -> np.ndarray:
+    """8 eps (|target| + |J| |z|), |J| |z| taken row by row on the arrow."""
+    az = np.abs(z)
+    floors = np.abs(np.array([spec.stem, *spec.loop_halves], float))
+    floors[0] += abs(J.corner) * az[0] + abs(J.row) * float(az[1:].sum())
+    floors[1:] += np.abs(J.column) * az[0] + np.abs(J.diagonal) * az[1:]
+    return 8.0 * EPMACH * floors
 
 
 def _turning_arclengths(p: float, ys, quad_tol: float) -> list[float]:
@@ -255,9 +299,8 @@ def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
         floors = _floors(spec, J, z)
         if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
             return z, F, J, it, spans
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
+        step = J.solve(-F)
+        if step is None:    # a singular J: the run stalls here
             return z, F, J, it + 1, spans
         scale = 1.0
         best = np.max(np.abs(F))
@@ -289,7 +332,7 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
     return np.array([p, *qs])
 
 
-def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: np.ndarray,
+def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: Arrow,
              iterations: int, spans, tol: float, lam: float) -> GroundStateSolution:
     """The solution at z, with its loop spans, or NewtonStalled when |F|
     exceeds max(tol, floors)."""
@@ -335,7 +378,7 @@ def _solve_loop_free(spec: FlowerSpec, tol: float, lam: float) -> GroundStateSol
     The Neumann end is the orbit's turning point, so the single unknown p
     solves T(p, 0) = L; T(., 0) decreases strictly from infinity to pi/2.
     The residual must meet max(tol, floor), the floor from the 1x1 Jacobian
-    [[dT/dp]], or NewtonStalled is raised.
+    [[dT/dp]] (the arrow with no loops), or NewtonStalled is raised.
     """
     L = spec.stem
     quad_tol = min(1e-11, 0.1 * tol)
@@ -354,7 +397,7 @@ def _solve_loop_free(spec: FlowerSpec, tol: float, lam: float) -> GroundStateSol
         lo *= 0.5
     p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), ROOT_XTOL, 4.0 * EPMACH, 200)
     return _package(spec, np.array([p]), np.array([mismatch(p)]),
-                    np.array([[interval_period_slope(p, quad_tol)]]),
+                    Arrow(interval_period_slope(p, quad_tol), 0.0, np.empty(0), np.empty(0)),
                     info.iterations, (), tol, lam)
 
 
@@ -382,17 +425,34 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10) -> GroundStateSolution:
 
 @dataclass
 class JacobianReport:
-    matrix: np.ndarray
+    """The period-system Jacobian's arrow and its determinant.
+
+    sign = sign(s) prod_j sign(diagonal_j), exactly, with s the arrow's
+    Schur complement; log_abs_determinant = log|s| + sum_j log|diagonal_j|,
+    finite where the determinant itself overflows a double.  determinant is
+    s prod_j diagonal_j: +-inf once that product overflows.  A 0 on the
+    diagonal leaves the Schur form undefined: the report then has sign 0 and
+    a NaN determinant.
+    """
+
+    arrow: Arrow
     determinant: float
+    log_abs_determinant: float
+    sign: float                # +1, -1, or 0 when J is singular
     expected_sign: int
     sign_ok: bool
 
     @classmethod
-    def of(cls, J: np.ndarray) -> JacobianReport:
-        with np.errstate(over="ignore"):    # many loops: +-inf, with exact sign
-            det = float(np.linalg.det(J))
-        expected = -1 if len(J) % 2 else 1    # (-1)^(N+1) for N loops
-        return cls(J, det, expected, math.copysign(1.0, det) == expected)
+    def of(cls, J: Arrow) -> JacobianReport:
+        expected = 1 if J.diagonal.size % 2 else -1    # (-1)^(N+1) for N loops
+        if not J.diagonal.all():
+            return cls(J, math.nan, math.nan, 0.0, expected, False)
+        s = J.schur()
+        sign = float(np.sign(s) * np.prod(np.sign(J.diagonal)))
+        with np.errstate(divide="ignore", over="ignore"):    # s = 0: log -inf
+            det = s * float(np.prod(J.diagonal))
+            log_abs = float(np.log(abs(s)) + np.sum(np.log(np.abs(J.diagonal))))
+        return cls(J, det, log_abs, sign, expected, sign == expected)
 
 
 def jacobian_report(p: float, q_list) -> JacobianReport:

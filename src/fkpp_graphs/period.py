@@ -317,13 +317,15 @@ def _require_interior(pt: PhasePoint) -> None:
         raise InvalidDomain("gradients need p < 1 strictly")
 
 
-def _gradient(p: float, q: float, i: float, sign: float) -> PeriodGradient:
-    """T's gradient (I1, sign 1) or T0's (I2, sign -1); smooth at q = 0."""
+def _gradient(p: float, q, i, sign: float):
+    """(dT/dp, dT/dq) from I1 (sign 1) or (dT0/dp, dT0/dq) from I2 (sign -1);
+    smooth at q = 0.  q and i may be arrays, one entry per loop at the
+    common p: each entry takes the scalar's operations, so its bits."""
     qt2 = energy_above_center(p, q)
     bp = 1.0 - p
     dp = (-p * bp * i + sign * q) / qt2    # sign flips the boundary terms, exactly
     dq = (q * i + sign * (bp * (1.0 + 2.0 * p) / (3.0 * p))) / qt2
-    return PeriodGradient(dp, dq)
+    return dp, dq
 
 
 def grad_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
@@ -332,26 +334,32 @@ def grad_T(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     The q = 0 section is served by interval_period_slope instead.
     """
     _require_interior(pt)
-    return _gradient(pt.p, pt.q, _arc(*_stem_span(pt.p, pt.q), tol, "weighted")[0], 1.0)
+    return PeriodGradient(
+        *_gradient(pt.p, pt.q, _arc(*_stem_span(pt.p, pt.q), tol, "weighted")[0], 1.0))
 
 
 def interval_period_slope(p: float, tol: float = 1e-10) -> float:
     """d/dp of T(p, 0), the slope driving the interval dichotomy."""
     if not 0.0 < p < 1.0:
         raise InvalidDomain(f"interval slope needs 0 < p < 1, got {p}")
-    return _gradient(p, 0.0, _arc(*_stem_span(p, 0.0), tol, "weighted")[0], 1.0).dT_dp
+    return _gradient(p, 0.0, _arc(*_stem_span(p, 0.0), tol, "weighted")[0], 1.0)[0]
 
 
 def grad_T0(pt: PhasePoint, tol: float = 1e-10) -> PeriodGradient:
     """Analytic gradient of period_T0; requires q < 0 and a closed orbit."""
     _require_interior(pt)
-    return _gradient(pt.p, pt.q, _arc(*_loop_span(pt), tol, "weighted")[0], -1.0)
+    return PeriodGradient(
+        *_gradient(pt.p, pt.q, _arc(*_loop_span(pt), tol, "weighted")[0], -1.0))
 
 
-def loop_gradients(p: float, qs, spans, tol: float = 1e-10) -> list[PeriodGradient]:
-    """grad_T0 at every (p, q_j), given loop_spans(p, qs); q_j < 0 and p < 1."""
-    return [_gradient(p, q, i, -1.0)
-            for q, i in zip(qs, loop_arcs(spans, tol, "weighted"))]
+def loop_gradients(p: float, qs, spans, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """grad_T0 at every (p, q_j), given loop_spans(p, qs); q_j < 0 and p < 1.
+
+    The loop rows of the period Jacobian as two arrays, dT0/dp and dT0/dq:
+    entry j is grad_T0(PhasePoint(p, q_j), tol), bit for bit.
+    """
+    i2 = np.array(loop_arcs(spans, tol, "weighted"))
+    return _gradient(p, np.asarray(qs, float), i2, -1.0)
 
 
 def asymptotic_T(pt: PhasePoint) -> float:

@@ -24,6 +24,7 @@ and scipy.linalg are imported by lambda0_discretized, on first use.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -188,20 +189,32 @@ def lambda0_flower(spec: FlowerSpec) -> SpectralResult:
     s is brentq's root to its own relative precision, rtol = 4 eps, unpolished.
     The bracket ends one ulp below the pole s_max, where the mismatch is
     positive unless the root lies within that ulp (a loop tiny next to the
-    stem, or huge lengths); then s is that end.
+    stem, or huge lengths); then s is that end.  InvalidDomain when lambda0
+    overflows a double, as it does once every length is below about 1e-154.
     """
     L = spec.stem
     if spec.n_loops == 0:
         s = math.pi / (2.0 * L)
-        return SpectralResult(s * s, "transcendental", 0.0, 0)
-    s_max = min([math.pi / (2.0 * L)] +
+        return SpectralResult(_square(s, spec), "transcendental", 0.0, 0)
+    # the pole, at most the largest double: pi / (2 l) is inf below l = 8.8e-309
+    s_max = min([math.pi / (2.0 * L), sys.float_info.max] +
                 [math.pi / (2.0 * h) for h in spec.loop_halves])
     mismatch = partial(secular_mismatch, spec)
     s, iterations = math.nextafter(s_max, 0.0), 0
     if mismatch(s) > 0.0:
         s, info = brentq(mismatch, s_max * 1e-12, s, ROOT_XTOL, 4.0 * EPMACH, 200)
         iterations = info.iterations
-    return SpectralResult(s * s, "transcendental", abs(mismatch(s)), iterations)
+    return SpectralResult(_square(s, spec), "transcendental", abs(mismatch(s)), iterations)
+
+
+def _square(s: float, spec: FlowerSpec) -> float:
+    """lambda0 = s^2, or InvalidDomain when it overflows a double."""
+    lam = s * s
+    if lam == math.inf:
+        raise InvalidDomain(
+            f"lambda0 = s^2 with s = {s:.6g} overflows a double: the flower's "
+            f"lengths are too short (stem {spec.stem:.6g})")
+    return lam
 
 
 def _mesh_eigenfunction(mesh: GraphMesh, y: np.ndarray) -> Field:

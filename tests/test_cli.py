@@ -13,8 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from test_groundstate import dense_jacobian
 
 from fkpp_graphs import cli, errors, graph, groundstate, mesh, period, spectral
 from fkpp_graphs.cli import main
@@ -245,6 +247,10 @@ LONG_ID = "e" * 3000
 TINY_LOOPS = [["stem=2", "loops=1e-13"], ["stem=0.5", "loops=1e-14"]]
 HUGE_LENGTHS = [["stem=1e200", "loops=1"], ["stem=1", "loops=1e300"],
                 ["stem=1e-300", "loops=1e300"]]    # s * stem underflows to 0
+# lengths so short that lambda0 = (pi / (2 l))^2 overflows a double: three
+# loops (where pi / (2 l) itself is inf) and one loop
+SUBNORMAL_LOOPS = [["stem=2.225073858507203e-309",
+                    "loops=" + ",".join(["4.450147717014406e-309"] * n)] for n in (3, 1)]
 QUICK_EVOLVE = ["--mesh", "0.1", "--max-t", "1"]
 # an output path inside a file, which no directory can be
 UNWRITABLE = os.path.join(os.devnull, "out")
@@ -300,6 +306,8 @@ BAD_INPUTS = [
       for dt in ("-1", "0", "nan")),
     *((2, ["spectrum", "--flower", *flower]) for flower in TINY_LOOPS),   # MeshTooCoarse
     (3, ["groundstate", "--flower", *TINY_LOOPS[1]]),                     # lambda0 >= 1
+    *((2, [cmd, "--flower", *flower]) for cmd in ("region", "spectrum", "groundstate")
+      for flower in SUBNORMAL_LOOPS),
     (3, ["groundstate", "--flower", "stem=1"]),                           # ... on an interval
     *((1, ["groundstate", "--flower", *flower]) for flower in HUGE_LENGTHS),  # stalls
     # a graph that is not a flower where a flower is needed (NotAFlower)
@@ -478,7 +486,10 @@ def cli_calls(draw):
                 _int_at_least(curve, 1) and _int_at_least(samples, 1))
     stem, loops = number("2"), number("1")
     argv = [cmd, "--flower", f"stem={stem}", f"loops={loops}"]
-    valid = _positive(stem) and _positive(loops)
+    # the commands that compute lambda0 raise InvalidDomain when it overflows a
+    # double, as it does once every length is below about 1e-154
+    valid = (_positive(stem) and _positive(loops)
+             and (cmd == "evolve" or not all(_float_in(x, 0.0, 1e-150) for x in (stem, loops))))
     if cmd == "spectrum":
         extra, ok = option("--mesh", "0.1")
         argv, valid = argv + extra, valid and ok
@@ -499,6 +510,7 @@ def cli_calls(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(call=cli_calls())
+@example(call=(["region", "--flower", "stem=1e-300", "loops=1e-300"], False))
 def test_every_drawn_argv_ends_in_a_documented_exit(call):
     argv, valid = call
     err = io.StringIO()
@@ -539,7 +551,7 @@ def _reject_constant(name):
 
 
 def test_overflowing_determinant_is_strict_json_null():
-    # 80 loops: the Jacobian determinant overflows a double
+    # 80 loops: the Jacobian determinant overflows a double, its log does not
     loops = ",".join(repr(2.0 * float(h)) for h in np.linspace(0.1, 1.2, 80))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
@@ -552,6 +564,10 @@ def test_overflowing_determinant_is_strict_json_null():
     data = json.loads(done.stdout, parse_constant=_reject_constant)
     assert data["jacobian_determinant"] is None
     assert data["jacobian_sign_ok"] is True
+    sign, log_abs = np.linalg.slogdet(
+        dense_jacobian(groundstate.jacobian_report(data["p"], data["q"]).arrow))
+    assert sign == -1.0
+    assert math.isclose(data["jacobian_log_abs_determinant"], log_abs, rel_tol=1e-12)
 
 
 def test_80_loops_solve_to_the_same_bytes_on_the_scalar_path(monkeypatch, tmp_path):
@@ -612,6 +628,7 @@ def test_groundstate_reports_the_jacobian_newton_converged_on(monkeypatch, tmp_p
     rep = groundstate.jacobian_report(data["p"], data["q"])
     det = rep.determinant
     assert data["jacobian_determinant"] == (det if math.isfinite(det) else None)
+    assert data["jacobian_log_abs_determinant"] == rep.log_abs_determinant
     assert data["jacobian_sign_ok"] is rep.sign_ok is True
 
 

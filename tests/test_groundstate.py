@@ -1,5 +1,6 @@
 """Ground-state solver: anchors, uniqueness, Jacobian, profiles, energy."""
 
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -11,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scipy.optimize import brentq
@@ -191,13 +192,26 @@ def test_loopless_spec_routes_to_interval():
 @given(stem=st.floats(0.0, 6.0, exclude_min=True),
        halves=st.lists(st.floats(0.0, 3.0, exclude_min=True) | st.just(math.pi / 2.0),
                        max_size=4))
+# lambda0 = s^2 overflows a double: every pi / (2 l) is inf, and so are the
+# secular bracket's ends; s is finite but s^2 is not; the interval
+@example(stem=2.225073858507203e-309, halves=[2.225073858507203e-309] * 3)
+@example(stem=1.1125369292536007e-308, halves=[1.1125369292536007e-308])
+@example(stem=5e-324, halves=[])
 def test_one_existence_rule_on_every_flower(stem, halves):
     # the interval is the loop-free flower, and a half at or past pi/2
     # closes the critical stem to 0: lambda0 < 1 exactly above it
     spec = FlowerSpec(stem, tuple(halves))
     crit = lower_boundary(halves)
     assume(abs(stem - crit) > 1e-9 * (1.0 + crit))
-    nontrivial = region_membership(spec).region is Region.NONTRIVIAL
+    try:
+        nontrivial = region_membership(spec).region is Region.NONTRIVIAL
+    except InvalidDomain:
+        # lambda0 overflows a double only when every length is below about
+        # 1e-154, far below the critical stem; the solve refuses it as well
+        assert max([stem, *halves]) < 1e-150 and stem < crit
+        with pytest.raises(InvalidDomain, match="overflows a double"):
+            solve_flower(spec)
+        return
     assert nontrivial == (stem > crit)
     if not nontrivial:
         with pytest.raises(OutsideRegion):
@@ -242,6 +256,14 @@ def test_uniqueness_from_random_initializations():
     assert converged >= 10
 
 
+def dense_jacobian(arrow: groundstate.Arrow) -> np.ndarray:
+    """The (N+1) x (N+1) period Jacobian that ``arrow`` keeps as its arrowhead."""
+    J = np.diag(np.concatenate(([arrow.corner], arrow.diagonal)))
+    J[0, 1:] = arrow.row
+    J[1:, 0] = arrow.column
+    return J
+
+
 def test_jacobian_matches_finite_differences():
     h = 1e-6
     rep = jacobian_report(TAD_P, [TAD_Q1])
@@ -259,7 +281,7 @@ def test_jacobian_matches_finite_differences():
         [(t0(TAD_P + h, TAD_Q1) - t0(TAD_P - h, TAD_Q1)) / (2 * h),
          (t0(TAD_P, TAD_Q1 + h) - t0(TAD_P, TAD_Q1 - h)) / (2 * h)],
     ])
-    assert np.max(np.abs(rep.matrix - fd) / np.abs(fd)) <= 1e-4
+    assert np.max(np.abs(dense_jacobian(rep.arrow) - fd) / np.abs(fd)) <= 1e-4
 
 
 def test_jacobian_sign_pattern():
@@ -281,6 +303,83 @@ def test_jacobian_rejects_inadmissible_points():
         jacobian_report(0.5, [0.1])
     with pytest.raises(InvalidDomain):
         jacobian_report(0.2, [-0.9])  # outside the homoclinic: E > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 300])
+def test_arrow_determinant_is_slogdets(n):
+    # seeded flowers, stem 3 and halves U(0.1, 1.2); at 300 loops the
+    # determinant overflows a double and only its log and sign are left
+    halves = tuple(np.random.default_rng(n).uniform(0.1, 1.2, n).tolist())
+    rep = solve_flower(FlowerSpec(3.0, halves)).jacobian
+    J = dense_jacobian(rep.arrow)
+    sign, log_abs = np.linalg.slogdet(J)
+    assert rep.sign == sign == rep.expected_sign == (-1) ** (n + 1)
+    assert rep.sign_ok
+    assert math.isclose(rep.log_abs_determinant, log_abs, rel_tol=1e-12)
+    if n == 300:
+        assert rep.determinant == -math.inf
+    else:
+        assert math.isclose(rep.determinant, np.linalg.det(J), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_arrow_step_and_floors_are_the_dense_jacobians(n):
+    # the Schur-complement step solves J x = r, and the floors take |J| |z|,
+    # as LAPACK and the matrix product do on the dense J, to rounding
+    rng = np.random.default_rng(n)
+    p = float(rng.uniform(0.05, 0.95))
+    qs = [-math.sqrt(well(p)) * float(rng.uniform(0.05, 0.95)) for _ in range(n)]
+    arrow = jacobian_report(p, qs).arrow
+    J, z, r = dense_jacobian(arrow), np.array([p, *qs]), rng.standard_normal(n + 1)
+    spec = FlowerSpec(1.0, tuple(rng.uniform(0.1, 1.2, n).tolist()))
+    dense_floors = 8.0 * groundstate.EPMACH * (np.abs([spec.stem, *spec.loop_halves]) +
+                                               np.abs(J) @ np.abs(z))
+    np.testing.assert_allclose(groundstate._floors(spec, arrow, z), dense_floors, rtol=1e-14)
+    np.testing.assert_allclose(arrow.solve(r), np.linalg.solve(J, r), rtol=1e-12)
+
+
+def _singular(J: groundstate.Arrow, zero: str) -> groundstate.Arrow:
+    """J with its first diagonal entry, or its Schur complement, exactly 0."""
+    if zero == "diagonal":
+        return dataclasses.replace(J, diagonal=np.concatenate(([0.0], J.diagonal[1:])))
+    return dataclasses.replace(J, corner=J.row * float(np.sum(J.column / J.diagonal)))
+
+
+@pytest.mark.parametrize("zero", ["diagonal", "schur"])
+def test_a_singular_arrow_stalls_typed(monkeypatch, zero):
+    jacobian = groundstate._jacobian
+    monkeypatch.setattr(groundstate, "_jacobian",
+                        lambda *args: _singular(jacobian(*args), zero))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # no division by 0, not even numpy's
+        with pytest.raises(NewtonStalled) as info:
+            solve_flower(TWO_LOOP)
+        assert info.value.diagnostics["iterations"] == 1
+        arrow = jacobian_report(TWO_P, [TWO_Q1, TWO_Q2]).arrow
+        rep = groundstate.JacobianReport.of(_singular(arrow, zero))
+    assert rep.sign == 0.0 and not rep.sign_ok
+    assert (rep.determinant == 0.0) if zero == "schur" else math.isnan(rep.determinant)
+
+
+def test_a_flower_solve_calls_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flower path called LAPACK")
+
+    for name in ("solve", "det", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for spec in (TADPOLE, TWO_LOOP, FlowerSpec(3.0, tuple(np.linspace(0.1, 1.2, 12)))):
+        sol = solve_flower(spec)
+        assert sol.jacobian.sign_ok and math.isfinite(sol.jacobian.log_abs_determinant)
+
+
+def test_a_thousand_loop_solve_holds_no_dense_jacobian():
+    # with the dense (N+1)^2 Jacobian, its LU and det, this solve peaked at
+    # 17.6 MB under tracemalloc; on the arrow it peaks at about 1.6 MB
+    spec = FlowerSpec(3.0, (0.75,) * 1000)
+    peak, sol = peak_bytes(lambda: solve_flower(spec))
+    assert peak < 4e6, peak
+    assert sol.jacobian.sign_ok and sol.jacobian.determinant == -math.inf
+    assert math.isfinite(sol.jacobian.log_abs_determinant)
 
 
 def test_profile_step_guard():

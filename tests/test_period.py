@@ -477,5 +477,8 @@ def test_loop_rows_equal_the_scalar_period_functions():
     spans = period.loop_spans(p, qs)
     assert period.loop_arcs(spans, 1e-12) == \
         [period_T0(PhasePoint(p, q), 1e-12).value for q in qs]
-    assert period.loop_gradients(p, qs, spans, 1e-12) == \
-        [grad_T0(PhasePoint(p, q), 1e-12) for q in qs]
+    # the loop rows are two arrays; each entry is grad_T0's, to the bit
+    dp, dq = period.loop_gradients(p, qs, spans, 1e-12)
+    scalar = [grad_T0(PhasePoint(p, q), 1e-12) for q in qs]
+    assert [x.hex() for x in dp.tolist()] == [g.dT_dp.hex() for g in scalar]
+    assert [x.hex() for x in dq.tolist()] == [g.dT_dq.hex() for g in scalar]
