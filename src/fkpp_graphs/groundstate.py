@@ -554,8 +554,12 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float = PROFILE_DX) -
 
     Loops are mirrored about their midpoint, so their evenness is exact.
     The samples become solution.profiles; the residuals stay the solve's.
-    A mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge.
+    A mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge, and
+    a dx that is not > 0 (NaN included) raises InvalidDomain; at dx = inf
+    the step law alone bounds the step.
     """
+    if not dx > 0.0:
+        raise InvalidDomain(f"profile step dx must be > 0, got {dx}")
     profiles = {}
     _integrate_edges(solution, dx, profiles)    # may raise StepTooLarge
     solution._profiles = profiles

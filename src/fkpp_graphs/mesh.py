@@ -351,16 +351,16 @@ class CondensedLU:
     B = [[B_VV, C^T], [C, T]] with T the interior block: tridiagonal, with
     no entry between consecutive edges, and C the interior-vertex coupling,
     -scale w at each edge's first interior row (its tail) and last (its
-    head).  B_VV is diagonal, since every edge has an interior node.  The
-    factor and the solve work in place: LAPACK's dpttrf factors
-    T = L D L^T in the buffers that hold its diagonal and off-diagonal, and
-    one dpttrs overwrites its two right-hand sides with G = T^-1 C (every
-    edge's coupling to its lower end column in one, to its higher in the
-    other, since the edge blocks are independent).  C^T is the vertex rows'
-    interior block, scaled.  G's CSR takes only the entries at free
-    vertices, each row's lower column first and a self-loop's two summed,
-    and the dense solve is freed before the vertex complement
-    S = B_VV - C^T G, SPD and small, goes to factor_spd.
+    head).  B_VV is diagonal, since every edge has an interior node.
+    LAPACK's dpttrf factors T = L D L^T in the arrays that hold its
+    diagonal and off-diagonal, and one dpttrs overwrites its two
+    right-hand sides with G = T^-1 C (every edge's coupling to its lower
+    end column in one, to its higher in the other, since the edge blocks
+    are independent).  C^T is the vertex rows' interior block, scaled.
+    G's CSR data is masked straight from that column-major solve: the
+    entries at free vertices, each row's lower column first and a
+    self-loop's two summed.  The dense solve is freed before the vertex
+    complement S = B_VV - C^T G, SPD and small, goes to factor_spd.
     A solve is one dpttrs and one SuperLU solve: y = T^-1 r_I, then
     x_V = S^-1 (r_V - C^T y) and x_I = y - G x_V.
     """
@@ -372,14 +372,11 @@ class CondensedLU:
         # T's diagonal, scale 2w + shift, and -scale chain, but +0.0 between
         # consecutive edges: -0.0 there would flip the sign of some zeros that
         # a solve returns.  f2py asks for one superdiagonal entry even when T
-        # is 1 x 1.  dpttrf factors both in place.
-        d = np.repeat(w + w, n)
+        # is 1 x 1.
+        shift = np.broadcast_to(shift, (mesh.n_free,))
+        d = np.repeat(w + w, n) * scale + shift[nv:]
         size = d.size
-        shift = np.broadcast_to(shift, (nv + size,))
-        d *= scale
-        d += shift[nv:]
-        e = mesh._chained(w * scale) if size > 1 else np.zeros(1)
-        np.subtract(0.0, e, out=e)
+        e = 0.0 - mesh._chained(w * scale) if size > 1 else np.zeros(1)
         self._d, self._e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
         if info != 0:
             raise LinearSolveFailure(
@@ -407,11 +404,8 @@ class CondensedLU:
         # free and not the lower one
         kept = np.column_stack((ends[:, 0] < nv, (ends[:, 1] < nv) & ~loop))
         keep = np.repeat(kept, n, axis=0)
-        # a row-major copy, since masking the column-major solve is several
-        # times slower; the solve is freed before the mask copies again
-        data = np.ascontiguousarray(g)
+        data = g[keep]
         del g
-        data = data[keep]
         idx = np.int32 if 2 * size <= np.iinfo(np.int32).max else np.int64
         indices = np.repeat(ends.astype(idx), n, axis=0)[keep]
         del keep

@@ -21,9 +21,10 @@ g(u, lo) = g(1 - u, 1 - lo), so the kernel evaluates g on whichever side of
 the well is small and nothing cancels: neither as p -> 1 (orbits shrinking
 onto the center) nor when p or p0 is far below machine epsilon (deep in the
 existence region, where 1 - p rounds to 1).  The quadrature is QUADPACK's
-adaptive Gauss-Kronrod, qagse, on the analytic s-integrand: the package's
-own port (quadpack.qagse), bit for bit with scipy.integrate.quad, to which
-the integrand lists its values at a panel's 21 nodes per call.
+adaptive Gauss-Kronrod, qagse, on the analytic s-integrand: one call of
+the package's own port (quadpack.qagse) at a budget of 1000 subintervals,
+bit for bit with scipy.integrate.quad at limit=1000, to which the
+integrand lists its values at a panel's 21 nodes per call.
 
 The integrand runs at every QUADPACK node, so callers pass Python floats:
 numpy.float64 scalars give the same bits at about twice the cost.
@@ -99,6 +100,7 @@ __all__ = [
 HOMOCLINIC_OFFSET = 2.0 * math.acosh(math.sqrt(1.5))
 
 _EPSREL = 1.5e-14    # every period quadrature's; QUADPACK's floor is ~50 eps
+_LIMIT = 1000        # every period quadrature's subinterval budget
 _S = 0.5 + 0.5 * np.array(X21)[:, None]
 _S2 = _S * _S
 # Loop count from which loop_arcs runs one _panel for all loops: below it,
@@ -120,16 +122,13 @@ class PeriodGradient:
 
 
 def _quad(f, tol: float) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod on [0, 1] with an honest error estimate.
+    """Adaptive Gauss-Kronrod on [0, 1] with an honest error estimate: one
+    qagse call with a budget of _LIMIT subintervals.
 
-    A call that used up its 200 subintervals gets one retry with a deeper
-    budget, whose result is kept.  Other QUADPACK exits (roundoff,
-    divergence) stop short of the limit, and a retry would repeat the same
-    subdivisions to the same bits.
+    dqagse's result depends on its limit only once a call passes
+    limit / 2 + 2 subintervals, and no period integrand comes near that.
     """
-    out = qagse(f, 0.0, 1.0, 0.5 * tol, _EPSREL, 200)
-    if out[3] == 200:
-        out = qagse(f, 0.0, 1.0, 0.5 * tol, _EPSREL, 1000)
+    out = qagse(f, 0.0, 1.0, 0.5 * tol, _EPSREL, _LIMIT)
     return out[0], out[1]
 
 

@@ -269,7 +269,7 @@ def qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     places holding the subintervals' ends, results and error estimates.
     The first panel's exit is tested before any list is built.
     """
-    if epsabs <= 0.0 and epsrel < _MIN_EPSREL:
+    if limit < 1 or (epsabs <= 0.0 and epsrel < _MIN_EPSREL):
         return 0.0, 0.0, 6, 0, (0.0, a), (0.0, b), (0.0, 0.0), (0.0, 0.0)
     result, abserr, defabs, resabs = qk21(f, a, b)
     dres = abs(result)

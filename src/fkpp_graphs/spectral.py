@@ -109,14 +109,17 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
     Python checks around it): the same iterates, stopping test
     |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2, iteration and call counts,
     and errors.  f's values are read as floats; a NaN raises ValueError, as
-    do rtol below 4 eps, xtol <= 0 and ends of one sign, and maxiter
-    iterations without convergence raise RuntimeError.  An end where f is
-    0 is returned after 0 iterations (scipy leaves that count unset).
+    do xtol <= 0, rtol below 4 eps, maxiter < 0 and ends of one sign, and
+    maxiter iterations without convergence raise RuntimeError.  An end
+    where f is 0 is returned after 0 iterations (scipy leaves that count
+    unset).
     """
     if xtol <= 0.0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < 4.0 * EPMACH:
         raise ValueError(f"rtol too small ({rtol:g} < {4.0 * EPMACH:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
     xtol, rtol = float(xtol), float(rtol)
     calls = 0
 
@@ -311,8 +314,7 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
     groundstate._floors does; that floor grows like 1/lambda0, so large
     graphs with a small lambda0 sit above 1e-10.  A y and |A| |y| are
     mesh stencil products, the latter as 2 diag(A) |y| - A |y|, since A's
-    off-diagonal entries are all negative; the residual and the floor's
-    bound are each formed in one buffer, in the order the formulas read.
+    off-diagonal entries are all negative.
     """
     from .mesh import CondensedLU, GraphMesh
 
@@ -327,21 +329,12 @@ def lambda0_discretized(graph: MetricGraph, mesh_h: float) -> SpectralResult:
     rho = 1.0 / theta
     r = mesh.stiffness_product(y)
     scale = math.sqrt(float(r @ r)) + rho
-    # r = A y - rho (m y), rounded as that expression reads
-    my = np.multiply(m, y)
-    my *= rho
-    r -= my
+    r -= m * y * rho
     rel = math.sqrt(float(r @ r)) / scale
     if rel > 1e-10:    # a pair within 1e-10 passes whatever its floor
-        # 2 diag(A) |y| - A |y| + rho (m |y|), left to right, |y| in my's buffer
-        ya = np.abs(y, out=my)
-        bound = mesh.stiffness_diagonal()
-        bound *= 2.0
-        bound *= ya
-        bound -= mesh.stiffness_product(ya)
-        ya *= m
-        ya *= rho
-        bound += ya
+        ya = np.abs(y)
+        bound = 2.0 * mesh.stiffness_diagonal() * ya - mesh.stiffness_product(ya) \
+            + ya * m * rho
         if rel > 2.0 * EPMACH * math.sqrt(float(bound @ bound)) / scale:
             raise LinearSolveFailure(f"eigenpair residual {rel:.3e} is above its floor")
     return SpectralResult(rho, "discretized", rel, 2 * j - 1,

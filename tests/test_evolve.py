@@ -335,6 +335,9 @@ def test_run_rejects_a_bad_horizon_or_tolerance(bad):
 # 106.7 and 106.2 once the run gathered through the free-vertex index alone,
 # and 98.7 and 98.2 since the mesh numbers the free nodes first and the run
 # steps on a view of the field: a gather copy of the state fails the bound.
+# The step's buffers hold it too: 122.2 when the step and its change are
+# plain expressions, and 115.8 when the free energy takes no work buffer.
+# 98.2 and 98.1 with the condensed factor's T formed by plain expressions.
 PEAK_BYTES_PER_UNKNOWN = 104
 
 

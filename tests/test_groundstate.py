@@ -518,6 +518,20 @@ def test_a_finer_profile_leaves_the_solve_residuals():
     assert json.dumps(sol.residuals) == before
 
 
+@pytest.mark.parametrize("dx", [0.0, -0.0, -1e-3, -math.inf, math.nan], ids=repr)
+def test_a_profile_step_that_is_not_positive_raises_invalid_domain(dx):
+    sol = solve_flower(FlowerSpec(2.0, (0.5,)))
+    with pytest.raises(InvalidDomain, match="dx must be > 0"):
+        reconstruct_profile(sol, dx=dx)
+
+
+def test_an_infinite_profile_step_is_bounded_by_the_step_law():
+    sol = solve_flower(FlowerSpec(2.0, (0.5,)))
+    profiles = reconstruct_profile(sol, dx=math.inf)
+    x, _ = profiles["stem"]
+    assert x[-1] == 2.0 and 2 < x.size < 1000
+
+
 def test_reported_stem_slope_is_the_one_newton_solved(monkeypatch):
     slopes = []
     grad = groundstate.grad_T
@@ -742,15 +756,24 @@ def test_interval_evaluates_no_residual_twice(monkeypatch):
     assert len(set(ps)) == len(ps)
 
 
-def test_quadrature_retries_need_no_warnings_filter(monkeypatch):
-    # two of these quads end with QUADPACK's ier = 5 after 13 of their 200
-    # subintervals; a retry would repeat them, so none is made
+def test_quadratures_are_single_calls_that_need_no_warnings_filter(monkeypatch):
+    # two of these quads end with QUADPACK's ier = 5 after 13 subintervals;
+    # each quadrature is one qagse call, at the one limit
+    quads = []
+    quad = period._quad
+
+    def counted(f, tol):
+        quads.append(tol)
+        return quad(f, tol)
+
+    monkeypatch.setattr(period, "_quad", counted)
     calls = _record_quads(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NewtonStalled):
             solve_flower(FlowerSpec(20.0, (20.0,)))
-    assert sum(limit == 1000 for _, limit in calls) == 0
+    assert len(calls) == len(quads) > 0
+    assert {limit for _, limit in calls} == {period._LIMIT}
 
 
 def test_loop_presolves_of_one_seed_evaluate_no_turning_point_twice(monkeypatch):

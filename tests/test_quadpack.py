@@ -5,9 +5,9 @@ integrand and compares the value, the error estimate, ier, the number of
 subintervals and the first `last` places of the alist, blist, rlist and
 elist lists.  scipy reads the integrand one node at a time, at
 f(x, 0.0)[0]: the panel at centr = x of half-width 0.  The column form
-qk21_columns is checked against the port's own qk21 and qagse, so those
-cases run without scipy's private _quadpack module; only the comparisons
-with scipy skip.
+qk21_columns is checked against the port's own qk21 and qagse, and qagse
+at limit 200 against itself at limit 1000, so those cases run without
+scipy's private _quadpack module; only the comparisons with scipy skip.
 """
 
 import math
@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkpp_graphs import groundstate, period, quadpack
+from fkpp_graphs.errors import NewtonStalled
 from fkpp_graphs.graph import FlowerSpec
+from fkpp_graphs.spectral import lower_boundary
 
 
 @pytest.fixture(scope="module")
@@ -91,18 +93,35 @@ def test_qagse_is_scipys_on_every_arc_integrand(span, kind, tol):
     assert_same_qagse(period._integrand(*span, kind), 0.5 * tol)
 
 
-@pytest.mark.parametrize("integrand", [
-    lambda s: math.cos(3000.0 * s),               # too many periods for 200
-    lambda s: math.sin(1.0 / (s + 1e-4)),
-    lambda s: abs(s - 1.0 / 3.0) ** -0.5 if s != 1.0 / 3.0 else 0.0,
-], ids=["cos-3000", "sin-1/s", "inverse-sqrt"])
-@pytest.mark.usefixtures("scipy_quadpack")
-def test_qagse_is_scipys_where_the_limit_runs_out(integrand):
+def analytic(integrand):
+    """A scalar integrand of s as qagse reads it, a panel at a time."""
     def f(centr, hlgth):
         return [integrand(centr + hlgth * x) for x in quadpack.X21]
 
+    return f
+
+
+def cos_k(k: float):
+    return analytic(lambda s: math.cos(k * s))
+
+
+def sin_inverse(e: float):
+    return analytic(lambda s: math.sin(1.0 / (s + e)))
+
+
+def inverse_sqrt(c: float):
+    return analytic(lambda s: abs(s - c) ** -0.5 if s != c else 0.0)
+
+
+@pytest.mark.parametrize("integrand", [
+    cos_k(3000.0),               # too many periods for 200
+    sin_inverse(1e-4),
+    inverse_sqrt(1.0 / 3.0),
+], ids=["cos-3000", "sin-1/s", "inverse-sqrt"])
+@pytest.mark.usefixtures("scipy_quadpack")
+def test_qagse_is_scipys_where_the_limit_runs_out(integrand):
     for limit in (200, 1000):
-        value, abserr, ier, last, *_ = assert_same_qagse(f, 5e-13, limit=limit)
+        value, abserr, ier, last, *_ = assert_same_qagse(integrand, 5e-13, limit=limit)
         assert ier > 0 or last < limit
 
 
@@ -125,6 +144,88 @@ def test_every_quadrature_of_a_solve_is_scipys(monkeypatch, solve):
     groundstate.energy_of(sol)
     assert len(calls) > 10
     assert any(last > 1 for _, _, _, last, *_ in calls)
+
+
+@pytest.mark.usefixtures("scipy_quadpack")
+@pytest.mark.parametrize("limit", [0, -3])
+def test_qagse_refuses_a_limit_below_one_as_scipys_does(limit):
+    from scipy.integrate._quadpack import _qagse
+
+    def never(centr, hlgth):
+        raise AssertionError("qagse evaluated the integrand")
+
+    want = _qagse(math.cos, 0.0, 1.0, (), 1, 1e-10, 1e-10, limit)
+    value, abserr, ier, last, *_ = quadpack.qagse(never, 0.0, 1.0, 1e-10, 1e-10, limit)
+    assert (value, abserr, ier) == want == (0.0, 0.0, 6)
+    assert last == 0
+
+
+# ------------------------------------ the limit matters only past limit / 2 + 2
+
+def same_bits(a, b) -> bool:
+    """Whether two qagse outcomes are equal bit for bit, NaNs included."""
+    def bits(out):
+        if isinstance(out, type):
+            return out
+        value, abserr, ier, last, *lists = out
+        return (value.hex(), abserr.hex(), ier, last,
+                *(tuple(x.hex() for x in xs) for xs in lists))
+
+    return bits(a) == bits(b)
+
+
+def assert_limit_200_is_1000(f, epsabs: float) -> int:
+    """qagse at limit 200 is qagse at 1000 when either ends within 102
+    subintervals; returns the smaller of their subinterval counts."""
+    shallow = outcome(ported_qagse, f, epsabs, period._EPSREL, 200)
+    deep = outcome(ported_qagse, f, epsabs, period._EPSREL, 1000)
+    used = min(200 if isinstance(out, type) else out[3] for out in (shallow, deep))
+    if used <= 200 // 2 + 2:
+        assert same_bits(shallow, deep)
+    return used
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integrand=st.one_of(
+    st.tuples(arc_spans(), st.sampled_from(["length", "weighted", "action"])).filter(
+        lambda t: t[0][2] > 0.0).map(lambda t: period._integrand(*t[0], t[1])),
+    st.floats(1.0, 3000.0).map(cos_k),
+    exponent(-4.0, 0.0).map(sin_inverse),
+    st.floats(0.0, 1.0).map(inverse_sqrt)),
+    tol=st.sampled_from([1e-10, 1e-12, 0.0]))
+def test_qagse_is_the_same_at_limit_200_and_1000_on_drawn_integrands(integrand, tol):
+    assert_limit_200_is_1000(integrand, 0.5 * tol)
+
+
+def seeded_flower(seed: int) -> FlowerSpec:
+    """One to eight loops of half-length U(0.1, 1.2), stem up to 6 past the
+    existence boundary."""
+    rng = np.random.default_rng(seed)
+    halves = tuple(float(h) for h in rng.uniform(0.1, 1.2, rng.integers(1, 9)))
+    return FlowerSpec(lower_boundary(halves) + float(rng.uniform(0.05, 6.0)), halves)
+
+
+@pytest.mark.parametrize("spec", [
+    *(seeded_flower(seed) for seed in range(4)),
+    FlowerSpec(20.0, (20.0,)),    # stalls, after quadratures of 13 subintervals
+], ids=["seed-0", "seed-1", "seed-2", "seed-3", "deep-20"])
+def test_qagse_is_the_same_at_limit_200_and_1000_on_a_flowers_quadratures(monkeypatch,
+                                                                           spec):
+    calls = []
+    qagse = period.qagse
+
+    def recorded(f, a, b, epsabs, epsrel, limit):
+        calls.append((f, epsabs))
+        return qagse(f, a, b, epsabs, epsrel, limit)
+
+    monkeypatch.setattr(period, "qagse", recorded)
+    try:
+        groundstate.energy_of(groundstate.solve_flower(spec))
+    except NewtonStalled:
+        pass
+    monkeypatch.undo()
+    used = [assert_limit_200_is_1000(f, epsabs) for f, epsabs in calls]
+    assert len(used) > 10 and max(used) > 1
 
 
 # ------------------------------------------------ qk21 and the first exit, by column

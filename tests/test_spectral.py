@@ -174,7 +174,8 @@ def test_brentq_fails_as_scipys_does():
             (lambda x: x - 0.3, 0.0, 1.0, 1e-12, 1e-16, 100),  # rtol below 4 eps
             (lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-15, 100),
             (lambda x: x - 0.3 if x < 0.9 else math.nan, 0.0, 1.0, 1e-12, 1e-15, 100),
-            (math.tan, -1.0, 1.5, 1e-300, 1e-15, 3)]:           # out of iterations
+            (math.tan, -1.0, 1.5, 1e-300, 1e-15, 3),            # out of iterations
+            (lambda x: x - 0.3, 0.0, 1.0, 1e-12, 1e-15, -1)]:   # maxiter < 0
         assert failure(lambda: spectral.brentq(f, xa, xb, xtol, rtol, maxiter)) == \
             failure(lambda: scipy_brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter))
 
@@ -416,7 +417,9 @@ def test_three_vector_lanczos_is_the_four_vector_recurrence(monkeypatch, graph, 
 # three Lanczos vectors, the free-node index and the interior weights' chain
 # built only when read (the mesh now numbers the free nodes first and keeps
 # no free-node index).  A fourth Lanczos vector or an eagerly built chain
-# fails the bound.
+# fails the bound.  The residual check comes after the factor is freed, so
+# forming it and its floor as plain expressions leaves the peak at 111.5
+# and 111.0 on seeds 5 and 11.
 PEAK_BYTES_PER_UNKNOWN = 118
 
 
