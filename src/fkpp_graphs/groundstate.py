@@ -27,9 +27,9 @@ Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
 q_j.  Two mitigations: the seed takes p from the trace asymptotics and each
 q_j from a presolve in the log of the turning point (uniformly well
-conditioned; every loop steps in lockstep by Chandrupatla's method, with one
-period.loop_arcs call per round), and convergence is declared against
-per-row floors
+conditioned; each loop's root is spectral.brentq's, and the loops step in
+lockstep, with one period.loop_arcs call per round), and convergence is
+declared against per-row floors
 
     floor_i = 8 eps (|target_i| + sum_k |z_k J_ik|)
 
@@ -70,7 +70,7 @@ from .period import (
 )
 from .phaseplane import PhasePoint, energy, energy_above_center, q_tilde, well
 from .quadpack import EPMACH
-from .spectral import ROOT_XTOL, Region, brentq, lambda0_flower
+from .spectral import ROOT_XTOL, Region, brent_steps, brentq, lambda0_flower
 
 __all__ = [
     "Arrow",
@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 MAX_NEWTON_ITER = 60
-MAX_PRESOLVE_ROUNDS = 100   # Chandrupatla rounds after the bracket ladder
+MAX_PRESOLVE_ROUNDS = 100   # brentq's maxiter per presolve root
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
 PROFILE_DX = 1e-2           # step bound of the end-state pass; reconstruct_profile default
 MAX_STEPS_PER_EDGE = 500_000  # caps an edge's RK4 time before StepTooLarge
@@ -219,16 +219,18 @@ def _loop_turning_points(p: float, halves, quad_tol: float) -> list[float]:
     T0 falls strictly in p0 at fixed p (from 'infinity' on the homoclinic
     side to 0 at p0 = p), so log p0 is well conditioned even when q is pinned
     against -sqrt(A(p)) to the last ulp.  The halves share the upper end y_hi
-    and the ladder y_lo = log p - 5k that brackets them; then each round takes
-    one Chandrupatla step per unconverged half and evaluates the round's new
-    points in one loop_arcs call.  Equal halves are solved once, and no
-    turning point is evaluated twice.
+    and the ladder y_lo = log p - 5k that brackets them.  Each half's root is
+    spectral.brentq's on its bracket [y_lo, y_hi], xtol 1e-13 and rtol 4 eps:
+    every half runs its own brent_steps, in lockstep, and each round
+    evaluates the halves' new points in one loop_arcs call.  Equal halves
+    are solved once, and no turning point is evaluated twice.
     """
     t0 = {}    # y -> T0 from the turning point e^y up to p
 
     def evaluate(ys):
         new = [y for y in dict.fromkeys(ys) if y not in t0]
-        t0.update(zip(new, _turning_arclengths(p, new, quad_tol)))
+        if new:
+            t0.update(zip(new, _turning_arclengths(p, new, quad_tol)))
 
     y_hi = math.log(p) - 1e-12
     evaluate([y_hi])
@@ -236,53 +238,31 @@ def _loop_turning_points(p: float, halves, quad_tol: float) -> list[float]:
     # them, and the root sits essentially at p0 = p
     roots = {half: y_hi for half in halves if t0[y_hi] - half >= 0.0}
     unbracketed = [half for half in dict.fromkeys(halves) if half not in roots]
-    # per half, with f = T0 - half: the newest point (y1, f1), the bracket's
-    # other end (y2, f2), and the fraction t of the way to y2 of the next
-    # point, which starts as the bracket's secant
-    brackets = {}
+    runs = {}    # half -> its brent_steps; the ladder evaluated its first two points
     y_lo = math.log(p) - 5.0
     for _ in range(140):
         if not unbracketed:
             break
         evaluate([y_lo])
         for half in unbracketed:
-            f1, f2 = t0[y_lo] - half, t0[y_hi] - half
-            if f1 > 0.0:
-                brackets[half] = (y_lo, f1, y_hi, f2, f1 / (f1 - f2))
-        unbracketed = [half for half in unbracketed if half not in brackets]
+            if t0[y_lo] - half > 0.0:
+                runs[half] = brent_steps(y_lo, y_hi, 1e-13, 4.0 * EPMACH, MAX_PRESOLVE_ROUNDS)
+        unbracketed = [half for half in unbracketed if half not in runs]
         y_lo -= 5.0
     if unbracketed:
         raise OrbitNotClosed(
             f"no loop orbit of half-length {unbracketed[0]} through p = {p}")
 
-    for _ in range(MAX_PRESOLVE_ROUNDS):
-        steps = {}
-        for half, (y1, f1, y2, f2, t) in list(brackets.items()):
-            y_min = y1 if abs(f1) < abs(f2) else y2
-            tol = 1e-13 + 4.0 * EPMACH * abs(y_min)
-            if f1 == 0.0 or abs(y2 - y1) < tol:    # brentq's stopping rule
-                roots[half] = y_min
-                del brackets[half]
-            else:    # at least tol / 2 inside the bracket
-                margin = 0.5 * tol / abs(y2 - y1)
-                steps[half] = y1 + min(max(t, margin), 1.0 - margin) * (y2 - y1)
-        if not steps:
-            return [roots[half] for half in halves]
+    steps = {half: next(run) for half, run in runs.items()}
+    while steps:
         evaluate(steps.values())
-        for half, y1 in steps.items():
-            f1 = t0[y1] - half
-            if math.isnan(f1):
-                raise ValueError(f"T0 at log p0 = {y1} is NaN")
-            y3, f3, y2, f2, _ = brackets[half]    # (y3, f3) is dropped
-            if (f1 > 0.0) != (f3 > 0.0):
-                y3, f3, y2, f2 = y2, f2, y3, f3
-            # inverse quadratic interpolation where it is safe, else bisection
-            xi, phi = (y1 - y2) / (y3 - y2), (f1 - f2) / (f3 - f2)
-            t = f1 / (f1 - f2) * f3 / (f3 - f2) - (y3 - y1) / (y2 - y1) * \
-                f1 / (f3 - f1) * f2 / (f2 - f3) \
-                if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi else 0.5
-            brackets[half] = (y1, f1, y2, f2, t)
-    raise ValueError(f"the presolve needs more than {MAX_PRESOLVE_ROUNDS} rounds")
+        for half, y in list(steps.items()):
+            try:
+                steps[half] = runs[half].send(t0[y] - half)
+            except StopIteration as done:
+                roots[half] = done.value[0]
+                del steps[half]
+    return [roots[half] for half in halves]
 
 
 def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
@@ -325,7 +305,7 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
     try:
         qs = [-math.sqrt(max(well(p) - well(math.exp(y)), 0.0))
               for y in _loop_turning_points(p, spec.loop_halves, quad_tol)]
-    except (OrbitNotClosed, ValueError):
+    except (OrbitNotClosed, ValueError, RuntimeError):
         qs = None
     if qs is None or not _admissible(p, qs):
         raise NewtonStalled(f"no admissible Newton seed at p = {p:.6g}")
@@ -554,12 +534,17 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float = PROFILE_DX) -
 
     Loops are mirrored about their midpoint, so their evenness is exact.
     The samples become solution.profiles; the residuals stay the solve's.
-    A mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge, and
-    a dx that is not > 0 (NaN included) raises InvalidDomain; at dx = inf
-    the step law alone bounds the step.
+    A mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge.  A dx
+    that is not > 0 (NaN included), or below an edge's length /
+    MAX_STEPS_PER_EDGE, where the cap and not dx would set the step, raises
+    InvalidDomain; at dx = inf the step law alone bounds the step.
     """
     if not dx > 0.0:
         raise InvalidDomain(f"profile step dx must be > 0, got {dx}")
+    floor = max((solution.spec.stem, *solution.spec.loop_halves)) / MAX_STEPS_PER_EDGE
+    if dx < floor:
+        raise InvalidDomain(f"profile step dx = {dx:g} is below {floor:g}, where the "
+                            f"cap of {MAX_STEPS_PER_EDGE} steps per edge sets the step")
     profiles = {}
     _integrate_edges(solution, dx, profiles)    # may raise StepTooLarge
     solution._profiles = profiles

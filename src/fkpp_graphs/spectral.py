@@ -8,24 +8,25 @@ where L is the stem length and l_j the loop half-lengths.  The left side
 increases and the right side decreases on s in (0, s_max) with
 s_max = min(pi/(2L), min_j pi/(2 l_j)), so the smallest eigenvalue is the
 unique root there.  brentq, this module's line-for-line port of
-scipy.optimize.brentq, finds it (and groundstate's interval root), so the
-exact path loads no scipy.  General graphs go through the P1
-discretization of mesh.GraphMesh and a two-pass Lanczos run on the
-generalized problem A x = lambda M x: the three-term recurrence for
-A_ff^-1 M in the M inner product, applied through one mesh.CondensedLU
-factor of A_ff, keeps only its coefficients, and a second pass regenerates
-the same vectors to sum the Ritz vector (Paige, J. Inst. Math. Appl. 18,
-1976).  So the recurrence holds three n-vectors and no basis, and the Ritz
-vector's sum a fourth.  The lumped M is a vector, A_ff is never formed, and
-the residual reads A_ff y from the mesh's stencil product.  The mesh layer
-and scipy.linalg are imported by lambda0_discretized, on first use.
+scipy.optimize.brentq, finds it and groundstate's interval root, and its
+iterates, brent_steps, give groundstate's presolve roots, so the exact path
+loads no scipy.  General graphs go through the P1 discretization of
+mesh.GraphMesh and a two-pass Lanczos run on the generalized problem
+A x = lambda M x: the three-term recurrence for A_ff^-1 M in the M inner
+product, applied through one mesh.CondensedLU factor of A_ff, keeps only
+its coefficients, and a second pass regenerates the same vectors to sum
+the Ritz vector (Paige, J. Inst. Math. Appl. 18, 1976).  So the recurrence
+holds three n-vectors and no basis, and the Ritz vector's sum a fourth.
+The lumped M is a vector, A_ff is never formed, and the residual reads
+A_ff y from the mesh's stencil product.  The mesh layer and scipy.linalg
+are imported by lambda0_discretized, on first use.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
@@ -55,6 +56,7 @@ __all__ = [
     "lower_boundary",
     "secular_mismatch",
     "brentq",
+    "brent_steps",
     "RootInfo",
 ]
 
@@ -101,18 +103,18 @@ def _divide(a: float, b: float) -> float:
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
-           rtol: float, maxiter: int) -> tuple[float, RootInfo]:
-    """A root of f between xa and xb by Brent's method, and its counts.
+def brent_steps(xa: float, xb: float, xtol: float, rtol: float,
+                maxiter: int) -> Generator[float, float, tuple[float, int]]:
+    """Brent's iterates for a root between xa and xb: yields each x, xa and
+    xb first, is sent f(x) and returns (root, iterations).
 
     A line-for-line port of scipy.optimize.brentq (its C brentq and the
     Python checks around it): the same iterates, stopping test
-    |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2, iteration and call counts,
-    and errors.  f's values are read as floats; a NaN raises ValueError, as
-    do xtol <= 0, rtol below 4 eps, maxiter < 0 and ends of one sign, and
-    maxiter iterations without convergence raise RuntimeError.  An end
-    where f is 0 is returned after 0 iterations (scipy leaves that count
-    unset).
+    |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2, and errors.  Sent values
+    are read as floats; a NaN raises ValueError, as do xtol <= 0, rtol
+    below 4 eps, maxiter < 0 and ends of one sign, and maxiter iterations
+    without convergence raise RuntimeError.  An end where f is 0 is
+    returned after 0 iterations (scipy leaves that count unset).
     """
     if xtol <= 0.0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -121,12 +123,9 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
     if maxiter < 0:
         raise ValueError("maxiter must be >= 0")
     xtol, rtol = float(xtol), float(rtol)
-    calls = 0
 
-    def fx(x):
-        nonlocal calls
-        y = float(f(x))
-        calls += 1
+    def checked(x, y):
+        y = float(y)
         if y != y:
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
@@ -134,12 +133,12 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = fx(xpre)
-    fcur = fx(xcur)
+    fpre = checked(xpre, (yield xpre))
+    fcur = checked(xcur, (yield xcur))
     if fpre == 0.0:
-        return xpre, RootInfo(0, calls)
+        return xpre, 0
     if fcur == 0.0:
-        return xcur, RootInfo(0, calls)
+        return xcur, 0
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     for i in range(1, maxiter + 1):
@@ -152,7 +151,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, RootInfo(i, calls)
+            return xcur, i
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:    # interpolate
                 stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
@@ -172,8 +171,23 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = fx(xcur)
+        fcur = checked(xcur, (yield xcur))
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
+           rtol: float, maxiter: int) -> tuple[float, RootInfo]:
+    """A root of f between xa and xb, and its counts: one brent_steps run,
+    as scipy.optimize.brentq with full_output reports it."""
+    steps, calls = brent_steps(xa, xb, xtol, rtol, maxiter), 0
+    try:
+        x = next(steps)
+        while True:
+            calls += 1
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        root, iterations = stop.value
+    return root, RootInfo(iterations, calls)
 
 
 def secular_mismatch(spec: FlowerSpec, s: float) -> float:

@@ -21,7 +21,7 @@ import arclength_reference as ref
 from test_mesh import peak_bytes
 from test_spectral import checked_brentq
 
-from fkpp_graphs import groundstate, period, phaseplane
+from fkpp_graphs import groundstate, period, phaseplane, spectral
 from fkpp_graphs.errors import (
     FisherKppError,
     InvalidDomain,
@@ -525,6 +525,21 @@ def test_a_profile_step_that_is_not_positive_raises_invalid_domain(dx):
         reconstruct_profile(sol, dx=dx)
 
 
+@pytest.mark.parametrize("spec", [FlowerSpec(2.0, (0.5,) * 3), FlowerSpec(2.0)],
+                         ids=["three-loop", "interval-2"])
+def test_a_profile_step_below_the_step_cap_raises_before_any_step(monkeypatch, spec):
+    """At dx = 1e-300 the cap, not dx, would set every edge's step, and the
+    three-loop flower would keep 1,000,001 samples per loop."""
+    sol = solve_flower(spec)
+    steps = []
+    monkeypatch.setattr(groundstate, "_rk4", lambda *args: steps.append(args))
+    start = time.perf_counter()
+    with pytest.raises(InvalidDomain, match="cap of 500000 steps per edge"):
+        reconstruct_profile(sol, dx=1e-300)
+    assert time.perf_counter() - start < 0.5
+    assert steps == [] and sol._profiles is None
+
+
 def test_an_infinite_profile_step_is_bounded_by_the_step_law():
     sol = solve_flower(FlowerSpec(2.0, (0.5,)))
     profiles = reconstruct_profile(sol, dx=math.inf)
@@ -664,21 +679,29 @@ def test_loop_presolve_evaluates_no_turning_point_twice(monkeypatch):
     assert len(set(ys)) == len(ys)
 
 
-def _reference_turning_point(p: float, half: float, quad_tol: float) -> float:
-    """One loop's presolve as a scalar scipy brentq on the same bracket."""
+def _scalar_bracket(p: float, half: float, quad_tol: float):
+    """One loop's presolve bracket, found alone: (mismatch, y_lo, y_hi,
+    rungs), y_lo None where the root is y_hi, and rungs the ladder steps
+    taken."""
     def mismatch(y):
         return period.arclength_from_turning(p, math.exp(y), quad_tol) - half
 
     y_hi = math.log(p) - 1e-12
     if mismatch(y_hi) > 0.0:
-        return y_hi
+        return mismatch, None, y_hi, 0
     y_lo = math.log(p) - 5.0
-    for _ in range(140):
+    for rungs in range(1, 141):
         if mismatch(y_lo) > 0.0:
-            break
+            return mismatch, y_lo, y_hi, rungs
         y_lo -= 5.0
-    else:
-        raise OrbitNotClosed(f"no loop orbit of half-length {half} through p = {p}")
+    raise OrbitNotClosed(f"no loop orbit of half-length {half} through p = {p}")
+
+
+def _reference_turning_point(p: float, half: float, quad_tol: float) -> float:
+    """One loop's presolve as a scalar scipy brentq on the same bracket."""
+    mismatch, y_lo, y_hi, _ = _scalar_bracket(p, half, quad_tol)
+    if y_lo is None:
+        return y_hi
     return brentq(mismatch, y_lo, y_hi, xtol=1e-13, rtol=4.0 * groundstate.EPMACH,
                   maxiter=300)
 
@@ -688,8 +711,7 @@ def _reference_turning_point(p: float, half: float, quad_tol: float) -> float:
 @pytest.mark.parametrize("seed,n", [(1, 1), (2, 2), (3, 5), (4, 11), (5, 12),
                                     (6, 13), (7, 20), (8, 80)])
 def test_lockstep_presolve_equals_scipy_brentq_per_loop(seed, n):
-    """Each root is scalar brentq's on the same bracket, to brentq's own
-    tolerance 1e-13 + 4 eps |y|."""
+    """Each root is scalar scipy brentq's on the same bracket, bit for bit."""
     rng = np.random.default_rng(seed)
     for p in (1e-8, float(10.0 ** rng.uniform(-8.0, -1.0)), 0.3, 0.9):
         halves = [float(h) for h in rng.uniform(0.1, 1.2, n)]
@@ -699,8 +721,40 @@ def test_lockstep_presolve_equals_scipy_brentq_per_loop(seed, n):
         ys = groundstate._loop_turning_points(p, halves, 1e-12)
         for y, half in zip(ys, halves):
             y_ref = _reference_turning_point(p, half, 1e-12)
-            assert abs(y - y_ref) <= 1e-13 + 4.0 * groundstate.EPMACH * abs(y_ref)
+            assert y == y_ref
         assert ys[-1] == math.log(p) - 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-8, 0.3])
+@pytest.mark.parametrize("seed,n", [(9, 2), (10, 11), (11, 80)])
+def test_lockstep_presolve_takes_the_rounds_of_its_slowest_brentq(monkeypatch, seed, n, p):
+    """After the ladder, one round per scalar brentq iteration of the
+    slowest distinct half, less the first, which reuses the two ends the
+    ladder evaluated; every round evaluates only new points."""
+    rng = np.random.default_rng(seed)
+    halves = [float(h) for h in rng.uniform(0.1, 1.2, n)]
+    halves[n // 2] = halves[0]    # a repeat, from n = 3 on
+    halves[-1] = 1e-8
+    rounds = []
+    arclengths = groundstate._turning_arclengths
+
+    def recorded(at, ys, quad_tol):
+        rounds.append(list(ys))
+        return arclengths(at, ys, quad_tol)
+
+    monkeypatch.setattr(groundstate, "_turning_arclengths", recorded)
+    groundstate._loop_turning_points(p, halves, 1e-12)
+    ys = [y for ys in rounds for y in ys]
+    assert all(rounds) and len(set(ys)) == len(ys)
+    ladder, iterations = 1, []
+    for half in set(halves):
+        mismatch, y_lo, y_hi, rungs = _scalar_bracket(p, half, 1e-12)
+        ladder = max(ladder, 1 + rungs)
+        if y_lo is not None:
+            _, info = spectral.brentq(mismatch, y_lo, y_hi, 1e-13, 4.0 * groundstate.EPMACH,
+                                      groundstate.MAX_PRESOLVE_ROUNDS)
+            iterations.append(info.iterations)
+    assert len(rounds) - ladder == max(iterations) - 1
 
 
 @pytest.mark.parametrize("p", [1e-8, 0.3])
