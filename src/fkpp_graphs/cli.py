@@ -214,10 +214,10 @@ def _initial_field(mesh: GraphMesh, text: str, spec: FlowerSpec | None) -> Field
         if spec is None:
             raise NotAFlower(
                 "initial groundstate needs a flower-representable graph")
-        from .groundstate import solve_flower
+        from .groundstate import reconstruct_profile, solve_flower
 
-        sol = solve_flower(spec)
-        return field_from_profiles(mesh, _graph_profiles(mesh.graph, sol.profiles))
+        profiles = reconstruct_profile(solve_flower(spec))
+        return field_from_profiles(mesh, _graph_profiles(mesh.graph, profiles))
     raise InvalidDomain(
         f"unknown initial data {text!r} (const:V, hat:V, csv:FILE, groundstate)")
 
@@ -261,7 +261,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    from .groundstate import energy_of, solve_flower
+    from .groundstate import energy_of, reconstruct_profile, solve_flower
 
     spec, graph = _load_graph(args)
     if spec is None:
@@ -287,7 +287,7 @@ def cmd_groundstate(args) -> int:
             out[key] = value if math.isfinite(value) else None
         out["jacobian_sign_ok"] = bool(sol.jacobian.sign_ok)
     if args.profile:
-        _write_profile(args.profile, _graph_profiles(graph, sol.profiles))
+        _write_profile(args.profile, _graph_profiles(graph, reconstruct_profile(sol)))
         logger.info("profile written to %s", args.profile)
     _emit_json(out, args.out)
     return 0
@@ -341,7 +341,8 @@ def cmd_region(args) -> int:
 
     from .spectral import critical_stem, loop_tan, lower_boundary
 
-    ls = np.linspace(0.0, math.pi / 2.0, args.samples, endpoint=bool(args.grid)).tolist()
+    ls = np.linspace(0.0, math.pi / 2.0, args.samples or 50,
+                     endpoint=bool(args.grid)).tolist()
     if args.grid:
         tans = [loop_tan(h) for h in ls]    # once per axis sample
         header = ["loop_half_1", "loop_half_2", "critical_stem"]
@@ -643,8 +644,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="sample the symmetric N-loop boundary curve")
     mode.add_argument("--grid", action="store_true",
                       help="sample the two-loop boundary surface")
-    rg.add_argument("--samples", type=_positive_int, default=50,
-                    help="points per axis")
+    rg.add_argument("--samples", type=_positive_int, default=None,
+                    help="points per axis of --curve and --grid (default 50)")
     rg.add_argument("--out", metavar="FILE", help="write the CSV/JSON here")
 
     va = subs.add_parser("validate", help="property suites")
@@ -652,10 +653,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="which suite to run")
     va.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed")
     va.add_argument("--samples", type=_positive_int, default=None,
-                    help="override the per-check sample count")
+                    help="override the per-check sample count of the monotonicity "
+                         "and jacobian suites")
     va.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
     return parser
+
+
+def _refuse_ignored_samples(parser, args) -> None:
+    """A usage error where the mode would ignore a given --samples."""
+    if getattr(args, "samples", None) is None:
+        return
+    if args.command == "validate" and args.suite in ("asymptotics", "dichotomy"):
+        parser.error(f"argument --samples: the {args.suite} suite takes no samples")
+    if args.command == "region" and (args.flower or args.graph):
+        parser.error("argument --samples: only region --curve and --grid take samples")
 
 
 def main(argv=None) -> int:
@@ -667,6 +679,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_ignored_samples(parser, args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

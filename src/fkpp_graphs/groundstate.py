@@ -18,10 +18,12 @@ Arrow: each Newton step solves it through the Schur complement of its
 diagonal block (Golub & Van Loan, Matrix Computations) in O(N), with no
 BLAS or LAPACK call, and the same complement gives the determinant's sign
 exactly and its log, which stays finite where the determinant overflows
-(as on the 80-loop stem-12 flower).  The interval is
-the loop-free case N = 0, solved by spectral.brentq with the same residual
-and floors.  With period's own quadrature, the whole solve runs on numpy
-and the standard library: no scipy module is loaded.
+(as on the 80-loop stem-12 flower).  Every flower runs one pipeline, a
+seed and then Newton; the interval, the loop-free case N = 0, differs only
+in its seed, spectral.brentq's root in p, and its newton_iterations is 0
+when that root already meets its floor.  With period's own quadrature, the
+whole solve runs on numpy and the standard library: no scipy module is
+loaded.
 
 Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
@@ -37,8 +39,8 @@ which measure the best residual representable at the working precision.
 Newton hands its converged loop spans to the solution, so the profile, the
 turning points and the loop actions of the free energy need no further
 turning-point solve.  The solve integrates each edge only to its end
-state, for the residuals; profile samples are built when a caller reads
-them.
+state, for the residuals; reconstruct_profile builds the samples when a
+caller asks for them.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from .spectral import ROOT_XTOL, Region, brent_steps, brentq, lambda0_flower
 __all__ = [
     "Arrow",
     "GroundStateSolution",
-    "JacobianReport",
     "solve_interval",
     "solve_flower",
     "jacobian_report",
@@ -88,7 +89,6 @@ MAX_PRESOLVE_ROUNDS = 100   # brentq's maxiter per presolve root
 PROFILE_TOL = 1e-8          # reconstruct_profile's end-state tolerance
 PROFILE_DX = 1e-2           # step bound of the end-state pass; reconstruct_profile default
 MAX_STEPS_PER_EDGE = 500_000  # caps an edge's RK4 time before StepTooLarge
-JACOBIAN_QUAD_TOL = 1e-10
 # K in the RK4 end error K h^4 e^L of an edge of length L, which sets the
 # profile step.  Measured as |end(h) - end(h/2)| 16/15 / (h^4 e^L) at the step
 # this K gives, on every edge of the first 150 perfbench sweep flowers of
@@ -99,6 +99,12 @@ JACOBIAN_QUAD_TOL = 1e-10
 RK4_END_ERROR_K = 5e-3
 
 
+def _quad_tol(tol: float = 1e-10) -> float:
+    """The period quadratures' tolerance in a solve to residual tol: its seed's
+    and its Newton run's, and jacobian_report's at solve_flower's default tol."""
+    return min(1e-11, 0.01 * tol)
+
+
 def _stem_slope(q_loops) -> float:
     # numpy's pairwise sum, in the Newton system and in q_stem alike
     return 2.0 * float(np.sum(q_loops))
@@ -107,7 +113,7 @@ def _stem_slope(q_loops) -> float:
 @dataclass
 class GroundStateSolution:
     """Solved period-system parameters.  The solve keeps each edge's end
-    state only; ``profiles`` is sampled on first read, by reconstruct_profile."""
+    state only; reconstruct_profile samples the profile."""
 
     spec: FlowerSpec
     p: float
@@ -116,16 +122,8 @@ class GroundStateSolution:
     residuals: dict
     convergence_floor: float
     lambda0: float                 # lowest Laplacian eigenvalue of spec
-    jacobian: JacobianReport       # the period-system Jacobian at the solution
+    jacobian: Arrow                # the period-system Jacobian at the solution
     loop_spans: tuple              # period.loop_spans at the solution
-    _profiles: dict | None = None
-
-    @property
-    def profiles(self) -> dict:
-        """edge_id -> (x, u) sample arrays from the last reconstruct_profile."""
-        if self._profiles is None:
-            reconstruct_profile(self)
-        return self._profiles
 
     @property
     def q_stem(self) -> float:
@@ -163,8 +161,11 @@ class Arrow:
     row, its first column and its diagonal: J[0, 0] = corner = dT/dp, every
     J[0, j] = row = 2 dT/dq_stem, J[j, 0] = column[j-1] = dT0_j/dp and
     J[j, j] = diagonal[j-1] = dT0_j/dq_j.  The interval's 1x1 Jacobian
-    [[dT/dp]] is the arrow with no loops.  Every method is O(N) and calls
-    no BLAS or LAPACK routine.
+    [[dT/dp]] is the arrow with no loops.  Every method and property is
+    O(N), computed when called or read, and calls no BLAS or LAPACK routine.
+    With s the Schur complement, det J = s prod_j diagonal_j; a 0 on the
+    diagonal leaves s undefined, and J then has sign 0 and a NaN
+    determinant and log.
     """
 
     corner: float
@@ -191,10 +192,45 @@ class Arrow:
         x[1:] = (r[1:] - self.column * x[0]) / self.diagonal
         return x
 
+    @property
+    def expected_sign(self) -> int:
+        """(-1)^(N+1) for N loops: the sign of det J on the admissible set."""
+        return 1 if self.diagonal.size % 2 else -1
+
+    @property
+    def sign(self) -> float:
+        """sign(s) prod_j sign(diagonal_j), exactly; 0 when J is singular."""
+        if not self.diagonal.all():
+            return 0.0
+        return float(np.sign(self.schur()) * np.prod(np.sign(self.diagonal)))
+
+    @property
+    def sign_ok(self) -> bool:
+        return self.sign == self.expected_sign
+
+    @property
+    def determinant(self) -> float:
+        """s prod_j diagonal_j: +-inf once that product overflows."""
+        if not self.diagonal.all():
+            return math.nan
+        with np.errstate(over="ignore"):
+            return self.schur() * float(np.prod(self.diagonal))
+
+    @property
+    def log_abs_determinant(self) -> float:
+        """log|s| + sum_j log|diagonal_j|, finite where the determinant overflows."""
+        if not self.diagonal.all():
+            return math.nan
+        with np.errstate(divide="ignore"):    # s = 0: log -inf
+            return float(np.log(abs(self.schur())) + np.sum(np.log(np.abs(self.diagonal))))
+
 
 def _jacobian(z: np.ndarray, quad_tol: float, spans) -> Arrow:
-    """Period-system Jacobian at z, as its arrow; ``spans`` are loop_spans at z."""
+    """Period-system Jacobian at z, as its arrow; ``spans`` are loop_spans at z.
+    With no loops it is the interval's [[dT/dp]] at q = 0."""
     p, *qs = z.tolist()    # Python floats, as in _system
+    if not qs:
+        return Arrow(interval_period_slope(p, quad_tol), 0.0, np.empty(0), np.empty(0))
     g = grad_T(PhasePoint(p, _stem_slope(z[1:])), quad_tol)
     return Arrow(g.dT_dp, 2.0 * g.dT_dq, *loop_gradients(p, qs, spans, quad_tol))
 
@@ -269,19 +305,18 @@ def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
     return bool(np.all(np.abs(F) <= np.maximum(tol, floors)))
 
 
-def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
-    """Damped Newton; returns (z, F, J, iterations, spans), J the Jacobian
-    and spans the loop spans at z."""
-    z = np.asarray(z0, dtype=float).copy()
-    F, spans = _system(spec, z, quad_tol)
+def _newton(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, spans, tol: float,
+            quad_tol: float):
+    """Damped Newton from z, given its residual F and loop spans; returns
+    (z, F, J, iterations, spans, floors), each taken at the last z."""
     for it in range(MAX_NEWTON_ITER + 1):
         J = _jacobian(z, quad_tol, spans)
         floors = _floors(spec, J, z)
         if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
-            return z, F, J, it, spans
+            return z, F, J, it, spans, floors
         step = J.solve(-F)
         if step is None:    # a singular J: the run stalls here
-            return z, F, J, it + 1, spans
+            return z, F, J, it + 1, spans, floors
         scale = 1.0
         best = np.max(np.abs(F))
         while scale >= 2.0 ** -30:
@@ -293,7 +328,7 @@ def _newton(spec: FlowerSpec, z0: np.ndarray, tol: float, quad_tol: float):
                     break
             scale *= 0.5
         else:
-            return z, F, J, it + 1, spans
+            return z, F, J, it + 1, spans, floors
         z, F, spans = zt, Ft, spans_t
 
 
@@ -312,11 +347,10 @@ def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
     return np.array([p, *qs])
 
 
-def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: Arrow,
-             iterations: int, spans, tol: float, lam: float) -> GroundStateSolution:
+def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: Arrow, iterations: int,
+             spans, floors: np.ndarray, tol: float, lam: float) -> GroundStateSolution:
     """The solution at z, with its loop spans, or NewtonStalled when |F|
     exceeds max(tol, floors)."""
-    floors = _floors(spec, J, z)
     if not _converged(F, tol, floors):
         raise NewtonStalled(
             f"period residual {np.max(np.abs(F)):.3e} is above tol {tol} and "
@@ -333,7 +367,7 @@ def _package(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, J: Arrow,
         residuals={"period_residuals": dict(zip(names, np.abs(F).tolist()))},
         convergence_floor=float(np.max(floors)),
         lambda0=lam,
-        jacobian=JacobianReport.of(J),
+        jacobian=J,
         loop_spans=tuple(spans),
     )
     sol.residuals.update(_integrate_edges(sol, PROFILE_DX))
@@ -352,43 +386,36 @@ def solve_interval(L: float, tol: float = 1e-10) -> GroundStateSolution:
     return solve_flower(FlowerSpec(stem=L), tol)
 
 
-def _solve_loop_free(spec: FlowerSpec, tol: float, lam: float) -> GroundStateSolution:
-    """The interval's p by brentq, to rtol = 4 eps, unpolished.
+def _interval_seed(spec: FlowerSpec, quad_tol: float):
+    """The interval's p by brentq, to rtol = 4 eps: (z, F, spans) for Newton.
 
     The Neumann end is the orbit's turning point, so the single unknown p
     solves T(p, 0) = L; T(., 0) decreases strictly from infinity to pi/2.
-    The residual must meet max(tol, floor), the floor from the 1x1 Jacobian
-    [[dT/dp]] (the arrow with no loops), or NewtonStalled is raised.
     """
-    L = spec.stem
-    quad_tol = min(1e-11, 0.1 * tol)
-
     @functools.cache    # brentq re-evaluates lo and returns an evaluated point
     def mismatch(p):
         return _system(spec, np.array([p]), quad_tol)[0][0]
 
-    lo = min(0.5, 6.0 * math.exp(-(L + HOMOCLINIC_OFFSET)))
+    lo = min(0.5, 6.0 * math.exp(-(spec.stem + HOMOCLINIC_OFFSET)))
     for _ in range(60):
         if lo == 0.0:
-            raise NewtonStalled(f"the bracket for interval length {L} needs "
+            raise NewtonStalled(f"the bracket for interval length {spec.stem} needs "
                                 "p below the smallest double: p underflows to 0")
         if mismatch(lo) > 0.0:
             break
         lo *= 0.5
-    p, info = brentq(mismatch, lo, math.nextafter(1.0, 0.0), ROOT_XTOL, 4.0 * EPMACH, 200)
-    return _package(spec, np.array([p]), np.array([mismatch(p)]),
-                    Arrow(interval_period_slope(p, quad_tol), 0.0, np.empty(0), np.empty(0)),
-                    info.iterations, (), tol, lam)
+    p, _ = brentq(mismatch, lo, math.nextafter(1.0, 0.0), ROOT_XTOL, 4.0 * EPMACH, 200)
+    return np.array([p]), np.array([mismatch(p)]), ()
 
 
 def solve_flower(spec: FlowerSpec, tol: float = 1e-10) -> GroundStateSolution:
     """Positive ground state on a flower graph; OutsideRegion unless lambda0 < 1.
 
-    The loop-free flower, the interval, is solved by brentq in p.  With
-    loops, one damped Newton run from a seed: the trace asymptotics seed p
-    and per-loop presolves seed q_j.  There is no retry: the ground state is
-    unique and the Jacobian never vanishes, so a run that stalls from the
-    seed raises NewtonStalled.
+    One damped Newton run from a seed.  With loops, the trace asymptotics
+    seed p and per-loop presolves seed q_j; the interval's seed is brentq's
+    root in p, and newton_iterations is 0 when that root already meets its
+    floor.  There is no retry: the ground state is unique and the Jacobian
+    never vanishes, so a run that stalls from the seed raises NewtonStalled.
     """
     tol = _check_tol(tol)
     lam = lambda0_flower(spec).lambda0
@@ -396,54 +423,25 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10) -> GroundStateSolution:
         raise OutsideRegion(
             f"lambda0 = {lam:.12g} >= 1 for stem {spec.stem}, loops "
             f"{tuple(2 * h for h in spec.loop_halves)}: only u = 0 exists")
-    if spec.n_loops == 0:
-        return _solve_loop_free(spec, tol, lam)
-    quad_tol = min(1e-11, 0.01 * tol)
-    z0 = _asymptotic_seed(spec, quad_tol)
-    return _package(spec, *_newton(spec, z0, tol, quad_tol), tol, lam)
+    quad_tol = _quad_tol(tol)
+    if spec.n_loops:
+        z = _asymptotic_seed(spec, quad_tol)
+        seed = (z, *_system(spec, z, quad_tol))
+    else:
+        seed = _interval_seed(spec, quad_tol)
+    return _package(spec, *_newton(spec, *seed, tol, quad_tol), tol, lam)
 
 
-@dataclass
-class JacobianReport:
-    """The period-system Jacobian's arrow and its determinant.
-
-    sign = sign(s) prod_j sign(diagonal_j), exactly, with s the arrow's
-    Schur complement; log_abs_determinant = log|s| + sum_j log|diagonal_j|,
-    finite where the determinant itself overflows a double.  determinant is
-    s prod_j diagonal_j: +-inf once that product overflows.  A 0 on the
-    diagonal leaves the Schur form undefined: the report then has sign 0 and
-    a NaN determinant.
-    """
-
-    arrow: Arrow
-    determinant: float
-    log_abs_determinant: float
-    sign: float                # +1, -1, or 0 when J is singular
-    expected_sign: int
-    sign_ok: bool
-
-    @classmethod
-    def of(cls, J: Arrow) -> JacobianReport:
-        expected = 1 if J.diagonal.size % 2 else -1    # (-1)^(N+1) for N loops
-        if not J.diagonal.all():
-            return cls(J, math.nan, math.nan, 0.0, expected, False)
-        s = J.schur()
-        sign = float(np.sign(s) * np.prod(np.sign(J.diagonal)))
-        with np.errstate(divide="ignore", over="ignore"):    # s = 0: log -inf
-            det = s * float(np.prod(J.diagonal))
-            log_abs = float(np.log(abs(s)) + np.sum(np.log(np.abs(J.diagonal))))
-        return cls(J, det, log_abs, sign, expected, sign == expected)
-
-
-def jacobian_report(p: float, q_list) -> JacobianReport:
-    """Period-system Jacobian at any admissible (p, q_1..q_N), with its sign check."""
+def jacobian_report(p: float, q_list) -> Arrow:
+    """Period-system Jacobian at any admissible (p, q_1..q_N), N = 0 included,
+    as solve_flower takes it at its default tol; the Arrow checks its sign."""
     qs = list(q_list)
     if not _admissible(p, qs):
         raise InvalidDomain(
             f"(p, q) = ({p}, {qs}) is not an admissible flower state")
     z = np.array([p, *qs], float)
     p, *qs = z.tolist()    # Python floats, as in _system
-    return JacobianReport.of(_jacobian(z, JACOBIAN_QUAD_TOL, loop_spans(p, qs)))
+    return _jacobian(z, _quad_tol(), loop_spans(p, qs))
 
 
 def _rk4(w0: float, v0: float, length: float, n: int, path=None):
@@ -533,7 +531,8 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float = PROFILE_DX) -
     """Sample u on every edge by integrating the orbit ODE; edge_id -> (x, u).
 
     Loops are mirrored about their midpoint, so their evenness is exact.
-    The samples become solution.profiles; the residuals stay the solve's.
+    The samples are returned only: the solution, its residuals included,
+    stays as the solve left it.
     A mismatch beyond 10 PROFILE_TOL at this dx raises StepTooLarge.  A dx
     that is not > 0 (NaN included), or below an edge's length /
     MAX_STEPS_PER_EDGE, where the cap and not dx would set the step, raises
@@ -547,7 +546,6 @@ def reconstruct_profile(solution: GroundStateSolution, dx: float = PROFILE_DX) -
                             f"cap of {MAX_STEPS_PER_EDGE} steps per edge sets the step")
     profiles = {}
     _integrate_edges(solution, dx, profiles)    # may raise StepTooLarge
-    solution._profiles = profiles
     return profiles
 
 

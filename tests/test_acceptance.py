@@ -153,8 +153,8 @@ def test_criterion_08_pde_cross_validation(evolve_runs):
     assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
     assert elapsed < 120.0
     sol = solve_interval(L)
-    reconstruct_profile(sol, dx=5e-4)
-    target = field_from_profiles(trace.final.mesh, sol.profiles)
+    profiles = reconstruct_profile(sol, dx=5e-4)
+    target = field_from_profiles(trace.final.mesh, profiles)
     gap = float(np.max(np.abs(trace.final.values - target.values)))
     assert gap <= 1e-3
     comparison_monitor(trace)

@@ -324,6 +324,11 @@ BAD_INPUTS = [
     (2, ["validate", "--suite", "jacobian", "--seed", "-1"]),
     *((2, [*cmd, "--jobs", "2"]) for cmd in (["region", "--curve", "2"],
                                               ["validate", "--suite", "dichotomy"])),
+    # --samples where the mode draws no samples
+    *((2, ["validate", "--suite", suite, "--samples", "3"])
+      for suite in ("asymptotics", "dichotomy")),
+    (2, ["region", "--flower", "stem=2", "loops=1.5", "--samples", "3"]),
+    (2, ["region", "--samples", "3", "--graph", {"flower": {"stem": 2.0, "loops": [1.5]}}]),
     *((2, ["evolve", "--flower", "stem=2", *QUICK_EVOLVE, option, value])
       for option in ("--max-t", "--tol") for value in ("-1", "nan")),
     *((2, ["groundstate", "--flower", "stem=2", "--tol", tol]) for tol in ("nan", "inf")),
@@ -475,8 +480,11 @@ def cli_calls(draw):
     if cmd == "validate":
         seed, samples = number("0"), number("1")
         suite = draw(st.sampled_from(["asymptotics", "dichotomy", "jacobian", "monotonicity"]))
+        # only the jacobian and monotonicity suites draw samples; the others
+        # refuse --samples as a usage error
         return (["validate", "--suite", suite, "--seed", seed, "--samples", samples],
-                _int_at_least(seed, 0) and _int_at_least(samples, 1))
+                _int_at_least(seed, 0) and _int_at_least(samples, 1)
+                and suite in ("jacobian", "monotonicity"))
     if cmd == "region" and draw(st.booleans()):
         samples = number("3")
         if draw(st.booleans()):
@@ -565,7 +573,7 @@ def test_overflowing_determinant_is_strict_json_null():
     assert data["jacobian_determinant"] is None
     assert data["jacobian_sign_ok"] is True
     sign, log_abs = np.linalg.slogdet(
-        dense_jacobian(groundstate.jacobian_report(data["p"], data["q"]).arrow))
+        dense_jacobian(groundstate.jacobian_report(data["p"], data["q"])))
     assert sign == -1.0
     assert math.isclose(data["jacobian_log_abs_determinant"], log_abs, rel_tol=1e-12)
 

@@ -83,11 +83,11 @@ def test_negative_or_nonfinite_initial_data():
 
 def test_ground_state_is_near_stationary_at_second_order():
     sol = solve_interval(2.0)
-    reconstruct_profile(sol, dx=2e-4)  # dense reference, free of interp error
+    profiles = reconstruct_profile(sol, dx=2e-4)  # dense reference, free of interp error
     g = flower_graph(FlowerSpec(stem=2.0))
     drifts = []
     for h in (0.08, 0.04, 0.02):
-        f = field_from_profiles(GraphMesh(g, mesh_h=h), sol.profiles)
+        f = field_from_profiles(GraphMesh(g, mesh_h=h), profiles)
         moved = run_to_attractor(f, dt=0.1, max_t=0.1).final
         drifts.append(float(np.max(np.abs(moved.values - f.values))))
     assert drifts[2] <= 1e-6
@@ -101,7 +101,7 @@ def test_supercritical_interval_converges_to_ground_state():
     trace = run_to_attractor(hat_field(mesh, 1e-3, L), dt=0.1, tol=1e-9)
     assert trace.terminal is Terminal.CONVERGED_NONTRIVIAL
     sol = solve_interval(L)
-    target = field_from_profiles(mesh, sol.profiles)
+    target = field_from_profiles(mesh, reconstruct_profile(sol))
     err = float(np.max(np.abs(trace.final.values - target.values)))
     assert err <= 5.0 * 0.02 ** 2 + 1e-9
     # trajectory stays in [0, 1]

@@ -59,6 +59,8 @@ TWO_Q1 = -0.1880619127350793370428
 TWO_Q2 = -0.1134554964522166567622
 TWO_STEM_E = 0.1149418976029159702778
 
+EIGHTY_LOOPS = FlowerSpec(12.0, tuple(np.linspace(0.1, 1.2, 80)))
+
 
 @pytest.mark.parametrize("L", [0.5, 1.0, math.pi / 2.0])
 def test_interval_below_threshold(L):
@@ -132,7 +134,7 @@ def test_interval_energy_anchor():
 
 def test_interval_profile_contracts():
     sol = solve_interval(2.0)
-    x, u = sol.profiles["stem"]
+    x, u = reconstruct_profile(sol)["stem"]
     assert u[0] == 0.0
     # for the interval this is |u'| at the Neumann end
     assert sol.residuals["kirchhoff_flux"] <= 1e-8
@@ -247,7 +249,9 @@ def test_uniqueness_from_random_initializations():
         p0 = rng.uniform(0.05, 0.95)
         q0 = -math.sqrt(well(p0)) * rng.uniform(0.1, 0.9)
         assert groundstate._admissible(p0, [q0])
-        z, F, J, _, _ = groundstate._newton(TADPOLE, np.array([p0, q0]), tol, quad_tol)
+        z0 = np.array([p0, q0])
+        F0, spans0 = groundstate._system(TADPOLE, z0, quad_tol)
+        z, F, J, _, _, _ = groundstate._newton(TADPOLE, z0, F0, spans0, tol, quad_tol)
         if not groundstate._converged(F, tol, groundstate._floors(TADPOLE, J, z)):
             continue
         converged += 1
@@ -281,7 +285,7 @@ def test_jacobian_matches_finite_differences():
         [(t0(TAD_P + h, TAD_Q1) - t0(TAD_P - h, TAD_Q1)) / (2 * h),
          (t0(TAD_P, TAD_Q1 + h) - t0(TAD_P, TAD_Q1 - h)) / (2 * h)],
     ])
-    assert np.max(np.abs(dense_jacobian(rep.arrow) - fd) / np.abs(fd)) <= 1e-4
+    assert np.max(np.abs(dense_jacobian(rep) - fd) / np.abs(fd)) <= 1e-4
 
 
 def test_jacobian_sign_pattern():
@@ -296,7 +300,34 @@ def test_jacobian_sign_pattern():
             assert rep.sign_ok, (n, p, qs, rep.determinant)
 
 
+@pytest.mark.parametrize("spec", [FlowerSpec(2.0), TADPOLE, TWO_LOOP, EIGHTY_LOOPS,
+                                  FlowerSpec(3.0, (0.75, 0.5))],
+                         ids=["interval-2", "tadpole", "two-loop", "12-80loops", "3-0.75-0.5"])
+def test_jacobian_report_is_the_solves_jacobian_bit_for_bit(spec):
+    sol = solve_flower(spec)
+    rep, J = jacobian_report(sol.p, sol.q_loops), sol.jacobian
+    assert (rep.corner, rep.row) == (J.corner, J.row)
+    assert np.array_equal(rep.column, J.column) and np.array_equal(rep.diagonal, J.diagonal)
+    assert rep.determinant == J.determinant
+    assert rep.log_abs_determinant == J.log_abs_determinant
+    assert rep.sign == J.sign == J.expected_sign
+
+
+def test_jacobian_report_of_the_interval_is_its_one_by_one_arrow():
+    rep = jacobian_report(P_STAR_L2, [])
+    assert rep.corner == period.interval_period_slope(P_STAR_L2, groundstate._quad_tol())
+    assert rep.row == 0.0 and rep.column.size == rep.diagonal.size == 0
+    h = 1e-6
+    fd = (period_T(PhasePoint(P_STAR_L2 + h, 0.0)).value
+          - period_T(PhasePoint(P_STAR_L2 - h, 0.0)).value) / (2.0 * h)
+    assert math.isclose(rep.corner, fd, rel_tol=1e-6)
+    assert rep.determinant == rep.corner < 0.0
+    assert rep.sign == rep.expected_sign == -1 and rep.sign_ok
+
+
 def test_jacobian_rejects_inadmissible_points():
+    with pytest.raises(InvalidDomain):
+        jacobian_report(1.2, [])
     with pytest.raises(InvalidDomain):
         jacobian_report(1.2, [-0.1])
     with pytest.raises(InvalidDomain):
@@ -311,7 +342,7 @@ def test_arrow_determinant_is_slogdets(n):
     # determinant overflows a double and only its log and sign are left
     halves = tuple(np.random.default_rng(n).uniform(0.1, 1.2, n).tolist())
     rep = solve_flower(FlowerSpec(3.0, halves)).jacobian
-    J = dense_jacobian(rep.arrow)
+    J = dense_jacobian(rep)
     sign, log_abs = np.linalg.slogdet(J)
     assert rep.sign == sign == rep.expected_sign == (-1) ** (n + 1)
     assert rep.sign_ok
@@ -329,7 +360,7 @@ def test_arrow_step_and_floors_are_the_dense_jacobians(n):
     rng = np.random.default_rng(n)
     p = float(rng.uniform(0.05, 0.95))
     qs = [-math.sqrt(well(p)) * float(rng.uniform(0.05, 0.95)) for _ in range(n)]
-    arrow = jacobian_report(p, qs).arrow
+    arrow = jacobian_report(p, qs)
     J, z, r = dense_jacobian(arrow), np.array([p, *qs]), rng.standard_normal(n + 1)
     spec = FlowerSpec(1.0, tuple(rng.uniform(0.1, 1.2, n).tolist()))
     dense_floors = 8.0 * groundstate.EPMACH * (np.abs([spec.stem, *spec.loop_halves]) +
@@ -355,8 +386,7 @@ def test_a_singular_arrow_stalls_typed(monkeypatch, zero):
         with pytest.raises(NewtonStalled) as info:
             solve_flower(TWO_LOOP)
         assert info.value.diagnostics["iterations"] == 1
-        arrow = jacobian_report(TWO_P, [TWO_Q1, TWO_Q2]).arrow
-        rep = groundstate.JacobianReport.of(_singular(arrow, zero))
+        rep = _singular(jacobian_report(TWO_P, [TWO_Q1, TWO_Q2]), zero)
     assert rep.sign == 0.0 and not rep.sign_ok
     assert (rep.determinant == 0.0) if zero == "schur" else math.isnan(rep.determinant)
 
@@ -393,10 +423,11 @@ def test_profile_step_guard():
 
 def test_flower_profile_contracts():
     sol = solve_flower(TWO_LOOP)
+    profiles = reconstruct_profile(sol)
     assert sol.residuals["kirchhoff_flux"] <= 1e-8
     assert sol.residuals["continuity"] <= 1e-8
     for j, half in ((1, 0.8), (2, 0.5)):
-        x, u = sol.profiles[f"loop{j}"]
+        x, u = profiles[f"loop{j}"]
         assert math.isclose(x[-1], 2.0 * half, rel_tol=1e-15)
         # even about the midpoint by construction
         assert np.max(np.abs(u - u[::-1])) <= 1e-10
@@ -405,7 +436,7 @@ def test_flower_profile_contracts():
         assert np.all(u >= 0.0) and np.all(u <= 1.0)
     assert 0.0 < sol.sup_u < 1.0
     assert math.isclose(sol.sup_u,
-                        float(max(np.max(u) for _, u in sol.profiles.values())),
+                        float(max(np.max(u) for _, u in profiles.values())),
                         rel_tol=1e-8)
 
 
@@ -414,8 +445,9 @@ def test_proximity_on_loops():
     # monotonically in w = 1 - u from its turning point p0_j up to p
     for spec in (TADPOLE, TWO_LOOP):
         sol = solve_flower(spec)
+        profiles = reconstruct_profile(sol)
         for j in range(1, spec.n_loops + 1):
-            _, u = sol.profiles[f"loop{j}"]
+            _, u = profiles[f"loop{j}"]
             w = 1.0 - u
             assert np.argmax(w) in (0, w.size - 1)
             assert math.isclose(np.max(w), sol.p, rel_tol=1e-9)
@@ -454,9 +486,6 @@ def _random_flowers(n: int, seed: int) -> list:
     return flowers
 
 
-EIGHTY_LOOPS = FlowerSpec(12.0, tuple(np.linspace(0.1, 1.2, 80)))
-
-
 @pytest.mark.parametrize("spec", [
     FlowerSpec(2.0), TADPOLE, TWO_LOOP, EIGHTY_LOOPS, FlowerSpec(16.0, (16.0,)),
     *_random_flowers(20, seed=11),
@@ -481,10 +510,10 @@ def test_energy_next_to_the_threshold(halves, k):
 
 
 def test_each_edge_profile_takes_its_own_step():
-    sol = solve_flower(EIGHTY_LOOPS)
+    profiles = reconstruct_profile(solve_flower(EIGHTY_LOOPS))
     for j, half in enumerate(EIGHTY_LOOPS.loop_halves, start=1):
         n = groundstate._edge_steps(half, 1e-2)
-        x, u = sol.profiles[f"loop{j}"]
+        x, u = profiles[f"loop{j}"]
         assert len(x) == len(u) == 2 * n + 1
 
 
@@ -496,7 +525,8 @@ def test_a_solve_keeps_only_end_states(solve):
     solve()    # imports and caches outside the measurement
     peak, sol = peak_bytes(solve)
     assert peak < 0.1e6
-    assert sol._profiles is None
+    # no field is an edge_id -> (x, u) mapping
+    assert not any(isinstance(v, dict) and "stem" in v for v in vars(sol).values())
 
 
 @pytest.mark.parametrize("spec", [FlowerSpec(20.0), TADPOLE, EIGHTY_LOOPS,
@@ -505,8 +535,34 @@ def test_a_solve_keeps_only_end_states(solve):
 def test_reading_profiles_leaves_the_residuals_bit_for_bit(spec):
     sol = solve_flower(spec)
     before = json.dumps(sol.residuals)
-    assert set(sol.profiles) == {"stem", *(f"loop{j}" for j in range(1, spec.n_loops + 1))}
+    profiles = reconstruct_profile(sol)
+    assert set(profiles) == {"stem", *(f"loop{j}" for j in range(1, spec.n_loops + 1))}
     assert json.dumps(sol.residuals) == before
+
+
+def _unchanged(sol, before: dict) -> bool:
+    """vars(sol) holds the very objects that ``before`` holds, and no more."""
+    now = vars(sol)
+    return now.keys() == before.keys() and all(now[k] is v for k, v in before.items())
+
+
+def _points(profiles: dict) -> int:
+    return sum(len(x) for x, _ in profiles.values())
+
+
+def test_reconstruct_profile_returns_its_own_grid_and_leaves_the_solution():
+    sol = solve_flower(EIGHTY_LOOPS)
+    before, size, residuals = dict(vars(sol)), len(repr(sol)), json.dumps(sol.residuals)
+    fine = reconstruct_profile(sol, 1e-3)
+    coarse = reconstruct_profile(sol)
+    assert _unchanged(sol, before)
+    assert len(repr(sol)) == size and json.dumps(sol.residuals) == residuals
+    for profiles, dx in ((fine, 1e-3), (coarse, groundstate.PROFILE_DX)):
+        assert _points(profiles) == groundstate._edge_steps(EIGHTY_LOOPS.stem, dx) + 1 + sum(
+            2 * groundstate._edge_steps(half, dx) + 1 for half in EIGHTY_LOOPS.loop_halves)
+    assert (_points(fine), _points(coarse)) == (116_159, 16_969)
+    again = reconstruct_profile(sol, 1e-3)
+    assert all(np.array_equal(again[k][1], u) for k, (_, u) in fine.items())
 
 
 def test_a_finer_profile_leaves_the_solve_residuals():
@@ -531,13 +587,14 @@ def test_a_profile_step_below_the_step_cap_raises_before_any_step(monkeypatch, s
     """At dx = 1e-300 the cap, not dx, would set every edge's step, and the
     three-loop flower would keep 1,000,001 samples per loop."""
     sol = solve_flower(spec)
+    before = dict(vars(sol))
     steps = []
     monkeypatch.setattr(groundstate, "_rk4", lambda *args: steps.append(args))
     start = time.perf_counter()
     with pytest.raises(InvalidDomain, match="cap of 500000 steps per edge"):
         reconstruct_profile(sol, dx=1e-300)
     assert time.perf_counter() - start < 0.5
-    assert steps == [] and sol._profiles is None
+    assert steps == [] and _unchanged(sol, before)
 
 
 def test_an_infinite_profile_step_is_bounded_by_the_step_law():
