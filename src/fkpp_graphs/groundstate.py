@@ -27,15 +27,21 @@ loaded.
 
 Deep in the region (long edges) the loop equations become ill conditioned
 in q_j: the orbit hugs the homoclinic loop and T0 moves by ~1e-8 per ulp of
-q_j.  Two mitigations: the seed takes p from the trace asymptotics and each
-q_j from a presolve in the log of the turning point (uniformly well
-conditioned; each loop's root is spectral.brentq's, and the loops step in
-lockstep, with one period.loop_arcs call per round), and convergence is
-declared against per-row floors
+q_j.  Two mitigations: the seed takes p from the saddle law
+T = -log((p - q)/12) - x0 and each q_j from a presolve in the log of the
+turning point (uniformly well conditioned; each loop's root is
+spectral.brentq's, and the loops step in lockstep, with one
+period.loop_arcs call per round), and convergence is declared against
+per-row floors
 
     floor_i = 8 eps (|target_i| + sum_k |z_k J_ik|)
 
 which measure the best residual representable at the working precision.
+The presolve's turning points give each loop's own slope, which sets the
+seed's p a second time (see _asymptotic_seed), so Newton starts in its
+quadratic basin.  Newton runs until every residual is within max(quad_tol,
+floor_i), as accurate as the quadratures that evaluate it; the solution is
+accepted at max(tol, floor_i).
 Newton hands its converged loop spans to the solution, so the profile, the
 turning points and the loop actions of the free energy need no further
 turning-point solve.  The solve integrates each edge only to its end
@@ -305,14 +311,17 @@ def _converged(F: np.ndarray, tol: float, floors: np.ndarray) -> bool:
     return bool(np.all(np.abs(F) <= np.maximum(tol, floors)))
 
 
-def _newton(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, spans, tol: float,
-            quad_tol: float):
+def _newton(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, spans, quad_tol: float):
     """Damped Newton from z, given its residual F and loop spans; returns
-    (z, F, J, iterations, spans, floors), each taken at the last z."""
+    (z, F, J, iterations, spans, floors), each taken at the last z.
+
+    The run stops at max(quad_tol, floors): the residual is then as accurate
+    as the quadratures that evaluate it, whatever tol the caller accepts.
+    """
     for it in range(MAX_NEWTON_ITER + 1):
         J = _jacobian(z, quad_tol, spans)
         floors = _floors(spec, J, z)
-        if it == MAX_NEWTON_ITER or _converged(F, tol, floors):
+        if it == MAX_NEWTON_ITER or _converged(F, quad_tol, floors):
             return z, F, J, it, spans, floors
         step = J.solve(-F)
         if step is None:    # a singular J: the run stalls here
@@ -324,7 +333,7 @@ def _newton(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, spans, tol: float,
             if _admissible(zt[0], zt[1:]):
                 Ft, spans_t = _system(spec, zt, quad_tol)
                 if np.max(np.abs(Ft)) <= (1.0 - 1e-4 * scale) * best or \
-                        _converged(Ft, tol, floors):
+                        _converged(Ft, quad_tol, floors):
                     break
             scale *= 0.5
         else:
@@ -333,17 +342,32 @@ def _newton(spec: FlowerSpec, z: np.ndarray, F: np.ndarray, spans, tol: float,
 
 
 def _asymptotic_seed(spec: FlowerSpec, quad_tol: float) -> np.ndarray:
-    """Trace-asymptotics p with per-loop presolved q_j; NewtonStalled if none."""
-    p = 12.0 / (1.0 + 2.0 * spec.n_loops) * \
-        math.exp(-(spec.stem + HOMOCLINIC_OFFSET))
-    p = min(max(p, 1e-8), 0.9)
+    """Saddle-law p with per-loop presolved q_j; NewtonStalled if none.
+
+    The stem's saddle law T = -log((p - q_stem)/12) - x0, with q_stem =
+    2 sum q_j and q_j = -r_j sqrt(A(p)), gives p = 12 e^-(L + x0) /
+    (1 + 2 sum r_j).  The presolve runs at r_j = 1, every loop on the
+    homoclinic; its turning points give each loop's own r_j <= 1, and so a
+    second p, no smaller than the first.  Near the saddle the orbits are
+    self-similar, so each turning point moves with p in proportion.  The
+    presolve's point stays when the moved one is not admissible, or when
+    the second p passes 1/2, where the force w - w^2 peaks and the saddle
+    law overshoots: on shallow one-loop flowers that p cost Newton an
+    iteration and a backtrack.
+    """
+    scale = 12.0 * math.exp(-(spec.stem + HOMOCLINIC_OFFSET))
+    p = min(max(scale / (1.0 + 2.0 * spec.n_loops), 1e-8), 0.9)
     try:
-        qs = [-math.sqrt(max(well(p) - well(math.exp(y)), 0.0))
-              for y in _loop_turning_points(p, spec.loop_halves, quad_tol)]
+        ys = _loop_turning_points(p, spec.loop_halves, quad_tol)
+        qs = [-math.sqrt(max(well(p) - well(math.exp(y)), 0.0)) for y in ys]
     except (OrbitNotClosed, ValueError, RuntimeError):
         qs = None
     if qs is None or not _admissible(p, qs):
         raise NewtonStalled(f"no admissible Newton seed at p = {p:.6g}")
+    p2 = max(scale / (1.0 - 2.0 * sum(qs) / math.sqrt(well(p))), 1e-8)
+    qs2 = [-math.sqrt(max(well(p2) - well(math.exp(y) * p2 / p), 0.0)) for y in ys]
+    if p2 <= 0.5 and _admissible(p2, qs2):
+        return np.array([p2, *qs2])
     return np.array([p, *qs])
 
 
@@ -411,8 +435,8 @@ def _interval_seed(spec: FlowerSpec, quad_tol: float):
 def solve_flower(spec: FlowerSpec, tol: float = 1e-10) -> GroundStateSolution:
     """Positive ground state on a flower graph; OutsideRegion unless lambda0 < 1.
 
-    One damped Newton run from a seed.  With loops, the trace asymptotics
-    seed p and per-loop presolves seed q_j; the interval's seed is brentq's
+    One damped Newton run from a seed.  With loops, the saddle law seeds p
+    and per-loop presolves seed q_j; the interval's seed is brentq's
     root in p, and newton_iterations is 0 when that root already meets its
     floor.  There is no retry: the ground state is unique and the Jacobian
     never vanishes, so a run that stalls from the seed raises NewtonStalled.
@@ -429,7 +453,7 @@ def solve_flower(spec: FlowerSpec, tol: float = 1e-10) -> GroundStateSolution:
         seed = (z, *_system(spec, z, quad_tol))
     else:
         seed = _interval_seed(spec, quad_tol)
-    return _package(spec, *_newton(spec, *seed, tol, quad_tol), tol, lam)
+    return _package(spec, *_newton(spec, *seed, quad_tol), tol, lam)
 
 
 def jacobian_report(p: float, q_list) -> Arrow:

@@ -251,7 +251,7 @@ def test_uniqueness_from_random_initializations():
         assert groundstate._admissible(p0, [q0])
         z0 = np.array([p0, q0])
         F0, spans0 = groundstate._system(TADPOLE, z0, quad_tol)
-        z, F, J, _, _, _ = groundstate._newton(TADPOLE, z0, F0, spans0, tol, quad_tol)
+        z, F, J, _, _, _ = groundstate._newton(TADPOLE, z0, F0, spans0, quad_tol)
         if not groundstate._converged(F, tol, groundstate._floors(TADPOLE, J, z)):
             continue
         converged += 1
@@ -685,6 +685,52 @@ def test_stalled_newton_is_not_retried(monkeypatch):
     with pytest.raises(NewtonStalled):
         solve_flower(FlowerSpec(20.0, (20.0,)))
     assert len(runs) == 1
+
+
+def _sweep_like_flowers(n: int, seed: int) -> list:
+    """n flowers drawn as perfbench's sweep draws them, but with stems over
+    the whole range from L* to 12: log-uniform loop counts 1-80, halves
+    U(0.1, 1.2)."""
+    rng = np.random.default_rng(seed)
+    flowers = []
+    for _ in range(n):
+        count = min(80, int(math.exp(rng.uniform(0.0, math.log(81.0)))))
+        halves = tuple(rng.uniform(0.1, 1.2, count).tolist())
+        lb = lower_boundary(halves)
+        flowers.append(FlowerSpec(lb + (12.0 - lb) * rng.uniform(0.01, 1.0), halves))
+    return flowers
+
+
+def test_newton_starts_in_its_quadratic_basin(monkeypatch):
+    # the saddle-law seed with each loop's own slope: 2.6 iterations a solve
+    # here (4.5 from the first p alone, stopping at tol), and no backtrack:
+    # one residual per iteration, after the seed's
+    calls = []
+    system = groundstate._system
+
+    def counted(*args):
+        calls.append(args[1])
+        return system(*args)
+
+    monkeypatch.setattr(groundstate, "_system", counted)
+    iterations = []
+    for spec in [*_sweep_like_flowers(40, seed=0), EIGHTY_LOOPS]:
+        calls.clear()
+        sol = solve_flower(spec)
+        assert len(calls) == sol.newton_iterations + 1
+        iterations.append(sol.newton_iterations)
+    assert iterations[-1] <= 2
+    assert np.mean(iterations[:-1]) <= 3.3
+
+
+def test_newton_iterates_to_the_quadratures_tolerance():
+    # Newton stops at the accuracy its quadratures are asked for; tol, 100
+    # times looser, is only what the solution is accepted at
+    tol = 1e-10
+    for spec in _sweep_like_flowers(40, seed=0):
+        sol = solve_flower(spec, tol)
+        allowed = max(groundstate._quad_tol(tol), sol.convergence_floor)
+        assert max(sol.residuals["period_residuals"].values()) <= allowed
 
 
 # ------------------------------------------------------ work on the exact path
